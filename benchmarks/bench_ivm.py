@@ -46,7 +46,7 @@ def materialize(n):
 
 
 def run_full(program, instance):
-    return Evaluator(program, schedule=True, compile=True).run(instance.copy())
+    return Evaluator(program).run(instance.copy())
 
 
 def timed_updates(mp, n, repeats=5):

@@ -11,8 +11,8 @@ Two workloads, one per concurrency source the IQL8xx analysis certifies:
   cross-reads, certified into one width-4 batch and submitted to the
   pool together.
 
-Both compare ``Evaluator(schedule=True, compile=True)`` (the serial
-engine, the PR8 baseline) against ``Evaluator(parallel=N, compile=True)``
+Both compare the serial production engine (``Evaluator(program)``)
+against ``Evaluator(program, parallel=N)``
 on BOTH driver backends — 4 worker threads, and 2/4 shared-nothing
 worker processes (``backend="process"``) — asserting *exactly* equal
 outputs on every point (invention-free programs; worker facts must
@@ -123,15 +123,13 @@ def setup_strata(n):
 
 
 def run_serial(program, instance):
-    return Evaluator(program, schedule=True, compile=True).run(instance.copy())
+    return Evaluator(program).run(instance.copy())
 
 
 def run_parallel(program, instance, workers, backend="thread"):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a certified program must not warn
-        evaluator = Evaluator(
-            program, parallel=workers, compile=True, backend=backend
-        )
+        evaluator = Evaluator(program, parallel=workers, backend=backend)
         try:
             return evaluator.run(instance.copy())
         finally:
@@ -151,9 +149,7 @@ def time_process_run(program, instance, workers):
     # first so the pool starts from a trim parent image (the workers
     # gc.freeze() the rest on entry).
     gc.collect()
-    evaluator = Evaluator(
-        program, parallel=workers, compile=True, backend="process"
-    )
+    evaluator = Evaluator(program, parallel=workers, backend="process")
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -309,7 +305,7 @@ def main(sizes=None):
         "  persistent shared-nothing worker pool: each worker interns into\n"
         "  its own store and the coordinator re-canonicalizes returned\n"
         "  wire batches. Outputs are asserted equal to the serial\n"
-        "  scheduled+compiled engine on every size and both backends."
+        "  production engine on every size and both backends."
     )
     _PROCESS_SERIES.clear()
     _PROCESS_SERIES.update(proc_series)

@@ -1,4 +1,4 @@
-"""E19 — the certified schedule: strata vs the monolithic fixpoint.
+"""E19 — the certified schedule: the production engine vs the reference.
 
 The workload is a single *mixed* stage — exactly the shape the paper's
 uniform rule language invites: a recursive transitive closure, a filter
@@ -11,18 +11,20 @@ initializing object values from an input class::
     p^ = [] :- Seed(p).
 
 The assignment head makes the whole stage ineligible for the semi-naive
-rewriting, so the monolithic engine runs the naive loop: every one of
-the ~n fixpoint steps re-solves *all four* rules against the full
-instance. The dependency analysis (repro.analysis.depgraph) certifies a
-three-stratum schedule — {T} (recursive), {F}, {^P} — and the scheduled
-engine solves the T and F strata semi-naively and the assignment
-stratum in two naive steps, none of which re-examines another stratum's
-work.
+rewriting, so the reference engine runs the naive loop: every one of the
+~n fixpoint steps re-solves *all four* rules against the full instance.
+The dependency analysis (repro.analysis.depgraph) certifies a
+three-stratum schedule — {T} (recursive), {F}, {^P} — and the production
+engine solves the T and F strata semi-naively with compiled kernels and
+the assignment stratum in two naive steps, none of which re-examines
+another stratum's work.
 
-Claims measured: identical outputs; the scheduled engine wins by a
-factor that grows with n (it restores the semi-naive asymptotics the
-assignment rule destroyed); the analysis overhead (one graph + schedule
-per Evaluator) is a constant ~millisecond, invisible at every size.
+Claims measured: identical outputs; the production engine wins by a
+factor that grows with n (the schedule restores the semi-naive
+asymptotics the assignment rule destroyed); the analysis overhead (one
+graph + schedule per Evaluator) is a constant ~millisecond. The
+monolithic-vs-scheduled and scheduled-vs-compiled A/B columns of earlier
+versions are recorded in EXPERIMENTS.md.
 
 Run standalone:  python benchmarks/bench_scheduling.py
 """
@@ -71,32 +73,19 @@ def setup(n, objects=8):
     return program, instance
 
 
-def run_monolithic(program, instance):
+def run_reference(program, instance):
+    return Evaluator(program, naive=True).run(instance.copy())
+
+
+def run_production(program, instance):
     return Evaluator(program).run(instance.copy())
 
 
-def run_scheduled(program, instance):
-    return Evaluator(program, schedule=True).run(instance.copy())
-
-
-def run_scheduled_compiled(program, instance):
-    return Evaluator(program, schedule=True, compile=True).run(instance.copy())
-
-
 @pytest.mark.parametrize("n", [8, 16])
-def test_scheduled(benchmark, n):
+def test_production(benchmark, n):
     program, instance = setup(n)
     result = benchmark.pedantic(
-        lambda: run_scheduled(program, instance), rounds=2, iterations=1
-    )
-    assert result.stats.strata == 3
-
-
-@pytest.mark.parametrize("n", [8, 16])
-def test_scheduled_compiled(benchmark, n):
-    program, instance = setup(n)
-    result = benchmark.pedantic(
-        lambda: run_scheduled_compiled(program, instance), rounds=2, iterations=1
+        lambda: run_production(program, instance), rounds=2, iterations=1
     )
     assert result.stats.strata == 3
     assert result.stats.rules_compiled == 4
@@ -110,43 +99,37 @@ def main(sizes=None):
     series = {}
     for n in sizes or [8, 16, 24, 32]:
         program, instance = setup(n)
-        t_mono, mono = time_call(run_monolithic, program, instance)
-        t_sched, sched = time_call(run_scheduled, program, instance)
-        t_comp, comp = time_call(run_scheduled_compiled, program, instance)
-        agree = mono.output == sched.output == comp.output
-        series[n] = t_comp
+        t_ref, ref = time_call(run_reference, program, instance)
+        t_prod, prod = time_call(run_production, program, instance)
+        agree = ref.output == prod.output
+        series[n] = t_prod
         rows.append(
             (
                 n,
-                len(mono.output.relations["T"]),
-                ms(t_mono),
-                ms(t_sched),
-                ms(t_comp),
-                f"{t_sched / t_comp:.1f}×",
-                f"{t_mono / t_comp:.1f}×",
-                comp.stats.strata,
-                comp.stats.rules_compiled,
+                len(ref.output.relations["T"]),
+                ms(t_ref),
+                ms(t_prod),
+                f"{t_ref / t_prod:.1f}×",
+                prod.stats.strata,
+                prod.stats.rules_compiled,
                 "✓" if agree else "✗",
             )
         )
     print_series(
-        "E19: mixed closure + filter + assignment stage — "
-        "monolithic vs scheduled vs scheduled+compiled",
-        ["n", "|T|", "monolithic", "scheduled", "sched+compile",
-         "compile speedup", "total speedup", "strata", "compiled", "agree"],
+        "E19: mixed closure + filter + assignment stage — reference vs production",
+        ["n", "|T|", "reference", "production", "speedup", "strata", "compiled",
+         "agree"],
         rows,
     )
     print(
-        "  shape: the (★) assignment rule locks the monolithic engine out of\n"
-        "  the semi-naive rewriting, so it pays ~n naive re-solves of every\n"
-        "  rule; the certified schedule isolates the assignment in its own\n"
-        "  stratum and restores semi-naive evaluation for the closure and the\n"
-        "  filter — a speedup that grows with n, for the price of one\n"
-        "  dependency analysis per program. Compiling the planned bodies into\n"
-        "  closure kernels (--compile) multiplies in a further constant\n"
-        "  factor; the filter stratum F(x,y) :- T(x,y), T(y,x) gains most —\n"
-        "  its fully-bound membership check becomes one hash lookup against\n"
-        "  the captured T extension."
+        "  shape: the (★) assignment rule locks a monolithic stage out of\n"
+        "  the semi-naive rewriting, so the reference pays ~n naive re-solves\n"
+        "  of every rule; the certified schedule isolates the assignment in\n"
+        "  its own stratum and restores semi-naive evaluation for the\n"
+        "  closure and the filter — a speedup that grows with n, for the\n"
+        "  price of one dependency analysis per program. The filter stratum\n"
+        "  F(x,y) :- T(x,y), T(y,x) compiles to one hash lookup per T fact\n"
+        "  against the captured T extension."
     )
     return series
 

@@ -201,7 +201,7 @@ def _dump_plans(program, args: argparse.Namespace) -> int:
         literals = tuple(
             lit for lit in rule.body if not isinstance(lit, Choose)
         )
-        plan = plan_body(literals, frozenset(), instance, use_indexes=True, costed=True)
+        plan = plan_body(literals, frozenset(), instance)
         print(f"\n{rule.display_label()}")
         for line in describe_plan(plan):
             print(f"  {line}")
@@ -308,14 +308,6 @@ def _parallel_width(text: str):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.naive and args.compile:
-        print(
-            "error: --naive and --compile are contradictory: --naive selects the "
-            "reference generate-and-test engine, --compile specializes the "
-            "planned/indexed one. Drop one of the two flags.",
-            file=sys.stderr,
-        )
-        return 2
     program = _load_program(args.program)
     errors = check_program(program)
     if errors:
@@ -333,12 +325,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         program,
         limits=limits,
         choose_mode=args.choose_mode,
-        seminaive=not args.naive,
-        indexed=not args.naive,
-        interned=not args.no_intern,
-        schedule=args.schedule,
-        compile=args.compile,
-        cost_planning=not args.static_plans,
+        naive=args.naive,
         parallel=args.parallel,
         backend=args.backend,
     )
@@ -425,12 +412,7 @@ def cmd_maintain(args: argparse.Namespace) -> int:
             print(f"type error: {error}", file=sys.stderr)
         return 1
     instance = io.load(args.input).project(program.input_schema)
-    evaluator = Evaluator(
-        program,
-        limits=EvaluatorLimits(max_steps=args.max_steps),
-        schedule=True,
-        compile=not args.no_compile,
-    )
+    evaluator = Evaluator(program, limits=EvaluatorLimits(max_steps=args.max_steps))
     started = time.perf_counter()
     mp = MaterializedProgram(program, instance, evaluator=evaluator)
     print(
@@ -655,23 +637,9 @@ def main(argv=None) -> int:
     p_run.add_argument(
         "--naive",
         action="store_true",
-        help="disable the indexed/semi-naive join engine (reference semantics)",
-    )
-    p_run.add_argument(
-        "--no-intern",
-        action="store_true",
-        help="disable o-value hash-consing for this run (A/B escape hatch)",
-    )
-    p_run.add_argument(
-        "--schedule",
-        action="store_true",
-        help="run one fixpoint per certified dependency stratum (repro analyze)",
-    )
-    p_run.add_argument(
-        "--compile",
-        action="store_true",
-        help="specialize planned rule bodies into closure kernels "
-        "(incompatible with --naive)",
+        help="run the Section 3.2 reference engine (generate-and-test "
+        "joins, no scheduling or compilation, serial) instead of the "
+        "production engine",
     )
     p_run.add_argument(
         "--parallel",
@@ -680,8 +648,8 @@ def main(argv=None) -> int:
         metavar="N",
         help="run certified stratum batches and partitioned delta rounds "
         "on N workers, or 'auto' for the host's usable CPUs clamped by "
-        "the certified width (implies --schedule; serial fallback with a "
-        "PreflightWarning on any IQL801-803)",
+        "the certified width (serial fallback with a PreflightWarning on "
+        "any IQL801-803; ignored with --naive)",
     )
     p_run.add_argument(
         "--backend",
@@ -690,12 +658,6 @@ def main(argv=None) -> int:
         help="parallel worker backend: shared-memory threads, or "
         "shared-nothing processes with per-worker interning and "
         "merge-time re-canonicalization (default: thread)",
-    )
-    p_run.add_argument(
-        "--static-plans",
-        action="store_true",
-        help="order body literals by the static rank heuristic instead of "
-        "the cost model (A/B baseline; disables drift replanning)",
     )
     p_run.set_defaults(func=cmd_run)
 
@@ -709,11 +671,6 @@ def main(argv=None) -> int:
     p_maintain.add_argument(
         "--script",
         help="read update commands from this file instead of stdin",
-    )
-    p_maintain.add_argument(
-        "--no-compile",
-        action="store_true",
-        help="run the maintenance joins interpreted (no closure kernels)",
     )
     p_maintain.set_defaults(func=cmd_maintain)
 

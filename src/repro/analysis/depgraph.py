@@ -35,9 +35,9 @@ so this is exactly "some rule's output feeds its own input".
 
 The diagnostics (``IQL601``–``IQL604``) and the schedule both derive
 from the same :class:`StageGraph`, which is what makes the schedule a
-*certificate*: ``Evaluator(schedule=True)`` optimizes exactly the stages
-the analysis proves re-orderable, and is bit-identical to the monolithic
-engine everywhere else.
+*certificate*: the production :class:`~repro.iql.evaluator.Evaluator`
+optimizes exactly the stages the analysis proves re-orderable, and runs
+the monolithic fixpoint everywhere else.
 """
 
 from __future__ import annotations

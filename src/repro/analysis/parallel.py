@@ -324,7 +324,7 @@ _INSTANCE_SLOTS = (
 #: counters race benignly. A changed layout (say, a sweep mark moved
 #: into a non-atomic invariant) voids that argument until re-audited.
 _INTERN_STORE_SLOTS = (
-    "enabled", "tuples", "sets", "hits", "misses", "eq_fast_paths",
+    "tuples", "sets", "hits", "misses", "eq_fast_paths",
     "tuples_mark", "sets_mark",
 )
 
@@ -429,7 +429,6 @@ def audit_runtime_surfaces(
     intern_ok = (
         sslots == _INTERN_STORE_SLOTS
         and getattr(intern_module, "STORE", None) is not None
-        and callable(getattr(intern_module, "interning", None))
     )
     check(
         "values.intern shared store",

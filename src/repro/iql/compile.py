@@ -46,8 +46,8 @@ dicts were captured — ``instance._indexes`` is still the captured
 deletion path) replaces that object, so stale kernels fail the check and
 are recompiled from post-deletion state, exactly like ``Rule.plan_cache``
 entries going stale. Kernels are cached per rule in the bounded
-``Rule.kernel_cache`` keyed by (shape, use_indexes); a different bound-set
-produces a different shape key, never a stale reuse.
+``Rule.kernel_cache`` keyed by shape: ``"rule"`` for γ1, ``"sn"`` for
+the delta rewriting.
 
 **Contract.** A running kernel iterates live extension sets; callers must
 not mutate the instance while a kernel is executing. Both engines satisfy
@@ -67,7 +67,7 @@ from __future__ import annotations
 import time
 from typing import AbstractSet, Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.effects import DeltaBody, mentions_name
+from repro.analysis.effects import mentions_name
 from repro.errors import EvaluationError
 from repro.iql.literals import Choose, Equality, Literal, Membership
 from repro.iql.rules import Rule
@@ -589,28 +589,19 @@ def compile_body(
     literals: Sequence[Literal],
     initial_vars: Sequence[Var],
     instance: Instance,
-    use_indexes: bool = True,
     enumeration_budget: int = 100_000,
     plan_cache: Optional[Dict] = None,
     stats=None,
-    costed: bool = False,
     feedback: Optional[Dict] = None,
 ) -> CompiledBody:
     """Compile ``literals`` given ``initial_vars`` pre-bound, or raise
     :class:`CompileFallback`. Plans are shared with the interpreter through
-    ``plan_cache`` (the owning rule's), so both engines agree on join
-    order; ``costed``/``feedback`` select the cost-based planner and its
-    replan observations exactly as in :func:`solve_body`."""
+    ``plan_cache`` (the owning rule's), so both agree on join order;
+    ``feedback`` carries replan observations exactly as in
+    :func:`solve_body`."""
     literals = tuple(lit for lit in literals if not isinstance(lit, Choose))
     plan = lookup_plan(
-        literals,
-        frozenset(initial_vars),
-        instance,
-        use_indexes,
-        plan_cache,
-        stats,
-        costed,
-        feedback,
+        literals, frozenset(initial_vars), instance, True, plan_cache, stats, feedback
     )
     layout = _Layout(initial_vars)
     bound: Set[Var] = set(initial_vars)
@@ -668,10 +659,8 @@ class CompiledRule:
 def compile_rule(
     rule: Rule,
     instance: Instance,
-    use_indexes: bool = True,
     enumeration_budget: int = 100_000,
     stats=None,
-    costed: bool = False,
 ) -> CompiledRule:
     """Compile one rule for the naive one-step operator, or raise
     :class:`CompileFallback`."""
@@ -683,12 +672,10 @@ def compile_rule(
         rule.body,
         (),
         instance,
-        use_indexes=use_indexes,
         enumeration_budget=enumeration_budget,
         plan_cache=rule.plan_cache,
         stats=stats,
-        costed=costed,
-        feedback=rule.feedback_cache if costed else None,
+        feedback=rule.feedback_cache,
     )
     layout = _Layout(())
     layout.slots = list(body.slot_vars)
@@ -900,76 +887,98 @@ class SeminaiveKernels:
     """One eligible rule's kernels for the delta rewriting.
 
     ``full`` + ``head_full`` drive round 0 (a complete body solve);
-    ``per_position[p]`` is ``(delta matcher, rest kernel, head eval)`` for
-    the delta-driven rounds: the matcher seeds the rest kernel's initial
-    slots from one delta fact, the rest kernel solves the remaining
-    literals, and the head evaluator produces the derived fact.
+    :meth:`delta` gives ``(delta matcher, rest kernel, head eval)`` for
+    one relation position of the delta-driven rounds: the matcher seeds
+    the rest kernel's initial slots from one delta fact, the rest kernel
+    solves the remaining literals, and the head evaluator produces the
+    derived fact. Delta kernels compile on first use, so a position
+    whose relation never has a delta (an input-only relation in a
+    recursive rule) never builds its kernel, nor the projection index
+    that kernel would probe.
     """
 
-    __slots__ = ("full", "head_full", "per_position")
+    __slots__ = ("rule", "instance", "budget", "full", "head_full", "fallback", "_delta")
 
-    def __init__(self, full, head_full, per_position):
+    def __init__(self, rule, instance, budget, full, head_full):
+        self.rule: Rule = rule
+        self.instance: Instance = instance
+        self.budget = budget
         self.full: CompiledBody = full
         self.head_full = head_full
-        self.per_position: Dict[int, tuple] = per_position
+        #: The fallback reason once some delta position failed to compile.
+        self.fallback: Optional[str] = None
+        self._delta: Dict[int, tuple] = {}
 
-    def valid_for(self, instance: Instance) -> bool:
-        return self.full.valid_for(instance) and all(
-            rest.valid_for(instance) for _, rest, _ in self.per_position.values()
-        )
+    def delta(self, position: int, stats=None) -> Optional[tuple]:
+        """The delta kernel of ``position``, compiled on first use.
 
+        None once any position of the rule has fallen outside the
+        compilable fragment (``fallback`` names the construct); the
+        caller then runs the position interpreted. ``stats`` receives
+        the plan lookups and the compile time of a first use.
+        """
+        kernel = self._delta.get(position)
+        if kernel is None and self.fallback is None:
+            started = time.perf_counter()
+            try:
+                kernel = self._delta[position] = self._compile_delta(position, stats)
+            except CompileFallback as fallback:
+                self.fallback = fallback.reason
+            if stats is not None:
+                stats.compile_time += time.perf_counter() - started
+        return kernel
 
-def compile_seminaive(
-    rule: Rule,
-    shape: DeltaBody,
-    instance: Instance,
-    use_indexes: bool = True,
-    enumeration_budget: int = 100_000,
-    stats=None,
-    costed: bool = False,
-) -> SeminaiveKernels:
-    """Compile one semi-naive-eligible rule, or raise :class:`CompileFallback`."""
-    head = rule.head
-    assert isinstance(head, Membership)  # guaranteed by rule_eligible
-    feedback = rule.feedback_cache if costed else None
-    full = compile_body(
-        rule.body,
-        (),
-        instance,
-        use_indexes=use_indexes,
-        enumeration_budget=enumeration_budget,
-        plan_cache=rule.plan_cache,
-        stats=stats,
-        costed=costed,
-        feedback=feedback,
-    )
-    head_full = _compile_eval(head.element, _layout_of(full), instance)
-    per_position: Dict[int, tuple] = {}
-    body = list(rule.body)
-    for position in shape.relation_positions:
-        literal = body[position]
-        assert isinstance(literal, Membership)  # by delta_body classification
-        element = literal.element
+    def _compile_delta(self, position: int, stats) -> tuple:
+        rule, instance = self.rule, self.instance
+        element = rule.body[position].element
         init_vars = tuple(sorted(element.variables(), key=lambda v: v.name))
         layout = _Layout(init_vars)
         bound: Set[Var] = set()
         matcher = _compile_match(element, layout, bound, instance)
-        rest = body[:position] + body[position + 1 :]
+        rest = rule.body[:position] + rule.body[position + 1 :]
         plan = lookup_plan(
-            tuple(rest), frozenset(init_vars), instance, use_indexes,
-            rule.plan_cache, stats, costed, feedback,
+            tuple(rest), frozenset(init_vars), instance, True,
+            rule.plan_cache, stats, rule.feedback_cache,
         )
         state = _State()
         entry, sink_cell = _compile_steps(
-            plan, layout, bound, instance, enumeration_budget, state
+            plan, layout, bound, instance, self.budget, state
         )
         rest_body = CompiledBody(
             tuple(layout.slots), dict(layout.index), entry, sink_cell,
             instance, state.indexes,
         )
-        head_eval = _compile_eval(head.element, layout, instance)
-        per_position[position] = (matcher, rest_body, head_eval)
-    return SeminaiveKernels(full, head_full, per_position)
+        head_eval = _compile_eval(rule.head.element, layout, instance)
+        return (matcher, rest_body, head_eval)
+
+    def valid_for(self, instance: Instance) -> bool:
+        return self.full.valid_for(instance) and all(
+            rest.valid_for(instance) for _, rest, _ in self._delta.values()
+        )
+
+
+def compile_seminaive(
+    rule: Rule,
+    instance: Instance,
+    enumeration_budget: int = 100_000,
+    stats=None,
+) -> SeminaiveKernels:
+    """Compile one semi-naive-eligible rule's round-0 kernel, or raise
+    :class:`CompileFallback`; its delta kernels compile lazily
+    (:meth:`SeminaiveKernels.delta`)."""
+    head = rule.head
+    assert isinstance(head, Membership)  # guaranteed by rule_eligible
+    full = compile_body(
+        rule.body,
+        (),
+        instance,
+        enumeration_budget=enumeration_budget,
+        plan_cache=rule.plan_cache,
+        stats=stats,
+        feedback=rule.feedback_cache,
+    )
+    head_full = _compile_eval(head.element, _layout_of(full), instance)
+    return SeminaiveKernels(rule, instance, enumeration_budget, full, head_full)
 
 
 def _layout_of(body: CompiledBody) -> _Layout:
@@ -994,25 +1003,17 @@ class _Fallback:
 class RuleCompiler:
     """Compiles rules on demand, caches kernels per rule, keeps the books.
 
-    Kernels live in the bounded ``Rule.kernel_cache`` keyed by
-    ``(shape, use_indexes, costed)`` — ``shape`` is ``"rule"`` (γ1) or
-    ``"sn"`` (semi-naive) — and are revalidated against the instance on
-    every fetch; a stale kernel (new instance, or indexes dropped by an
-    IQL* deletion) is recompiled in place, and the drift detector of
-    :mod:`repro.iql.stats` evicts kernels outright when their plan's
-    estimates prove wrong. Per run, each rule is counted once as compiled
-    or interpreted in :class:`EvaluationStats`.
+    Kernels live in the bounded ``Rule.kernel_cache`` keyed by shape —
+    ``"rule"`` (γ1) or ``"sn"`` (semi-naive) — and are revalidated against
+    the instance on every fetch; a stale kernel (new instance, or indexes
+    dropped by an IQL* deletion) is recompiled in place, and the drift
+    detector of :mod:`repro.iql.stats` evicts kernels outright when their
+    plan's estimates prove wrong. Per run, each rule is counted once as
+    compiled or interpreted in :class:`EvaluationStats`.
     """
 
-    def __init__(
-        self,
-        use_indexes: bool = True,
-        enumeration_budget: int = 100_000,
-        costed: bool = False,
-    ):
-        self.use_indexes = use_indexes
+    def __init__(self, enumeration_budget: int = 100_000):
         self.enumeration_budget = enumeration_budget
-        self.costed = costed
         self.stats: Any = None
         self._compiled_seen: Set[int] = set()
         self._interpreted_seen: Set[int] = set()
@@ -1040,38 +1041,27 @@ class RuleCompiler:
                 reasons = self.stats.compile_fallback_reasons
                 reasons[reason] = reasons.get(reason, 0) + 1
 
+    def demote(self, rule: Rule, reason: str) -> None:
+        """A lazily compiled delta kernel of ``rule`` fell back: the rule's
+        delta rewriting runs interpreted from now on."""
+        rule.kernel_cache["sn"] = _Fallback(reason)
+        self._note_interpreted(rule, reason)
+
     def compiled_rule(self, rule: Rule, instance: Instance) -> Optional[CompiledRule]:
         """The γ1 kernel for ``rule`` on ``instance``, or None (interpreted)."""
         return self._kernel(
             rule,
-            ("rule", self.use_indexes, self.costed),
-            lambda: compile_rule(
-                rule,
-                instance,
-                use_indexes=self.use_indexes,
-                enumeration_budget=self.enumeration_budget,
-                stats=self.stats,
-                costed=self.costed,
-            ),
+            "rule",
+            lambda: compile_rule(rule, instance, self.enumeration_budget, self.stats),
             instance,
         )
 
-    def seminaive_kernels(
-        self, rule: Rule, shape: DeltaBody, instance: Instance
-    ) -> Optional[SeminaiveKernels]:
+    def seminaive_kernels(self, rule: Rule, instance: Instance) -> Optional[SeminaiveKernels]:
         """The delta-rewriting kernels for ``rule``, or None (interpreted)."""
         return self._kernel(
             rule,
-            ("sn", self.use_indexes, self.costed),
-            lambda: compile_seminaive(
-                rule,
-                shape,
-                instance,
-                use_indexes=self.use_indexes,
-                enumeration_budget=self.enumeration_budget,
-                stats=self.stats,
-                costed=self.costed,
-            ),
+            "sn",
+            lambda: compile_seminaive(rule, instance, self.enumeration_budget, self.stats),
             instance,
         )
 

@@ -1,4 +1,4 @@
-"""The naive inflationary evaluator (Section 3.2).
+"""The inflationary evaluator (Section 3.2).
 
 The semantics of a program G is defined through its one-step operator
 γ1(G): given the current instance I,
@@ -16,7 +16,11 @@ The semantics of a program G is defined through its one-step operator
    undefined, or { } for set-valued classes).
 
 γ∞(G) iterates γ1 to a fixpoint; the program maps instances(Sin) to
-instances(Sout) by loading, iterating and projecting.
+instances(Sout) by loading, iterating and projecting. The reference
+engine (``Evaluator(naive=True)``) does exactly that; the production
+engine reaches the same fixpoint, up to the renaming of invented oids,
+through scheduling, delta rounds and compiled rules (see
+:class:`Evaluator`).
 
 Extensions handled here:
 
@@ -63,11 +67,16 @@ class EvaluationStats:
     and the body planner's memo behaviour (one miss per new (body,
     bound-set) pair, hits for every re-solve of a known shape).
 
+    ``index_probes`` / ``index_scans_avoided`` are counted by the
+    interpreter only. Compiled kernels never counted them (the probe is a
+    plain dict lookup resolved at compile time), so on the production
+    engine, which compiles every rule it can, they read about 0.
+
     ``intern_*`` / ``eq_fast_paths`` report on the hash-consing layer
     (:mod:`repro.values.intern`) over the duration of the run: value
     constructions answered from the intern table, constructions that
     created a new node, and ``__eq__`` calls settled by the identity
-    check. With ``Evaluator(interned=False)`` the first two stay zero.
+    check.
     """
 
     steps: int = 0
@@ -89,19 +98,17 @@ class EvaluationStats:
     intern_hits: int = 0
     intern_misses: int = 0
     eq_fast_paths: int = 0
-    # Certified scheduling (Evaluator(schedule=True)): strata solved,
-    # rule executions skipped because their whole read set was clean, and
+    # Certified scheduling (the production engine): strata solved, rule
+    # executions skipped because their whole read set was clean, and
     # stages that ran monolithic because the analysis refused to certify.
     strata: int = 0
     rules_skipped_clean: int = 0
     schedule_fallbacks: int = 0
-    # Rule compilation (Evaluator(compile=True), repro.iql.compile):
+    # Rule compilation (the production engine, repro.iql.compile):
     # distinct rules that ran as compiled kernels vs fell back to the
     # interpreter this run, fallback events by construct tag ("deletion",
     # "choose", "unbound-dereference", "set-assignment"), and the wall
-    # time spent compiling (cache misses only). Note compiled kernels do
-    # NOT maintain index_probes / index_scans_avoided — the probe is a
-    # plain dict lookup resolved at compile time.
+    # time spent compiling (cache misses only).
     rules_compiled: int = 0
     rules_interpreted: int = 0
     compile_fallbacks: int = 0
@@ -167,7 +174,29 @@ class EvaluationResult:
 
 
 class Evaluator:
-    """Evaluates IQL / IQL+ / IQL* programs by naive inflationary iteration.
+    """Evaluates IQL / IQL+ / IQL* programs to their inflationary fixpoint.
+
+    There are two engines with one semantics:
+
+    * the **production engine** (the default): certified SCC scheduling
+      (:mod:`repro.analysis.depgraph`), semi-naive delta rounds wherever
+      a stratum qualifies (:mod:`repro.iql.seminaive`), rule bodies
+      compiled into closure kernels (:mod:`repro.iql.compile`), and
+      cost-based join planning with mid-fixpoint replanning
+      (:mod:`repro.iql.stats`), all over hash-consed values. Stages the
+      analysis cannot certify run one monolithic fixpoint (IQL601 warns),
+      and rules outside the compilable fragment run interpreted; both
+      fallbacks are counted in :class:`EvaluationStats`.
+    * the **reference engine** (``naive=True``): the Section 3.2
+      one-step operator γ1 iterated stage by stage, with
+      generate-and-test joins and no indexes, run serially. It is the
+      oracle the differential tests compare the production engine
+      against. ``trace=True`` runs this same engine, since its γ1 steps
+      are what the trace events describe.
+
+    ``parallel``/``backend`` run the production engine's certified
+    stratum batches and partitioned delta rounds on a worker pool (see
+    :mod:`repro.iql.parexec`); they are ignored by the reference engine.
 
     ``choose_mode`` controls the genericity discipline of IQL+:
 
@@ -190,13 +219,8 @@ class Evaluator:
         choose_mode: str = "verify",
         seed: int = 0,
         trace: bool = False,
-        seminaive: bool = True,
-        indexed: bool = True,
+        naive: bool = False,
         preflight: bool = False,
-        interned: bool = True,
-        schedule: bool = False,
-        compile: bool = False,
-        cost_planning: bool = True,
         replan_ratio: float = 10.0,
         parallel: Union[int, str] = 0,
         backend: str = "thread",
@@ -213,55 +237,28 @@ class Evaluator:
         self.choose_mode = choose_mode
         self.trace_enabled = trace
         self._trace: Optional[List[TraceEvent]] = [] if trace else None
-        # Delta rewriting for eligible stages (repro.iql.seminaive);
-        # disabled automatically under tracing so every event is observed.
-        self.seminaive = seminaive and not trace
-        # Hash-index probes + the selectivity-ordered body planner
-        # (repro.iql.indexes / valuation). ``indexed=False`` restores the
-        # original generate-and-test join — the differential-test oracle.
-        self.indexed = indexed
-        # Cost-based planning (repro.iql.stats): score candidate plan
-        # steps with live cardinality statistics and replan when runtime
-        # row counts drift ≥ replan_ratio from the estimates.
-        # ``cost_planning=False`` restores the static rank heuristic — the
-        # A/B baseline behind ``repro run --static-plans``. Join order
-        # never affects the solution set, only speed.
-        self.cost_planning = cost_planning
+        self.naive = naive or trace
+        # Drift-triggered replanning (repro.iql.stats): plans whose
+        # runtime row counts drift ≥ replan_ratio from their estimates
+        # are replanned between rounds. Join order never affects the
+        # solution set, only speed.
         self.replan_ratio = replan_ratio
-        # Hash-consing of o-values (repro.values.intern). ``interned=False``
-        # evaluates with plain structural values — the A/B escape hatch
-        # behind ``repro run --no-intern``.
-        self.interned = interned
-        # Certified parallel execution (repro.analysis.parallel +
-        # repro.iql.parexec): ``parallel=N`` runs certified stratum
-        # batches and partitioned delta rounds on an N-worker pool —
-        # ``backend`` picks shared-memory threads or shared-nothing
-        # processes. ``parallel="auto"`` sizes the pool to the host's
-        # usable CPUs, clamped below by the certificate's certified
-        # width (the IQL804 bound — more workers than independent
-        # strata/partitions cannot be used). Implies scheduling (the
-        # certificate is a per-stratum refinement of the schedule);
-        # disabled under tracing.
         self.backend = backend
         auto_width = isinstance(parallel, str)
-        if parallel and not trace:
+        if parallel and not self.naive:
             from repro.iql.parexec import worker_count
 
             self.parallel = worker_count(parallel)
         else:
             self.parallel = 0
-        # Certified SCC scheduling (repro.analysis.depgraph): one fixpoint
-        # per dependency stratum instead of one per stage, with rule-level
-        # clean-read skipping. Stages the analysis cannot certify fall back
-        # to the monolithic fixpoint; IQL601 fallbacks warn. Disabled under
-        # tracing like the other rewritings.
-        self.schedule = (schedule or bool(self.parallel)) and not trace
         self._schedule = None
-        if self.schedule:
+        self._compiler = None
+        if not self.naive:
             import warnings
 
             from repro.analysis import PreflightWarning
             from repro.analysis.depgraph import compute_schedule
+            from repro.iql.compile import RuleCompiler
 
             self._schedule = compute_schedule(program)
             for plan in self._schedule.stages:
@@ -272,21 +269,7 @@ class Evaluator:
                         PreflightWarning,
                         stacklevel=3,
                     )
-        # Rule compilation (repro.iql.compile): specialize planned bodies
-        # into closure kernels over slot lists, used by both the naive
-        # one-step operator and the semi-naive rounds; rules with an
-        # uncompilable construct fall back per rule. Disabled under
-        # tracing (kernels bypass the event emission points).
-        self.compile = compile and not trace
-        self._compiler = None
-        if self.compile:
-            from repro.iql.compile import RuleCompiler
-
-            self._compiler = RuleCompiler(
-                use_indexes=self.indexed,
-                enumeration_budget=self.limits.enumeration_budget,
-                costed=self.cost_planning,
-            )
+            self._compiler = RuleCompiler(self.limits.enumeration_budget)
         # The IQL8xx gate: parallel execution happens only under a
         # validated ParallelCertificate. A failed audit or a tampered
         # certificate disables the pool outright; per-stratum IQL801/802
@@ -378,28 +361,27 @@ class Evaluator:
             stats.parallel_workers = self.parallel
             stats.parallel_backend = self.backend
         try:
-            with intern.interning(self.interned):
-                for index, stage in enumerate(self.program.stages):
-                    plan = self._schedule.stages[index] if self._schedule else None
-                    if plan is not None and plan.scheduled:
-                        if driver is not None:
-                            self._run_stage_parallel(
-                                working,
-                                index,
-                                plan.strata,
-                                self._parallel_certificate.stages[index],
-                                stats,
-                                driver,
-                            )
-                        else:
-                            self._run_stage_scheduled(working, plan.strata, stats)
+            for index, stage in enumerate(self.program.stages):
+                plan = self._schedule.stages[index] if self._schedule else None
+                if plan is not None and plan.scheduled:
+                    if driver is not None:
+                        self._run_stage_parallel(
+                            working,
+                            index,
+                            plan.strata,
+                            self._parallel_certificate.stages[index],
+                            stats,
+                            driver,
+                        )
                     else:
-                        if plan is not None:
-                            stats.schedule_fallbacks += 1
-                            if driver is not None:
-                                stats.parallel_fallbacks += 1
-                        self._run_stage(working, list(stage), stats)
-                output = working.project(self.program.output_schema)
+                        self._run_stage_scheduled(working, plan.strata, stats)
+                else:
+                    if plan is not None:
+                        stats.schedule_fallbacks += 1
+                        if driver is not None:
+                            stats.parallel_fallbacks += 1
+                    self._run_stage(working, list(stage), stats)
+            output = working.project(self.program.output_schema)
         finally:
             if driver is not None:
                 driver.release()
@@ -456,15 +438,10 @@ class Evaluator:
         """
         if stats is None:
             stats = EvaluationStats()
-        from repro.values import intern
-
-        with intern.interning(self.interned):
-            if initial_delta is not None:
-                self._run_stage_delta_seeded(
-                    instance, list(rules), stats, initial_delta, added
-                )
-            else:
-                self._run_stage(instance, list(rules), stats)
+        if initial_delta is not None:
+            self._run_stage_delta_seeded(instance, list(rules), stats, initial_delta, added)
+        else:
+            self._run_stage(instance, list(rules), stats)
         return stats
 
     def _run_stage_delta_seeded(
@@ -477,19 +454,17 @@ class Evaluator:
     ) -> None:
         from repro.iql.seminaive import run_stage_seminaive, stage_eligible
 
-        if self.seminaive and stage_eligible(rules, instance):
+        if not self.naive and stage_eligible(rules, instance):
             rounds = run_stage_seminaive(
                 instance,
                 rules,
                 stats,
                 self.limits.enumeration_budget,
                 max_steps=self.limits.max_steps,
-                use_indexes=self.indexed,
+                replan_ratio=self.replan_ratio,
                 compiler=self._compiler,
                 initial_delta=initial_delta,
                 added=added,
-                costed=self.cost_planning,
-                replan_ratio=self.replan_ratio if self.cost_planning else None,
             )
             stats.per_stage_steps.append(rounds)
             return
@@ -514,7 +489,7 @@ class Evaluator:
                     added.setdefault(name, set()).update(fresh)
 
     def _run_stage(self, instance: Instance, rules: List[Rule], stats: EvaluationStats) -> None:
-        if self.seminaive:
+        if not self.naive:
             from repro.iql.seminaive import run_stage_seminaive, stage_eligible
 
             if stage_eligible(rules, instance):
@@ -524,10 +499,8 @@ class Evaluator:
                     stats,
                     self.limits.enumeration_budget,
                     max_steps=self.limits.max_steps,
-                    use_indexes=self.indexed,
+                    replan_ratio=self.replan_ratio,
                     compiler=self._compiler,
-                    costed=self.cost_planning,
-                    replan_ratio=self.replan_ratio if self.cost_planning else None,
                 )
                 stats.per_stage_steps.append(rounds)
                 return
@@ -570,13 +543,11 @@ class Evaluator:
         one: the next round re-fetches plans and kernels, so an eviction
         takes effect immediately (mid-fixpoint adaptivity).
         """
-        if not self.cost_planning:
-            return
         from repro.iql.stats import check_drift
 
         check_drift(rules, stats, self.replan_ratio)
 
-    # -- the certified schedule (Evaluator(schedule=True)) ---------------------------
+    # -- the certified schedule (the production engine) ------------------------------
 
     @staticmethod
     def _fingerprint(instance: Instance, symbol: str):
@@ -644,17 +615,15 @@ class Evaluator:
 
         steps_total = 0
         stats.strata += 1
-        if self.seminaive and stage_eligible(rules, instance):
+        if stage_eligible(rules, instance):
             return run_stage_seminaive(
                 instance,
                 rules,
                 stats,
                 self.limits.enumeration_budget,
                 max_steps=self.limits.max_steps,
-                use_indexes=self.indexed,
+                replan_ratio=self.replan_ratio,
                 compiler=self._compiler,
-                costed=self.cost_planning,
-                replan_ratio=self.replan_ratio if self.cost_planning else None,
             )
         effects = [rule_effects(rule, instance.schema) for rule in rules]
         read_symbols = frozenset().union(*(eff.reads for eff in effects))
@@ -752,7 +721,7 @@ class Evaluator:
             plan = stage_plan.strata[stratum_index]
             rules = list(strata[stratum_index])
             rounds = None
-            if plan.partitionable and self.seminaive and stage_eligible(rules, instance):
+            if plan.partitionable and stage_eligible(rules, instance):
                 rounds = driver.run_partitioned(instance, stage_index, rules, stats)
                 if rounds is not None:
                     stats.strata += 1
@@ -795,9 +764,8 @@ class Evaluator:
                 enumeration_budget=self.limits.enumeration_budget,
                 stats=stats,
                 plan_cache=rule.plan_cache,
-                use_indexes=self.indexed,
-                costed=self.cost_planning,
-                feedback=rule.feedback_cache if self.cost_planning else None,
+                use_indexes=not self.naive,
+                feedback=rule.feedback_cache,
             ):
                 stats.valuations_considered += 1
                 if rule.delete:
@@ -980,7 +948,7 @@ class Evaluator:
                     return element in members
                 for existing in members:
                     for _ in match(
-                        head.element, existing, theta, instance, self.indexed
+                        head.element, existing, theta, instance, not self.naive
                     ):
                         return True
                 return False
@@ -988,7 +956,7 @@ class Evaluator:
             if container is None:
                 return False
             for element in container:
-                for _ in match(head.element, element, theta, instance, self.indexed):
+                for _ in match(head.element, element, theta, instance, not self.naive):
                     return True
             return False
         if isinstance(head, Equality):
@@ -1005,7 +973,7 @@ class Evaluator:
                     continue
                 extended = dict(theta)
                 extended[deref.var] = candidate
-                for _ in match(head.right, value, extended, instance, self.indexed):
+                for _ in match(head.right, value, extended, instance, not self.naive):
                     return True
             return False
         raise EvaluationError(f"illegal head {head!r}")  # pragma: no cover
@@ -1134,7 +1102,8 @@ def evaluate(
     limits: Optional[EvaluatorLimits] = None,
     choose_mode: str = "verify",
 ) -> Instance:
-    """Run ``program`` on ``input_instance`` and return the output instance."""
+    """Run ``program`` on ``input_instance`` with the production engine and
+    return the output instance."""
     return Evaluator(program, oid_factory, limits, choose_mode).run(input_instance).output
 
 
@@ -1145,5 +1114,6 @@ def evaluate_full(
     limits: Optional[EvaluatorLimits] = None,
     choose_mode: str = "verify",
 ) -> EvaluationResult:
-    """Run ``program`` and return the full result (instance over S + stats)."""
+    """Run ``program`` with the production engine and return the full
+    result (instance over S + stats)."""
     return Evaluator(program, oid_factory, limits, choose_mode).run(input_instance)

@@ -122,14 +122,16 @@ class MaterializedProgram:
     ``input_instance`` is an instance over the program's input schema
     (it is copied; the copy — the *maintained base* — is kept in sync
     with every applied batch and is what fallback recomputes run from).
-    The default evaluator runs scheduled and compiled — scheduling is
-    what makes the counting invariant hold at the initial fixpoint, and
-    compilation is what the delta joins ride on.
+    The default evaluator is the production engine, scheduled and
+    compiled — scheduling is what makes the counting invariant hold at
+    the initial fixpoint, and compilation is what the delta joins ride
+    on.
 
     ``stats`` is one cumulative :class:`EvaluationStats` across the
     initial run and every batch: the IVM counters (``deltas_applied``,
     ``supports_adjusted``, ``overdeleted``, ``rederived``,
-    ``maintenance_fallbacks``) only ever grow here.
+    ``maintenance_fallbacks``) only ever grow here. The evaluator's
+    ``limits.max_steps`` binds per batch, not over this total.
     """
 
     def __init__(
@@ -140,7 +142,7 @@ class MaterializedProgram:
     ):
         self.program = program
         if evaluator is None:
-            evaluator = Evaluator(program, schedule=True, compile=True)
+            evaluator = Evaluator(program)
         if evaluator.program is not program:
             raise EvaluationError(
                 "the evaluator was constructed for a different program"
@@ -230,21 +232,22 @@ class MaterializedProgram:
         deleting and re-inserting the same fact in one batch is a no-op.
         Returns the cumulative :attr:`stats`.
         """
-        from repro.values import intern
+        from repro.iql.stats import check_drift
 
-        with intern.interning(self._evaluator.interned):
+        # The step budget binds per batch: count this batch's steps from
+        # zero, then fold them into the cumulative total.
+        steps_before = self.stats.steps
+        self.stats.steps = 0
+        try:
             self._apply(self._group(inserts), self._group(deletes))
-            if self._evaluator.cost_planning:
-                from repro.iql.stats import check_drift
-
-                # The batch's row counts are fresh evidence; replanning
-                # here (plans evicted, kernels invalidated) makes the
-                # *next* batch run the corrected order — cardinalities
-                # drift across a long maintenance run as the instance
-                # grows away from its initial-fixpoint statistics.
-                check_drift(
-                    self.program.rules, self.stats, self._evaluator.replan_ratio
-                )
+        finally:
+            self.stats.steps += steps_before
+        # The batch's row counts are fresh evidence; replanning here
+        # (plans evicted, kernels invalidated) makes the *next* batch run
+        # the corrected order — cardinalities drift across a long
+        # maintenance run as the instance grows away from its
+        # initial-fixpoint statistics.
+        check_drift(self.program.rules, self.stats, self._evaluator.replan_ratio)
         return self.stats
 
     # -- batch dispatch -----------------------------------------------------------
@@ -582,23 +585,26 @@ class MaterializedProgram:
         """
         compiler = self._evaluator._compiler if use_kernels else None
         budget = self._evaluator.limits.enumeration_budget
-        indexed = self._evaluator.indexed
         head_term = rule.head.element
         body = list(rule.body)
-        kernels = None
-        if compiler is not None:
-            kernels = compiler.seminaive_kernels(rule, shape, instance)
-            if kernels is not None and any(
-                p not in kernels.per_position for p in shape.relation_positions
-            ):
-                kernels = None  # pragma: no cover - per_position is total
-        for position in shape.relation_positions:
+        live = [
+            p for p in shape.relation_positions if delta.get(body[p].container.name)
+        ]
+        per_position = None
+        kernels = compiler.seminaive_kernels(rule, instance) if compiler else None
+        if kernels is not None:
+            per_position = {p: kernels.delta(p, self.stats) for p in live}
+            if None in per_position.values():
+                # A live position falls outside the compiled fragment:
+                # the whole rule runs interpreted, so the dedup keys of
+                # one call are never mixed.
+                compiler.demote(rule, kernels.fallback)
+                per_position = None
+        for position in live:
             literal = body[position]
-            source = delta.get(literal.container.name)
-            if not source:
-                continue
-            if kernels is not None:
-                matcher, rest_body, head_eval = kernels.per_position[position]
+            source = delta[literal.container.name]
+            if per_position is not None:
+                matcher, rest_body, head_eval = per_position[position]
                 order = tuple(
                     rest_body.slot_index[v]
                     for v in sorted(rest_body.slot_vars, key=lambda v: v.name)
@@ -625,9 +631,7 @@ class MaterializedProgram:
                 continue
             rest = body[:position] + body[position + 1 :]
             for fact in source:
-                for seed in match(
-                    literal.element, fact, {}, instance, indexed, self.stats
-                ):
+                for seed in match(literal.element, fact, {}, instance, True, self.stats):
                     for theta in solve_body(
                         rest,
                         instance,
@@ -635,11 +639,7 @@ class MaterializedProgram:
                         initial=seed,
                         stats=self.stats,
                         plan_cache=rule.plan_cache,
-                        use_indexes=indexed,
-                        costed=self._evaluator.cost_planning,
-                        feedback=rule.feedback_cache
-                        if self._evaluator.cost_planning
-                        else None,
+                        feedback=rule.feedback_cache,
                     ):
                         value = eval_term(head_term, theta, instance)
                         if value is not None:
@@ -751,7 +751,6 @@ class MaterializedProgram:
             set(symbols) if symbols is not None else set(self._counting_anywhere)
         )
         budget = self._evaluator.limits.enumeration_budget
-        indexed = self._evaluator.indexed
         for symbol in sorted(targets):
             counts: Dict[OValue, int] = {}
             for rule in self._writers.get(symbol, ()):
@@ -762,11 +761,7 @@ class MaterializedProgram:
                     enumeration_budget=budget,
                     stats=self.stats,
                     plan_cache=rule.plan_cache,
-                    use_indexes=indexed,
-                    costed=self._evaluator.cost_planning,
-                    feedback=rule.feedback_cache
-                    if self._evaluator.cost_planning
-                    else None,
+                    feedback=rule.feedback_cache,
                 ):
                     key = frozenset(theta.items())
                     if key in seen:

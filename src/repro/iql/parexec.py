@@ -131,31 +131,27 @@ def compile_replicas(
     shapes: Dict[int, DeltaBody],
     instance: Instance,
     workers: int,
-    use_indexes: bool,
     enumeration_budget: int,
-    costed: bool,
 ) -> Optional[List[Dict[int, SeminaiveKernels]]]:
     """One full kernel set per worker, or None if any rule won't compile.
 
     Compiled on the coordinator *before* any concurrency (the per-rule
     plan caches are not thread-safe), through
     :func:`~repro.iql.compile.compile_seminaive` directly so each worker
-    owns its kernels' ``sink_cell`` slots outright.
+    owns its kernels' ``sink_cell`` slots outright. Every delta position
+    is forced through the lazy accessor here, so no worker ever compiles.
     """
     replicas: List[Dict[int, SeminaiveKernels]] = []
     try:
         for _ in range(workers):
             kernels = {
-                index: compile_seminaive(
-                    rule,
-                    shapes[index],
-                    instance,
-                    use_indexes=use_indexes,
-                    enumeration_budget=enumeration_budget,
-                    costed=costed,
-                )
+                index: compile_seminaive(rule, instance, enumeration_budget)
                 for index, rule in enumerate(rules)
             }
+            for index, compiled in kernels.items():
+                for position in shapes[index].relation_positions:
+                    if compiled.delta(position) is None:
+                        return None
             replicas.append(kernels)
     except CompileFallback:
         return None
@@ -194,7 +190,7 @@ def drive_share(
             chunk = source[worker::stride] if stride > 1 else source
             if not chunk:
                 continue
-            matcher, rest_body, head_eval = compiled.per_position[position]
+            matcher, rest_body, head_eval = compiled.delta(position)
 
             def consume(slots, _he=head_eval, _b=bucket, _ex=existing, _c=considered):
                 value = _he(slots)
@@ -219,8 +215,6 @@ def run_stage_seminaive_partitioned(
     pool,
     workers: int,
     max_steps: int = 10_000,
-    use_indexes: bool = True,
-    costed: bool = False,
 ) -> Optional[int]:
     """Evaluate one certified-partitionable stratum with split delta rounds
     on a shared-memory thread pool.
@@ -239,14 +233,11 @@ def run_stage_seminaive_partitioned(
         if shape is None:
             return None
         shapes[index] = shape
-    replicas = compile_replicas(
-        rules, shapes, instance, workers, use_indexes, enumeration_budget, costed
-    )
+    replicas = compile_replicas(rules, shapes, instance, workers, enumeration_budget)
     if replicas is None:
         return None
-    if use_indexes:
-        # Prewarm: the lazy index build must not race across workers.
-        instance.indexes  # noqa: B018
+    # Prewarm: the lazy index build must not race across workers.
+    instance.indexes  # noqa: B018
 
     def drive(worker: int, stride: int, delta_lists: Dict[str, list]) -> Tuple[Dict[str, Set[OValue]], int]:
         return drive_share(
@@ -350,9 +341,8 @@ class ThreadDriver:
         stats,
     ) -> int:
         evaluator = self.evaluator
-        if evaluator.indexed:
-            # Prewarm: the lazy index build must not race across workers.
-            instance.indexes  # noqa: B018
+        # Prewarm: the lazy index build must not race across workers.
+        instance.indexes  # noqa: B018
         # The incremental constants fold (_note_constants) is a
         # read-modify-write; concurrent workers adding facts could
         # tear it and silently drop constants. Certified batches
@@ -398,8 +388,6 @@ class ThreadDriver:
             self._pool,
             self.workers,
             max_steps=evaluator.limits.max_steps,
-            use_indexes=evaluator.indexed,
-            costed=evaluator.cost_planning,
         )
 
     def release(self) -> None:
@@ -525,9 +513,9 @@ def _pool_worker_main(conn, worker_id: int, nworkers: int, startup: bytes) -> No
     ``state`` is fire-and-forget; any exception answers ``("error", tb)``."""
     import gc  # noqa: PLC0415
     import traceback  # noqa: PLC0415
+    import warnings  # noqa: PLC0415
 
     from repro import io  # noqa: PLC0415
-    from repro.values import intern  # noqa: PLC0415
 
     # Under fork the worker inherits the coordinator's whole heap via
     # copy-on-write. A collection here would traverse (and so dirty) every
@@ -537,25 +525,20 @@ def _pool_worker_main(conn, worker_id: int, nworkers: int, startup: bytes) -> No
     gc.freeze()
 
     program, options = pickle.loads(startup)
-    intern.set_interning(options["interned"])
     from repro.iql.evaluator import Evaluator, EvaluatorLimits  # noqa: PLC0415
 
-    evaluator = Evaluator(
-        program,
-        limits=EvaluatorLimits(
-            max_steps=options["max_steps"],
-            enumeration_budget=options["enumeration_budget"],
-            max_invented_oids=options["max_invented_oids"],
-        ),
-        seminaive=options["seminaive"],
-        indexed=options["indexed"],
-        interned=options["interned"],
-        compile=options["compile"],
-        cost_planning=options["cost_planning"],
-        replan_ratio=options["replan_ratio"],
-        schedule=False,
-        parallel=0,
-    )
+    with warnings.catch_warnings():
+        # The coordinator already announced the schedule's IQL601 stages.
+        warnings.simplefilter("ignore")
+        evaluator = Evaluator(
+            program,
+            limits=EvaluatorLimits(
+                max_steps=options["max_steps"],
+                enumeration_budget=options["enumeration_budget"],
+                max_invented_oids=options["max_invented_oids"],
+            ),
+            replan_ratio=options["replan_ratio"],
+        )
     instance: Optional[Instance] = None
     episode: Optional[tuple] = None  # (rules, shapes, kernels)
     while True:
@@ -593,18 +576,11 @@ def _pool_worker_main(conn, worker_id: int, nworkers: int, startup: bytes) -> No
                         raise CompileFallback("outside the delta fragment")
                     shapes[index] = shape
                 replicas = compile_replicas(
-                    rules,
-                    shapes,
-                    instance,
-                    1,
-                    options["indexed"],
-                    options["enumeration_budget"],
-                    options["cost_planning"],
+                    rules, shapes, instance, 1, options["enumeration_budget"]
                 )
                 if replicas is None:
                     raise CompileFallback("kernel replica compile failed")
-                if options["indexed"]:
-                    instance.indexes  # noqa: B018
+                instance.indexes  # noqa: B018
                 episode = (rules, shapes, replicas[0])
                 conn.send_bytes(pickle.dumps(("ready",)))
             elif kind == "round":
@@ -688,11 +664,6 @@ class ProcessDriver:
             (
                 evaluator.program,
                 {
-                    "seminaive": evaluator.seminaive,
-                    "indexed": evaluator.indexed,
-                    "interned": evaluator.interned,
-                    "compile": evaluator.compile,
-                    "cost_planning": evaluator.cost_planning,
                     "replan_ratio": evaluator.replan_ratio,
                     "max_steps": evaluator.limits.max_steps,
                     "enumeration_budget": evaluator.limits.enumeration_budget,
@@ -805,19 +776,12 @@ class ProcessDriver:
                 return None
             shapes[index] = shape
         replicas = compile_replicas(
-            list(rules),
-            shapes,
-            instance,
-            1,
-            evaluator.indexed,
-            evaluator.limits.enumeration_budget,
-            evaluator.cost_planning,
+            list(rules), shapes, instance, 1, evaluator.limits.enumeration_budget
         )
         if replicas is None:
             return None
         kernels0 = replicas[0]
-        if evaluator.indexed:
-            instance.indexes  # noqa: B018
+        instance.indexes  # noqa: B018
 
         rule_indexes = self._rule_indexes(
             evaluator.program.stages[stage_index], rules

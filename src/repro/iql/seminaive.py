@@ -39,6 +39,7 @@ from typing import Dict, Optional, Sequence, Set
 from repro.analysis.effects import DeltaBody, delta_body, mentions_name
 from repro.iql.literals import Membership
 from repro.iql.rules import Rule
+from repro.iql.stats import check_drift
 from repro.iql.terms import NameTerm, Var
 from repro.iql.valuation import eval_term, match, solve_body
 from repro.schema.instance import Instance
@@ -112,12 +113,10 @@ def run_stage_seminaive(
     stats,
     enumeration_budget: int,
     max_steps: int = 10_000,
-    use_indexes: bool = True,
     compiler=None,
     initial_delta: Optional[Dict[str, Set[OValue]]] = None,
     added: Optional[Dict[str, Set[OValue]]] = None,
-    costed: bool = False,
-    replan_ratio: Optional[float] = None,
+    replan_ratio: float = 10.0,
 ) -> int:
     """Evaluate an eligible stage to fixpoint with delta rewriting.
 
@@ -139,11 +138,12 @@ def run_stage_seminaive(
 
     With a ``compiler`` (:class:`repro.iql.compile.RuleCompiler`) each
     rule's round-0 body, per-position delta matchers and rest bodies run
-    as compiled closure kernels over slot lists; rules the compiler
-    cannot take (a fallback construct in the body) run the interpreted
-    path above, rule by rule.
+    as compiled closure kernels over slot lists; a delta position's
+    kernel is compiled the first time its relation has a delta. Rules
+    the compiler cannot take (a fallback construct in the body) run the
+    interpreted path above, rule by rule.
 
-    ``costed``/``replan_ratio`` wire in the adaptive planner
+    ``replan_ratio`` wires in the adaptive planner
     (:mod:`repro.iql.stats`): kernels are re-fetched and the drift check
     runs *per round*, so a plan whose round-0 estimates prove wrong (the
     classic case: a recursive relation planned while still empty) is
@@ -160,7 +160,7 @@ def run_stage_seminaive(
         fetched = {}
         if compiler is not None:
             for index, rule in enumerate(rules):
-                compiled = compiler.seminaive_kernels(rule, shapes[index], instance)
+                compiled = compiler.seminaive_kernels(rule, instance)
                 if compiled is not None:
                     fetched[index] = compiled
         return fetched
@@ -217,9 +217,7 @@ def run_stage_seminaive(
                     enumeration_budget=enumeration_budget,
                     stats=stats,
                     plan_cache=rule.plan_cache,
-                    use_indexes=use_indexes,
-                    costed=costed,
-                    feedback=rule.feedback_cache if costed else None,
+                    feedback=rule.feedback_cache,
                 ):
                     derive(theta)
                 continue
@@ -232,8 +230,15 @@ def run_stage_seminaive(
                 source = delta.get(literal.container.name)
                 if not source:
                     continue
-                if compiled is not None:
-                    matcher, rest_body, head_eval = compiled.per_position[position]
+                kernel = compiled.delta(position, stats) if compiled is not None else None
+                if compiled is not None and kernel is None:
+                    # This position falls outside the compilable fragment:
+                    # it runs interpreted, and so does the rule from now on.
+                    compiler.demote(rule, compiled.fallback)
+                    del kernels[rule_index]
+                    compiled = None
+                if kernel is not None:
+                    matcher, rest_body, head_eval = kernel
                     bucket = new.setdefault(head_name, set())
 
                     def consume(slots, _he=head_eval, _b=bucket, _ex=existing):
@@ -251,9 +256,7 @@ def run_stage_seminaive(
                     continue
                 rest = body[:position] + body[position + 1 :]
                 for fact in source:
-                    for seed in match(
-                        literal.element, fact, {}, instance, use_indexes, stats
-                    ):
+                    for seed in match(literal.element, fact, {}, instance, True, stats):
                         for theta in solve_body(
                             rest,
                             instance,
@@ -261,9 +264,7 @@ def run_stage_seminaive(
                             initial=seed,
                             stats=stats,
                             plan_cache=rule.plan_cache,
-                            use_indexes=use_indexes,
-                            costed=costed,
-                            feedback=rule.feedback_cache if costed else None,
+                            feedback=rule.feedback_cache,
                         ):
                             derive(theta)
 
@@ -279,11 +280,8 @@ def run_stage_seminaive(
                     if added is not None:
                         added.setdefault(name, set()).add(value)
         delta = new
-        if costed and replan_ratio is not None:
-            from repro.iql.stats import check_drift
-
-            # Mid-fixpoint adaptivity: a drifted plan is evicted here and
-            # the re-fetch below recompiles the rule against the replanned
-            # order for the remaining rounds.
-            if check_drift(rules, stats, replan_ratio):
-                kernels = fetch_kernels()
+        # Mid-fixpoint adaptivity: a drifted plan is evicted here and the
+        # re-fetch below recompiles the rule against the replanned order
+        # for the remaining rounds.
+        if check_drift(rules, stats, replan_ratio):
+            kernels = fetch_kernels()

@@ -206,8 +206,6 @@ def _segments(plan: "Plan") -> Iterator[Tuple[int, int, int, float, float]]:
     applies :data:`FILTER_SELECTIVITY` at the same places).
     """
     estimates = plan.estimates
-    if estimates is None:
-        return
     counts = plan.counts
     points = [i for i, step in enumerate(plan) if step[0] in GENERATOR_KINDS]
     points.append(len(plan))
@@ -254,7 +252,7 @@ def observed_fanouts(plan: "Plan") -> Dict[tuple, float]:
 
 
 def check_drift(rules, stats, ratio: float = 10.0) -> int:
-    """Replan every cached cost-based plan whose estimates drifted ≥ ``ratio``.
+    """Replan every cached plan whose estimates drifted ≥ ``ratio``.
 
     For each drifted plan: record all measured fan-outs into the rule's
     ``feedback_cache`` (a BoundedDict keyed like the plan cache), evict the
@@ -271,7 +269,7 @@ def check_drift(rules, stats, ratio: float = 10.0) -> int:
         if not cache:
             continue
         for key, plan in list(cache.items()):
-            if plan.estimates is None or plan.replans >= MAX_REPLANS:
+            if plan.replans >= MAX_REPLANS:
                 continue
             drifts = drifted_segments(plan, ratio)
             if not drifts:
@@ -322,8 +320,7 @@ def describe_plan(plan: "Plan") -> List[str]:
             detail = f"match   {pattern!r} = eval({known!r})"
         else:  # enum
             detail = f"enum    {step[1].name}: {step[1].type!r}"
-        if estimates is not None:
-            detail += f"  → est {estimates[i]:.1f} rows"
+        detail += f"  → est {estimates[i]:.1f} rows"
         lines.append(detail)
     if not lines:
         lines.append("(empty body: one empty valuation)")

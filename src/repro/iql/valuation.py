@@ -16,19 +16,19 @@ This module provides the two directions the evaluator needs:
 * :func:`match` — extend bindings so that a term evaluates to a given
   value (the generator yields every such extension),
 * :func:`solve_body` — enumerate all valuations of a rule body through a
-  *selectivity-ordered plan*: candidate literals are scored by estimated
-  fan-out (index probe < small-container scan < large scan < equality
-  match < type enumeration) and the cheapest is processed first, with the
-  order decided once per (body, bound-variable-set) and memoized in the
-  caller-supplied plan cache (normally the owning
-  :class:`~repro.iql.rules.Rule`'s). The enumeration fallback covers
-  variables no literal can bind (the non-range-restricted case, e.g. the
-  ``R1(X) ← X = X`` powerset program of Example 3.4.2).
+  *cost-ordered plan*: candidate literals are scored against the live
+  cardinality statistics of :mod:`repro.iql.stats` and the cheapest is
+  processed first, with the order decided once per (body,
+  bound-variable-set) and memoized in the caller-supplied plan cache
+  (normally the owning :class:`~repro.iql.rules.Rule`'s). The
+  enumeration fallback covers variables no literal can bind (the
+  non-range-restricted case, e.g. the ``R1(X) ← X = X`` powerset program
+  of Example 3.4.2).
 
 Join-level index use (hash probes instead of scans) is routed through
-:mod:`repro.iql.indexes`; pass ``use_indexes=False`` to force the original
-generate-and-test behaviour — the differential tests use that as the
-oracle.
+:mod:`repro.iql.indexes`; ``use_indexes=False`` forces the original
+generate-and-test behaviour — the reference engine
+(``Evaluator(naive=True)``) runs that way.
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ from repro.typesys.enumeration import enumerate_type
 from repro.values.ovalues import Oid, OSet, OTuple, OValue, sort_key, sorted_elements
 
 Bindings = Dict[Var, OValue]
-
-#: Containers at or below this size count as "small scans" for the planner.
-SMALL_SCAN = 16
 
 
 def eval_term(term: Term, bindings: Bindings, instance: Instance) -> Optional[OValue]:
@@ -279,20 +276,17 @@ def satisfies(literal: Literal, bindings: Bindings, instance: Instance) -> bool:
 # The plan depends only on the body and the set of initially-bound
 # variables (each generator step binds exactly its literal's variables, so
 # the bound set evolves deterministically along the plan); it is memoized
-# per (body, bound-set, use_indexes, costed) in the caller's plan cache.
+# per (body, bound-set, use_indexes) in the caller's plan cache.
 #
-# Two planners emit these steps. The *static* one (``costed=False``) keeps
-# the original lexicographic ranks — index probe < small scan < large scan
-# < equality — as the A/B baseline. The *cost-based* one (``costed=True``,
-# the evaluator default) scores every candidate with the cardinality
-# statistics of :mod:`repro.iql.stats`: a probe costs its estimated bucket
-# (size/NDV per probed attribute), a scan its container size, equalities
-# their pattern's branching factor — and the running estimate of the
+# The planner scores every candidate with the cardinality statistics of
+# :mod:`repro.iql.stats`: a probe costs its estimated bucket (size/NDV per
+# probed attribute), a scan its container size, equalities their
+# pattern's branching factor — and the running estimate of the
 # intermediate result size multiplies into every later step, so join
 # cardinality propagates along the partial plan. Estimates affect speed,
 # never the solution set: every literal is still checked on every
-# valuation. Cost-based plans additionally carry their per-step estimates
-# and live row counters (:class:`Plan`), which the drift check of
+# valuation. Plans carry their per-step estimates and live row counters
+# (:class:`Plan`), which the drift check of
 # :func:`repro.iql.stats.check_drift` compares to trigger replanning.
 
 
@@ -322,7 +316,7 @@ class Plan(tuple):
     iteration, hashing), with four attributes on the side:
 
     * ``estimates`` — per-step estimated intermediate cardinality (rows
-      *out* of each step, join-propagated), or None for static plans,
+      *out* of each step, join-propagated),
     * ``counts`` — live row counters, one per step plus a final-output
       cell; maintained at generator steps by both the interpreter and the
       compiled kernels,
@@ -332,7 +326,7 @@ class Plan(tuple):
       replanned from feedback (capped by ``stats.MAX_REPLANS``).
     """
 
-    estimates: Optional[Tuple[float, ...]]
+    estimates: Tuple[float, ...]
     counts: List[int]
     bound_before: Tuple[FrozenSet[Var], ...]
     replans: int
@@ -340,57 +334,16 @@ class Plan(tuple):
 
 def _finish_plan(
     steps: List[tuple],
-    estimates: Optional[List[float]],
+    estimates: List[float],
     bound_before: List[FrozenSet[Var]],
     replans: int,
 ) -> Plan:
     plan = Plan(steps)
-    plan.estimates = tuple(estimates) if estimates is not None else None
+    plan.estimates = tuple(estimates)
     plan.counts = [0] * (len(steps) + 1)
     plan.bound_before = tuple(bound_before)
     plan.replans = replans
     return plan
-
-
-def _generator_step(lit: Literal, bound: Set[Var], instance: Instance, use_indexes: bool):
-    """(cost, step) if ``lit`` can generate bindings now, else None.
-
-    The *static* ranking, kept as the A/B baseline (``costed=False``):
-    cost is a (rank, estimate) pair ordered lexicographically,
-    rank 0 index probe < 1 small scan < 2 large scan < 3 equality match;
-    the enumeration fallback (rank 4, implicit) is never chosen while any
-    literal is processable. Note the known deficiencies the cost-based
-    planner fixes: probes are costed at full relation size, deref
-    containers and set patterns at magic constants.
-    """
-    if isinstance(lit, Membership) and lit.positive:
-        container = lit.container
-        if not all(v in bound for v in container.variables()):
-            return None
-        if isinstance(container, NameTerm):
-            name = container.name
-            if instance.schema.is_relation(name):
-                size = len(instance.relations[name])
-                if use_indexes:
-                    probes = _tuple_probes(lit.element, bound)
-                    if probes:
-                        return ((0, size), ("member", lit, probes))
-            else:
-                size = len(instance.classes[name])
-            rank = 1 if size <= SMALL_SCAN else 2
-            return ((rank, size), ("member", lit, ()))
-        # Deref / set-term containers: size unknown until evaluated; treat
-        # as a small scan (dereferenced sets are typically narrow).
-        return ((1, SMALL_SCAN // 2), ("member", lit, ()))
-    if isinstance(lit, Equality) and lit.positive:
-        left_known = all(v in bound for v in lit.left.variables())
-        right_known = all(v in bound for v in lit.right.variables())
-        if left_known or right_known:
-            pattern = lit.right if left_known else lit.left
-            # Set patterns branch combinatorially; plain patterns bind 1:1.
-            estimate = 64 if _contains_set_term(pattern) else 1
-            return ((3, estimate), ("equal", lit, left_known))
-    return None
 
 
 def _costed_candidate(
@@ -467,26 +420,28 @@ def plan_body(
     bound_vars: FrozenSet[Var],
     instance: Instance,
     use_indexes: bool = True,
-    costed: bool = False,
+    costed: bool = True,
     observed: Optional[Dict[tuple, float]] = None,
     replans: int = 0,
 ) -> Plan:
     """The cost-ordered step sequence for ``literals``.
 
-    With ``costed=False`` the original static ranks decide (the A/B
-    baseline); with ``costed=True`` each candidate is scored
-    ``est_in * (work + fan-out)`` against the live cardinality statistics,
-    with ``est_in`` the estimated intermediate result size propagated
-    along the partial plan — so a selective 50-row scan beats an
-    unselective probe into a huge skewed bucket, which the static ranks
-    get exactly wrong. ``observed``/``replans`` carry replan feedback
-    (measured fan-outs) from :mod:`repro.iql.stats`.
+    Each candidate is scored ``est_in * (work + fan-out)`` against the
+    live cardinality statistics, with ``est_in`` the estimated
+    intermediate result size propagated along the partial plan — so a
+    selective 50-row scan beats an unselective probe into a huge skewed
+    bucket. ``observed``/``replans`` carry replan feedback (measured
+    fan-outs) from :mod:`repro.iql.stats`. ``costed`` is accepted for
+    older callers; the static-rank planner it once selected is gone, so
+    only True is legal.
     """
+    if not costed:
+        raise EvaluationError("plan_body is cost-based only: costed=False was removed")
     steps: List[tuple] = []
     estimates: List[float] = []
     bound_before: List[FrozenSet[Var]] = []
     est = 1.0
-    statistics = Statistics(instance)  # touched only when ``costed``
+    statistics = Statistics(instance)
     remaining = list(literals)
     bound: Set[Var] = set(bound_vars)
     while remaining:
@@ -510,33 +465,24 @@ def plan_body(
         # 2. The cheapest processable generator goes next.
         snapshot = frozenset(bound)
         chosen = None
-        if costed:
-            best_cost = None
-            for position, lit in enumerate(remaining):
-                candidate = _costed_candidate(
-                    lit, bound, instance, use_indexes, statistics, observed, snapshot
-                )
-                if candidate is None:
-                    continue
-                work, fanout, step = candidate
-                cost = est * (work + fanout)
-                if best_cost is None or cost < best_cost:
-                    best_cost = cost
-                    chosen = (position, step, fanout)
-        else:
-            best_rank = None
-            for position, lit in enumerate(remaining):
-                candidate = _generator_step(lit, bound, instance, use_indexes)
-                if candidate is not None and (best_rank is None or candidate[0] < best_rank):
-                    best_rank = candidate[0]
-                    chosen = (position, candidate[1], 1.0)
+        best_cost = None
+        for position, lit in enumerate(remaining):
+            candidate = _costed_candidate(
+                lit, bound, instance, use_indexes, statistics, observed, snapshot
+            )
+            if candidate is None:
+                continue
+            work, fanout, step = candidate
+            cost = est * (work + fanout)
+            if best_cost is None or cost < best_cost:
+                best_cost = cost
+                chosen = (position, step, fanout)
         if chosen is not None:
             position, step, fanout = chosen
             lit = remaining.pop(position)
             bound_before.append(snapshot)
             steps.append(step)
-            if costed:
-                est = min(est * max(fanout, EST_FLOOR), EST_CEILING)
+            est = min(est * max(fanout, EST_FLOOR), EST_CEILING)
             estimates.append(est)
             bound |= lit.variables()
             continue
@@ -552,13 +498,10 @@ def plan_body(
         var = unbound[0]
         bound_before.append(frozenset(bound))
         steps.append(("enum", var))
-        if costed:
-            est = min(
-                est * max(1.0, float(len(instance.sorted_constants()))), EST_CEILING
-            )
+        est = min(est * max(1.0, float(len(instance.sorted_constants()))), EST_CEILING)
         estimates.append(est)
         bound.add(var)
-    return _finish_plan(steps, estimates if costed else None, bound_before, replans)
+    return _finish_plan(steps, estimates, bound_before, replans)
 
 
 def lookup_plan(
@@ -568,7 +511,6 @@ def lookup_plan(
     use_indexes: bool = True,
     plan_cache: Optional[Dict] = None,
     stats=None,
-    costed: bool = False,
     feedback: Optional[Dict] = None,
 ) -> Plan:
     """The memoized plan for ``literals`` with ``bound0`` pre-bound.
@@ -577,10 +519,10 @@ def lookup_plan(
     (:mod:`repro.iql.compile`) so both agree on join order; ``stats``
     records the hit/miss per lookup. ``feedback`` (the owning rule's
     feedback cache, written by :func:`repro.iql.stats.check_drift`) feeds
-    observed fan-outs into a costed replan after a drift invalidation.
+    observed fan-outs into a replan after a drift invalidation.
     """
     plan: Optional[Plan] = None
-    key = (literals, bound0, use_indexes, costed)
+    key = (literals, bound0, use_indexes)
     if plan_cache is not None:
         plan = plan_cache.get(key)
         if stats is not None:
@@ -591,21 +533,15 @@ def lookup_plan(
     if plan is None:
         observed = None
         replans = 0
-        if costed and feedback is not None:
+        if feedback is not None:
             entry = feedback.get(key)
             if entry is not None:
                 observed = entry["fanouts"]
                 replans = entry["replans"]
         plan = plan_body(
-            literals,
-            bound0,
-            instance,
-            use_indexes,
-            costed=costed,
-            observed=observed,
-            replans=replans,
+            literals, bound0, instance, use_indexes, observed=observed, replans=replans
         )
-        if stats is not None and costed:
+        if stats is not None:
             stats.plans_costed += 1
         if plan_cache is not None:
             plan_cache[key] = plan
@@ -620,19 +556,17 @@ def solve_body(
     stats=None,
     plan_cache: Optional[Dict] = None,
     use_indexes: bool = True,
-    costed: bool = False,
     feedback: Optional[Dict] = None,
 ) -> Iterator[Bindings]:
     """All valuations θ of the body's variables with I ⊨ θ(body).
 
-    The literal order comes from :func:`plan_body` (cost- or
-    selectivity-ordered per ``costed``, memoized in ``plan_cache`` —
-    normally the owning rule's); membership literals over relations with
-    bound tuple components probe the hash indexes of
-    :mod:`repro.iql.indexes` instead of scanning. Negative literals are
-    only ever used as filters, as inflationary Datalog¬ requires.
-    ``use_indexes=False`` restores the original generate-and-test join
-    (the differential-testing oracle); ``stats`` is any object with the
+    The literal order comes from :func:`plan_body` (cost-ordered,
+    memoized in ``plan_cache`` — normally the owning rule's); membership
+    literals over relations with bound tuple components probe the hash
+    indexes of :mod:`repro.iql.indexes` instead of scanning. Negative
+    literals are only ever used as filters, as inflationary Datalog¬
+    requires. ``use_indexes=False`` restores the original
+    generate-and-test join (the reference engine's); ``stats`` is any object with the
     counters of :class:`~repro.iql.evaluator.EvaluationStats`. Rows
     entering each generator step and rows produced overall are tallied
     into ``plan.counts`` for the estimate-drift check.
@@ -640,9 +574,7 @@ def solve_body(
     literals = tuple(lit for lit in body if not isinstance(lit, Choose))
     bindings0 = dict(initial or {})
     bound0 = frozenset(bindings0)
-    plan = lookup_plan(
-        literals, bound0, instance, use_indexes, plan_cache, stats, costed, feedback
-    )
+    plan = lookup_plan(literals, bound0, instance, use_indexes, plan_cache, stats, feedback)
     counts = plan.counts
 
     def run(step_index: int, bindings: Bindings) -> Iterator[Bindings]:

@@ -32,12 +32,12 @@ cost, no callbacks anywhere.
 Intern generations
 ------------------
 
-Interning can be switched off (``repro run --no-intern``, or the
-:func:`interning` context manager) for A/B measurements and differential
-tests.  Values built while interning is off are ordinary objects; equality
-against interned values falls back to the structural comparison, so mixing
-generations is always *correct*, merely slower.  The counters below make
-the split observable:
+:func:`clear` starts a new generation: values built before it are no
+longer the store's canonical nodes, and equality against current nodes
+falls back to the structural comparison, so mixing generations is always
+*correct*, merely slower (:func:`~repro.values.ovalues.reintern` maps an
+old value onto the current node).  The counters below make the split
+observable:
 
 * ``hits``      — constructions that returned an existing node,
 * ``misses``    — constructions that created a new node,
@@ -72,8 +72,7 @@ to workers (the IQL8xx certificate audits exactly that).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
-from contextlib import contextmanager
+from typing import Dict, Tuple
 
 
 class InternStore:
@@ -84,7 +83,6 @@ class InternStore:
     SWEEP_FLOOR = 8192
 
     __slots__ = (
-        "enabled",
         "tuples",
         "sets",
         "hits",
@@ -95,7 +93,6 @@ class InternStore:
     )
 
     def __init__(self) -> None:
-        self.enabled = True
         self.tuples: Dict = {}
         self.sets: Dict = {}
         self.hits = 0
@@ -108,33 +105,6 @@ class InternStore:
 #: The process-wide store. ``repro.values.ovalues`` binds this at import
 #: time; everything else should go through the functions below.
 STORE = InternStore()
-
-
-def interning_enabled() -> bool:
-    """True iff new OTuple/OSet constructions are being interned."""
-    return STORE.enabled
-
-
-def set_interning(enabled: bool) -> bool:
-    """Enable or disable interning; returns the previous setting."""
-    previous = STORE.enabled
-    STORE.enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def interning(enabled: bool) -> Iterator[None]:
-    """Context manager: run a block with interning on or off.
-
-    The toggle is process-global (the store is), so concurrent evaluators
-    in other threads observe it too — acceptable for the A/B and
-    differential uses this exists for.
-    """
-    previous = set_interning(enabled)
-    try:
-        yield
-    finally:
-        set_interning(previous)
 
 
 def counters() -> Tuple[int, int, int]:

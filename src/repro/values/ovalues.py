@@ -29,15 +29,15 @@ members, or dictionary keys inside the evaluator.
 Hash-consing
 ------------
 
-Tuples and sets are *interned* (see :mod:`repro.values.intern`): while
-interning is enabled — the default — constructing a structurally equal
-value returns the **same** Python object, so the value universe is a DAG
-of unique nodes. Equality then short-circuits on identity, set/dict
-membership never walks a tree, and the per-node metadata used by the
-hot paths — :func:`value_size`, :func:`value_depth`, :func:`oids_of`,
-:func:`constants_of`, :func:`sort_key`, :func:`sorted_elements` — is
-computed once per distinct value and cached on the node itself.
-Values built while interning is off (the ``--no-intern`` A/B hatch)
+Tuples and sets are *interned* (see :mod:`repro.values.intern`):
+constructing a structurally equal value returns the **same** Python
+object, so the value universe is a DAG of unique nodes. Equality then
+short-circuits on identity, set/dict membership never walks a tree, and
+the per-node metadata used by the hot paths — :func:`value_size`,
+:func:`value_depth`, :func:`oids_of`, :func:`constants_of`,
+:func:`sort_key`, :func:`sorted_elements` — is computed once per
+distinct value and cached on the node itself. Values of an earlier
+intern generation (built before :func:`repro.values.intern.clear`)
 still compare correctly through the structural fallback in ``__eq__``.
 """
 
@@ -222,31 +222,30 @@ class OTuple:
                     )
         canon: Tuple[Tuple[str, OValue], ...] = tuple(sorted(items.items()))
         store = _STORE
-        if store.enabled:
-            # One dict probe on the hot path; a dead reference reads as a
-            # miss and is overwritten below (tombstones are only ever
-            # compacted by the amortized sweep).
-            ref = store.tuples.get(canon)
-            if ref is not None:
-                existing = ref()
-                if existing is not None:
-                    store.hits += 1
-                    return existing
-            store.misses += 1
+        # One dict probe on the hot path; a dead reference reads as a miss
+        # and is overwritten below (tombstones are only ever compacted by
+        # the amortized sweep).
+        ref = store.tuples.get(canon)
+        if ref is not None:
+            existing = ref()
+            if existing is not None:
+                store.hits += 1
+                return existing
+        store.misses += 1
         self = object.__new__(cls)
         self._fields = canon
         self._lookup = items
         self._hash = hash(canon) ^ _TUPLE_SALT
-        if store.enabled:
-            data = store.tuples
-            data[canon] = _weakref(self)
-            if len(data) >= store.tuples_mark:
-                # Amortized sweep: dead entries are left behind as
-                # tombstones (no removal callbacks — see intern.py).
-                store.tuples = {k: r for k, r in data.items() if r() is not None}
-                store.tuples_mark = max(
-                    _STORE.SWEEP_FLOOR, 2 * len(store.tuples)
-                )
+        data = store.tuples
+        data[canon] = _weakref(self)
+        if len(data) >= store.tuples_mark:
+            # Amortized sweep: dead entries are left behind as tombstones
+            # (no removal callbacks — see intern.py). The sweep walks a
+            # copy: dict.copy() is one C call, so a thread worker cannot
+            # insert mid-walk, while a Python-level walk of ``data`` can
+            # be interrupted (a GC pass finalizing generators runs code).
+            store.tuples = {k: r for k, r in data.copy().items() if r() is not None}
+            store.tuples_mark = max(_STORE.SWEEP_FLOOR, 2 * len(store.tuples))
         return self
 
     @property
@@ -346,23 +345,21 @@ class OSet:
             if not isinstance(value, _OVALUE_TYPES):
                 raise OValueError(f"set element {value!r} is not an o-value")
         store = _STORE
-        if store.enabled:
-            ref = store.sets.get(elems)
-            if ref is not None:
-                existing = ref()
-                if existing is not None:
-                    store.hits += 1
-                    return existing
-            store.misses += 1
+        ref = store.sets.get(elems)
+        if ref is not None:
+            existing = ref()
+            if existing is not None:
+                store.hits += 1
+                return existing
+        store.misses += 1
         self = object.__new__(cls)
         self._elements = elems
         self._hash = hash(elems) ^ _SET_SALT
-        if store.enabled:
-            data = store.sets
-            data[elems] = _weakref(self)
-            if len(data) >= store.sets_mark:
-                store.sets = {k: r for k, r in data.items() if r() is not None}
-                store.sets_mark = max(_STORE.SWEEP_FLOOR, 2 * len(store.sets))
+        data = store.sets
+        data[elems] = _weakref(self)
+        if len(data) >= store.sets_mark:
+            store.sets = {k: r for k, r in data.copy().items() if r() is not None}
+            store.sets_mark = max(_STORE.SWEEP_FLOOR, 2 * len(store.sets))
         return self
 
     @property
@@ -419,14 +416,13 @@ _OVALUE_TYPES = (Oid, OTuple, OSet) + CONSTANT_TYPES
 def reintern(value: OValue) -> OValue:
     """Rebuild ``value`` bottom-up through interned construction.
 
-    Returns the store's canonical node for the value's content (assuming
-    interning is enabled; with it disabled this is a structural copy).
-    The identity map on values already canonical — re-interning the
-    canonical node probes the store and gets the node itself back — and
-    the bridge for *cross-generation* values: anything built under
-    ``interning(False)``, or unpickled while interning was off, collapses
-    onto the canonical node. Oids and constants pass through untouched:
-    an oid's identity is the oid.
+    Returns the store's canonical node for the value's content. The
+    identity map on values already canonical — re-interning the canonical
+    node probes the store and gets the node itself back — and the bridge
+    for *cross-generation* values: anything built before
+    :func:`repro.values.intern.clear` collapses onto the current
+    generation's node. Oids and constants pass through untouched: an
+    oid's identity is the oid, and a constant is compared by value.
     """
     if isinstance(value, OTuple):
         return OTuple(

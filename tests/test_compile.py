@@ -8,10 +8,12 @@ Three layers:
 * kernel invalidation — compiled kernels capture live extension sets and
   index dicts by identity, so ``drop_indexes`` (IQL* deletions) and a
   change of instance must force recompilation;
-* plumbing — the bounded caches, the surfaced statistics, and the CLI
-  flag validation.
+* lazy delta kernels — a semi-naive delta position compiles on first
+  use, so positions that never see a delta build neither a kernel nor
+  the indexes it would probe;
+* plumbing — the bounded caches and the surfaced statistics.
 
-The 220-seed compiled-vs-reference sweep lives in test_differential.py.
+The 220-seed production-vs-reference sweeps live in test_differential.py.
 """
 
 import pytest
@@ -40,11 +42,11 @@ from repro.values import Oid, OTuple, OSet
 
 
 def reference(program, instance):
-    return Evaluator(program, seminaive=False, indexed=False).run(instance.copy())
+    return Evaluator(program, naive=True).run(instance.copy())
 
 
 def compiled(program, instance, **kwargs):
-    return Evaluator(program, compile=True, **kwargs).run(instance.copy())
+    return Evaluator(program, **kwargs).run(instance.copy())
 
 
 # -- fallback constructs -----------------------------------------------------------
@@ -180,7 +182,7 @@ class TestInvalidation:
         program, working = _tc_setup()
         instance = working.with_schema(program.schema)
         rule = program.rules[1]  # the join rule: its plan probes an index
-        compiler = RuleCompiler(use_indexes=True)
+        compiler = RuleCompiler()
         compiler.begin_run(EvaluationStats())
         k1 = compiler.compiled_rule(rule, instance)
         assert k1 is not None
@@ -196,7 +198,7 @@ class TestInvalidation:
         program, working = _tc_setup()
         instance = working.with_schema(program.schema)
         rule = program.rules[0]
-        compiler = RuleCompiler(use_indexes=True)
+        compiler = RuleCompiler()
         compiler.begin_run(EvaluationStats())
         k1 = compiler.compiled_rule(rule, instance)
         other = instance.copy()
@@ -288,7 +290,7 @@ class TestSemantics:
     def test_compiled_scheduled_agrees(self):
         program, instance = _mixed_setup()
         ref = reference(program, instance)
-        out = Evaluator(program, schedule=True, compile=True).run(instance.copy())
+        out = compiled(program, instance)
         assert out.output == ref.output
         assert out.stats.strata == 3
 
@@ -350,20 +352,95 @@ class TestPlumbing:
         assert out.stats.kernel_cache_evictions == 0
 
     def test_compile_ignored_under_trace(self):
+        # trace=True runs the reference engine, whose γ1 steps the events
+        # describe: no compiler, and the reference answer.
         program, instance = _tc_setup()
-        evaluator = Evaluator(program, compile=True, trace=True)
-        assert not evaluator.compile
+        evaluator = Evaluator(program, trace=True)
+        assert evaluator.naive and evaluator._compiler is None
         result = evaluator.run(instance.copy())
         assert result.output == reference(program, instance).output
+        assert result.stats.rules_compiled == 0
+        assert result.trace
 
 
-class TestCli:
-    def test_naive_and_compile_rejected(self, capsys):
-        from repro.__main__ import main
+# -- lazy delta kernels ------------------------------------------------------------
 
-        code = main(
-            ["run", "prog.iql", "--input", "in.json", "--naive", "--compile"]
+
+SKEWED_JOIN = """
+schema {
+  relation A: [A1: D];
+  relation B: [A1: D, A2: D];
+  relation C: [A1: D];
+  relation J: [A1: D, A2: D];
+}
+var x, y: D
+input A, B, C
+output J
+rules {
+  J(x, y) :- A(x), B(x, y), C(y).
+}
+"""
+
+
+class TestLazyDeltaKernels:
+    def test_input_only_positions_never_compile(self):
+        # The E21 shape: the C position's delta kernel would probe B on
+        # A2, building an O(|B|) projection index; C never has a delta.
+        program = program_from_source(SKEWED_JOIN)
+        instance = Instance(program.input_schema)
+        for i in range(4):
+            instance.add_relation_member("A", OTuple(A1=f"s{i}"))
+        for i in range(200):
+            instance.add_relation_member("B", OTuple(A1=f"s{i % 4}", A2=f"v{i}"))
+        for j in range(20):
+            instance.add_relation_member("C", OTuple(A1=f"v{j}"))
+        for _ in range(2):
+            out = compiled(program, instance)
+            assert ("B", "A2") not in out.full.indexes.built_relation_indexes()
+            assert out.stats.rules_compiled == 1
+            assert len(out.output.relations["J"]) == 20
+        kernels = program.rules[0].kernel_cache["sn"]
+        assert kernels._delta == {}
+
+    def test_recursive_position_compiles_on_first_delta(self):
+        program, instance = _tc_setup()
+        out = compiled(program, instance)
+        kernels = program.rules[1].kernel_cache["sn"]
+        assert set(kernels._delta) == {0}  # T(x, y) has deltas; E(y, z) never
+        assert out.output == reference(program, instance).output
+
+    def test_a_position_that_falls_back_demotes_the_rule(self):
+        # The full body binds p from the class scan before Val(p̂) is a
+        # filter, so round 0 compiles; the Val delta position would match
+        # p̂ with p unbound, which only the interpreter enumerates.
+        from repro.iql.ivm import MaterializedProgram
+
+        C = classref("C")
+        schema = Schema(
+            relations={"Val": columns(D), "Out": columns(C)}, classes={"C": D}
         )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--naive" in err and "--compile" in err
+        p = Var("p", C)
+        program = Program(
+            schema,
+            rules=[
+                Rule(
+                    atom(schema, "Out", p),
+                    [Membership(NameTerm("C"), p), atom(schema, "Val", Deref(p))],
+                )
+            ],
+            input_names=["Val", "C"],
+            output_names=["Out", "C"],
+        )
+        instance = Instance(schema.project(["Val", "C"]))
+        o1, o2 = Oid("o1"), Oid("o2")
+        for oid, value in ((o1, "a"), (o2, "b")):
+            instance.add_class_member("C", oid)
+            instance.assign(oid, value)
+        for value in ("a", "x", "y", "z"):  # |Val| > |C|: the planner scans C
+            instance.add_relation_member("Val", OTuple(A01=value))
+        mp = MaterializedProgram(program, instance)
+        assert mp.initial_stats.rules_interpreted == 0
+        mp.apply_delta(inserts=[("Val", OTuple(A01="b"))])
+        assert mp.extent("Out") == {OTuple(A01=o1), OTuple(A01=o2)}
+        assert mp.stats.compile_fallback_reasons.get("unbound-dereference") == 1
+        assert mp.stats.rules_interpreted == 1

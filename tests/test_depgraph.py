@@ -3,9 +3,9 @@
 Covers the shared per-rule effect summaries (`repro.analysis.effects`),
 the per-stage dependency graphs with SCC condensation and strata
 (`repro.analysis.depgraph`), the IQL601–IQL604 dataflow diagnostics, the
-schedule certificate and its fallback reasons, the scheduled evaluator
-(`Evaluator(schedule=True)`) including its stats counters and the IQL601
-PreflightWarning, and the `repro analyze` / `repro lint --strict` CLI.
+schedule certificate and its fallback reasons, the scheduled (production)
+evaluator including its stats counters and the IQL601 PreflightWarning,
+and the `repro analyze` / `repro lint --strict` CLI.
 """
 
 import json
@@ -375,28 +375,23 @@ class TestScheduledEvaluator:
     def test_scheduled_equals_monolithic_on_chain(self):
         program = program_from_source(CHAIN)
         edges = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]
-        scheduled = Evaluator(program, schedule=True).run(
-            edge_instance(program, edges)
-        )
-        reference = Evaluator(program, seminaive=False, indexed=False).run(
-            edge_instance(program, edges)
-        )
+        scheduled = Evaluator(program).run(edge_instance(program, edges))
+        reference = Evaluator(program, naive=True).run(edge_instance(program, edges))
         assert scheduled.output == reference.output
         assert scheduled.stats.strata == 2
         assert scheduled.stats.schedule_fallbacks == 0
 
     def test_dirty_tracking_skips_clean_rules(self):
-        # With semi-naive off, every stratum runs the dirty-tracked naive
-        # loop; the base rule reads only E, so it is clean after step 1
-        # while the recursive rule keeps growing TC.
-        program = program_from_source(TC)
+        # The bodyless fact rule puts the TC stratum outside the semi-naive
+        # fragment, so it runs the dirty-tracked naive loop; the base rule
+        # reads only E, so it is clean after step 1 while the recursive
+        # rule keeps growing TC.
+        program = program_from_source(
+            TC.replace("rules {", 'rules {\n  TC("n0", "n0").')
+        )
         edges = [(f"n{i}", f"n{i + 1}") for i in range(6)]
-        scheduled = Evaluator(program, schedule=True, seminaive=False).run(
-            edge_instance(program, edges)
-        )
-        reference = Evaluator(program, seminaive=False, indexed=False).run(
-            edge_instance(program, edges)
-        )
+        scheduled = Evaluator(program).run(edge_instance(program, edges))
+        reference = Evaluator(program, naive=True).run(edge_instance(program, edges))
         assert scheduled.output == reference.output
         assert scheduled.stats.rules_skipped_clean > 0
 
@@ -405,17 +400,13 @@ class TestScheduledEvaluator:
         edges = [("a", "b"), ("b", "a"), ("b", "c")]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            scheduled = Evaluator(program, schedule=True).run(
-                edge_instance(program, edges)
-            )
+            scheduled = Evaluator(program).run(edge_instance(program, edges))
         assert any(
             issubclass(w.category, PreflightWarning) and "IQL601" in str(w.message)
             for w in caught
         )
         assert scheduled.stats.schedule_fallbacks == 1
-        reference = Evaluator(program, seminaive=False, indexed=False).run(
-            edge_instance(program, edges)
-        )
+        reference = Evaluator(program, naive=True).run(edge_instance(program, edges))
         assert scheduled.output == reference.output
 
     def test_scheduled_invention_is_isomorphic(self):
@@ -426,17 +417,18 @@ class TestScheduledEvaluator:
             instance.add_relation_member("R", OTuple(A1=a, A2=b))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            scheduled = Evaluator(program, schedule=True).run(instance.copy())
-        reference = Evaluator(program, seminaive=False, indexed=False).run(
-            instance.copy()
-        )
+            scheduled = Evaluator(program).run(instance.copy())
+        reference = Evaluator(program, naive=True).run(instance.copy())
         assert are_o_isomorphic(scheduled.output, reference.output)
         assert scheduled.stats.strata >= 4
 
     def test_schedule_disabled_under_trace(self):
+        # trace=True runs the unscheduled reference engine.
         program = program_from_source(TC)
-        evaluator = Evaluator(program, schedule=True, trace=True)
-        assert not evaluator.schedule
+        evaluator = Evaluator(program, trace=True)
+        assert evaluator.naive and evaluator._schedule is None
+        result = evaluator.run(edge_instance(program, [("a", "b"), ("b", "c")]))
+        assert result.stats.strata == 0 and result.trace
 
 
 # -- CLI -----------------------------------------------------------------------------
@@ -502,7 +494,7 @@ class TestCli:
         data = tmp_path / "edges.json"
         data.write_text(io.dumps(instance))
         assert (
-            main(["run", tc_path, "--input", str(data), "--schedule", "--stats"])
+            main(["run", tc_path, "--input", str(data), "--stats"])
             == 0
         )
         err = capsys.readouterr().err

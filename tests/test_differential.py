@@ -1,17 +1,18 @@
-"""Differential tests: the optimized engine against the reference engine.
+"""Differential tests: the production engine against the reference engine.
 
-``Evaluator(seminaive=False, indexed=False)`` is the executable
-specification — a direct transcription of the paper's inflationary
-one-step operator with generate-and-test joins. The indexed, planned,
-semi-naive engine must agree with it on *every* program: exactly (ground
-facts) when the program is invention-free, up to O-isomorphism when it
-invents oids (invented identities are fresh by construction, so only the
-shape is determined — Section 4.1).
+``Evaluator(naive=True)`` is the executable specification — a direct
+transcription of the paper's inflationary one-step operator with
+generate-and-test joins. The production engine (certified scheduling,
+semi-naive rounds, compiled rules, cost-based planning) must agree with
+it on *every* program: exactly (ground facts) when the program is
+invention-free, up to O-isomorphism when it invents oids (invented
+identities are fresh by construction, so only the shape is determined —
+Section 4.1; this is the oid-equivalence of Bonifati et al.).
 
-The generator below emits random single-stage programs over a fixed
-schema — recursive positive atoms, fully-bound negation, equalities,
-constants, and (in a fifth of the seeds) oid invention — and random
-small input instances. 220 seeds run in a few seconds.
+The generator below emits random programs over a fixed schema —
+recursive positive atoms, fully-bound negation, equalities, constants,
+and (in a fifth of the seeds) oid invention — and random small input
+instances. Each sweep runs 220 seeds in a few seconds.
 """
 
 import random
@@ -98,43 +99,42 @@ def random_instance(schema, rng):
     return instance
 
 
-def run_differential(seed):
+def random_case(seed, scheduled=False):
+    """A fresh (program, instance) pair for ``seed``.
+
+    Every call builds new rules, so plan and kernel caches start cold;
+    ``scheduled`` draws from :func:`random_scheduled_program` instead of
+    the single-stage :func:`random_program` corpus.
+    """
     rng = random.Random(seed)
     schema = make_schema()
     allow_invention = seed % 5 == 0
-    program = random_program(schema, rng, allow_invention)
-    instance = random_instance(schema, rng)
-    optimized = (
-        Evaluator(program, seminaive=True, indexed=True).run(instance.copy()).output
-    )
-    reference = (
-        Evaluator(program, seminaive=False, indexed=False)
-        .run(instance.copy())
-        .output
-    )
-    if all(rule.is_invention_free() for rule in program.rules):
-        assert optimized == reference, f"seed {seed}: exact disagreement"
+    if scheduled:
+        unstratified = seed % 4 == 1
+        program = random_scheduled_program(schema, rng, allow_invention, unstratified)
     else:
-        assert are_o_isomorphic(optimized, reference), (
-            f"seed {seed}: not O-isomorphic"
-        )
+        program = random_program(schema, rng, allow_invention)
+    return program, random_instance(schema, rng)
 
 
-@pytest.mark.parametrize("seed", range(220))
-def test_optimized_engine_matches_reference(seed):
-    run_differential(seed)
+def assert_agree(program, left, right, seed):
+    """Exact agreement for invention-free programs, O-isomorphism otherwise."""
+    if all(rule.is_invention_free() for rule in program.rules):
+        assert left == right, f"seed {seed}: exact disagreement"
+    else:
+        assert are_o_isomorphic(left, right), f"seed {seed}: not O-isomorphic"
 
 
-# -- the certified scheduler (Evaluator(schedule=True)) ------------------------------
+# -- production vs reference -----------------------------------------------------------
 #
-# Same oracle, different engine: the SCC-stratified scheduler must agree
-# with the monolithic reference on every program — by running the
-# certified strata when the analysis proves the stage re-orderable, and
-# by falling back to the monolithic fixpoint (IQL601 and the other
-# uncertifiable shapes) otherwise. A quarter of the seeds additionally
-# inject a negation-through-recursion rule so the IQL601 fallback path
-# is exercised, and the rule lists are split into two stages half the
-# time so cross-stage liveness and per-stage scheduling both run.
+# Two corpora: the single-stage random programs above, and the scheduled
+# corpus below. In the latter a quarter of the seeds inject a
+# negation-through-recursion rule so the IQL601 fallback path (a
+# monolithic stage) is exercised, and the rule lists are split into two
+# stages half the time so cross-stage liveness and per-stage scheduling
+# both run. Neither corpus contains a compile-fallback construct, so
+# every rule must actually compile — a silent per-rule fallback would
+# still pass the equivalence check but not the counters.
 
 
 def random_scheduled_program(schema, rng, allow_invention, unstratified):
@@ -165,120 +165,109 @@ def random_scheduled_program(schema, rng, allow_invention, unstratified):
     )
 
 
-def run_scheduled_differential(seed):
+def run_production_differential(seed, scheduled=True):
     import warnings
 
     from repro.analysis import PreflightWarning
 
-    rng = random.Random(seed)
-    schema = make_schema()
-    allow_invention = seed % 5 == 0
-    unstratified = seed % 4 == 1
-    program = random_scheduled_program(schema, rng, allow_invention, unstratified)
-    instance = random_instance(schema, rng)
+    program, instance = random_case(seed, scheduled)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        scheduled_result = Evaluator(program, schedule=True).run(instance.copy())
-    scheduled = scheduled_result.output
-    reference = (
-        Evaluator(program, seminaive=False, indexed=False)
-        .run(instance.copy())
-        .output
-    )
-    if unstratified:
+        result = Evaluator(program).run(instance.copy())
+    reference = Evaluator(program, naive=True).run(instance.copy()).output
+    if scheduled and seed % 4 == 1:
         # The injected rule makes some stage IQL601-unstratifiable: the
         # scheduler must fall back with a PreflightWarning, not schedule.
-        assert scheduled_result.stats.schedule_fallbacks >= 1, (
+        assert result.stats.schedule_fallbacks >= 1, (
             f"seed {seed}: expected an IQL601 fallback"
         )
         assert any(
             issubclass(w.category, PreflightWarning) and "IQL601" in str(w.message)
             for w in caught
         ), f"seed {seed}: missing the IQL601 PreflightWarning"
-    if all(rule.is_invention_free() for rule in program.rules):
-        assert scheduled == reference, f"seed {seed}: exact disagreement"
-    else:
-        assert are_o_isomorphic(scheduled, reference), (
-            f"seed {seed}: not O-isomorphic"
-        )
-
-
-@pytest.mark.parametrize("seed", range(220))
-def test_scheduled_engine_matches_reference(seed):
-    run_scheduled_differential(seed)
-
-
-# -- the rule compiler (Evaluator(compile=True)) -------------------------------------
-#
-# Same oracle again for the compiled closure kernels. Two thirds of the
-# seeds run the monolithic engine (γ1 kernels + compiled semi-naive
-# where the stage qualifies); the rest run under the certified scheduler
-# so the per-stratum semi-naive loop's delta kernels are exercised too.
-# The generated programs contain none of the fallback constructs, so
-# every rule must actually compile — a silent per-rule fallback would
-# still pass the equivalence check but not the counters.
-
-
-def run_compiled_differential(seed):
-    rng = random.Random(seed)
-    schema = make_schema()
-    allow_invention = seed % 5 == 0
-    program = random_program(schema, rng, allow_invention)
-    instance = random_instance(schema, rng)
-    schedule = seed % 3 == 2
-    result = Evaluator(program, schedule=schedule, compile=True).run(instance.copy())
-    compiled = result.output
-    reference = (
-        Evaluator(program, seminaive=False, indexed=False)
-        .run(instance.copy())
-        .output
-    )
     assert result.stats.rules_interpreted == 0, (
         f"seed {seed}: unexpected compile fallback "
         f"{result.stats.compile_fallback_reasons}"
     )
     assert result.stats.rules_compiled == len(program.rules), f"seed {seed}"
-    if all(rule.is_invention_free() for rule in program.rules):
-        assert compiled == reference, f"seed {seed}: exact disagreement"
-    else:
-        assert are_o_isomorphic(compiled, reference), (
-            f"seed {seed}: not O-isomorphic"
-        )
+    assert_agree(program, result.output, reference, seed)
+
+
+@pytest.mark.parametrize("seed", range(220))
+def test_scheduled_engine_matches_reference(seed):
+    run_production_differential(seed)
 
 
 @pytest.mark.parametrize("seed", range(220))
 def test_compiled_engine_matches_reference(seed):
-    run_compiled_differential(seed)
+    run_production_differential(seed, scheduled=False)
 
 
-# -- the adaptive planner (Evaluator(cost_planning=...)) -----------------------------
+# -- the interpreted fallback ----------------------------------------------------------
 #
-# Join order is the one thing the cost model is allowed to change, so the
-# oracle is the sharpest available: the same optimized engine with the
-# static ranks must agree with the cost-based default on every program.
-# A second sweep sets replan_ratio=1.0 — "any inexact estimate is drift" —
-# which forces mid-fixpoint evictions, feedback-driven replans and (on the
-# compiled seeds) kernel invalidation on as many rounds as the cap allows,
-# the adversarial schedule for the feedback loop.
+# Rules outside the compilable fragment (deletions, choose, unbound
+# dereferences, set assignment) run on the production engine's
+# interpreter: scheduled, semi-naive, indexed and cost-planned, just not
+# compiled. Refusing to compile anything sends every rule of the corpus
+# down that path through the same CompileFallback bookkeeping.
 
 
-def run_planner_differential(seed, replan_ratio=None):
-    rng = random.Random(seed)
-    schema = make_schema()
-    allow_invention = seed % 5 == 0
-    program = random_program(schema, rng, allow_invention)
-    instance = random_instance(schema, rng)
-    static = (
-        Evaluator(program, cost_planning=False).run(instance.copy()).output
+def run_interpreted_differential(seed, monkeypatch):
+    import warnings
+
+    from repro.iql import compile as compile_module
+
+    def refuse(*args, **kwargs):
+        raise compile_module.CompileFallback("refused")
+
+    program, instance = random_case(seed)
+    with monkeypatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # IQL601 fallbacks are expected
+        patch.setattr(compile_module, "compile_rule", refuse)
+        patch.setattr(compile_module, "compile_seminaive", refuse)
+        result = Evaluator(program).run(instance.copy())
+    reference = Evaluator(program, naive=True).run(instance.copy()).output
+    assert result.stats.rules_compiled == 0, f"seed {seed}"
+    assert result.stats.rules_interpreted == len(program.rules), f"seed {seed}"
+    assert_agree(program, result.output, reference, seed)
+
+
+@pytest.mark.parametrize("seed", range(220))
+def test_optimized_engine_matches_reference(seed, monkeypatch):
+    run_interpreted_differential(seed, monkeypatch)
+
+
+# -- the adaptive planner --------------------------------------------------------------
+#
+# Join order is the one thing the planner may change, so the sharpest
+# oracle is the same engine under static plans: every plan costed
+# against the empty input — no statistics, so the order falls out of the
+# body's shape alone — and never replanned (replan_ratio=inf). On about
+# two seeds in five that order differs from the one costed on the data.
+# The second sweep sets replan_ratio=1.0 — "any inexact estimate is
+# drift" — which forces mid-fixpoint evictions, feedback-driven replans
+# and kernel invalidation on as many rounds as the cap allows: the
+# adversarial schedule for the feedback loop.
+
+
+def run_planner_differential(seed, replan_ratio=None, scheduled=False):
+    import math
+    import warnings
+
+    static_program, instance = random_case(seed, scheduled)
+    costed_program, _ = random_case(seed, scheduled)
+    kwargs = {} if replan_ratio is None else {"replan_ratio": replan_ratio}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        static_engine = Evaluator(static_program, replan_ratio=math.inf)
+        static_engine.run(Instance(static_program.input_schema))
+        static = static_engine.run(instance.copy()).output
+        costed = Evaluator(costed_program, **kwargs).run(instance.copy())
+    assert costed.stats.rules_interpreted == 0, (
+        f"seed {seed}: unexpected compile fallback "
+        f"{costed.stats.compile_fallback_reasons}"
     )
-    kwargs = {"compile": seed % 3 == 2}
-    if replan_ratio is not None:
-        kwargs["replan_ratio"] = replan_ratio
-    costed = Evaluator(program, **kwargs).run(instance.copy()).output
-    if all(rule.is_invention_free() for rule in program.rules):
-        assert costed == static, f"seed {seed}: exact disagreement"
-    else:
-        assert are_o_isomorphic(costed, static), f"seed {seed}: not O-isomorphic"
+    assert_agree(costed_program, costed.output, static, seed)
 
 
 @pytest.mark.parametrize("seed", range(220))
@@ -288,7 +277,7 @@ def test_costed_planner_matches_static(seed):
 
 @pytest.mark.parametrize("seed", range(220))
 def test_forced_replanning_matches_static(seed):
-    run_planner_differential(seed, replan_ratio=1.0)
+    run_planner_differential(seed, replan_ratio=1.0, scheduled=True)
 
 
 # -- the certified parallel executor (Evaluator(parallel=N)) -------------------------
@@ -297,7 +286,7 @@ def test_forced_replanning_matches_static(seed):
 # seeds and the invention seeds, which the IQL8xx certificate forces
 # back to serial (IQL802 or an unscheduled stage) — so the fallback
 # paths are exercised as heavily as the concurrent ones. The oracle is
-# the serial scheduled+compiled engine: for invention-free programs the
+# the serial production engine: for invention-free programs the
 # parallel fact set must be *exactly* equal (concurrent strata write
 # disjoint symbols; partitioned rounds merge into the same inflationary
 # fixpoint); invention seeds compare up to O-isomorphism because batch
@@ -308,33 +297,16 @@ def test_forced_replanning_matches_static(seed):
 def run_parallel_differential(seed, backend="thread", workers=4):
     import warnings
 
-    rng = random.Random(seed)
-    schema = make_schema()
-    allow_invention = seed % 5 == 0
-    unstratified = seed % 4 == 1
-    program = random_scheduled_program(schema, rng, allow_invention, unstratified)
-    instance = random_instance(schema, rng)
+    program, instance = random_case(seed, scheduled=True)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        evaluator = Evaluator(
-            program, parallel=workers, compile=True, backend=backend
-        )
+        evaluator = Evaluator(program, parallel=workers, backend=backend)
         try:
             parallel_result = evaluator.run(instance.copy())
         finally:
             evaluator.close()
-        serial = (
-            Evaluator(program, schedule=True, compile=True)
-            .run(instance.copy())
-            .output
-        )
-    parallel = parallel_result.output
-    if all(rule.is_invention_free() for rule in program.rules):
-        assert parallel == serial, f"seed {seed}: exact disagreement"
-    else:
-        assert are_o_isomorphic(parallel, serial), (
-            f"seed {seed}: not O-isomorphic"
-        )
+        serial = Evaluator(program).run(instance.copy()).output
+    assert_agree(program, parallel_result.output, serial, seed)
 
 
 @pytest.mark.parametrize("seed", range(220))

@@ -112,7 +112,7 @@ def assert_sound(program, instance, **evaluator_kwargs):
 # equalities, oid invention on a fifth of the seeds, an unstratifiable
 # stage on a quarter (so the monolithic IQL601 fallback engine is
 # instrumented too), and multi-stage splits half the time. Both the
-# scheduled engine and the reference engine run under instrumentation —
+# production engine and the reference engine run under instrumentation —
 # soundness must hold for every execution strategy, not just one.
 
 
@@ -122,8 +122,8 @@ def test_observed_writes_are_declared(seed):
     schema = make_schema()
     program = random_scheduled_program(schema, rng, seed % 5 == 0, seed % 4 == 1)
     instance = random_instance(schema, rng)
-    observed = assert_sound(program, instance.copy(), schedule=True, compile=True)
-    assert_sound(program, instance.copy(), seminaive=False, indexed=False)
+    observed = assert_sound(program, instance.copy())
+    assert_sound(program, instance.copy(), naive=True)
     # A derivation-free seed observes nothing; anything observed must be
     # declared (non-vacuity of the harness is pinned by the plane test).
     assert observed <= declared_writes(program)

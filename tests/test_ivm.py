@@ -23,8 +23,8 @@ import warnings
 import pytest
 
 from repro.analysis import build_certificates, replay_insert, validate_certificate
-from repro.errors import EvaluationError
-from repro.iql import Evaluator, MaterializedProgram
+from repro.errors import EvaluationError, NonTerminationError
+from repro.iql import Evaluator, EvaluatorLimits, MaterializedProgram
 from repro.iql.supports import SupportTable
 from repro.parser import program_from_source
 from repro.schema import Instance, are_o_isomorphic
@@ -174,12 +174,38 @@ class TestE19Paths:
         for i in range(4):
             instance.add_relation_member("E", edge(f"n{i}", f"n{i + 1}"))
         mp = materialize(
-            program, instance, evaluator=Evaluator(program, seminaive=False)
+            program, instance, evaluator=Evaluator(program, naive=True)
         )
         mp.apply_delta(inserts=[("E", edge("n4", "n0"))])
         mp.apply_delta(deletes=[("E", edge("n1", "n2"))])
         assert_matches_fresh(mp)
         assert mp.supports.negative_symbols() == []
+
+
+class TestStepBudget:
+    def test_max_steps_binds_per_batch(self):
+        # Each one-edge batch takes a handful of fixpoint rounds; summed
+        # over the materialization's lifetime they pass max_steps many
+        # times over, which must not matter.
+        program, mp = e19_setup(n=6)
+        fact = edge("n2", "n3")
+        for _ in range(2000):
+            mp.apply_delta(deletes=[("E", fact)])
+            mp.apply_delta(inserts=[("E", fact)])
+        assert mp.stats.steps > mp._evaluator.limits.max_steps
+        assert_matches_fresh(mp)
+
+    def test_one_batch_over_the_budget_still_raises(self):
+        program = program_from_source(E19_PROGRAM)
+        instance = Instance(program.input_schema)
+        for i in range(3):
+            instance.add_relation_member("E", edge(f"n{i}", f"n{i + 1}"))
+        evaluator = Evaluator(program, limits=EvaluatorLimits(max_steps=20))
+        mp = materialize(program, instance, evaluator=evaluator)
+        # Appending a 40-edge path needs ~40 semi-naive rounds for T.
+        chain = [("E", edge(f"n{i}", f"n{i + 1}")) for i in range(3, 43)]
+        with pytest.raises(NonTerminationError):
+            mp.apply_delta(inserts=chain)
 
 
 class TestSupportTable:

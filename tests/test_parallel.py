@@ -306,9 +306,7 @@ def test_iql803_disables_the_pool_but_not_the_answer(monkeypatch):
         for w in caught
     )
     assert result.stats.parallel_workers == 0  # pool never created
-    reference = Evaluator(program, seminaive=False, indexed=False).run(
-        instance.copy()
-    )
+    reference = Evaluator(program, naive=True).run(instance.copy())
     assert result.output == reference.output
 
 
@@ -382,8 +380,8 @@ def test_partitioned_rounds_match_serial_exactly():
     schema = tc_schema()
     program = tc_program(schema)
     instance = chain_instance(schema, 120, cyclic=True)
-    parallel = Evaluator(program, parallel=4, compile=True).run(instance.copy())
-    serial = Evaluator(program, schedule=True, compile=True).run(instance.copy())
+    parallel = Evaluator(program, parallel=4).run(instance.copy())
+    serial = Evaluator(program).run(instance.copy())
     assert parallel.output == serial.output
     assert parallel.stats.parallel_workers == 4
     assert parallel.stats.parallel_partitioned == 1
@@ -397,10 +395,10 @@ def test_small_deltas_stay_inline():
     schema = tc_schema()
     program = tc_program(schema)
     instance = chain_instance(schema, 6)
-    result = Evaluator(program, parallel=4, compile=True).run(instance.copy())
+    result = Evaluator(program, parallel=4).run(instance.copy())
     assert result.stats.parallel_partitioned == 1
     assert result.stats.parallel_tasks == 0
-    serial = Evaluator(program, schedule=True, compile=True).run(instance.copy())
+    serial = Evaluator(program).run(instance.copy())
     assert result.output == serial.output
 
 
@@ -423,7 +421,7 @@ def test_concurrent_strata_run_on_workers():
     for i in range(30):
         instance.add_relation_member("E", OTuple(A01=f"a{i}", A02=f"b{i}"))
     parallel = Evaluator(program, parallel=2).run(instance.copy())
-    serial = Evaluator(program, schedule=True).run(instance.copy())
+    serial = Evaluator(program).run(instance.copy())
     assert parallel.output == serial.output
     assert parallel.stats.parallel_strata == 2
     assert parallel.stats.parallel_tasks >= 2
@@ -457,9 +455,7 @@ def test_iql801_program_falls_back_serial_with_warning():
         for w in caught
     )
     assert result.stats.parallel_fallbacks >= 1
-    reference = Evaluator(program, seminaive=False, indexed=False).run(
-        instance.copy()
-    )
+    reference = Evaluator(program, naive=True).run(instance.copy())
     assert result.output == reference.output
 
 
@@ -488,9 +484,7 @@ def test_iql802_invention_program_falls_back_serial_with_warning():
     assert result.stats.parallel_fallbacks >= 1
     from repro.schema import are_o_isomorphic
 
-    reference = Evaluator(program, seminaive=False, indexed=False).run(
-        instance.copy()
-    )
+    reference = Evaluator(program, naive=True).run(instance.copy())
     assert are_o_isomorphic(result.output, reference.output)
 
 
@@ -501,13 +495,12 @@ def test_parallel_one_is_plain_scheduling():
     instance = chain_instance(schema, 10)
     result = Evaluator(program, parallel=1).run(instance.copy())
     assert result.stats.parallel_workers == 0
-    serial = Evaluator(program, schedule=True).run(instance.copy())
+    serial = Evaluator(program).run(instance.copy())
     assert result.output == serial.output
 
 
 def test_parallel_implies_schedule():
     evaluator = Evaluator(tc_program(), parallel=2)
-    assert evaluator.schedule
     assert evaluator._schedule is not None
     assert evaluator._parallel_certificate is not None
 
@@ -532,12 +525,12 @@ def test_process_partitioned_rounds_match_serial_exactly():
     schema = tc_schema()
     program = tc_program(schema)
     instance = chain_instance(schema, 300)
-    evaluator = Evaluator(program, parallel=2, compile=True, backend="process")
+    evaluator = Evaluator(program, parallel=2, backend="process")
     try:
         parallel = evaluator.run(instance.copy())
     finally:
         evaluator.close()
-    serial = Evaluator(program, schedule=True, compile=True).run(instance.copy())
+    serial = Evaluator(program).run(instance.copy())
     assert parallel.output == serial.output
     assert parallel.stats.parallel_backend == "process"
     assert parallel.stats.parallel_partitioned == 1
@@ -550,8 +543,8 @@ def test_process_pool_persists_across_runs():
     schema = tc_schema()
     program = tc_program(schema)
     instance = chain_instance(schema, 40)
-    serial = Evaluator(program, schedule=True, compile=True).run(instance.copy())
-    evaluator = Evaluator(program, parallel=2, compile=True, backend="process")
+    serial = Evaluator(program).run(instance.copy())
+    evaluator = Evaluator(program, parallel=2, backend="process")
     try:
         first = evaluator.run(instance.copy())
         pool = evaluator._driver
@@ -607,7 +600,7 @@ def test_process_concurrent_strata_ship_oids_by_identity():
         instance.add_class_member("C1", oid)
         instance.assign(oid, OTuple(a=i))
         instance.add_relation_member("R1", OTuple(A01=oid))
-    serial = Evaluator(program, schedule=True).run(instance.copy())
+    serial = Evaluator(program).run(instance.copy())
     evaluator = Evaluator(program, parallel=2, backend="process")
     try:
         parallel = evaluator.run(instance.copy())
@@ -665,7 +658,7 @@ def test_parallel_auto_resolves_to_cpus_clamped_by_width():
     # And it still answers correctly whatever the resolved width.
     schema = tc_schema()
     instance = chain_instance(schema, 12)
-    serial = Evaluator(tc_program(schema), schedule=True).run(instance.copy())
+    serial = Evaluator(tc_program(schema)).run(instance.copy())
     assert evaluator.run(instance.copy()).output == serial.output
 
 

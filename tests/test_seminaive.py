@@ -24,8 +24,8 @@ from repro.workloads import parent_forest, path_graph, random_graph, transitive_
 
 
 def run_both(program, instance):
-    semi = Evaluator(program, seminaive=True).run(instance.copy()).output
-    naive = Evaluator(program, seminaive=False).run(instance.copy()).output
+    semi = Evaluator(program).run(instance.copy()).output
+    naive = Evaluator(program, naive=True).run(instance.copy()).output
     return semi, naive
 
 
@@ -63,7 +63,7 @@ class TestEquivalence:
         program = datalog_to_iql(dprog)
         edges = path_graph(6)
         instance = database_to_instance(dprog, {"E": set(edges)}, names=dprog.edb)
-        result = Evaluator(program, seminaive=True).run(instance)
+        result = Evaluator(program).run(instance)
         assert result.stats.per_stage_steps and result.stats.per_stage_steps[0] >= 2
         assert result.stats.facts_added == len(transitive_closure(edges))
 
@@ -190,5 +190,5 @@ class TestTraceDisablesSeminaive:
     def test_tracing_forces_naive(self):
         dprog = transitive_closure_program()
         program = datalog_to_iql(dprog)
-        evaluator = Evaluator(program, trace=True, seminaive=True)
-        assert evaluator.seminaive is False
+        evaluator = Evaluator(program, trace=True)
+        assert evaluator.naive is True

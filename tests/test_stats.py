@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro import io
+from repro.errors import EvaluationError
 from repro.iql import (
     Evaluator,
     Statistics,
@@ -118,23 +119,21 @@ class TestCostedPlans:
             atom(schema, "C", y),
         )
 
-    def test_static_plan_probes_the_skewed_attribute(self):
+    def test_static_plans_are_gone(self):
         schema = skew_schema()
         instance = skew_instance(schema)
-        plan = plan_body(self.body(schema), frozenset(), instance, costed=False)
-        kinds = [(step[0], step[1].container.name) for step in plan]
-        assert kinds == [("member", "A"), ("member", "B"), ("filter", "C")]
-        assert plan.estimates is None
+        with pytest.raises(EvaluationError):
+            plan_body(self.body(schema), frozenset(), instance, costed=False)
 
     def test_costed_plan_joins_the_selective_relation_first(self):
         schema = skew_schema()
         # Big enough that the B probe's skew bucket (|B|/10 = 200) dwarfs
         # the 50-row C scan; at small |B| both planners agree B-first.
         instance = skew_instance(schema, b_rows=2000)
-        plan = plan_body(self.body(schema), frozenset(), instance, costed=True)
+        plan = plan_body(self.body(schema), frozenset(), instance)
         kinds = [(step[0], step[1].container.name) for step in plan]
         assert kinds == [("member", "A"), ("member", "C"), ("filter", "B")]
-        assert plan.estimates is not None and len(plan.estimates) == 3
+        assert len(plan.estimates) == 3
         assert plan.counts == [0, 0, 0, 0]
 
     def test_observed_fanouts_override_the_model(self):
@@ -145,12 +144,7 @@ class TestCostedPlans:
         scan_c = literals[2]
         observed = {(scan_c, frozenset(literals[0].variables())): 1e6}
         plan = plan_body(
-            self.body(schema),
-            frozenset(),
-            instance,
-            costed=True,
-            observed=observed,
-            replans=1,
+            self.body(schema), frozenset(), instance, observed=observed, replans=1
         )
         names = [step[1].container.name for step in plan]
         assert names.index("C") > names.index("B")
@@ -159,7 +153,7 @@ class TestCostedPlans:
     def test_describe_plan_renders_estimates(self):
         schema = skew_schema()
         instance = skew_instance(schema)
-        plan = plan_body(self.body(schema), frozenset(), instance, costed=True)
+        plan = plan_body(self.body(schema), frozenset(), instance)
         lines = describe_plan(plan)
         assert len(lines) == 3
         assert any("scan" in line for line in lines)
@@ -194,9 +188,10 @@ class TestFeedbackLoop:
         engine replans as hard as it can — and must change nothing."""
         program = program_from_source(TC_PROGRAM)
         instance = tc_instance(program)
-        static = Evaluator(program, cost_planning=False).run(instance.copy())
+        reference = Evaluator(program, naive=True).run(instance.copy())
         adaptive = Evaluator(program, replan_ratio=1.0).run(instance.copy())
-        assert adaptive.output == static.output
+        assert adaptive.output == reference.output
+        assert adaptive.stats.rules_compiled == len(program.rules)
         assert adaptive.stats.plan_replans >= 1
         assert adaptive.stats.estimate_drifts >= adaptive.stats.plan_replans
 
@@ -222,16 +217,6 @@ class TestFeedbackLoop:
             for entry in rule._feedback_cache.values():
                 assert entry["fanouts"]  # measured fan-outs, keyed for reuse
                 assert entry["replans"] >= 1
-
-    def test_compiled_adaptive_matches_static(self):
-        program = program_from_source(TC_PROGRAM)
-        instance = tc_instance(program)
-        static = Evaluator(program, cost_planning=False).run(instance.copy())
-        adaptive = Evaluator(program, compile=True, replan_ratio=1.0).run(
-            instance.copy()
-        )
-        assert adaptive.output == static.output
-        assert adaptive.stats.plan_replans >= 1
 
     def test_check_drift_without_counts_is_a_no_op(self):
         program = program_from_source(TC_PROGRAM)
@@ -294,24 +279,17 @@ class TestCli:
         assert "plans costed         1" in err
         assert "plan replans" in err
 
-    def test_run_static_plans_flag(self, files, capsys):
+    def test_run_naive_flag_runs_the_reference_engine(self, files, capsys):
         from repro.__main__ import main
 
         program, data = files
         assert (
-            main(
-                [
-                    "run",
-                    str(program),
-                    "--input",
-                    str(data),
-                    "--static-plans",
-                    "--stats",
-                ]
-            )
+            main(["run", str(program), "--input", str(data), "--naive", "--stats"])
             == 0
         )
-        assert "plans costed         0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "rules compiled       0" in err
+        assert "strata               0" in err
 
     def test_analyze_plans_renders_costed_plans(self, files, capsys):
         from repro.__main__ import main
