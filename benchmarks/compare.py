@@ -84,7 +84,7 @@ def skip_host_gated(
     """Drop host-gated series when the two hosts are not comparable.
 
     A series is host-gated when either file's ``__host__.backend`` names
-    it (run_all records E22/E22p there). Points are dropped — mutating
+    it (run_all records E22p there). Points are dropped — mutating
     ``old``/``new`` in place — only when both files carry a ``__host__``
     with a ``cpu_count`` and the counts differ; trajectories from the
     same host, or legacy files without metadata, compare as before.

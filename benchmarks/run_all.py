@@ -25,8 +25,7 @@ import sys
 import time
 
 #: experiment id → bench entry point, as ``module`` or ``module:function``
-#: (default function: ``main``). Two ids may share a module when one sweep
-#: produces two series (E22/E22p: thread vs process backend).
+#: (default function: ``main``).
 EXPERIMENTS = {
     "E1": "bench_instances",
     "E1b": "bench_isomorphism",
@@ -46,15 +45,14 @@ EXPERIMENTS = {
     "E19": "bench_scheduling",
     "E20": "bench_ivm",
     "E21": "bench_planner",
-    "E22": "bench_parallel",
-    "E22p": "bench_parallel:main_process",
+    "E22p": "bench_parallel",
 }
 
 #: Host-gated experiments and the executor backend their series records.
 #: Their numbers scale with the host's usable CPUs, so compare.py skips
 #: them across hosts with different CPU counts instead of warning
 #: spuriously (e.g. a 1-CPU CI runner diffed against a 4-CPU dev box).
-HOST_GATED_BACKENDS = {"E22": "thread", "E22p": "process"}
+HOST_GATED_BACKENDS = {"E22p": "process"}
 
 
 def usable_cpus() -> int:

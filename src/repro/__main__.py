@@ -212,10 +212,9 @@ def _dump_parallel(program, args: argparse.Namespace) -> int:
     """``repro analyze --parallel``: the IQL8xx parallel-safety plan.
 
     Renders the :class:`~repro.analysis.parallel.ParallelCertificate` —
-    conflict groups, partitionable rules, the stratum DAG with its
-    concurrency width, and the runtime-surface audit — plus the
-    IQL801-804 diagnostics. JSON output carries ``certified``/``clean``
-    at top level for CI gating.
+    conflict groups, partitionable rules, and the stratum DAG with its
+    concurrency width — plus the IQL801/802/804 diagnostics. JSON output
+    carries ``clean``/``width`` at top level for CI gating.
     """
     from repro.analysis import (
         build_parallel_certificate,
@@ -231,7 +230,6 @@ def _dump_parallel(program, args: argparse.Namespace) -> int:
             json.dumps(
                 {
                     "file": args.program,
-                    "certified": certificate.certified,
                     "clean": certificate.clean,
                     "width": certificate.width,
                     "certificate": certificate.to_json(),
@@ -296,15 +294,14 @@ def cmd_impact(args: argparse.Namespace) -> int:
 
 
 def _parallel_width(text: str):
-    """``--parallel`` accepts an int worker count or the word 'auto'."""
+    """``--parallel`` accepts a non-negative worker count or the word 'auto'."""
     if text == "auto":
         return "auto"
-    try:
-        return int(text)
-    except ValueError:
+    if not text.isdecimal():
         raise argparse.ArgumentTypeError(
-            f"expected an integer worker count or 'auto', got {text!r}"
-        ) from None
+            f"expected a non-negative worker count or 'auto', got {text!r}"
+        )
+    return int(text)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -327,7 +324,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         choose_mode=args.choose_mode,
         naive=args.naive,
         parallel=args.parallel,
-        backend=args.backend,
     )
     try:
         result = evaluator.run(instance)
@@ -380,8 +376,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"  strata               {stats.strata}\n"
             f"  rules skipped clean  {stats.rules_skipped_clean}\n"
             f"  schedule fallbacks   {stats.schedule_fallbacks}\n"
-            f"  parallel workers     {stats.parallel_workers}"
-            f"{' (' + stats.parallel_backend + ')' if stats.parallel_backend else ''}\n"
+            f"  parallel workers     {stats.parallel_workers}\n"
             f"  parallel strata      {stats.parallel_strata}\n"
             f"  parallel partitioned {stats.parallel_partitioned}\n"
             f"  parallel tasks       {stats.parallel_tasks}\n"
@@ -592,7 +587,7 @@ def main(argv=None) -> int:
         "--parallel",
         action="store_true",
         help="render the IQL8xx parallel-safety certificate: conflict "
-        "groups, partitionable rules, stratum DAG, runtime-surface audit",
+        "groups, partitionable rules, stratum DAG",
     )
     p_analyze.set_defaults(func=cmd_analyze)
 
@@ -647,17 +642,9 @@ def main(argv=None) -> int:
         default=0,
         metavar="N",
         help="run certified stratum batches and partitioned delta rounds "
-        "on N workers, or 'auto' for the host's usable CPUs clamped by "
-        "the certified width (serial fallback with a PreflightWarning on "
-        "any IQL801-803; ignored with --naive)",
-    )
-    p_run.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="parallel worker backend: shared-memory threads, or "
-        "shared-nothing processes with per-worker interning and "
-        "merge-time re-canonicalization (default: thread)",
+        "on N worker processes, or 'auto' for the host's usable CPUs "
+        "clamped by the certified width (serial fallback with a "
+        "PreflightWarning on any IQL801/802; ignored with --naive)",
     )
     p_run.set_defaults(func=cmd_run)
 

@@ -57,8 +57,6 @@ from repro.analysis.parallel import (
     RuleConflict,
     StagePlan,
     StratumPlan,
-    SurfaceCheck,
-    audit_runtime_surfaces,
     build_parallel_certificate,
     check_parallel_certificate,
     concurrent_batches,
@@ -100,11 +98,9 @@ __all__ = [
     "StagePlan",
     "StageSchedule",
     "StratumPlan",
-    "SurfaceCheck",
     "SymbolImpact",
     "analyze",
     "analyze_source",
-    "audit_runtime_surfaces",
     "binding_pass",
     "build_certificate",
     "build_certificates",

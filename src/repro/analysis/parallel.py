@@ -3,9 +3,9 @@
 ROADMAP item 4 (parallel evaluation) is a soundness question before it is
 an execution question: which rule firings inside a certified stage may
 run concurrently without changing the inflationary fixpoint, given
-invention, weak assignment (★), IQL* deletion, and the shared intern
-store? This module answers it the way PR 6's maintenance certificates
-answered incremental maintenance: a static pass over the per-rule effect
+invention, weak assignment (★) and IQL* deletion? This module answers
+it the way the maintenance certificates answered incremental
+maintenance: a static pass over the per-rule effect
 summaries (:mod:`repro.analysis.effects`) and the polarity-labelled
 dependency graph (:mod:`repro.analysis.depgraph`) emits a machine-
 checkable :class:`ParallelCertificate` that the multi-worker executor
@@ -31,7 +31,7 @@ Three sources of safe concurrency are certified, per scheduled stage:
 * **hash-partitioned delta rounds** of a single rule — a rule in the
   delta-staged fragment (:func:`repro.analysis.effects.delta_body`) with
   at least one relation generator can split each round's delta across
-  workers: derivations land in thread-local staging sets merged at the
+  workers: derivations land in worker-local staging sets merged at the
   round barrier, the blocking read (``value not in existing``) observes
   extents that are frozen within a round, and inflationary semantics
   makes the merge order-insensitive. Invention, weak assignment,
@@ -40,21 +40,10 @@ Three sources of safe concurrency are certified, per scheduled stage:
   instance itself) in step order, so the stratum runs serial — and runs
   *exclusively*, never concurrent with a sibling.
 
-The certificate additionally carries a **runtime-surface audit**
-(``IQL803`` on failure): the soundness argument above assumes facts
-about the execution engine that the analysis cannot see in the program —
-that a compiled kernel's only mutable capture is its ``sink_cell``
-consumer slot (:class:`repro.iql.compile.CompiledBody`; this is exactly
-why the executor compiles **per-worker kernel replicas** instead of
-sharing one kernel across partition tasks), that the instance's only
-shared mutable caches are the known constant/member caches and the
-in-place index object, and that the intern store tolerates racing
-constructions (two threads interning the same content at worst both
-build a node and structural ``__eq__`` absorbs the duplicate — the
-documented GIL argument in :mod:`repro.values.intern`). The audit
-introspects those surfaces and records the findings; if any module
-grows shared state the inventory does not know, the certificate refuses
-(``IQL803``) and the executor stays serial. Like
+The executor (:mod:`repro.iql.parexec`) runs every worker as a separate
+process over its own replica of the instance, with its own intern store
+and kernels, so the plan is the whole contract: no evaluator state is
+shared between workers. Like
 :func:`repro.analysis.maintenance.check_certificate`, the whole
 certificate is re-derivable: :func:`check_parallel_certificate` rebuilds
 the plan from the program and diffs it against the certificate, so a
@@ -70,7 +59,7 @@ the first, the executor resolves the rest at run time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.depgraph import (
     Schedule,
@@ -88,11 +77,10 @@ from repro.schema.schema import Schema
 #
 # Every stratum the certificate refuses to parallelize carries one tag
 # (possibly with detail appended after ": "). The executor treats any
-# tagged stratum as serial-and-exclusive; the IQL801-803 tags also warn.
+# tagged stratum as serial-and-exclusive; the IQL801/802 tags also warn.
 
 FALLBACK_CONFLICTS = "IQL801 rule conflicts serialize the stratum"
 FALLBACK_HAZARD = "IQL802 partition hazard"
-FALLBACK_AUDIT = "IQL803 runtime-surface audit failed"
 FALLBACK_UNSCHEDULED = "unscheduled stage"
 FALLBACK_SINGLETON = "single serial unit"  # informational: nothing to split
 
@@ -239,10 +227,11 @@ def concurrent_batches(stage: "StagePlan") -> List[Tuple[int, ...]]:
 
     * a hazard stratum (IQL801/IQL802 fallback) runs in a batch of its
       own — serial *and* exclusive,
-    * at most one class-extent/plane-writing stratum per batch: the
-      ``_class_of`` disjointness check in ``Instance.add_class_member``
-      is check-then-act, so two threads placing oids into classes could
-      race past an error serial evaluation would raise.
+    * at most one class-extent/plane-writing stratum per batch: each
+      worker runs the ``_class_of`` disjointness check of
+      ``Instance.add_class_member`` against its own replica only, so two
+      class writers in one batch could each pass a check that serial
+      evaluation fails.
     """
     batches: List[Tuple[int, ...]] = []
     for level in stage.levels:
@@ -263,278 +252,6 @@ def concurrent_batches(stage: "StagePlan") -> List[Tuple[int, ...]]:
     return batches
 
 
-# -- the runtime-surface audit -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SurfaceCheck:
-    """One audited runtime surface: the assumption the certificate makes
-    and whether introspection confirms it holds."""
-
-    surface: str
-    requirement: str
-    holds: bool
-    detail: str
-
-    def to_json(self) -> dict:
-        return {
-            "surface": self.surface,
-            "requirement": self.requirement,
-            "holds": self.holds,
-            "detail": self.detail,
-        }
-
-
-#: The capture inventory of a compiled kernel. ``sink_cell`` is the one
-#: *mutable* capture (execute() writes the consumer into it), which is
-#: why partition workers get per-worker kernel replicas; every other
-#: slot is set once at compile time. A slot this tuple does not name
-#: means compile.py grew a capture the parallel argument never examined.
-_COMPILED_BODY_SLOTS = (
-    "slot_vars", "slot_index", "entry", "sink_cell", "instance", "indexes",
-)
-
-#: Instance growth mutators the soundness argument covers (all additions
-#: stage through these; concurrent strata write disjoint symbols, so
-#: per-symbol containers never race) ...
-_INSTANCE_MUTATORS = (
-    "add_relation_member", "add_class_member", "add_set_element", "assign",
-)
-
-#: ... and the shared state they touch. ``schema``/``relations``/
-#: ``classes``/``nu`` are the extents themselves (disjoint write symbols
-#: ⇒ disjoint containers); ``_indexes`` is maintained in place per
-#: (container, attribute) bucket; the constant/member caches race
-#: benignly (idempotent, GIL-atomic dict/set ops). ``_class_of`` is the
-#: class-disjointness map and its check-then-act in
-#: ``add_class_member`` is NOT race-free across classes — which is why
-#: the certificate schedules at most one class-extent-writing stratum
-#: per concurrent batch (see :func:`concurrent_batches`). Any *other*
-#: slot on Instance is shared state the audit has not reasoned about.
-_INSTANCE_SLOTS = (
-    "schema", "relations", "classes", "nu",
-    "_class_of", "_indexes", "_constants_cache", "_sorted_constants",
-    "_member_cache",
-)
-
-#: The intern store's layout. The store is process-global and lock-free
-#: by design: racing constructions of the same content both build a node
-#: and the structural __eq__ fallback absorbs the duplicate (the
-#: documented GIL argument in repro.values.intern); the hit/miss/sweep
-#: counters race benignly. A changed layout (say, a sweep mark moved
-#: into a non-atomic invariant) voids that argument until re-audited.
-_INTERN_STORE_SLOTS = (
-    "tuples", "sets", "hits", "misses", "eq_fast_paths",
-    "tuples_mark", "sets_mark",
-)
-
-
-#: What crosses a process boundary when an Instance is shipped to a
-#: worker: the five semantic slots, nothing else. The coordinator-local
-#: caches (``_indexes``, ``_constants_cache``, ``_sorted_constants``,
-#: ``_member_cache``) must NOT cross — a worker observing the
-#: coordinator's constants cache or lazy index registry would couple the
-#: two processes through state the shared-nothing argument says they do
-#: not share (and the caches capture interned nodes of the *wrong*
-#: store). ``Instance.__setstate__`` rebuilds them cold on the receiver.
-_INSTANCE_PICKLED_SLOTS = ("schema", "relations", "classes", "nu", "_class_of")
-
-
-def audit_runtime_surfaces(
-    compile_module: Any = None,
-    intern_module: Any = None,
-    instance_type: Any = None,
-    backend: str = "thread",
-    values_module: Any = None,
-    rule_type: Any = None,
-) -> Tuple[SurfaceCheck, ...]:
-    """Introspect the runtime surfaces the parallel argument assumes.
-
-    The parameters exist for tests: injecting a stub module with a
-    drifted surface must flip the corresponding check to ``holds=False``
-    (and thereby the certificate to IQL803 serial fallback). By default
-    the real modules are audited. With ``backend="process"`` the audit
-    additionally covers the serialization surfaces the shared-nothing
-    executor rides on — the interned-unpickling channel of the value
-    types, the cache-free pickled state of instances and rules, and the
-    spawn-safe worker entry point.
-    """
-    if compile_module is None:
-        from repro.iql import compile as compile_module  # noqa: PLC0415
-    if intern_module is None:
-        from repro.values import intern as intern_module  # noqa: PLC0415
-    if instance_type is None:
-        from repro.schema.instance import Instance as instance_type  # noqa: PLC0415
-
-    checks: List[SurfaceCheck] = []
-
-    def check(surface: str, requirement: str, holds: bool, detail: str) -> None:
-        checks.append(SurfaceCheck(surface, requirement, holds, detail))
-
-    # 1. Compiled-kernel captures: the closure inventory must be exactly
-    # the audited one, with sink_cell the lone mutable capture.
-    body = getattr(compile_module, "CompiledBody", None)
-    slots = tuple(getattr(body, "__slots__", ())) if body is not None else ()
-    check(
-        "compile.CompiledBody captures",
-        "closure captures are exactly the audited inventory; sink_cell is "
-        "the only per-execution mutable slot, so kernels are replicated "
-        "per worker and never shared across threads",
-        slots == _COMPILED_BODY_SLOTS and "sink_cell" in slots,
-        f"slots={list(slots)}",
-    )
-    # 2. Kernel-instance affinity: replicas are validated against the
-    # live instance (and its in-place index object) before every round.
-    check(
-        "compile.CompiledBody.valid_for",
-        "kernels pin the captured extension sets and index buckets by "
-        "identity, so a stale replica is detected, not silently wrong",
-        callable(getattr(body, "valid_for", None)),
-        "valid_for present" if hasattr(body, "valid_for") else "valid_for missing",
-    )
-    # 3. The replica entry point the executor compiles workers through.
-    check(
-        "compile.compile_seminaive",
-        "per-worker kernel replicas can be compiled directly, bypassing "
-        "the shared per-rule kernel cache",
-        callable(getattr(compile_module, "compile_seminaive", None)),
-        "compile_seminaive present"
-        if callable(getattr(compile_module, "compile_seminaive", None))
-        else "compile_seminaive missing",
-    )
-    # 4. Instance mutators and shared caches.
-    mutators_ok = all(callable(getattr(instance_type, m, None)) for m in _INSTANCE_MUTATORS)
-    check(
-        "schema.Instance mutators",
-        "all growth goes through the audited mutators, so concurrent "
-        "strata with disjoint write symbols never mutate one container",
-        mutators_ok,
-        f"mutators={[m for m in _INSTANCE_MUTATORS if callable(getattr(instance_type, m, None))]}",
-    )
-    islots = tuple(getattr(instance_type, "__slots__", ()))
-    unknown = [s for s in islots if s not in _INSTANCE_SLOTS]
-    check(
-        "schema.Instance shared state",
-        "every slot is in the audited inventory: extents split by write "
-        "symbol, in-place per-bucket index maintenance, benign idempotent "
-        "cache races, and the _class_of disjointness map whose "
-        "check-then-act is covered by one-class-writer-per-batch "
-        "scheduling",
-        islots == _INSTANCE_SLOTS,
-        f"slots={list(islots)}; unaudited={unknown}",
-    )
-    # 5. The intern store's lock-free sharing discipline.
-    store = getattr(intern_module, "InternStore", None)
-    sslots = tuple(getattr(store, "__slots__", ())) if store is not None else ()
-    intern_ok = (
-        sslots == _INTERN_STORE_SLOTS
-        and getattr(intern_module, "STORE", None) is not None
-    )
-    check(
-        "values.intern shared store",
-        "the process-global store stays lock-free-safe: racing interns of "
-        "equal content at worst both build a node and structural equality "
-        "absorbs the duplicate; layout drift voids the argument",
-        intern_ok,
-        f"InternStore slots={list(sslots)}",
-    )
-
-    if backend == "process":
-        if values_module is None:
-            from repro.values import ovalues as values_module  # noqa: PLC0415
-        if rule_type is None:
-            from repro.iql.rules import Rule as rule_type  # noqa: PLC0415
-
-        # 6. The merge-time re-canonicalization channel: every value
-        # type must unpickle *through interned construction* (its own
-        # __reduce__, not the default protocol), and oids must resolve
-        # through the serial registry so identity survives the round
-        # trip. Without this, a fact returned by a worker would be a
-        # structural twin outside the coordinator's store — breaking the
-        # is-based fast paths the rest of the engine leans on.
-        reduces = True
-        for name in ("Oid", "OTuple", "OSet"):
-            cls = getattr(values_module, name, None)
-            if cls is None or "__reduce__" not in vars(cls):
-                reduces = False
-        registry_ok = (
-            getattr(values_module, "_OID_REGISTRY", None) is not None
-            and callable(getattr(values_module, "_oid_from_wire", None))
-            and callable(getattr(values_module, "reintern", None))
-        )
-        check(
-            "values pickling re-interns",
-            "Oid/OTuple/OSet define __reduce__ rebuilding through interned "
-            "construction, with oid identity resolved via the serial "
-            "registry — decoded worker facts ARE the coordinator's "
-            "canonical nodes",
-            reduces and registry_ok,
-            f"__reduce__ on all value types={reduces}, "
-            f"registry+reintern={registry_ok}",
-        )
-        # 7. Shipped instance state is the five semantic slots only —
-        # process workers must never observe the coordinator's constants
-        # cache or lazy index registry.
-        state_ok = False
-        detail = "Instance.__getstate__ missing"
-        if "__getstate__" in vars(instance_type) and "__setstate__" in vars(
-            instance_type
-        ):
-            try:
-                sample = instance_type(Schema(relations={}, classes={}))
-                state = sample.__getstate__()
-                state_ok = (
-                    isinstance(state, tuple)
-                    and len(state) == len(_INSTANCE_PICKLED_SLOTS)
-                )
-                detail = f"pickled state arity={len(state)}"
-            except Exception as exc:  # pragma: no cover - defensive
-                detail = f"__getstate__ probe failed: {exc}"
-        check(
-            "schema.Instance pickled state",
-            "shipped state is exactly (schema, relations, classes, nu, "
-            "_class_of); coordinator-local caches (_indexes, "
-            "_constants_cache, _sorted_constants, _member_cache) never "
-            "cross the boundary and rebuild cold on the worker",
-            state_ok,
-            detail,
-        )
-        # 8. Rules ship syntax-only: plan/kernel/feedback caches capture
-        # one process's instance sets and must not cross.
-        rule_ok = "__getstate__" in vars(rule_type) and "__setstate__" in vars(
-            rule_type
-        )
-        check(
-            "iql.Rule pickled state",
-            "rules pickle their syntax only, never the evaluation caches "
-            "(plans and kernels capture one process's extents)",
-            rule_ok,
-            "cache-dropping __getstate__/__setstate__ present"
-            if rule_ok
-            else "Rule pickles its caches",
-        )
-        # 9. The worker entry point and the fact-batch wire codec.
-        try:
-            from repro import io as io_module  # noqa: PLC0415
-            from repro.iql import parexec as parexec_module  # noqa: PLC0415
-
-            entry_ok = callable(
-                getattr(parexec_module, "_pool_worker_main", None)
-            ) and callable(getattr(io_module, "batch_to_wire", None)) and callable(
-                getattr(io_module, "batch_from_wire", None)
-            )
-        except ImportError:  # pragma: no cover - broken install
-            entry_ok = False
-        check(
-            "parexec process worker entry",
-            "the worker main is a module-level importable (spawn-safe) and "
-            "the io wire codec for fact batches is present",
-            entry_ok,
-            "entry+codec present" if entry_ok else "entry or codec missing",
-        )
-    return tuple(checks)
-
-
 # -- the certificate -----------------------------------------------------------------
 
 
@@ -542,31 +259,13 @@ def audit_runtime_surfaces(
 class ParallelCertificate:
     """The whole program's parallel plan, machine-checkable.
 
-    ``certified`` means the runtime-surface audit passed; only then may
-    an executor use *any* concurrency, and then only the per-stratum
-    plans marked safe. :func:`check_parallel_certificate` re-derives the
-    plan from the program and diffs, so tampering (or analysis/runtime
-    drift since the certificate was built) is caught before execution.
+    An executor may use only the concurrency of the per-stratum plans
+    marked safe. :func:`check_parallel_certificate` re-derives the plan
+    from the program and diffs, so tampering (or analysis drift since
+    the certificate was built) is caught before execution.
     """
 
     stages: Tuple[StagePlan, ...]
-    audit: Tuple[SurfaceCheck, ...]
-    #: The execution backend the audit covered: "thread" certifies the
-    #: shared-memory argument only; "process" additionally certifies the
-    #: serialization surfaces (interned unpickling, cache-free shipped
-    #: state, spawn-safe worker entry). A certificate is only good for
-    #: the backend it names.
-    backend: str = "thread"
-
-    @property
-    def audit_failures(self) -> Tuple[str, ...]:
-        return tuple(
-            f"{c.surface}: {c.detail}" for c in self.audit if not c.holds
-        )
-
-    @property
-    def certified(self) -> bool:
-        return not self.audit_failures
 
     @property
     def width(self) -> int:
@@ -575,22 +274,18 @@ class ParallelCertificate:
 
     @property
     def clean(self) -> bool:
-        """No IQL801-803 anywhere: every stage scheduled, every stratum
-        parallel-safe, audit green — the whole program may parallelize."""
-        return self.certified and all(
+        """No IQL801/802 anywhere: every stage scheduled and every stratum
+        parallel-safe — the whole program may parallelize."""
+        return all(
             stage.scheduled and all(s.fallback is None for s in stage.strata)
             for stage in self.stages
         )
 
     def to_json(self) -> dict:
         return {
-            "certified": self.certified,
             "clean": self.clean,
             "width": self.width,
-            "backend": self.backend,
             "stages": [s.to_json() for s in self.stages],
-            "audit": [c.to_json() for c in self.audit],
-            "audit_failures": list(self.audit_failures),
         }
 
 
@@ -870,24 +565,17 @@ def build_parallel_certificate(
     schema: Optional[Schema] = None,
     graphs: Optional[List[StageGraph]] = None,
     schedule: Optional[Schedule] = None,
-    audit: Optional[Tuple[SurfaceCheck, ...]] = None,
-    backend: str = "thread",
 ) -> ParallelCertificate:
     """The parallel certificate of ``program``.
 
     ``graphs``/``schedule`` may be supplied to share work with the other
-    analysis passes; ``audit`` exists for tests that inject a failing
-    surface check. ``backend`` selects the runtime-surface inventory the
-    audit must cover (the process backend audits the serialization
-    surfaces on top of the shared-memory ones).
+    analysis passes.
     """
     schema = schema if schema is not None else program.schema
     if graphs is None:
         graphs = program_graphs(program, schema)
     if schedule is None:
         schedule = compute_schedule(program, schema)
-    if audit is None:
-        audit = audit_runtime_surfaces(backend=backend)
     stages = tuple(
         _stage_plan(
             graph,
@@ -897,7 +585,7 @@ def build_parallel_certificate(
         )
         for graph in graphs
     )
-    return ParallelCertificate(stages=stages, audit=audit, backend=backend)
+    return ParallelCertificate(stages=stages)
 
 
 # -- checking and validating ---------------------------------------------------------
@@ -915,39 +603,14 @@ def check_parallel_certificate(
     the plan is rebuilt from the program and diffed structurally — plus
     targeted internal-consistency checks with better messages for the
     common tamper shapes (a hazard stratum promoted to safe, a group
-    split across a conflict, a forged audit).
+    split across a conflict).
     """
     schema = schema if schema is not None else program.schema
     violations: List[str] = []
 
-    if certificate.backend not in ("thread", "process"):
-        violations.append(
-            f"certificate names unknown backend {certificate.backend!r}"
-        )
-        return violations
-
-    # The audit must hold *now*, not just when the certificate was
-    # built — for the backend the certificate actually names.
-    live_audit = audit_runtime_surfaces(backend=certificate.backend)
-    for check in live_audit:
-        if not check.holds:
-            violations.append(
-                f"runtime-surface audit fails: {check.surface} — {check.detail}"
-            )
-    recorded_failures = set(certificate.audit_failures)
-    live_failures = {f"{c.surface}: {c.detail}" for c in live_audit if not c.holds}
-    if recorded_failures != live_failures and not live_failures:
-        if recorded_failures:
-            violations.append(
-                "certificate records audit failures the live audit does not "
-                "reproduce — stale or tampered audit section"
-            )
-
     # Structural re-derivation: the plan must equal what the program
     # yields today (same analysis version, same program).
-    rebuilt = build_parallel_certificate(
-        program, schema, audit=certificate.audit, backend=certificate.backend
-    )
+    rebuilt = build_parallel_certificate(program, schema)
     if len(rebuilt.stages) != len(certificate.stages):
         violations.append(
             f"stage count mismatch: certificate has {len(certificate.stages)}, "
@@ -1030,14 +693,12 @@ def parallel_pass(
     schema: Optional[Schema] = None,
     certificate: Optional[ParallelCertificate] = None,
 ) -> List[Diagnostic]:
-    """IQL801-804 diagnostics from the parallel certificate.
+    """IQL801, IQL802 and IQL804 diagnostics from the parallel certificate.
 
     * ``IQL801`` — conflicts fuse a multi-rule stratum into one group
       with no partitionable delta: the stratum stays serial,
     * ``IQL802`` — a partition hazard (invention, ★, deletion, choose)
       forces its stratum (or unscheduled stage) serial-and-exclusive,
-    * ``IQL803`` — the runtime-surface audit failed: no concurrency at
-      all until the surface inventory is re-audited,
     * ``IQL804`` — info: the certified concurrency width of each stage
       that admits any parallelism.
     """
@@ -1045,15 +706,6 @@ def parallel_pass(
     if certificate is None:
         certificate = build_parallel_certificate(program, schema)
     out: List[Diagnostic] = []
-
-    for failure in certificate.audit_failures:
-        out.append(
-            diagnostic(
-                "IQL803",
-                f"parallel execution disabled: runtime-surface audit failed "
-                f"— {failure}",
-            )
-        )
 
     for stage in certificate.stages:
         stage_no = stage.index + 1
@@ -1111,14 +763,9 @@ def render_parallel_text(certificate: ParallelCertificate) -> str:
     """The ``repro analyze --parallel`` text listing."""
     lines: List[str] = []
     lines.append(
-        f"parallel certificate: "
-        f"{'certified' if certificate.certified else 'AUDIT FAILED'}, "
-        f"width {certificate.width}, backend {certificate.backend}"
+        f"parallel certificate: width {certificate.width}"
         f"{', clean' if certificate.clean else ''}"
     )
-    for check in certificate.audit:
-        mark = "ok" if check.holds else "FAIL"
-        lines.append(f"  audit [{mark}] {check.surface}: {check.detail}")
     for stage in certificate.stages:
         if not stage.scheduled:
             lines.append(

@@ -107,7 +107,6 @@ CODES: Dict[str, Tuple[str, str]] = {
     "IQL704": (INFO, "bounded update cone: only the listed strata need re-running"),
     "IQL801": (WARNING, "rule conflict: read/write overlap serializes the stratum"),
     "IQL802": (WARNING, "partition hazard: invention/★/deletion/choose is order-sensitive"),
-    "IQL803": (WARNING, "shared-state capture: a runtime surface breaks the parallel audit"),
     "IQL804": (INFO, "bounded parallelism: the certified concurrency width of a stage"),
 }
 

@@ -130,15 +130,13 @@ class EvaluationStats:
     rederived: int = 0
     maintenance_fallbacks: int = 0
     # Certified parallel execution (Evaluator(parallel=N), repro.iql.parexec):
-    # the pool size used, the driver backend ("thread" or "process"),
-    # strata run on concurrent workers, strata run with partitioned delta
-    # rounds, worker tasks submitted, and strata the certificate forced
-    # back to serial (IQL801/802 fallbacks seen at run time). NOTE: when
-    # workers run concurrently, counters shared with the compiler
-    # (rules_compiled, compile_time) can under-count — they are
-    # observability, not semantics.
+    # the worker-process pool size used, strata run on concurrent workers,
+    # strata run with partitioned delta rounds, worker tasks submitted,
+    # and strata the certificate forced back to serial (IQL801/802
+    # fallbacks seen at run time). Worker stats are folded in at each
+    # batch barrier, but the compile counters (rules_compiled,
+    # compile_time) cover the coordinator's own compiles only.
     parallel_workers: int = 0
-    parallel_backend: str = ""
     parallel_strata: int = 0
     parallel_partitioned: int = 0
     parallel_tasks: int = 0
@@ -194,9 +192,10 @@ class Evaluator:
       against. ``trace=True`` runs this same engine, since its γ1 steps
       are what the trace events describe.
 
-    ``parallel``/``backend`` run the production engine's certified
-    stratum batches and partitioned delta rounds on a worker pool (see
-    :mod:`repro.iql.parexec`); they are ignored by the reference engine.
+    ``parallel`` runs the production engine's certified stratum batches
+    and partitioned delta rounds on a persistent pool of worker
+    processes (see :mod:`repro.iql.parexec`); the reference engine
+    ignores it. :meth:`close` retires the pool.
 
     ``choose_mode`` controls the genericity discipline of IQL+:
 
@@ -223,12 +222,9 @@ class Evaluator:
         preflight: bool = False,
         replan_ratio: float = 10.0,
         parallel: Union[int, str] = 0,
-        backend: str = "thread",
     ):
         if choose_mode not in ("verify", "trusted", "nondeterministic"):
             raise EvaluationError(f"unknown choose_mode {choose_mode!r}")
-        if backend not in ("thread", "process"):
-            raise EvaluationError(f"unknown parallel backend {backend!r}")
         self.program = program
         if preflight:
             self._preflight(program)
@@ -243,14 +239,13 @@ class Evaluator:
         # are replanned between rounds. Join order never affects the
         # solution set, only speed.
         self.replan_ratio = replan_ratio
-        self.backend = backend
         auto_width = isinstance(parallel, str)
-        if parallel and not self.naive:
+        workers = 0
+        if parallel:
             from repro.iql.parexec import worker_count
 
-            self.parallel = worker_count(parallel)
-        else:
-            self.parallel = 0
+            workers = worker_count(parallel)
+        self.parallel = 0 if self.naive else workers
         self._schedule = None
         self._compiler = None
         if not self.naive:
@@ -271,13 +266,12 @@ class Evaluator:
                     )
             self._compiler = RuleCompiler(self.limits.enumeration_budget)
         # The IQL8xx gate: parallel execution happens only under a
-        # validated ParallelCertificate. A failed audit or a tampered
-        # certificate disables the pool outright; per-stratum IQL801/802
-        # hazards stay in the certificate and fall back serial at run
-        # time, each announced here as a PreflightWarning (the IQL601
-        # pattern above).
+        # validated ParallelCertificate. A tampered certificate disables
+        # the pool outright; per-stratum IQL801/802 hazards stay in the
+        # certificate and fall back serial at run time, each announced
+        # here as a PreflightWarning (the IQL601 pattern above).
         self._parallel_certificate = None
-        self._driver = None  # persistent pool (process backend), lazily built
+        self._driver = None  # the persistent process pool, built on first use
         if self.parallel:
             import warnings
 
@@ -288,12 +282,10 @@ class Evaluator:
                 validate_parallel_certificate,
             )
 
-            certificate = build_parallel_certificate(
-                program, schedule=self._schedule, backend=self.backend
-            )
+            certificate = build_parallel_certificate(program, schedule=self._schedule)
             violations = validate_parallel_certificate(program, certificate)
             for diag in parallel_pass(program, certificate=certificate):
-                if diag.code in ("IQL801", "IQL802", "IQL803"):
+                if diag.code in ("IQL801", "IQL802"):
                     warnings.warn(
                         f"{diag.code}: {diag.message} — serial fallback",
                         PreflightWarning,
@@ -306,7 +298,7 @@ class Evaluator:
                         PreflightWarning,
                         stacklevel=3,
                     )
-            elif certificate.certified:
+            else:
                 self._parallel_certificate = certificate
                 if auto_width:
                     # IQL804: workers beyond the certified width idle.
@@ -357,9 +349,12 @@ class Evaluator:
         hits0, misses0, fast0 = intern.counters()
         driver = None
         if self._parallel_certificate is not None and self.parallel > 1:
-            driver = self._acquire_driver()
+            if self._driver is None:
+                from repro.iql.parexec import ProcessDriver
+
+                self._driver = ProcessDriver(self, self.parallel)
+            driver = self._driver
             stats.parallel_workers = self.parallel
-            stats.parallel_backend = self.backend
         try:
             for index, stage in enumerate(self.program.stages):
                 plan = self._schedule.stages[index] if self._schedule else None
@@ -382,9 +377,11 @@ class Evaluator:
                             stats.parallel_fallbacks += 1
                     self._run_stage(working, list(stage), stats)
             output = working.project(self.program.output_schema)
-        finally:
-            if driver is not None:
-                driver.release()
+        except BaseException:
+            # A failed episode can leave a dead worker, or replies nobody
+            # read, in the pool: retire it so the next run builds a fresh one.
+            self.close()
+            raise
         hits1, misses1, fast1 = intern.counters()
         stats.intern_hits = hits1 - hits0
         stats.intern_misses = misses1 - misses0
@@ -661,18 +658,6 @@ class Evaluator:
                 break
         return steps_total
 
-    def _acquire_driver(self):
-        """The run's parallel driver: per-run thread pool, or the
-        Evaluator's persistent process pool (built on first use — the
-        program and options cross to the workers once, here)."""
-        from repro.iql.parexec import create_driver
-
-        if self.backend == "process":
-            if self._driver is None:
-                self._driver = create_driver("process", self, self.parallel)
-            return self._driver
-        return create_driver("thread", self, self.parallel)
-
     def close(self) -> None:
         """Tear down the persistent process worker pool, if any.
 
@@ -702,10 +687,8 @@ class Evaluator:
         per-task stats merged at the barrier); a singleton batch whose
         stratum is certified-partitionable runs split delta rounds; every
         other singleton — hazard strata included — runs the plain serial
-        path, counted as a parallel fallback. Whether a worker is a
-        thread over the shared instance or a process over a shipped
-        replica is entirely the ``driver``'s concern
-        (:func:`repro.iql.parexec.create_driver`).
+        path, counted as a parallel fallback. Each worker is a process
+        over a shipped replica (:class:`repro.iql.parexec.ProcessDriver`).
         """
         from repro.analysis.parallel import concurrent_batches
         from repro.iql.seminaive import stage_eligible

@@ -111,14 +111,8 @@ class InstanceIndexes:
     # -- incremental maintenance (called by the Instance mutators) ---------------
 
     def on_add_relation_member(self, name: str, value: OValue) -> None:
-        # Snapshot the registry: under certified concurrency
-        # (Evaluator(parallel=N)) another worker may lazily *create* an
-        # index while this one maintains its own relation's buckets. The
-        # snapshot is complete for ``name`` — an index on ``name`` is only
-        # ever created by a stratum that reads it, and the certificate
-        # never batches a reader concurrently with this writer.
         if isinstance(value, OTuple):
-            for (rname, attr), index in list(self._relation_attr.items()):
+            for (rname, attr), index in self._relation_attr.items():
                 if rname == name and attr in value:
                     index.setdefault(value[attr], set()).add(value)
 

@@ -3,60 +3,49 @@
 This module is the *load-bearing* half of the IQL8xx analysis
 (:mod:`repro.analysis.parallel`): the evaluator executes exactly the
 concurrency the :class:`~repro.analysis.parallel.ParallelCertificate`
-certifies and nothing more, through one of two drivers behind a common
-interface (:func:`create_driver`):
+certifies and nothing more, on one executor, :class:`ProcessDriver` —
+shared-nothing ``multiprocessing`` workers (fork where available,
+spawn-safe otherwise), one persistent pool per
+:class:`~repro.iql.evaluator.Evaluator`. The program crosses once at
+pool creation; each episode ships the instance state, and within an
+episode only fact deltas cross, in the compact node-table wire encoding
+of :mod:`repro.io`. Every worker runs its own process-local hash-consing
+store, compiles its own kernel replica against its own instance replica,
+and the coordinator merges returned facts by **re-canonicalizing** them
+into its own store — `Oid`/`OTuple`/`OSet` unpickle through interned
+construction (their ``__reduce__``), so a fact coming back from a worker
+IS the coordinator's canonical node and oid identity survives the round
+trip. This is sound precisely because certified-parallel strata are
+hazard-free: workers never invent oids, never weak-assign, never delete
+— they only derive memberships over identities the coordinator already
+owns.
 
-* :class:`ThreadDriver` — the PR-9 thread pool. Workers share the
-  coordinator's instance: concurrent strata write disjoint symbols
-  (certificate condition), partitioned delta rounds read frozen extents
-  and stage derivations in thread-local buckets merged at the round
-  barrier. Cheap to start, but the GIL serializes rule firings; it wins
-  exactly where rounds release the GIL or coordination dominates.
-* :class:`ProcessDriver` — shared-nothing ``multiprocessing`` workers
-  (fork where available, spawn-safe otherwise), one persistent pool per
-  :class:`~repro.iql.evaluator.Evaluator`. The program crosses once at
-  pool creation; each episode ships the instance state, and within an
-  episode only fact deltas cross, in the compact node-table wire
-  encoding of :mod:`repro.io`. Every worker runs its own process-local
-  hash-consing store, compiles its own kernel replicas against its own
-  instance replica, and the coordinator merges returned facts by
-  **re-canonicalizing** them into its own store — `Oid`/`OTuple`/`OSet`
-  unpickle through interned construction (their ``__reduce__``), so a
-  fact coming back from a worker IS the coordinator's canonical node and
-  oid identity survives the round trip. This is sound precisely because
-  certified-parallel strata are hazard-free: workers never invent oids,
-  never weak-assign, never delete — they only derive memberships over
-  identities the coordinator already owns.
+The pool runs two kinds of work:
 
-Two mechanisms are common to both drivers:
-
-* **stat merging** for concurrent strata — each worker task evaluates
-  its stratum with a private :class:`EvaluationStats`, folded into the
-  run's stats at the batch barrier. Counters are additive; nothing in a
-  worker reads another worker's stats,
+* **concurrent strata** — each worker task evaluates its stratum with a
+  private :class:`EvaluationStats`, folded into the run's stats at the
+  batch barrier (:func:`merge_stats`). Counters are additive; nothing in
+  a worker reads another worker's stats,
 * **partitioned delta rounds** for a single certified-partitionable
   stratum — the semi-naive round loop of
   :func:`repro.iql.seminaive.run_stage_seminaive`, with each round's
-  delta split round-robin across workers. Every worker drives its own
-  **kernel replica set** compiled through
+  delta split round-robin across workers (:func:`drive_share`). Every
+  process drives its own **kernel replica** compiled through
   :func:`repro.iql.compile.compile_seminaive` directly (bypassing the
-  shared per-rule kernel cache): a compiled body's ``sink_cell`` is a
-  per-execution mutable slot, so one kernel must never be driven by two
-  executors — this is precisely the surface the certificate's IQL803
-  audit pins down. The blocking check ``value not in existing`` is
-  round-stable (extents are frozen within a round — certificate
+  per-rule kernel cache). The blocking check ``value not in existing``
+  is round-stable (extents are frozen within a round — certificate
   condition (b)), derivations land in worker-local buckets, and the
   coordinator alone applies the merge, so inflationary semantics makes
   the merge order-insensitive.
 
-Rounds below the driver's partition threshold run inline on the
-coordinator — task (or serialization) overhead would dominate; the
-process driver defers the corresponding delta sync until the next driven
-round so small rounds cost no round trips at all. The adaptive
-replanner's mid-fixpoint drift check is disabled in partitioned rounds
-(replicas are compiled once per stratum); the round-0 full solve also
-runs on the coordinator, so partitioning pays off exactly where
-recursion does: in the delta rounds.
+Rounds below :data:`PROCESS_PARTITION_THRESHOLD` run inline on the
+coordinator — serialization overhead would dominate — and the
+corresponding delta sync is deferred until the next driven round, so
+small rounds cost no round trips at all. The adaptive replanner's
+mid-fixpoint drift check is disabled in partitioned rounds (replicas are
+compiled once per stratum); the round-0 full solve also runs on the
+coordinator, so partitioning pays off exactly where recursion does: in
+the delta rounds.
 """
 
 from __future__ import annotations
@@ -74,24 +63,20 @@ from repro.iql.rules import Rule
 from repro.schema.instance import Instance
 from repro.values.ovalues import Oid, OSet, OValue
 
-#: Minimum facts in a round's delta before splitting beats task overhead
-#: (thread driver: the task is a pool submit).
-PARTITION_THRESHOLD = 64
-
-#: The process driver's threshold: a split round costs a serialization
-#: and an IPC round trip per worker, so it must be much fatter than the
-#: thread threshold to pay off; thinner rounds run inline on the
-#: coordinator and only their deltas are buffered for the workers.
+#: Minimum facts in a round's delta before splitting it across the pool
+#: pays: a split round costs a serialization and an IPC round trip per
+#: worker, so thinner rounds run inline on the coordinator and only their
+#: deltas are buffered for the workers.
 PROCESS_PARTITION_THRESHOLD = 256
 
 
 def worker_count(requested: Any) -> int:
-    """Resolve a worker-count request to a concrete positive int.
+    """Resolve a worker-count request to a concrete non-negative int.
 
-    ``"auto"`` (or any falsy value) resolves to the host's usable CPUs —
-    the scheduling affinity mask where the platform has one, so a
-    container pinned to 2 of 64 cores gets 2. The IQL804 width clamp is
-    applied by the caller (the certificate is not known here).
+    ``"auto"`` resolves to the host's usable CPUs — the scheduling
+    affinity mask where the platform has one, so a container pinned to 2
+    of 64 cores gets 2. A negative count is an error. The IQL804 width
+    clamp is applied by the caller (the certificate is not known here).
     """
     if isinstance(requested, str):
         if requested != "auto":
@@ -100,7 +85,10 @@ def worker_count(requested: Any) -> int:
             return len(os.sched_getaffinity(0)) or 1
         except AttributeError:  # pragma: no cover - non-Linux hosts
             return os.cpu_count() or 1
-    return int(requested)
+    count = int(requested)
+    if count < 0:
+        raise EvaluationError(f"negative parallel worker count {count}")
+    return count
 
 
 def merge_stats(target, source) -> None:
@@ -126,36 +114,37 @@ def merge_stats(target, source) -> None:
             getattr(target, field.name).extend(value)
 
 
-def compile_replicas(
+def compile_replica(
     rules: Sequence[Rule],
-    shapes: Dict[int, DeltaBody],
     instance: Instance,
-    workers: int,
     enumeration_budget: int,
-) -> Optional[List[Dict[int, SeminaiveKernels]]]:
-    """One full kernel set per worker, or None if any rule won't compile.
+) -> Optional[Tuple[Dict[int, DeltaBody], Dict[int, SeminaiveKernels]]]:
+    """Every rule's delta shape and semi-naive kernels, or None if any
+    rule falls outside the compiled delta fragment.
 
-    Compiled on the coordinator *before* any concurrency (the per-rule
-    plan caches are not thread-safe), through
-    :func:`~repro.iql.compile.compile_seminaive` directly so each worker
-    owns its kernels' ``sink_cell`` slots outright. Every delta position
-    is forced through the lazy accessor here, so no worker ever compiles.
+    Compiled through :func:`~repro.iql.compile.compile_seminaive`
+    directly, so the replica owns its kernels' ``sink_cell`` slots
+    outright. Every delta position is forced through the lazy accessor
+    here, so :func:`drive_share` never compiles.
     """
-    replicas: List[Dict[int, SeminaiveKernels]] = []
+    shapes: Dict[int, DeltaBody] = {}
+    for index, rule in enumerate(rules):
+        shape = delta_body(rule, instance.schema)
+        if shape is None:
+            return None
+        shapes[index] = shape
     try:
-        for _ in range(workers):
-            kernels = {
-                index: compile_seminaive(rule, instance, enumeration_budget)
-                for index, rule in enumerate(rules)
-            }
-            for index, compiled in kernels.items():
-                for position in shapes[index].relation_positions:
-                    if compiled.delta(position) is None:
-                        return None
-            replicas.append(kernels)
+        kernels = {
+            index: compile_seminaive(rule, instance, enumeration_budget)
+            for index, rule in enumerate(rules)
+        }
+        for index, compiled in kernels.items():
+            for position in shapes[index].relation_positions:
+                if compiled.delta(position) is None:
+                    return None
     except CompileFallback:
         return None
-    return replicas
+    return shapes, kernels
 
 
 def drive_share(
@@ -167,13 +156,13 @@ def drive_share(
     stride: int,
     delta_lists: Dict[str, list],
 ) -> Tuple[Dict[str, Set[OValue]], int]:
-    """One worker's share of a delta round, against one kernel replica set.
+    """One worker's share of a delta round, against one kernel replica.
 
     Positions are matched against every ``stride``-th delta fact starting
     at ``worker``; derived values land in worker-local buckets. The
     blocking read (``value not in existing``) observes ``instance``'s
-    extents, which both drivers keep frozen (thread: barrier discipline)
-    or exactly synced (process: applied deltas) within a round.
+    extents, which every replica holds exactly synced (all round deltas
+    applied) within a round.
     """
     local: Dict[str, Set[OValue]] = {}
     considered = [0]
@@ -205,196 +194,6 @@ def drive_share(
                 if matcher(fact, slots):
                     entry(slots)
     return local, considered[0]
-
-
-def run_stage_seminaive_partitioned(
-    instance: Instance,
-    rules: Sequence[Rule],
-    stats,
-    enumeration_budget: int,
-    pool,
-    workers: int,
-    max_steps: int = 10_000,
-) -> Optional[int]:
-    """Evaluate one certified-partitionable stratum with split delta rounds
-    on a shared-memory thread pool.
-
-    Returns the number of rounds, or None when a rule falls outside the
-    compiled fragment — the caller then runs the ordinary serial path
-    (never wrong answers, just no speedup). Semantics are identical to
-    :func:`repro.iql.seminaive.run_stage_seminaive`: the derived fact
-    set of each round is the union over partitions of the same
-    derivations the serial round enumerates, deduplicated at the merge.
-    """
-    schema = instance.schema
-    shapes: Dict[int, DeltaBody] = {}
-    for index, rule in enumerate(rules):
-        shape = delta_body(rule, schema)
-        if shape is None:
-            return None
-        shapes[index] = shape
-    replicas = compile_replicas(rules, shapes, instance, workers, enumeration_budget)
-    if replicas is None:
-        return None
-    # Prewarm: the lazy index build must not race across workers.
-    instance.indexes  # noqa: B018
-
-    def drive(worker: int, stride: int, delta_lists: Dict[str, list]) -> Tuple[Dict[str, Set[OValue]], int]:
-        return drive_share(
-            rules, shapes, replicas[worker], instance, worker, stride, delta_lists
-        )
-
-    rounds = 0
-    first = True
-    delta: Dict[str, Set[OValue]] = {}
-    while True:
-        if stats.steps >= max_steps:
-            from repro.errors import NonTerminationError  # noqa: PLC0415
-
-            raise NonTerminationError(
-                f"no fixpoint within {max_steps} steps (partitioned stage)"
-            )
-        new: Dict[str, Set[OValue]] = {}
-        if first:
-            # Round 0 is a full solve over the existing extents — one
-            # coordinator pass through replica 0's full kernels.
-            kernels0 = replicas[0]
-            for index, rule in enumerate(rules):
-                head_name = rule.head.container.name
-                existing = instance.relations[head_name]
-                bucket = new.setdefault(head_name, set())
-                compiled = kernels0[index]
-                head_eval = compiled.head_full
-
-                def consume(slots, _he=head_eval, _b=bucket, _ex=existing):
-                    value = _he(slots)
-                    if value is not None and value not in _ex:
-                        _b.add(value)
-                        stats.valuations_considered += 1
-
-                compiled.full.execute((), consume)
-            first = False
-        else:
-            delta_lists = {name: list(values) for name, values in delta.items()}
-            total = sum(len(values) for values in delta_lists.values())
-            if workers > 1 and total >= PARTITION_THRESHOLD:
-                futures = [
-                    pool.submit(drive, worker, workers, delta_lists)
-                    for worker in range(workers)
-                ]
-                stats.parallel_tasks += workers
-                for future in futures:
-                    local, considered = future.result()
-                    stats.valuations_considered += considered
-                    for name, values in local.items():
-                        if values:
-                            new.setdefault(name, set()).update(values)
-            else:
-                local, considered = drive(0, 1, delta_lists)
-                stats.valuations_considered += considered
-                new.update(local)
-
-        rounds += 1
-        stats.steps += 1
-        if not any(new.values()):
-            return rounds
-        for name, values in new.items():
-            for value in values:
-                if instance.add_relation_member(name, value):
-                    stats.facts_added += 1
-        delta = new
-
-
-# -- the driver interface ------------------------------------------------------------
-#
-# Both drivers expose the same three-call surface the evaluator's
-# parallel stage walker uses:
-#
-#   run_batch(instance, stage_index, batch, strata, stats) -> steps
-#   run_partitioned(instance, stage_index, rules, stats)   -> rounds | None
-#   release() / close()
-#
-# ``release()`` ends one run (the thread driver tears its pool down, the
-# process driver keeps its workers warm); ``close()`` ends the driver.
-
-
-class ThreadDriver:
-    """The shared-memory thread pool driver (PR 9), one pool per run."""
-
-    backend = "thread"
-
-    def __init__(self, evaluator, workers: int) -> None:
-        from concurrent.futures import ThreadPoolExecutor  # noqa: PLC0415
-
-        self.evaluator = evaluator
-        self.workers = workers
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-par"
-        )
-
-    def run_batch(
-        self,
-        instance: Instance,
-        stage_index: int,
-        batch: Sequence[int],
-        strata: Sequence[Sequence[Rule]],
-        stats,
-    ) -> int:
-        evaluator = self.evaluator
-        # Prewarm: the lazy index build must not race across workers.
-        instance.indexes  # noqa: B018
-        # The incremental constants fold (_note_constants) is a
-        # read-modify-write; concurrent workers adding facts could
-        # tear it and silently drop constants. Certified batches
-        # never *read* constants(I) — the enumeration fallback is
-        # an IQL802 hazard — so run the batch with the cache cold:
-        # _note_constants is then a no-op and the next serial
-        # reader rebuilds from scratch.
-        instance._forget_constants()
-        futures = []
-        subs = []
-        for stratum_index in batch:
-            sub = type(stats)()
-            futures.append(
-                self._pool.submit(
-                    evaluator._solve_stratum_scheduled,
-                    instance,
-                    list(strata[stratum_index]),
-                    sub,
-                )
-            )
-            subs.append(sub)
-        stats.parallel_strata += len(batch)
-        stats.parallel_tasks += len(batch)
-        steps = 0
-        for future, sub in zip(futures, subs):
-            steps += future.result()
-            merge_stats(stats, sub)
-        return steps
-
-    def run_partitioned(
-        self,
-        instance: Instance,
-        stage_index: int,
-        rules: Sequence[Rule],
-        stats,
-    ) -> Optional[int]:
-        evaluator = self.evaluator
-        return run_stage_seminaive_partitioned(
-            instance,
-            rules,
-            stats,
-            evaluator.limits.enumeration_budget,
-            self._pool,
-            self.workers,
-            max_steps=evaluator.limits.max_steps,
-        )
-
-    def release(self) -> None:
-        self._pool.shutdown(wait=True)
-
-    def close(self) -> None:
-        pass
 
 
 # -- the process driver ---------------------------------------------------------------
@@ -569,19 +368,12 @@ def _pool_worker_main(conn, worker_id: int, nworkers: int, startup: bytes) -> No
                 _, stage_index, rule_indexes = message
                 stage = program.stages[stage_index]
                 rules = [stage[i] for i in rule_indexes]
-                shapes: Dict[int, DeltaBody] = {}
-                for index, rule in enumerate(rules):
-                    shape = delta_body(rule, instance.schema)
-                    if shape is None:
-                        raise CompileFallback("outside the delta fragment")
-                    shapes[index] = shape
-                replicas = compile_replicas(
-                    rules, shapes, instance, 1, options["enumeration_budget"]
+                replica = compile_replica(
+                    rules, instance, options["enumeration_budget"]
                 )
-                if replicas is None:
+                if replica is None:
                     raise CompileFallback("kernel replica compile failed")
-                instance.indexes  # noqa: B018
-                episode = (rules, shapes, replicas[0])
+                episode = (rules, *replica)
                 conn.send_bytes(pickle.dumps(("ready",)))
             elif kind == "round":
                 _, pending, drive = message
@@ -651,8 +443,6 @@ class ProcessDriver:
     round trips.
     """
 
-    backend = "process"
-
     def __init__(self, evaluator, workers: int) -> None:
         import multiprocessing as mp  # noqa: PLC0415
 
@@ -692,15 +482,30 @@ class ProcessDriver:
     # -- plumbing ---------------------------------------------------------------
 
     def _send(self, worker: int, message: tuple) -> None:
-        self._connections[worker].send_bytes(pickle.dumps(message))
+        data = pickle.dumps(message)
+        try:
+            self._connections[worker].send_bytes(data)
+        except OSError as exc:  # BrokenPipeError: the worker is gone
+            raise self._lost(worker, exc) from exc
 
     def _recv(self, worker: int):
-        reply = pickle.loads(self._connections[worker].recv_bytes())
+        try:
+            data = self._connections[worker].recv_bytes()
+        except (EOFError, OSError) as exc:
+            raise self._lost(worker, exc) from exc
+        reply = pickle.loads(data)
         if reply[0] == "error":
             raise EvaluationError(
                 f"process pool worker {worker} failed:\n{reply[1]}"
             )
         return reply
+
+    def _lost(self, worker: int, exc: BaseException) -> EvaluationError:
+        process = self._processes[worker]
+        return EvaluationError(
+            f"process pool worker {worker} (pid {process.pid}) died: "
+            f"{type(exc).__name__}"
+        )
 
     def _ship_state(self, instance: Instance, workers: Sequence[int]) -> None:
         blob = pickle.dumps(instance)
@@ -768,20 +573,10 @@ class ProcessDriver:
         from repro.errors import NonTerminationError  # noqa: PLC0415
 
         evaluator = self.evaluator
-        schema = instance.schema
-        shapes: Dict[int, DeltaBody] = {}
-        for index, rule in enumerate(rules):
-            shape = delta_body(rule, schema)
-            if shape is None:
-                return None
-            shapes[index] = shape
-        replicas = compile_replicas(
-            list(rules), shapes, instance, 1, evaluator.limits.enumeration_budget
-        )
-        if replicas is None:
+        replica = compile_replica(rules, instance, evaluator.limits.enumeration_budget)
+        if replica is None:
             return None
-        kernels0 = replicas[0]
-        instance.indexes  # noqa: B018
+        shapes, kernels = replica
 
         rule_indexes = self._rule_indexes(
             evaluator.program.stages[stage_index], rules
@@ -790,14 +585,8 @@ class ProcessDriver:
         self._ship_state(instance, engaged)
         for worker in engaged:
             self._send(worker, ("begin", stage_index, rule_indexes))
-        ready = True
         for worker in engaged:
-            try:
-                self._recv(worker)
-            except EvaluationError:
-                ready = False
-        if not ready:  # pragma: no cover - deterministic compile succeeded above
-            return None
+            self._recv(worker)  # "ready": the same compile succeeded above
 
         rounds = 0
         first = True
@@ -816,7 +605,7 @@ class ProcessDriver:
                     head_name = rule.head.container.name
                     existing = instance.relations[head_name]
                     bucket = new.setdefault(head_name, set())
-                    compiled = kernels0[index]
+                    compiled = kernels[index]
                     head_eval = compiled.head_full
 
                     def consume(slots, _he=head_eval, _b=bucket, _ex=existing):
@@ -849,7 +638,7 @@ class ProcessDriver:
                                     bucket.add(value)
                 else:
                     local, considered = drive_share(
-                        rules, shapes, kernels0, instance, 0, 1, delta_lists
+                        rules, shapes, kernels, instance, 0, 1, delta_lists
                     )
                     stats.valuations_considered += considered
                     new.update(local)
@@ -873,17 +662,6 @@ class ProcessDriver:
                 )
             )
 
-    def release(self) -> None:
-        """A run ended; the pool stays warm for the next one."""
-
     def close(self) -> None:
         self._finalizer()
 
-
-def create_driver(backend: str, evaluator, workers: int):
-    """The one backend dispatch point (``Evaluator(backend=...)``)."""
-    if backend == "thread":
-        return ThreadDriver(evaluator, workers)
-    if backend == "process":
-        return ProcessDriver(evaluator, workers)
-    raise EvaluationError(f"unknown parallel backend {backend!r}")

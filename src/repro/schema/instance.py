@@ -486,9 +486,9 @@ class Instance:
 
         The lazy index registry, the constants caches and the member-type
         memo are coordinator-local evaluation artifacts: a process worker
-        receiving this instance must build its own (the parallel
-        certificate's runtime-surface audit pins this exclusion), and a
-        snapshot written to disk should not drag an index graph with it.
+        receiving this instance must build its own (``tests/test_parallel.py``
+        pins this exclusion), and a snapshot written to disk should not
+        drag an index graph with it.
         ``_class_of`` is real state (the disjointness map) and travels.
         """
         return (

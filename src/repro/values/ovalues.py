@@ -241,7 +241,7 @@ class OTuple:
         if len(data) >= store.tuples_mark:
             # Amortized sweep: dead entries are left behind as tombstones
             # (no removal callbacks — see intern.py). The sweep walks a
-            # copy: dict.copy() is one C call, so a thread worker cannot
+            # copy: dict.copy() is one C call, so another thread cannot
             # insert mid-walk, while a Python-level walk of ``data`` can
             # be interrupted (a GC pass finalizing generators runs code).
             store.tuples = {k: r for k, r in data.copy().items() if r() is not None}

@@ -294,28 +294,8 @@ def test_forced_replanning_matches_static(seed):
 # the (fresh-by-construction) invented oids.
 
 
-def run_parallel_differential(seed, backend="thread", workers=4):
-    import warnings
-
-    program, instance = random_case(seed, scheduled=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        evaluator = Evaluator(program, parallel=workers, backend=backend)
-        try:
-            parallel_result = evaluator.run(instance.copy())
-        finally:
-            evaluator.close()
-        serial = Evaluator(program).run(instance.copy()).output
-    assert_agree(program, parallel_result.output, serial, seed)
-
-
-@pytest.mark.parametrize("seed", range(220))
-def test_parallel_engine_matches_serial(seed):
-    run_parallel_differential(seed)
-
-
 def run_process_differential(seed):
-    """One seed of the shared-nothing sweep: 2 process workers vs serial.
+    """One seed of the shared-nothing sweep: 2 worker processes vs serial.
 
     Exactness is the interesting bit: a worker's derivations cross a
     pickling boundary and must re-canonicalize into the coordinator's
@@ -323,7 +303,18 @@ def run_process_differential(seed):
     equality (or isomorphism) failure. The CI smoke runs seeds 0..39 of
     this function; tier-1 runs all 220.
     """
-    run_parallel_differential(seed, backend="process", workers=2)
+    import warnings
+
+    program, instance = random_case(seed, scheduled=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        evaluator = Evaluator(program, parallel=2)
+        try:
+            parallel_result = evaluator.run(instance.copy())
+        finally:
+            evaluator.close()
+        serial = Evaluator(program).run(instance.copy()).output
+    assert_agree(program, parallel_result.output, serial, seed)
 
 
 @pytest.mark.parametrize("seed", range(220))

@@ -125,7 +125,7 @@ def test_weak_table_evicts_dead_values():
 
 
 def test_sweep_survives_concurrent_constructions():
-    # Thread workers intern concurrently. Thousands of short-lived values
+    # Host threads intern concurrently. Thousands of short-lived values
     # per thread push the tables past their sweep mark again and again,
     # and a tiny switch interval preempts the sweep as often as possible.
     import sys
@@ -348,7 +348,7 @@ def test_interned_engine_matches_no_intern(seed):
 
 # -- pickling: the process-boundary identity channel ----------------------------
 #
-# The shared-nothing executor (repro.iql.parexec, backend="process") rides
+# The shared-nothing executor (repro.iql.parexec, Evaluator(parallel=N)) rides
 # on three properties of the value types' pickling:
 #
 # 1. round trips preserve structure: a == pickle.loads(pickle.dumps(a)),

@@ -3,24 +3,24 @@
 Three layers under test, mirroring the maintenance-certificate suite:
 
 * the **analysis** — conflict groups, hash-partitionability, the stratum
-  DAG with its concurrent batches, the IQL801-804 diagnostics, and the
-  runtime-surface audit (including injected drifted surfaces),
+  DAG with its concurrent batches, and the IQL801/802/804 diagnostics,
 * the **certificate discipline** — re-derivation, memoized validation,
   and tamper detection: any hand-mutated plan must be caught by
   :func:`check_parallel_certificate` before an executor trusts it,
-* the **executor** — ``Evaluator(parallel=N)`` agrees with the serial
-  engines on concurrent strata, partitioned delta rounds, and every
-  fallback shape (IQL801/802 programs run serial with a
-  PreflightWarning, never wrong answers).
+* the **executor** — ``Evaluator(parallel=N)``'s worker-process pool
+  agrees with the serial engines on concurrent strata, partitioned delta
+  rounds, and every fallback shape (IQL801/802 programs run serial with
+  a PreflightWarning, never wrong answers), survives a dead worker, and
+  ships only cache-free state to its workers.
 """
 
+import pickle
 import warnings
 
 import pytest
 
 from repro.analysis import (
     PreflightWarning,
-    audit_runtime_surfaces,
     build_parallel_certificate,
     check_parallel_certificate,
     concurrent_batches,
@@ -29,6 +29,7 @@ from repro.analysis import (
     render_parallel_text,
     validate_parallel_certificate,
 )
+from repro.errors import EvaluationError
 from repro.iql import Evaluator, Program, Rule, Var, atom, columns
 from repro.schema import Instance, Schema
 from repro.typesys import D, classref, tuple_of
@@ -68,12 +69,20 @@ def chain_instance(schema, n, cyclic=False):
     return instance
 
 
+def run_parallel(program, instance, workers=2):
+    """One run on a fresh worker-process pool, closed afterwards."""
+    evaluator = Evaluator(program, parallel=workers)
+    try:
+        return evaluator.run(instance.copy())
+    finally:
+        evaluator.close()
+
+
 # -- the analysis --------------------------------------------------------------------
 
 
 def test_transitive_closure_certificate_is_clean():
     certificate = build_parallel_certificate(tc_program())
-    assert certificate.certified
     assert certificate.clean
     assert certificate.width >= 2
     [stage] = certificate.stages
@@ -111,7 +120,6 @@ def test_conflict_serialized_stratum_is_iql801():
         output_names=["T", "C"],
     )
     certificate = build_parallel_certificate(program)
-    assert certificate.certified
     assert not certificate.clean
     [stratum] = certificate.stages[0].strata
     assert stratum.fallback is not None and stratum.fallback.startswith("IQL801")
@@ -244,70 +252,12 @@ def test_class_writers_never_share_a_batch():
 def test_renderers_cover_the_plan():
     certificate = build_parallel_certificate(tc_program())
     text = render_parallel_text(certificate)
-    assert "certified" in text and "partitionable" in text and "conflict" in text
+    assert "width 2" in text and "partitionable" in text and "conflict" in text
     dot = parallel_to_dot(certificate)
     assert dot.startswith("digraph parallel {") and "peripheries=2" in dot
     doc = certificate.to_json()
-    assert doc["certified"] and doc["clean"]
+    assert doc["clean"] and doc["width"] == 2
     assert doc["stages"][0]["batches"] == [[1]]
-
-
-# -- the runtime-surface audit -------------------------------------------------------
-
-
-class _DriftedCompile:
-    """A compile module whose kernel grew an unaudited capture slot."""
-
-    class CompiledBody:
-        __slots__ = ("slot_vars", "slot_index", "entry", "sink_cell",
-                     "instance", "indexes", "scratch")
-
-        def valid_for(self, instance):
-            return True
-
-    @staticmethod
-    def compile_seminaive(*args, **kwargs):
-        raise NotImplementedError
-
-
-def test_audit_passes_on_the_real_runtime():
-    checks = audit_runtime_surfaces()
-    assert all(check.holds for check in checks), [
-        f"{c.surface}: {c.detail}" for c in checks if not c.holds
-    ]
-
-
-def test_audit_catches_a_drifted_kernel_surface():
-    checks = audit_runtime_surfaces(compile_module=_DriftedCompile)
-    failed = [c for c in checks if not c.holds]
-    assert failed and any("CompiledBody" in c.surface for c in failed)
-    certificate = build_parallel_certificate(tc_program(), audit=checks)
-    assert not certificate.certified
-    assert not certificate.clean
-    codes = [d.code for d in parallel_pass(tc_program(), certificate=certificate)]
-    assert "IQL803" in codes
-
-
-def test_iql803_disables_the_pool_but_not_the_answer(monkeypatch):
-    import repro.analysis.parallel as parallel_module
-
-    drifted = audit_runtime_surfaces(compile_module=_DriftedCompile)
-    monkeypatch.setattr(
-        parallel_module, "audit_runtime_surfaces", lambda *a, **k: drifted
-    )
-    schema = tc_schema()
-    program = tc_program(schema)
-    instance = chain_instance(schema, 12)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = Evaluator(program, parallel=4).run(instance.copy())
-    assert any(
-        issubclass(w.category, PreflightWarning) and "IQL803" in str(w.message)
-        for w in caught
-    )
-    assert result.stats.parallel_workers == 0  # pool never created
-    reference = Evaluator(program, naive=True).run(instance.copy())
-    assert result.output == reference.output
 
 
 # -- certificate discipline: re-derivation and tamper detection ----------------------
@@ -364,38 +314,52 @@ def test_tampered_group_split_is_caught():
     assert any("sit in different groups" in v for v in violations)
 
 
-def test_forged_audit_failures_are_caught():
-    program = tc_program()
-    certificate = build_parallel_certificate(program)
-    drifted = audit_runtime_surfaces(compile_module=_DriftedCompile)
-    object.__setattr__(certificate, "audit", drifted)
-    violations = check_parallel_certificate(program, certificate)
-    assert any("stale or tampered audit" in v for v in violations)
-
-
 # -- the executor --------------------------------------------------------------------
+#
+# Shared-nothing workers: each worker process replicates the instance and
+# interns into its own store, so worker facts must re-canonicalize into
+# the coordinator's store with identity intact, on every diff shape the
+# hazard-free fragment admits (relation members, class members, set
+# elements). Every test closes the pools it opens.
+
+
+def test_process_partitioned_rounds_match_serial_exactly():
+    schema = tc_schema()
+    program = tc_program(schema)
+    instance = chain_instance(schema, 300)
+    parallel = run_parallel(program, instance)
+    serial = Evaluator(program).run(instance.copy())
+    assert parallel.output == serial.output
+    assert len(parallel.output.relations["TC"]) == 300 * 299 // 2
+    assert parallel.stats.parallel_workers == 2
+    assert parallel.stats.parallel_partitioned == 1
+    # 300-long chains push delta rounds past the process threshold, so
+    # workers really drove rounds (not the inline fallback).
+    assert parallel.stats.parallel_tasks > 0
 
 
 def test_partitioned_rounds_match_serial_exactly():
+    # A cycle: every node reaches every node, and each delta round holds
+    # one new fact per node, so 256 nodes reach the process threshold.
     schema = tc_schema()
     program = tc_program(schema)
-    instance = chain_instance(schema, 120, cyclic=True)
-    parallel = Evaluator(program, parallel=4).run(instance.copy())
+    instance = chain_instance(schema, 256, cyclic=True)
+    parallel = run_parallel(program, instance, workers=4)
     serial = Evaluator(program).run(instance.copy())
     assert parallel.output == serial.output
     assert parallel.stats.parallel_workers == 4
     assert parallel.stats.parallel_partitioned == 1
     assert parallel.stats.parallel_tasks > 0
-    assert len(parallel.output.relations["TC"]) == 120 * 120
+    assert len(parallel.output.relations["TC"]) == 256 * 256
 
 
 def test_small_deltas_stay_inline():
-    # Below PARTITION_THRESHOLD no worker tasks are submitted; the
-    # partitioned runner degenerates to the serial round loop.
+    # Below PROCESS_PARTITION_THRESHOLD no worker tasks are submitted;
+    # the partitioned runner degenerates to the serial round loop.
     schema = tc_schema()
     program = tc_program(schema)
     instance = chain_instance(schema, 6)
-    result = Evaluator(program, parallel=4).run(instance.copy())
+    result = run_parallel(program, instance)
     assert result.stats.parallel_partitioned == 1
     assert result.stats.parallel_tasks == 0
     serial = Evaluator(program).run(instance.copy())
@@ -420,7 +384,7 @@ def test_concurrent_strata_run_on_workers():
     instance = Instance(schema.project(["E"]))
     for i in range(30):
         instance.add_relation_member("E", OTuple(A01=f"a{i}", A02=f"b{i}"))
-    parallel = Evaluator(program, parallel=2).run(instance.copy())
+    parallel = run_parallel(program, instance)
     serial = Evaluator(program).run(instance.copy())
     assert parallel.output == serial.output
     assert parallel.stats.parallel_strata == 2
@@ -449,7 +413,7 @@ def test_iql801_program_falls_back_serial_with_warning():
         instance.add_class_member("C", Oid(f"o{i}"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = Evaluator(program, parallel=4).run(instance.copy())
+        result = run_parallel(program, instance)
     assert any(
         issubclass(w.category, PreflightWarning) and "IQL801" in str(w.message)
         for w in caught
@@ -476,7 +440,7 @@ def test_iql802_invention_program_falls_back_serial_with_warning():
         instance.add_relation_member("E", OTuple(A01=f"a{i}", A02=f"b{i}"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = Evaluator(program, parallel=4).run(instance.copy())
+        result = run_parallel(program, instance)
     assert any(
         issubclass(w.category, PreflightWarning) and "IQL802" in str(w.message)
         for w in caught
@@ -493,8 +457,10 @@ def test_parallel_one_is_plain_scheduling():
     schema = tc_schema()
     program = tc_program(schema)
     instance = chain_instance(schema, 10)
-    result = Evaluator(program, parallel=1).run(instance.copy())
+    evaluator = Evaluator(program, parallel=1)
+    result = evaluator.run(instance.copy())
     assert result.stats.parallel_workers == 0
+    assert evaluator._driver is None
     serial = Evaluator(program).run(instance.copy())
     assert result.output == serial.output
 
@@ -511,40 +477,12 @@ def test_trace_disables_parallel():
     assert evaluator._parallel_certificate is None
 
 
-# -- the process backend -------------------------------------------------------------
-#
-# Shared-nothing workers: the same certificate, a different driver. What
-# the thread tests establish for barrier discipline, these establish for
-# the serialization channel — worker facts must re-canonicalize into the
-# coordinator's store with identity intact, on every diff shape the
-# hazard-free fragment admits (relation members, class members, set
-# elements).
-
-
-def test_process_partitioned_rounds_match_serial_exactly():
-    schema = tc_schema()
-    program = tc_program(schema)
-    instance = chain_instance(schema, 300)
-    evaluator = Evaluator(program, parallel=2, backend="process")
-    try:
-        parallel = evaluator.run(instance.copy())
-    finally:
-        evaluator.close()
-    serial = Evaluator(program).run(instance.copy())
-    assert parallel.output == serial.output
-    assert parallel.stats.parallel_backend == "process"
-    assert parallel.stats.parallel_partitioned == 1
-    # 300-long chains push delta rounds past the process threshold, so
-    # workers really drove rounds (not the inline fallback).
-    assert parallel.stats.parallel_tasks > 0
-
-
 def test_process_pool_persists_across_runs():
     schema = tc_schema()
     program = tc_program(schema)
     instance = chain_instance(schema, 40)
     serial = Evaluator(program).run(instance.copy())
-    evaluator = Evaluator(program, parallel=2, backend="process")
+    evaluator = Evaluator(program, parallel=2)
     try:
         first = evaluator.run(instance.copy())
         pool = evaluator._driver
@@ -560,6 +498,38 @@ def test_process_pool_persists_across_runs():
     for process in pool._processes:
         process.join(timeout=5)
         assert not process.is_alive()
+
+
+def test_killed_worker_raises_typed_error_then_pool_is_rebuilt():
+    import os
+    import signal
+
+    schema = tc_schema()
+    program = tc_program(schema)
+    instance = chain_instance(schema, 40)
+    serial = Evaluator(program).run(instance.copy())
+    evaluator = Evaluator(program, parallel=2)
+    try:
+        evaluator.run(instance.copy())
+        dead_pool = evaluator._driver
+        victim = dead_pool._processes[1]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=10)
+        assert not victim.is_alive()
+        with pytest.raises(EvaluationError, match="worker 1"):
+            evaluator.run(instance.copy())
+        # The broken pool is retired, and its surviving worker with it ...
+        assert evaluator._driver is None
+        for process in dead_pool._processes:
+            process.join(timeout=10)
+            assert not process.is_alive()
+        # ... so the next run builds a fresh pool and answers correctly.
+        again = evaluator.run(instance.copy())
+        assert evaluator._driver is not None and evaluator._driver is not dead_pool
+        assert again.output == serial.output
+        assert again.stats.parallel_partitioned == 1
+    finally:
+        evaluator.close()
 
 
 def test_process_concurrent_strata_ship_oids_by_identity():
@@ -601,11 +571,7 @@ def test_process_concurrent_strata_ship_oids_by_identity():
         instance.assign(oid, OTuple(a=i))
         instance.add_relation_member("R1", OTuple(A01=oid))
     serial = Evaluator(program).run(instance.copy())
-    evaluator = Evaluator(program, parallel=2, backend="process")
-    try:
-        parallel = evaluator.run(instance.copy())
-    finally:
-        evaluator.close()
+    parallel = run_parallel(program, instance)
     assert parallel.output == serial.output
     assert parallel.stats.parallel_strata >= 2
     # Identity, not isomorphism: the oids inside the derived facts ARE
@@ -614,33 +580,62 @@ def test_process_concurrent_strata_ship_oids_by_identity():
     assert all(any(o is oid for oid in oids) for o in derived_oids)
 
 
-def test_process_certificate_records_backend_and_audits_serialization():
-    program = tc_program()
-    certificate = build_parallel_certificate(program, backend="process")
-    assert certificate.backend == "process"
-    assert certificate.certified
-    surfaces = [check.surface for check in certificate.audit]
-    assert "values pickling re-interns" in surfaces
-    assert "schema.Instance pickled state" in surfaces
-    assert "iql.Rule pickled state" in surfaces
-    assert "parexec process worker entry" in surfaces
-    assert certificate.to_json()["backend"] == "process"
-    assert check_parallel_certificate(program, certificate) == []
-    # The thread certificate does not carry (or need) those checks.
-    thread = build_parallel_certificate(program)
-    assert thread.backend == "thread"
-    assert "values pickling re-interns" not in [c.surface for c in thread.audit]
-    assert "backend process" in render_parallel_text(certificate)
+# -- what crosses the process boundary ---------------------------------------------
+#
+# Workers receive the instance and the program by pickle. Only semantic
+# state may cross: caches built against one process's extents and intern
+# store must be rebuilt cold by the receiver.
 
 
-def test_certificate_with_unknown_backend_is_rejected():
-    import dataclasses
+def test_unpickled_instance_has_equal_extents_and_cold_caches():
+    from repro.typesys import set_of
+    from repro.values import Oid
 
-    program = tc_program()
-    certificate = build_parallel_certificate(program)
-    forged = dataclasses.replace(certificate, backend="gpu")
-    violations = check_parallel_certificate(program, forged)
-    assert violations and "unknown backend" in violations[0]
+    schema = Schema(
+        relations={"E": columns(D, D)},
+        classes={"C": tuple_of(a=D), "S": set_of(D)},
+    )
+    instance = Instance(schema)
+    for i in range(5):
+        instance.add_relation_member("E", OTuple(A01=f"n{i}", A02=f"n{i + 1}"))
+        oid = Oid(f"c{i}")
+        instance.add_class_member("C", oid)
+        instance.assign(oid, OTuple(a=i))
+    holder = Oid("s0")
+    instance.add_class_member("S", holder)
+    instance.add_set_element(holder, "n0")
+    # Warm every coordinator-local cache.
+    instance.indexes.relation_index("E", "A01")
+    instance.sorted_constants()
+    assert instance.member_of(OTuple(a=0), tuple_of(a=D))
+    assert instance._indexes is not None and instance._member_cache
+
+    shipped = pickle.loads(pickle.dumps(instance))
+    assert shipped == instance
+    assert shipped.nu == instance.nu
+    assert shipped._class_of == instance._class_of
+    assert shipped._indexes is None
+    assert shipped._constants_cache is None
+    assert shipped._sorted_constants is None
+    assert shipped._member_cache == {}
+
+
+def test_unpickled_rule_has_cold_caches():
+    schema = tc_schema()
+    program = tc_program(schema)
+    Evaluator(program).run(chain_instance(schema, 8))
+    recursive = program.rules[1]
+    assert recursive._plan_cache and recursive._kernel_cache
+    assert recursive._feedback_cache is not None
+
+    shipped = pickle.loads(pickle.dumps(recursive))
+    assert shipped == recursive
+    assert shipped._plan_cache is None
+    assert shipped._kernel_cache is None
+    assert shipped._feedback_cache is None
+
+
+# -- worker counts -------------------------------------------------------------------
 
 
 def test_parallel_auto_resolves_to_cpus_clamped_by_width():
@@ -659,13 +654,28 @@ def test_parallel_auto_resolves_to_cpus_clamped_by_width():
     schema = tc_schema()
     instance = chain_instance(schema, 12)
     serial = Evaluator(tc_program(schema)).run(instance.copy())
-    assert evaluator.run(instance.copy()).output == serial.output
+    try:
+        assert evaluator.run(instance.copy()).output == serial.output
+    finally:
+        evaluator.close()
 
 
-def test_unknown_backend_raises():
-    from repro.errors import EvaluationError
+def test_unknown_backend_raises(tmp_path):
+    from repro.__main__ import main
+    from repro.iql.parexec import worker_count
 
-    with pytest.raises(EvaluationError):
-        Evaluator(tc_program(), parallel=2, backend="gpu")
     with pytest.raises(EvaluationError):
         Evaluator(tc_program(), parallel="some")
+    with pytest.raises(EvaluationError):
+        worker_count(-2)
+    with pytest.raises(EvaluationError):
+        Evaluator(tc_program(), parallel=-2)
+    with pytest.raises(EvaluationError):
+        Evaluator(tc_program(), parallel=-2, naive=True)
+    # The CLI rejects the same counts, and the retired --backend flag,
+    # at argument parsing (exit status 2), before reading any file.
+    missing = str(tmp_path / "missing")
+    for flags in (["--parallel", "-2"], ["--parallel", "some"], ["--backend", "process"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", missing + ".iql", "--input", missing + ".json", *flags])
+        assert exit_info.value.code == 2
