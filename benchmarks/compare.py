@@ -20,11 +20,12 @@ Speedup is old/new: >1 means the new run is faster. A point regresses when
 runner should flag, not fail).
 
 Keys starting with ``__`` are metadata, not series — ``run_all.py`` writes
-``__host__`` (usable CPU count, host-gated backends). When both files carry
-host metadata and the CPU counts differ, host-gated experiments (the
-parallel-execution series, whose numbers scale with usable CPUs) are
-skipped with a note instead of producing spurious regression warnings —
-e.g. a 1-CPU CI runner diffed against a 4-CPU baseline host.
+``__host__`` (the usable CPU count). Older trajectories (BENCH_PR10,
+BENCH_PR13) also name host-gated experiments there: the retired
+parallel-execution series E22/E22p, whose numbers scale with usable CPUs.
+When both files carry host metadata and the CPU counts differ, those
+series are skipped with a note instead of producing spurious regression
+warnings — e.g. a 1-CPU CI runner diffed against a 4-CPU baseline host.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def skip_host_gated(
     """Drop host-gated series when the two hosts are not comparable.
 
     A series is host-gated when either file's ``__host__.backend`` names
-    it (run_all records E22p there). Points are dropped — mutating
+    it (BENCH_PR10 and BENCH_PR13 record E22/E22p there). Points are dropped — mutating
     ``old``/``new`` in place — only when both files carry a ``__host__``
     with a ``cpu_count`` and the counts differ; trajectories from the
     same host, or legacy files without metadata, compare as before.

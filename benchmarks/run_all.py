@@ -45,14 +45,7 @@ EXPERIMENTS = {
     "E19": "bench_scheduling",
     "E20": "bench_ivm",
     "E21": "bench_planner",
-    "E22p": "bench_parallel",
 }
-
-#: Host-gated experiments and the executor backend their series records.
-#: Their numbers scale with the host's usable CPUs, so compare.py skips
-#: them across hosts with different CPU counts instead of warning
-#: spuriously (e.g. a 1-CPU CI runner diffed against a 4-CPU dev box).
-HOST_GATED_BACKENDS = {"E22p": "process"}
 
 
 def usable_cpus() -> int:
@@ -114,12 +107,8 @@ def main(argv) -> int:
     print(f"\ntotal: {time.perf_counter() - started:.1f}s")
     if args.json:
         payload = dict(trajectory)
-        # "__"-prefixed keys are metadata, not experiment series; compare.py
-        # uses them to skip host-gated points across dissimilar hosts.
-        payload["__host__"] = {
-            "cpu_count": usable_cpus(),
-            "backend": HOST_GATED_BACKENDS,
-        }
+        # "__"-prefixed keys are metadata, not experiment series.
+        payload["__host__"] = {"cpu_count": usable_cpus()}
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")

@@ -42,7 +42,7 @@ import json
 import sys
 
 from repro import io
-from repro.errors import ReproError
+from repro.errors import InstanceError, ReproError
 from repro.iql.evaluator import Evaluator, EvaluatorLimits
 from repro.iql.sublanguages import classify
 from repro.iql.typecheck import check_program
@@ -293,17 +293,6 @@ def cmd_impact(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parallel_width(text: str):
-    """``--parallel`` accepts a non-negative worker count or the word 'auto'."""
-    if text == "auto":
-        return "auto"
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative worker count or 'auto', got {text!r}"
-        )
-    return int(text)
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     program = _load_program(args.program)
     errors = check_program(program)
@@ -317,18 +306,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 1
     if not args.strict:
         instance = instance.project(program.input_schema)
+    instance.validate()
     limits = EvaluatorLimits(max_steps=args.max_steps)
-    evaluator = Evaluator(
-        program,
-        limits=limits,
-        choose_mode=args.choose_mode,
-        naive=args.naive,
-        parallel=args.parallel,
-    )
-    try:
-        result = evaluator.run(instance)
-    finally:
-        evaluator.close()
+    result = Evaluator(
+        program, limits=limits, choose_mode=args.choose_mode, naive=args.naive
+    ).run(instance)
     stats = result.stats
     print(
         f"fixpoint in {stats.steps} step(s); +{stats.facts_added} facts, "
@@ -375,12 +357,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"  eq fast paths        {stats.eq_fast_paths}\n"
             f"  strata               {stats.strata}\n"
             f"  rules skipped clean  {stats.rules_skipped_clean}\n"
-            f"  schedule fallbacks   {stats.schedule_fallbacks}\n"
-            f"  parallel workers     {stats.parallel_workers}\n"
-            f"  parallel strata      {stats.parallel_strata}\n"
-            f"  parallel partitioned {stats.parallel_partitioned}\n"
-            f"  parallel tasks       {stats.parallel_tasks}\n"
-            f"  parallel fallbacks   {stats.parallel_fallbacks}",
+            f"  schedule fallbacks   {stats.schedule_fallbacks}",
             file=sys.stderr,
         )
     text = io.dumps(result.output)
@@ -398,6 +375,7 @@ def cmd_maintain(args: argparse.Namespace) -> int:
 
     from repro.io import _oid_names, value_from_json, value_to_json
     from repro.iql.ivm import MaterializedProgram
+    from repro.typesys.interpretation import member
     from repro.values.ovalues import Oid
 
     program = _load_program(args.program)
@@ -407,6 +385,7 @@ def cmd_maintain(args: argparse.Namespace) -> int:
             print(f"type error: {error}", file=sys.stderr)
         return 1
     instance = io.load(args.input).project(program.input_schema)
+    instance.validate()
     evaluator = Evaluator(program, limits=EvaluatorLimits(max_steps=args.max_steps))
     started = time.perf_counter()
     mp = MaterializedProgram(program, instance, evaluator=evaluator)
@@ -428,7 +407,14 @@ def cmd_maintain(args: argparse.Namespace) -> int:
             return names.get(doc, Oid(doc))
         if isinstance(doc, dict) and set(doc) not in ({"oid"}, {"tuple"}, {"set"}):
             doc = {"tuple": doc}  # REPL shorthand: a bare attribute map
-        return value_from_json(doc, names)
+        value = value_from_json(doc, names)
+        if schema.is_relation(symbol):
+            expected = schema.relations[symbol]
+            if not member(value, expected, mp.instance.classes):
+                raise InstanceError(
+                    f"ρ({symbol}) member {value!r} is not of type {expected!r}"
+                )
+        return value
 
     def show_extent(symbol: str) -> None:
         names = _oid_names(mp.instance)
@@ -633,18 +619,8 @@ def main(argv=None) -> int:
         "--naive",
         action="store_true",
         help="run the Section 3.2 reference engine (generate-and-test "
-        "joins, no scheduling or compilation, serial) instead of the "
+        "joins, no scheduling or compilation) instead of the "
         "production engine",
-    )
-    p_run.add_argument(
-        "--parallel",
-        type=_parallel_width,
-        default=0,
-        metavar="N",
-        help="run certified stratum batches and partitioned delta rounds "
-        "on N worker processes, or 'auto' for the host's usable CPUs "
-        "clamped by the certified width (serial fallback with a "
-        "PreflightWarning on any IQL801/802; ignored with --naive)",
     )
     p_run.set_defaults(func=cmd_run)
 

@@ -58,12 +58,10 @@ from repro.analysis.parallel import (
     StagePlan,
     StratumPlan,
     build_parallel_certificate,
-    check_parallel_certificate,
     concurrent_batches,
     parallel_pass,
     parallel_to_dot,
     render_parallel_text,
-    validate_parallel_certificate,
 )
 from repro.analysis.passes import (
     binding_pass,
@@ -108,7 +106,6 @@ __all__ = [
     "certification_pass",
     "certify",
     "check_certificate",
-    "check_parallel_certificate",
     "classify_cone",
     "compute_schedule",
     "concurrent_batches",
@@ -135,5 +132,4 @@ __all__ = [
     "typecheck_pass",
     "unused_pass",
     "validate_certificate",
-    "validate_parallel_certificate",
 ]

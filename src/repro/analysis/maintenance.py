@@ -52,7 +52,6 @@ from repro.analysis.effects import delta_body, head_symbol, rule_effects
 from repro.analysis.impact import ImpactCone, UPDATE_OPS, program_cones
 from repro.iql.evaluator import EvaluationStats, Evaluator
 from repro.iql.program import Program
-from repro.iql.rules import Rule
 from repro.schema.instance import Instance
 from repro.schema.schema import Schema
 from repro.values.ovalues import Oid, OValue, ensure_ovalue

@@ -1,17 +1,17 @@
 """Parallel-safety analysis: certified intra-stage concurrency (IQL8xx).
 
-ROADMAP item 4 (parallel evaluation) is a soundness question before it is
-an execution question: which rule firings inside a certified stage may
-run concurrently without changing the inflationary fixpoint, given
-invention, weak assignment (★) and IQL* deletion? This module answers
-it the way the maintenance certificates answered incremental
-maintenance: a static pass over the per-rule effect
-summaries (:mod:`repro.analysis.effects`) and the polarity-labelled
-dependency graph (:mod:`repro.analysis.depgraph`) emits a machine-
-checkable :class:`ParallelCertificate` that the multi-worker executor
-(:mod:`repro.iql.parexec`, behind ``Evaluator(parallel=N)``) validates
-and obeys — and falls back to the serial engine wherever the certificate
-refuses.
+Which rule firings inside a certified stage could run concurrently
+without changing the inflationary fixpoint, given invention, weak
+assignment (★) and IQL* deletion? This module answers it the way the
+maintenance certificates answer incremental maintenance: a static pass
+over the per-rule effect summaries (:mod:`repro.analysis.effects`) and
+the polarity-labelled dependency graph (:mod:`repro.analysis.depgraph`)
+emits a :class:`ParallelCertificate`, rendered by ``repro analyze
+--parallel``.
+
+The analysis is a diagnostic: the engine evaluates the paper's serial
+fixpoint (Section 3.2) in one process, and nothing executes a
+certificate (EXPERIMENTS.md, E22, records why).
 
 Three sources of safe concurrency are certified, per scheduled stage:
 
@@ -40,20 +40,8 @@ Three sources of safe concurrency are certified, per scheduled stage:
   instance itself) in step order, so the stratum runs serial — and runs
   *exclusively*, never concurrent with a sibling.
 
-The executor (:mod:`repro.iql.parexec`) runs every worker as a separate
-process over its own replica of the instance, with its own intern store
-and kernels, so the plan is the whole contract: no evaluator state is
-shared between workers. Like
-:func:`repro.analysis.maintenance.check_certificate`, the whole
-certificate is re-derivable: :func:`check_parallel_certificate` rebuilds
-the plan from the program and diffs it against the certificate, so a
-tampered (or bit-rotted) certificate is caught before a single worker
-starts.
-
 ``IQL804`` (info) reports the certified concurrency width of each stage:
-the parallelism an executor may use is bounded by that width, by the
-requested worker count, and by the host's CPUs — the certificate records
-the first, the executor resolves the rest at run time.
+the most strata, or delta partitions, that the plan lets run at once.
 """
 
 from __future__ import annotations
@@ -76,8 +64,8 @@ from repro.schema.schema import Schema
 # -- fallback taxonomy ---------------------------------------------------------------
 #
 # Every stratum the certificate refuses to parallelize carries one tag
-# (possibly with detail appended after ": "). The executor treats any
-# tagged stratum as serial-and-exclusive; the IQL801/802 tags also warn.
+# (possibly with detail appended after ": "). The plan keeps any tagged
+# stratum serial-and-exclusive; the IQL801/802 tags are also diagnostics.
 
 FALLBACK_CONFLICTS = "IQL801 rule conflicts serialize the stratum"
 FALLBACK_HAZARD = "IQL802 partition hazard"
@@ -218,20 +206,19 @@ class StagePlan:
 
 
 def concurrent_batches(stage: "StagePlan") -> List[Tuple[int, ...]]:
-    """The executable schedule of a stage: batches of stratum indexes,
+    """The concurrent schedule of a stage: batches of stratum indexes,
     in order; all strata of one batch may run concurrently.
 
     Derived from the dependency levels with two splits the soundness
-    argument requires, so the analysis and the executor share one
-    scheduling function instead of two that could drift:
+    argument requires:
 
     * a hazard stratum (IQL801/IQL802 fallback) runs in a batch of its
       own — serial *and* exclusive,
-    * at most one class-extent/plane-writing stratum per batch: each
-      worker runs the ``_class_of`` disjointness check of
-      ``Instance.add_class_member`` against its own replica only, so two
-      class writers in one batch could each pass a check that serial
-      evaluation fails.
+    * at most one class-extent/plane-writing stratum per batch: the
+      ``_class_of`` disjointness check of ``Instance.add_class_member``
+      is check-then-act, so two class writers run side by side against
+      separate replicas could each pass a check that serial evaluation
+      fails.
     """
     batches: List[Tuple[int, ...]] = []
     for level in stage.levels:
@@ -257,13 +244,8 @@ def concurrent_batches(stage: "StagePlan") -> List[Tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class ParallelCertificate:
-    """The whole program's parallel plan, machine-checkable.
-
-    An executor may use only the concurrency of the per-stratum plans
-    marked safe. :func:`check_parallel_certificate` re-derives the plan
-    from the program and diffs, so tampering (or analysis drift since
-    the certificate was built) is caught before execution.
-    """
+    """The whole program's parallel plan: only the per-stratum plans
+    marked safe admit concurrency."""
 
     stages: Tuple[StagePlan, ...]
 
@@ -588,103 +570,6 @@ def build_parallel_certificate(
     return ParallelCertificate(stages=stages)
 
 
-# -- checking and validating ---------------------------------------------------------
-
-
-def check_parallel_certificate(
-    program: Program,
-    certificate: ParallelCertificate,
-    schema: Optional[Schema] = None,
-) -> List[str]:
-    """Re-validate ``certificate`` against ``program`` from scratch.
-
-    Returns the violations that would make the certified concurrency
-    unsound (empty list = sound). The check is a full re-derivation —
-    the plan is rebuilt from the program and diffed structurally — plus
-    targeted internal-consistency checks with better messages for the
-    common tamper shapes (a hazard stratum promoted to safe, a group
-    split across a conflict).
-    """
-    schema = schema if schema is not None else program.schema
-    violations: List[str] = []
-
-    # Structural re-derivation: the plan must equal what the program
-    # yields today (same analysis version, same program).
-    rebuilt = build_parallel_certificate(program, schema)
-    if len(rebuilt.stages) != len(certificate.stages):
-        violations.append(
-            f"stage count mismatch: certificate has {len(certificate.stages)}, "
-            f"program yields {len(rebuilt.stages)}"
-        )
-        return violations
-    for ours, theirs in zip(certificate.stages, rebuilt.stages):
-        if ours.to_json() != theirs.to_json():
-            violations.append(
-                f"stage {ours.index + 1} plan does not re-derive from the "
-                f"program: certificate and analysis disagree"
-            )
-
-    # Targeted consistency checks (clearer messages than a JSON diff).
-    for stage in certificate.stages:
-        for plan in stage.strata:
-            covered = sorted(i for group in plan.groups for i in group)
-            if covered != list(range(len(plan.rules))):
-                violations.append(
-                    f"stage {stage.index + 1} stratum {plan.index + 1}: "
-                    f"groups do not partition the rules"
-                )
-            group_of: Dict[str, int] = {}
-            for g, group in enumerate(plan.groups):
-                for i in group:
-                    group_of[plan.rules[i]] = g
-            for conflict in plan.conflicts:
-                if group_of.get(conflict.a) != group_of.get(conflict.b):
-                    violations.append(
-                        f"stage {stage.index + 1} stratum {plan.index + 1}: "
-                        f"conflicting rules {conflict.a!r} and {conflict.b!r} "
-                        f"({conflict.kind} on {', '.join(conflict.symbols)}) "
-                        f"sit in different groups"
-                    )
-            if plan.hazards and plan.fallback is None:
-                violations.append(
-                    f"stage {stage.index + 1} stratum {plan.index + 1}: "
-                    f"hazards recorded but no serial fallback — a hazardous "
-                    f"stratum must never run concurrently"
-                )
-            if plan.partitionable and plan.hazards:
-                violations.append(
-                    f"stage {stage.index + 1} stratum {plan.index + 1}: "
-                    f"marked partitionable despite hazards"
-                )
-            for dep in plan.depends_on:
-                if not 0 <= dep < plan.index:
-                    violations.append(
-                        f"stage {stage.index + 1} stratum {plan.index + 1}: "
-                        f"dependency on stratum {dep + 1} breaks schedule order"
-                    )
-    return violations
-
-
-def validate_parallel_certificate(
-    program: Program,
-    certificate: ParallelCertificate,
-    schema: Optional[Schema] = None,
-) -> List[str]:
-    """:func:`check_parallel_certificate`, memoized on the certificate.
-
-    Validation re-derives the whole plan — a static-analysis pass — and
-    the executor gates every run on it, so the result is cached on the
-    certificate keyed by program identity (the
-    :func:`repro.analysis.maintenance.validate_certificate` pattern).
-    """
-    cached = getattr(certificate, "_validation", None)
-    if cached is not None and cached[0] is program:
-        return list(cached[1])
-    violations = check_parallel_certificate(program, certificate, schema)
-    object.__setattr__(certificate, "_validation", (program, tuple(violations)))
-    return violations
-
-
 # -- the IQL8xx diagnostics pass -----------------------------------------------------
 
 
@@ -749,8 +634,7 @@ def parallel_pass(
                     f"stage {stage_no} admits concurrency width "
                     f"{stage.width}: {len(stage.strata)} stratum/strata "
                     f"across {len(stage.levels)} level(s), "
-                    f"{partitionable} partitionable; effective workers = "
-                    f"min(width, requested N, host CPUs)",
+                    f"{partitionable} partitionable",
                 )
             )
     return out

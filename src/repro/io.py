@@ -28,24 +28,14 @@ load — oid identity is process-local, exactly as the model prescribes).
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.errors import OValueError, SchemaError
+from repro.errors import InstanceError, OValueError, SchemaError
 from repro.parser.grammar import type_from_source
 from repro.schema.instance import Instance
 from repro.schema.schema import Schema
 from repro.typesys.expressions import TypeExpr
-from repro.values.ovalues import (
-    Oid,
-    OSet,
-    OTuple,
-    OValue,
-    _oid_from_wire,
-    _OID_REGISTRY,
-    _OID_REGISTRY_LOCK,
-    is_constant,
-    sort_key,
-)
+from repro.values.ovalues import Oid, OSet, OTuple, OValue, is_constant, sort_key
 
 
 def _render_type(t: TypeExpr) -> str:
@@ -172,108 +162,13 @@ def dumps(instance: Instance, indent: int = 2) -> str:
 def loads(text: str, schema: Optional[Schema] = None) -> Instance:
     """Parse an instance document; fresh oids are minted (renaming is the
     identity of the model, so this loses nothing)."""
-    return instance_from_dict(json.loads(text), schema)
-
-
-# -- the fact-batch wire encoding (the process executor's hot path) ------------------
-#
-# The JSON document format above mints fresh oids on load — right for
-# documents, wrong for a coordinator/worker exchange where identity must
-# survive the round trip. Fact batches crossing a process boundary use a
-# flat node-table encoding instead:
-#
-#   (nodes, {name: [root_index, ...]})
-#
-# where ``nodes`` lists each *distinct* value node once, children before
-# parents, as a small tagged tuple —
-#
-#   ("c", const)                      a constant,
-#   ("o", serial, name)               an oid, identity-resolved like pickle,
-#   ("t", ((attr, child_idx), ...))   a tuple over earlier nodes,
-#   ("s", (child_idx, ...))           a set over earlier nodes.
-#
-# Hash-consing makes this *compact* by construction: interned sharing is
-# preserved on the wire (one table entry per distinct node, however many
-# facts reference it), the payload is plain tuples/ints that (un)pickle
-# at C speed with no per-object ``__reduce__`` dispatch, and decoding
-# rebuilds bottom-up through the interned constructors, so decoded facts
-# are canonical nodes of the *receiving* process's store. Oids resolve
-# through the same serial registry pickling uses: encoding registers the
-# live object so the sender recognizes its own oids in the reply.
-
-
-class _WireEncoder:
-    """Accumulates the node table of one fact batch."""
-
-    __slots__ = ("nodes", "_index")
-
-    def __init__(self) -> None:
-        self.nodes: List[tuple] = []
-        self._index: Dict[object, int] = {}
-
-    def encode(self, value: OValue) -> int:
-        # Interned nodes and oids key by identity (the canonical node IS
-        # the identity); constants key by (type, value) so 1/True/1.0
-        # keep their Python type across the wire.
-        key = (
-            (type(value), value)
-            if is_constant(value)
-            else id(value)
-        )
-        found = self._index.get(key)
-        if found is not None:
-            return found
-        if isinstance(value, Oid):
-            with _OID_REGISTRY_LOCK:
-                _OID_REGISTRY[value.serial] = value
-            node = ("o", value.serial, value.name)
-        elif isinstance(value, OTuple):
-            node = ("t", tuple((attr, self.encode(v)) for attr, v in value.items()))
-        elif isinstance(value, OSet):
-            node = ("s", tuple(self.encode(v) for v in value))
-        elif is_constant(value):
-            node = ("c", value)
-        else:
-            raise OValueError(f"not an o-value: {value!r}")
-        self.nodes.append(node)
-        index = len(self.nodes) - 1
-        self._index[key] = index
-        return index
-
-
-#: One fact batch on the wire: the node table plus per-name root indexes.
-WireBatch = Tuple[List[tuple], Dict[str, List[int]]]
-
-
-def batch_to_wire(facts: Mapping[str, Iterable[OValue]]) -> WireBatch:
-    """Encode ``{name: facts}`` for a process-boundary crossing."""
-    encoder = _WireEncoder()
-    payload = {
-        name: [encoder.encode(value) for value in values]
-        for name, values in facts.items()
-    }
-    return (encoder.nodes, payload)
-
-
-def batch_from_wire(wire: WireBatch) -> Dict[str, List[OValue]]:
-    """Decode a fact batch into this process's canonical value nodes."""
-    nodes, payload = wire
-    values: List[OValue] = []
-    for node in nodes:
-        tag = node[0]
-        if tag == "c":
-            values.append(node[1])
-        elif tag == "o":
-            values.append(_oid_from_wire(node[1], node[2]))
-        elif tag == "t":
-            values.append(OTuple(tuple((attr, values[i]) for attr, i in node[1])))
-        elif tag == "s":
-            values.append(OSet(values[i] for i in node[1]))
-        else:
-            raise OValueError(f"unrecognized wire node {node!r}")
-    return {
-        name: [values[i] for i in roots] for name, roots in payload.items()
-    }
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InstanceError(
+            f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    return instance_from_dict(doc, schema)
 
 
 def dump(instance: Instance, path: str, indent: int = 2) -> None:

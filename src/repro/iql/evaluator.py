@@ -35,7 +35,7 @@ Extensions handled here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import EvaluationError, GenericityError, NonTerminationError
 from repro.iql.invention import CountingOidFactory, OidFactory
@@ -129,18 +129,6 @@ class EvaluationStats:
     overdeleted: int = 0
     rederived: int = 0
     maintenance_fallbacks: int = 0
-    # Certified parallel execution (Evaluator(parallel=N), repro.iql.parexec):
-    # the worker-process pool size used, strata run on concurrent workers,
-    # strata run with partitioned delta rounds, worker tasks submitted,
-    # and strata the certificate forced back to serial (IQL801/802
-    # fallbacks seen at run time). Worker stats are folded in at each
-    # batch barrier, but the compile counters (rules_compiled,
-    # compile_time) cover the coordinator's own compiles only.
-    parallel_workers: int = 0
-    parallel_strata: int = 0
-    parallel_partitioned: int = 0
-    parallel_tasks: int = 0
-    parallel_fallbacks: int = 0
 
 
 @dataclass
@@ -187,15 +175,10 @@ class Evaluator:
       fallbacks are counted in :class:`EvaluationStats`.
     * the **reference engine** (``naive=True``): the Section 3.2
       one-step operator γ1 iterated stage by stage, with
-      generate-and-test joins and no indexes, run serially. It is the
-      oracle the differential tests compare the production engine
-      against. ``trace=True`` runs this same engine, since its γ1 steps
-      are what the trace events describe.
-
-    ``parallel`` runs the production engine's certified stratum batches
-    and partitioned delta rounds on a persistent pool of worker
-    processes (see :mod:`repro.iql.parexec`); the reference engine
-    ignores it. :meth:`close` retires the pool.
+      generate-and-test joins and no indexes. It is the oracle the
+      differential tests compare the production engine against.
+      ``trace=True`` runs this same engine, since its γ1 steps are what
+      the trace events describe.
 
     ``choose_mode`` controls the genericity discipline of IQL+:
 
@@ -221,7 +204,6 @@ class Evaluator:
         naive: bool = False,
         preflight: bool = False,
         replan_ratio: float = 10.0,
-        parallel: Union[int, str] = 0,
     ):
         if choose_mode not in ("verify", "trusted", "nondeterministic"):
             raise EvaluationError(f"unknown choose_mode {choose_mode!r}")
@@ -239,13 +221,6 @@ class Evaluator:
         # are replanned between rounds. Join order never affects the
         # solution set, only speed.
         self.replan_ratio = replan_ratio
-        auto_width = isinstance(parallel, str)
-        workers = 0
-        if parallel:
-            from repro.iql.parexec import worker_count
-
-            workers = worker_count(parallel)
-        self.parallel = 0 if self.naive else workers
         self._schedule = None
         self._compiler = None
         if not self.naive:
@@ -265,44 +240,6 @@ class Evaluator:
                         stacklevel=3,
                     )
             self._compiler = RuleCompiler(self.limits.enumeration_budget)
-        # The IQL8xx gate: parallel execution happens only under a
-        # validated ParallelCertificate. A tampered certificate disables
-        # the pool outright; per-stratum IQL801/802 hazards stay in the
-        # certificate and fall back serial at run time, each announced
-        # here as a PreflightWarning (the IQL601 pattern above).
-        self._parallel_certificate = None
-        self._driver = None  # the persistent process pool, built on first use
-        if self.parallel:
-            import warnings
-
-            from repro.analysis import PreflightWarning
-            from repro.analysis.parallel import (
-                build_parallel_certificate,
-                parallel_pass,
-                validate_parallel_certificate,
-            )
-
-            certificate = build_parallel_certificate(program, schedule=self._schedule)
-            violations = validate_parallel_certificate(program, certificate)
-            for diag in parallel_pass(program, certificate=certificate):
-                if diag.code in ("IQL801", "IQL802"):
-                    warnings.warn(
-                        f"{diag.code}: {diag.message} — serial fallback",
-                        PreflightWarning,
-                        stacklevel=3,
-                    )
-            if violations:
-                for violation in violations:
-                    warnings.warn(
-                        f"parallel execution disabled: {violation}",
-                        PreflightWarning,
-                        stacklevel=3,
-                    )
-            else:
-                self._parallel_certificate = certificate
-                if auto_width:
-                    # IQL804: workers beyond the certified width idle.
-                    self.parallel = max(1, min(self.parallel, certificate.width))
         import random as _random
 
         self._rng = _random.Random(seed)
@@ -347,41 +284,15 @@ class Evaluator:
         from repro.values import intern
 
         hits0, misses0, fast0 = intern.counters()
-        driver = None
-        if self._parallel_certificate is not None and self.parallel > 1:
-            if self._driver is None:
-                from repro.iql.parexec import ProcessDriver
-
-                self._driver = ProcessDriver(self, self.parallel)
-            driver = self._driver
-            stats.parallel_workers = self.parallel
-        try:
-            for index, stage in enumerate(self.program.stages):
-                plan = self._schedule.stages[index] if self._schedule else None
-                if plan is not None and plan.scheduled:
-                    if driver is not None:
-                        self._run_stage_parallel(
-                            working,
-                            index,
-                            plan.strata,
-                            self._parallel_certificate.stages[index],
-                            stats,
-                            driver,
-                        )
-                    else:
-                        self._run_stage_scheduled(working, plan.strata, stats)
-                else:
-                    if plan is not None:
-                        stats.schedule_fallbacks += 1
-                        if driver is not None:
-                            stats.parallel_fallbacks += 1
-                    self._run_stage(working, list(stage), stats)
-            output = working.project(self.program.output_schema)
-        except BaseException:
-            # A failed episode can leave a dead worker, or replies nobody
-            # read, in the pool: retire it so the next run builds a fresh one.
-            self.close()
-            raise
+        for index, stage in enumerate(self.program.stages):
+            plan = self._schedule.stages[index] if self._schedule else None
+            if plan is not None and plan.scheduled:
+                self._run_stage_scheduled(working, plan.strata, stats)
+            else:
+                if plan is not None:
+                    stats.schedule_fallbacks += 1
+                self._run_stage(working, list(stage), stats)
+        output = working.project(self.program.output_schema)
         hits1, misses1, fast1 = intern.counters()
         stats.intern_hits = hits1 - hits0
         stats.intern_misses = misses1 - misses0
@@ -600,13 +511,7 @@ class Evaluator:
         self, instance: Instance, rules: List[Rule], stats: EvaluationStats
     ) -> int:
         """One stratum's fixpoint (the per-stratum body of
-        :meth:`_run_stage_scheduled`), returning its step count.
-
-        Also the unit of work a parallel batch submits per worker: each
-        concurrent task gets its own ``stats`` (merged at the barrier),
-        and the certificate guarantees concurrent strata write disjoint
-        symbols.
-        """
+        :meth:`_run_stage_scheduled`), returning its step count."""
         from repro.analysis.effects import rule_effects
         from repro.iql.seminaive import run_stage_seminaive, stage_eligible
 
@@ -657,64 +562,6 @@ class Evaluator:
             if not active:
                 break
         return steps_total
-
-    def close(self) -> None:
-        """Tear down the persistent process worker pool, if any.
-
-        Safe to call repeatedly; also runs from a GC finalizer on the
-        pool itself, so forgetting it leaks nothing — but a long-lived
-        host application should close evaluators it is done with.
-        """
-        if self._driver is not None:
-            self._driver.close()
-            self._driver = None
-
-    def _run_stage_parallel(
-        self,
-        instance: Instance,
-        stage_index: int,
-        strata: Tuple[Tuple[Rule, ...], ...],
-        stage_plan,
-        stats: EvaluationStats,
-        driver,
-    ) -> None:
-        """Certified parallel stage execution (``Evaluator(parallel=N)``).
-
-        Walks the certificate's :func:`~repro.analysis.parallel.concurrent_batches`
-        — the one scheduling function the analysis and the executor
-        share. A multi-stratum batch runs each stratum's serial fixpoint
-        on its own worker (disjoint write symbols by the certificate,
-        per-task stats merged at the barrier); a singleton batch whose
-        stratum is certified-partitionable runs split delta rounds; every
-        other singleton — hazard strata included — runs the plain serial
-        path, counted as a parallel fallback. Each worker is a process
-        over a shipped replica (:class:`repro.iql.parexec.ProcessDriver`).
-        """
-        from repro.analysis.parallel import concurrent_batches
-        from repro.iql.seminaive import stage_eligible
-
-        steps_total = 0
-        for batch in concurrent_batches(stage_plan):
-            if len(batch) > 1:
-                steps_total += driver.run_batch(
-                    instance, stage_index, batch, strata, stats
-                )
-                continue
-            stratum_index = batch[0]
-            plan = stage_plan.strata[stratum_index]
-            rules = list(strata[stratum_index])
-            rounds = None
-            if plan.partitionable and stage_eligible(rules, instance):
-                rounds = driver.run_partitioned(instance, stage_index, rules, stats)
-                if rounds is not None:
-                    stats.strata += 1
-                    stats.parallel_partitioned += 1
-                    steps_total += rounds
-            if rounds is None:
-                if plan.fallback is not None and not plan.parallel_safe:
-                    stats.parallel_fallbacks += 1
-                steps_total += self._solve_stratum_scheduled(instance, rules, stats)
-        stats.per_stage_steps.append(steps_total)
 
     # -- the one-step operator γ1 ----------------------------------------------------
 

@@ -136,10 +136,9 @@ class Rule:
     def __getstate__(self):
         """Pickle the syntax only — never the evaluation caches.
 
-        Plans and compiled kernels capture one process's instance sets
-        and index buckets; a process worker receiving this rule compiles
-        its own against its local replica (and its caches then warm up
-        independently, which is the point of a persistent worker pool).
+        Plans and compiled kernels capture one instance's sets and index
+        buckets; whoever unpickles this rule plans and compiles afresh
+        against the instance it evaluates.
         """
         return (self.head, self.body, self.delete, self.label, self.span)
 

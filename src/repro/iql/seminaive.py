@@ -53,8 +53,8 @@ def rule_eligible(rule: Rule, schema: Schema) -> bool:
     Purely schema-level — the parallel-safety analysis
     (:mod:`repro.analysis.parallel`) reuses this exact predicate to
     decide hash-partitionability, so the fragment the certificate
-    reasons about and the fragment the executor runs are one predicate,
-    not two that could drift.
+    reasons about and the fragment the engine's delta rounds run are one
+    predicate, not two that could drift.
     """
     if rule.delete or rule.has_choose() or not rule.is_invention_free():
         return False

@@ -52,7 +52,6 @@ from repro.iql.terms import Deref, SetTerm, Term, TupleTerm
 from repro.values.ovalues import OSet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (valuation → stats)
-    from repro.iql.rules import Rule
     from repro.iql.valuation import Plan
     from repro.schema.instance import Instance
 

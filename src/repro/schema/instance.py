@@ -485,10 +485,10 @@ class Instance:
         """Pickle only ``(ρ, π, ν)`` and the schema.
 
         The lazy index registry, the constants caches and the member-type
-        memo are coordinator-local evaluation artifacts: a process worker
-        receiving this instance must build its own (``tests/test_parallel.py``
-        pins this exclusion), and a snapshot written to disk should not
-        drag an index graph with it.
+        memo are evaluation artifacts built against this process's value
+        nodes: whoever unpickles the instance builds its own
+        (``tests/test_parallel.py`` pins this exclusion), and a snapshot
+        written to disk should not drag an index graph with it.
         ``_class_of`` is real state (the disjointness map) and travels.
         """
         return (

@@ -46,9 +46,8 @@ observable:
 :class:`~repro.iql.evaluator.EvaluationStats` snapshots the counters around
 a run and ``repro run --stats`` prints the deltas.
 
-Thread safety: the engine itself never interns from two threads (its
-parallel executor uses processes, below), but the store stays safe for
-host applications that do.  Under the GIL each probe, insert, and
+Thread safety: the engine itself never interns from two threads, but
+the store stays safe for host applications that do.  Under the GIL each probe, insert, and
 sweep-rebuild is atomic enough; two threads racing to intern the same
 content can at worst both build a node, with the last insert winning the
 table.  The loser stays a valid value — the structural ``__eq__``
@@ -58,18 +57,15 @@ Process locality
 ----------------
 
 The store is **process-local** by design: nothing here is shared memory,
-and node identity never survives a process boundary on its own.  The
-parallel executor (:mod:`repro.iql.parexec`) leans on this
-deliberately — each worker process runs its own ``STORE`` seeded by its
-own constructions, and facts crossing a pipe are rebuilt *through the
-receiving side's interned constructors* (``Oid.__reduce__`` /
-``OTuple.__reduce__`` / ``OSet.__reduce__`` in
-:mod:`repro.values.ovalues`, and the wire codec in :mod:`repro.io`).
-Re-canonicalization at the receiver, not shared tables, is what restores
-the ``v1 == v2  ⇔  v1 is v2`` invariant after a merge; a worker's hit or
-miss counters therefore say nothing about the coordinator's, and the
-coordinator's constants cache and lazy index registry are never visible
-to workers (``Instance.__getstate__`` leaves them out).
+and node identity never survives a pickle round trip on its own.
+Unpickled values are rebuilt *through the receiving side's interned
+constructors* (``Oid.__reduce__`` / ``OTuple.__reduce__`` /
+``OSet.__reduce__`` in :mod:`repro.values.ovalues`), so a value loaded
+back into the process that pickled it is that process's canonical node
+again and the ``v1 == v2  ⇔  v1 is v2`` invariant holds.  Caches built
+against one process's nodes — an instance's constants cache and lazy
+index registry — are never pickled (``Instance.__getstate__`` leaves
+them out).
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ still compare correctly through the structural fallback in ``__eq__``.
 from __future__ import annotations
 
 import threading
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple, Union
 from weakref import WeakValueDictionary
 from weakref import ref as _weakref
 
@@ -122,12 +122,11 @@ class Oid:
         manufacture a second element of ``O``: the sender registers the
         live object under its serial, and :func:`_oid_from_wire` on the
         receiving side returns the registered object when the serial is
-        already known in that process — which is exactly what lets a
-        coordinator recognize its own oids inside facts a worker sends
-        back. A serial seen for the first time (a worker receiving
-        coordinator facts) reconstructs an oid carrying the sender's
-        serial, so sort order and invention determinism agree across the
-        process boundary.
+        already known in that process, so unpickling in the process that
+        pickled yields the very same oid. A serial seen for the first
+        time (another process loading the pickle) reconstructs an oid
+        carrying the sender's serial, so sort order and invention
+        determinism agree across processes.
         """
         with _OID_REGISTRY_LOCK:
             _OID_REGISTRY[self.serial] = self
@@ -152,9 +151,7 @@ def _oid_from_wire(serial: int, name: str) -> Oid:
         oid._hash = hash((Oid, serial))
         _OID_REGISTRY[serial] = oid
     # Local invention must never collide with an imported serial: fresh
-    # oids in this process continue strictly above everything seen on
-    # the wire. (Certified parallel strata never invent in workers, so
-    # this is belt-and-braces for general pickle use.)
+    # oids in this process continue strictly above everything unpickled.
     with Oid._lock:
         if Oid._next_serial < serial:
             Oid._next_serial = serial
@@ -306,9 +303,9 @@ class OTuple:
         """Pickle as the canonical field tuple, rebuilt through ``__new__``.
 
         Unpickling therefore *re-interns* into the receiving process's
-        store: a fact shipped to a worker and back arrives as the
-        coordinator's own canonical node (identity equality holds), and a
-        worker's first sight of a value lands in its process-local store.
+        store: a value pickled and loaded back in the same process is its
+        own canonical node (identity equality holds), and a value first
+        seen by another process lands in that process's store.
         The per-node metadata caches are deliberately not shipped — they
         are recomputed lazily, and on a hit the canonical node already
         has them.

@@ -20,9 +20,6 @@ from repro.analysis import (
     analyze,
     compute_schedule,
     depgraph_pass,
-    graphs_to_dot,
-    program_graphs,
-    render_graphs_text,
     rule_effects,
     stage_graph,
 )
@@ -30,7 +27,7 @@ from repro.analysis.effects import head_symbol, plane
 from repro.iql import Evaluator, Program, Rule, Var, atom, columns
 from repro.parser.grammar import program_from_source
 from repro.schema import Instance, Schema, are_o_isomorphic
-from repro.typesys import D, classref
+from repro.typesys import D
 from repro.values import OTuple
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"

@@ -278,45 +278,3 @@ def test_costed_planner_matches_static(seed):
 @pytest.mark.parametrize("seed", range(220))
 def test_forced_replanning_matches_static(seed):
     run_planner_differential(seed, replan_ratio=1.0, scheduled=True)
-
-
-# -- the certified parallel executor (Evaluator(parallel=N)) -------------------------
-#
-# Same program generator as the scheduled sweep — including the IQL601
-# seeds and the invention seeds, which the IQL8xx certificate forces
-# back to serial (IQL802 or an unscheduled stage) — so the fallback
-# paths are exercised as heavily as the concurrent ones. The oracle is
-# the serial production engine: for invention-free programs the
-# parallel fact set must be *exactly* equal (concurrent strata write
-# disjoint symbols; partitioned rounds merge into the same inflationary
-# fixpoint); invention seeds compare up to O-isomorphism because batch
-# scheduling may reorder hazard strata of different levels, renaming
-# the (fresh-by-construction) invented oids.
-
-
-def run_process_differential(seed):
-    """One seed of the shared-nothing sweep: 2 worker processes vs serial.
-
-    Exactness is the interesting bit: a worker's derivations cross a
-    pickling boundary and must re-canonicalize into the coordinator's
-    intern store with oid identity intact — any leak shows up here as an
-    equality (or isomorphism) failure. The CI smoke runs seeds 0..39 of
-    this function; tier-1 runs all 220.
-    """
-    import warnings
-
-    program, instance = random_case(seed, scheduled=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        evaluator = Evaluator(program, parallel=2)
-        try:
-            parallel_result = evaluator.run(instance.copy())
-        finally:
-            evaluator.close()
-        serial = Evaluator(program).run(instance.copy()).output
-    assert_agree(program, parallel_result.output, serial, seed)
-
-
-@pytest.mark.parametrize("seed", range(220))
-def test_process_engine_matches_serial(seed):
-    run_process_differential(seed)

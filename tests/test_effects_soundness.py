@@ -1,7 +1,7 @@
 """Effects soundness: observed runtime writes ⊆ declared ``RuleEffects`` writes.
 
 Every IQL801 independence verdict — and through it every concurrent
-batch the parallel executor is allowed to run — rests on one premise:
+batch the parallel-safety analysis certifies — rests on one premise:
 the static write sets of :func:`repro.analysis.effects.rule_effects`
 over-approximate everything evaluation actually mutates. This file
 checks that premise dynamically: the four add-direction
@@ -13,8 +13,8 @@ rule of the program.
 
 Removal mutators are deliberately *not* instrumented: an IQL* deletion
 cascade may touch arbitrary reachable symbols, which is exactly why
-deletion is an IQL802 hazard and never runs concurrently — there is no
-per-rule write set to be sound against.
+deletion is an IQL802 hazard and is never certified to run concurrently —
+there is no per-rule write set to be sound against.
 """
 
 import random

@@ -1,5 +1,5 @@
 """The hash-consing layer: interning, cached metadata, colour refinement,
-and the pickling channel the process executor relies on.
+and what pickling preserves of value identity.
 
 Three families of properties:
 
@@ -346,16 +346,15 @@ def test_interned_engine_matches_no_intern(seed):
     _run_intern_differential(seed)
 
 
-# -- pickling: the process-boundary identity channel ----------------------------
+# -- pickling: identity survives a round trip -----------------------------------
 #
-# The shared-nothing executor (repro.iql.parexec, Evaluator(parallel=N)) rides
-# on three properties of the value types' pickling:
+# The value types' pickling contract, for any caller that pickles values:
 #
 # 1. round trips preserve structure: a == pickle.loads(pickle.dumps(a)),
 # 2. unpickling rebuilds THROUGH interned construction, so a canonical
 #    node comes back as itself: a is reintern(loads(dumps(a))),
-# 3. oid identity survives via the serial registry: the coordinator
-#    recognizes its own oids in a worker's reply.
+# 3. oid identity survives via the serial registry: a process that
+#    unpickles its own oids gets the same objects back.
 #
 # A value pickled in one intern generation and unpickled after
 # intern.clear() is a structural twin; re-interning either lands on the
@@ -415,9 +414,8 @@ def test_cross_generation_pickles_reintern_to_one_node(value):
 
 
 def test_oid_identity_survives_a_subprocess_round_trip():
-    # A worker pickles facts back to the coordinator: the coordinator's
-    # own oids must come back as the same objects (the registry path),
-    # and foreign oids must re-materialize with their serial respected.
+    # Values pickled and loaded back in the same process: its own oids
+    # must come back as the same objects (the registry path).
     import pickle
 
     oid = Oid("w")
@@ -427,20 +425,3 @@ def test_oid_identity_survives_a_subprocess_round_trip():
     assert back_oid is oid
     assert back_t is t
     assert back_t["a"] is oid
-
-
-def test_wire_batch_round_trip_preserves_identity_and_sharing():
-    from repro import io
-
-    oid = Oid("s")
-    shared = OTuple(x=oid, y=2)
-    fact_a = OTuple(p=shared, q=3)
-    fact_b = OTuple(p=shared, q=4)
-    wire = io.batch_to_wire({"R": [fact_a, fact_b], "C": [oid]})
-    nodes, payload = wire
-    # Interned sharing is preserved on the wire: `shared` appears once.
-    assert sum(1 for node in nodes if node[0] == "t") == 3
-    decoded = io.batch_from_wire(wire)
-    assert decoded["R"][0] is fact_a
-    assert decoded["R"][1] is fact_b
-    assert decoded["C"][0] is oid

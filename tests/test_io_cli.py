@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import io
-from repro.errors import OValueError, SchemaError
+from repro.errors import InstanceError, OValueError, SchemaError
 from repro.schema import Instance, Schema, are_o_isomorphic
 from repro.typesys import D, classref, tuple_of, union
 from repro.values import Oid, OSet, OTuple
@@ -78,6 +78,11 @@ class TestInstanceRoundTrip:
         with pytest.raises(SchemaError):
             io.loads("{}")
 
+    def test_malformed_json_is_an_instance_error(self):
+        with pytest.raises(InstanceError, match="line 1 column 2") as info:
+            io.loads("{not json")
+        assert isinstance(info.value.__cause__, json.JSONDecodeError)
+
     def test_nu_for_undeclared_oid_rejected(self):
         doc = {
             "schema": {"relations": {}, "classes": {"P": "[]"}},
@@ -149,12 +154,37 @@ class TestCli:
         _, data, _ = files
         assert main(["run", str(bad), "--input", str(data)]) == 1
 
+    def test_run_rejects_ill_typed_input_facts(self, files, capsys):
+        from repro.__main__ import main
+
+        program, _, tmp = files
+        bad = tmp / "bad.json"
+        bad.write_text(
+            json.dumps(
+                {
+                    "schema": {"relations": {"E": "[A1: D, A2: D]"}},
+                    "relations": {"E": [{"tuple": {"A1": "n0"}}]},
+                }
+            )
+        )
+        for flags in ([], ["--strict"]):
+            assert main(["run", str(program), "--input", str(bad), *flags]) == 1
+            assert "error: ρ(E) member" in capsys.readouterr().err
+
     def test_validate(self, files, capsys):
         from repro.__main__ import main
 
         _, data, _ = files
         assert main(["validate", str(data)]) == 0
         assert "legal instance" in capsys.readouterr().out
+
+    def test_validate_rejects_malformed_json(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        assert main(["validate", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error: malformed JSON")
 
     def test_missing_file(self, capsys):
         from repro.__main__ import main

@@ -327,6 +327,26 @@ class TestMaintainCLI:
         assert rc == 0
         assert out.out.splitlines()[0].startswith("ok: 1 net update(s)")
 
+    def test_ill_typed_insert_is_rejected(self, tmp_path, capsys):
+        from repro import io
+
+        prog = tmp_path / "e19.iql"
+        prog.write_text(E19_PROGRAM)
+        program = program_from_source(E19_PROGRAM)
+        instance = Instance(program.input_schema)
+        instance.add_relation_member("E", edge("a", "b"))
+        data = tmp_path / "in.json"
+        io.dump(instance, str(data))
+        script = tmp_path / "session.txt"
+        script.write_text('?E\n+E {"A1": "n0"}\n?E\nquit\n')
+        rc = main(
+            ["maintain", str(prog), "--input", str(data), "--script", str(script)]
+        )
+        assert rc == 0
+        before, rejected, after = capsys.readouterr().out.splitlines()
+        assert rejected.startswith("error: ρ(E) member")
+        assert after == before == '[{"tuple": {"A1": "a", "A2": "b"}}]'
+
 
 # -- the 220-seed differential ------------------------------------------------------
 #
