@@ -45,6 +45,7 @@ EXPERIMENTS = {
     "E19": "bench_scheduling",
     "E20": "bench_ivm",
     "E21": "bench_planner",
+    "E24": "bench_replan",
 }
 
 

@@ -340,17 +340,14 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"  index probes         {stats.index_probes}\n"
             f"  index scans avoided  {stats.index_scans_avoided}\n"
             f"  plan cache           {stats.plan_cache_hits}/{plan_total} hits, "
-            f"{stats.plan_cache_entries} entries, "
-            f"{stats.plan_cache_evictions} evicted\n"
+            f"{stats.plan_cache_entries} entries\n"
             f"  plans costed         {stats.plans_costed}\n"
-            f"  estimate drifts      {stats.estimate_drifts}\n"
             f"  plan replans         {stats.plan_replans}\n"
             f"  rules compiled       {stats.rules_compiled}\n"
             f"  rules interpreted    {stats.rules_interpreted}\n"
             f"  compile fallbacks    {stats.compile_fallbacks}{fallbacks}\n"
             f"  compile time         {stats.compile_time * 1000:.1f}ms\n"
-            f"  kernel cache         {stats.kernel_cache_entries} entries, "
-            f"{stats.kernel_cache_evictions} evicted\n"
+            f"  kernel cache         {stats.kernel_cache_entries} entries\n"
             f"  intern hits          {stats.intern_hits}\n"
             f"  intern misses        {stats.intern_misses}\n"
             f"  intern live nodes    {live_tuples} tuples, {live_sets} sets\n"

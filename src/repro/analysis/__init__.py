@@ -67,6 +67,7 @@ from repro.analysis.passes import (
     binding_pass,
     certification_pass,
     invention_cycle_pass,
+    io_schema_pass,
     typecheck_pass,
     unused_pass,
 )
@@ -118,6 +119,7 @@ __all__ = [
     "impact_pass",
     "impact_to_dot",
     "invention_cycle_pass",
+    "io_schema_pass",
     "overall_strategy",
     "parallel_pass",
     "parallel_to_dot",

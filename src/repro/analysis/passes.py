@@ -4,6 +4,8 @@ Each pass is a pure function ``Program -> List[Diagnostic]``:
 
 * :func:`typecheck_pass` — well-typedness (Sections 3.1/3.3), delegating
   to :mod:`repro.iql.typecheck`'s diagnostic API (``IQL1xx``),
+* :func:`io_schema_pass` — input and output names whose types reference
+  a class outside them (``IQL110``): Sin and Sout must be schemas,
 * :func:`binding_pass` — unsafe negation and unbound variables
   (``IQL201``/``IQL202``): hygiene warnings the paper's semantics
   tolerates (type-interpretation enumeration) but an engineer rarely
@@ -43,6 +45,30 @@ from repro.typesys.expressions import ClassRef
 def typecheck_pass(program: Program, schema: Optional[Schema] = None) -> List[Diagnostic]:
     """Well-typedness of every rule (``IQL1xx``)."""
     return check_program_diagnostics(program, schema)
+
+
+def io_schema_pass(program: Program) -> List[Diagnostic]:
+    """Input and output projections that are not schemas (``IQL110``).
+
+    Sin and Sout are projections of S (Section 3), and a projection must
+    keep every class its types reference. One that does not makes
+    ``Program.input_schema`` (or ``output_schema``) raise ``SchemaError``,
+    so the program cannot run on any input.
+    """
+    out: List[Diagnostic] = []
+    for side, names in (("input", program.input_names), ("output", program.output_names)):
+        kept = set(names)
+        for name in names:
+            missing = program.schema.type_of(name).class_names() - kept
+            if missing:
+                out.append(
+                    diagnostic(
+                        "IQL110",
+                        f"{side} {name!r} references class(es) {sorted(missing)} "
+                        f"that are not {side} names; add them to `{side}`",
+                    )
+                )
+    return out
 
 
 # -- binding hygiene ---------------------------------------------------------------

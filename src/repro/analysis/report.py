@@ -19,6 +19,7 @@ from repro.analysis.passes import (
     binding_pass,
     certification_pass,
     invention_cycle_pass,
+    io_schema_pass,
     typecheck_pass,
     unused_pass,
 )
@@ -85,8 +86,9 @@ def analyze(program: Program, schema: Optional[Schema] = None) -> Report:
     ``schema`` overrides the program's own schema for typechecking (the
     same override :func:`repro.iql.typecheck.check_program` accepts).
     The semantic passes — binding, cycles, dead code, certification —
-    presuppose a well-typed program, so they run only when typechecking
-    reports no errors.
+    presuppose well-typed rules, so they run only when typechecking
+    reports no errors; the input/output closure check (``IQL110``)
+    always runs.
     """
     diagnostics = list(typecheck_pass(program, schema))
     certificate: Optional[Certificate] = None
@@ -97,6 +99,7 @@ def analyze(program: Program, schema: Optional[Schema] = None) -> Report:
         diagnostics.extend(depgraph_pass(program, schema))
         certificate, notes = certification_pass(program)
         diagnostics.extend(notes)
+    diagnostics.extend(io_schema_pass(program))
     return Report(
         diagnostics=sort_diagnostics(diagnostics),
         certificate=certificate,

@@ -91,6 +91,7 @@ CODES: Dict[str, Tuple[str, str]] = {
     "IQL107": (ERROR, "deletion rule with invention variables"),
     "IQL108": (ERROR, "choose combined with deletion"),
     "IQL109": (ERROR, "illegal head shape"),
+    "IQL110": (ERROR, "input or output schema not closed under class references"),
     "IQL201": (WARNING, "unsafe negation: variable occurs only under negation"),
     "IQL202": (WARNING, "unbound variable: no positive literal restricts it"),
     "IQL301": (WARNING, "invention cycle: evaluation may diverge"),

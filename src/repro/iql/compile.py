@@ -39,15 +39,18 @@ constructs whose matching is inherently enumerative; those raise
 * unbound dereference enumeration (``x̂`` matched with ``x`` unbound),
 * set-assignment enumeration (matching a ``{t1, ..., tk}`` pattern).
 
-**Invalidation.** A kernel hard-codes one instance's sets and index dicts,
-so it is valid only while ``kernel.instance is instance`` and — when index
-dicts were captured — ``instance._indexes`` is still the captured
-:class:`InstanceIndexes` object. ``Instance.drop_indexes()`` (the IQL*
-deletion path) replaces that object, so stale kernels fail the check and
-are recompiled from post-deletion state, exactly like ``Rule.plan_cache``
-entries going stale. Kernels are cached per rule in the bounded
-``Rule.kernel_cache`` keyed by shape: ``"rule"`` for γ1, ``"sn"`` for
-the delta rewriting.
+**Invalidation.** A kernel hard-codes one instance's sets and index dicts
+and one plan's join order. It is valid only while three things hold:
+``kernel.instance is instance``; when index dicts were captured,
+``instance._indexes`` is still the captured :class:`InstanceIndexes`
+object; and its plan is not stale (:meth:`~repro.iql.valuation.Plan.is_stale`:
+no extension the plan reads has grown or shrunk ``REPLAN_GROWTH``-fold
+since it was costed). ``Instance.drop_indexes()`` (the IQL* deletion
+path) replaces the index object, so its kernels are recompiled from
+post-deletion state; a kernel whose plan went stale is recompiled against
+a plan re-costed on the instance at hand. Kernels are cached per rule in
+``Rule.kernel_cache`` keyed by shape: ``"rule"`` for γ1, ``"sn"`` for the
+delta rewriting.
 
 **Contract.** A running kernel iterates live extension sets; callers must
 not mutate the instance while a kernel is executing. Both engines satisfy
@@ -72,7 +75,7 @@ from repro.errors import EvaluationError
 from repro.iql.literals import Choose, Equality, Literal, Membership
 from repro.iql.rules import Rule
 from repro.iql.terms import Const, Deref, NameTerm, SetTerm, Term, TupleTerm, Var
-from repro.iql.valuation import eval_term, lookup_plan
+from repro.iql.valuation import Plan, eval_term, lookup_plan
 from repro.schema.instance import Instance
 from repro.typesys.enumeration import enumerate_type
 from repro.typesys.expressions import Base, ClassRef
@@ -365,15 +368,9 @@ def _compile_steps(plan, layout, bound, instance, budget, state):
     bound-set evolves exactly as in plan_body. Backward fold: chain the
     steps so each calls the next directly; the innermost calls through
     ``sink_cell[0]``, which the kernel swaps per execution.
-
-    Row counting for the drift check mirrors the interpreter: one list
-    increment per row entering a generator step (inside the generator's
-    own run function — no extra call frame) and one per final solution
-    (in the sink), writing the shared ``plan.counts`` array.
     """
-    counts = plan.counts
     makers = []
-    for step_i, step in enumerate(plan):
+    for step in plan:
         kind = step[0]
         if kind == "filter":
             predicate = _compile_filter(step[1], layout, instance)
@@ -387,11 +384,7 @@ def _compile_steps(plan, layout, bound, instance, budget, state):
 
             makers.append(make_filter)
         elif kind == "member":
-            makers.append(
-                _compile_member(
-                    step[1], step[2], layout, bound, instance, state, counts, step_i
-                )
-            )
+            makers.append(_compile_member(step[1], step[2], layout, bound, instance, state))
         elif kind == "equal":
             lit, left_known = step[1], step[2]
             known, pattern = (
@@ -400,9 +393,8 @@ def _compile_steps(plan, layout, bound, instance, budget, state):
             known_eval = _compile_eval(known, layout, instance)
             matcher = _compile_match(pattern, layout, bound, instance)
 
-            def make_equal(nxt, known_eval=known_eval, matcher=matcher, _i=step_i):
-                def run_equal(slots, _c=counts, _i=_i):
-                    _c[_i] += 1
+            def make_equal(nxt, known_eval=known_eval, matcher=matcher):
+                def run_equal(slots):
                     value = known_eval(slots)
                     if value is not None and matcher(value, slots):
                         nxt(slots)
@@ -432,10 +424,8 @@ def _compile_steps(plan, layout, bound, instance, budget, state):
             makers.append(make_enum)
 
     sink_cell: List[Consumer] = [_no_sink]
-    n_steps = len(plan)
 
-    def sink(slots, _c=counts, _n=n_steps):
-        _c[_n] += 1
+    def sink(slots):
         sink_cell[0](slots)
 
     entry = sink
@@ -444,7 +434,7 @@ def _compile_steps(plan, layout, bound, instance, budget, state):
     return entry, sink_cell
 
 
-def _compile_member(lit, probes, layout, bound, instance, state, counts, step_i):
+def _compile_member(lit, probes, layout, bound, instance, state):
     """A ("member", lit, probes) step: probe or scan, then match."""
     container = lit.container
     probe_list: Tuple[Tuple[Any, Any], ...] = ()
@@ -466,8 +456,7 @@ def _compile_member(lit, probes, layout, bound, instance, state, counts, step_i)
             value_eval = probe_list[0][1]
 
             def make_probe1(nxt, index_get=index_get, value_eval=value_eval, matcher=matcher):
-                def run_probe1(slots, _c=counts, _i=step_i):
-                    _c[_i] += 1
+                def run_probe1(slots):
                     value = value_eval(slots)
                     if value is None:
                         return  # undefined dereference: no member can match
@@ -482,8 +471,7 @@ def _compile_member(lit, probes, layout, bound, instance, state, counts, step_i)
             return make_probe1
 
         def make_probe(nxt, probe_list=probe_list, matcher=matcher):
-            def run_probe(slots, _c=counts, _i=step_i):
-                _c[_i] += 1
+            def run_probe(slots):
                 members = None
                 for index, value_eval in probe_list:
                     value = value_eval(slots)
@@ -510,8 +498,7 @@ def _compile_member(lit, probes, layout, bound, instance, state, counts, step_i)
             src = instance.classes[name]
 
         def make_scan(nxt, src=src, matcher=matcher):
-            def run_scan(slots, _c=counts, _i=step_i):
-                _c[_i] += 1
+            def run_scan(slots):
                 for element in src:
                     if matcher(element, slots):
                         nxt(slots)
@@ -522,8 +509,7 @@ def _compile_member(lit, probes, layout, bound, instance, state, counts, step_i)
     container_eval = _compile_eval(container, layout, instance)
 
     def make_deref_scan(nxt, container_eval=container_eval, matcher=matcher):
-        def run_deref_scan(slots, _c=counts, _i=step_i):
-            _c[_i] += 1
+        def run_deref_scan(slots):
             members = container_eval(slots)
             if members is None:
                 return  # undefined dereference: no facts to match
@@ -552,15 +538,16 @@ class CompiledBody:
     must copy whatever it keeps.
     """
 
-    __slots__ = ("slot_vars", "slot_index", "entry", "sink_cell", "instance", "indexes")
+    __slots__ = ("slot_vars", "slot_index", "entry", "sink_cell", "instance", "indexes", "plan")
 
-    def __init__(self, slot_vars, slot_index, entry, sink_cell, instance, indexes):
+    def __init__(self, slot_vars, slot_index, entry, sink_cell, instance, indexes, plan):
         self.slot_vars: Tuple[Var, ...] = slot_vars
         self.slot_index: Dict[Var, int] = slot_index
         self.entry = entry
         self.sink_cell = sink_cell
         self.instance = instance
         self.indexes = indexes
+        self.plan: Plan = plan
 
     def new_slots(self) -> Slots:
         return [None] * len(self.slot_vars)
@@ -574,14 +561,19 @@ class CompiledBody:
         self.entry(slots)
 
     def valid_for(self, instance: Instance) -> bool:
-        """Is this kernel still sound for ``instance``?
+        """Is this kernel still sound, and its join order current, for
+        ``instance``?
 
         Identity of the instance pins the captured extension sets; when
         probe dicts were captured, identity of ``instance._indexes`` pins
-        them too (``drop_indexes`` replaces the whole object).
+        them too (``drop_indexes`` replaces the whole object). A stale
+        plan (:meth:`Plan.is_stale`) asks for a recompile under a
+        re-costed join order.
         """
-        return instance is self.instance and (
-            self.indexes is None or instance._indexes is self.indexes
+        return (
+            instance is self.instance
+            and (self.indexes is None or instance._indexes is self.indexes)
+            and not self.plan.is_stale(instance)
         )
 
 
@@ -592,17 +584,12 @@ def compile_body(
     enumeration_budget: int = 100_000,
     plan_cache: Optional[Dict] = None,
     stats=None,
-    feedback: Optional[Dict] = None,
 ) -> CompiledBody:
     """Compile ``literals`` given ``initial_vars`` pre-bound, or raise
     :class:`CompileFallback`. Plans are shared with the interpreter through
-    ``plan_cache`` (the owning rule's), so both agree on join order;
-    ``feedback`` carries replan observations exactly as in
-    :func:`solve_body`."""
+    ``plan_cache`` (the owning rule's), so both agree on join order."""
     literals = tuple(lit for lit in literals if not isinstance(lit, Choose))
-    plan = lookup_plan(
-        literals, frozenset(initial_vars), instance, True, plan_cache, stats, feedback
-    )
+    plan = lookup_plan(literals, frozenset(initial_vars), instance, True, plan_cache, stats)
     layout = _Layout(initial_vars)
     bound: Set[Var] = set(initial_vars)
     state = _State()
@@ -610,7 +597,7 @@ def compile_body(
         plan, layout, bound, instance, enumeration_budget, state
     )
     return CompiledBody(
-        tuple(layout.slots), dict(layout.index), entry, sink_cell, instance, state.indexes
+        tuple(layout.slots), dict(layout.index), entry, sink_cell, instance, state.indexes, plan
     )
 
 
@@ -675,7 +662,6 @@ def compile_rule(
         enumeration_budget=enumeration_budget,
         plan_cache=rule.plan_cache,
         stats=stats,
-        feedback=rule.feedback_cache,
     )
     layout = _Layout(())
     layout.slots = list(body.slot_vars)
@@ -894,7 +880,8 @@ class SeminaiveKernels:
     derived fact. Delta kernels compile on first use, so a position
     whose relation never has a delta (an input-only relation in a
     recursive rule) never builds its kernel, nor the projection index
-    that kernel would probe.
+    that kernel would probe; a position whose rest kernel is no longer
+    valid (its plan went stale as the fixpoint grew) compiles again.
     """
 
     __slots__ = ("rule", "instance", "budget", "full", "head_full", "fallback", "_delta")
@@ -910,14 +897,17 @@ class SeminaiveKernels:
         self._delta: Dict[int, tuple] = {}
 
     def delta(self, position: int, stats=None) -> Optional[tuple]:
-        """The delta kernel of ``position``, compiled on first use.
+        """The delta kernel of ``position``, compiled on first use and
+        again whenever its rest kernel is no longer valid.
 
         None once any position of the rule has fallen outside the
         compilable fragment (``fallback`` names the construct); the
         caller then runs the position interpreted. ``stats`` receives
-        the plan lookups and the compile time of a first use.
+        the plan lookups and the compile time of a (re)compile.
         """
         kernel = self._delta.get(position)
+        if kernel is not None and not kernel[1].valid_for(self.instance):
+            kernel = None
         if kernel is None and self.fallback is None:
             started = time.perf_counter()
             try:
@@ -937,8 +927,7 @@ class SeminaiveKernels:
         matcher = _compile_match(element, layout, bound, instance)
         rest = rule.body[:position] + rule.body[position + 1 :]
         plan = lookup_plan(
-            tuple(rest), frozenset(init_vars), instance, True,
-            rule.plan_cache, stats, rule.feedback_cache,
+            tuple(rest), frozenset(init_vars), instance, True, rule.plan_cache, stats
         )
         state = _State()
         entry, sink_cell = _compile_steps(
@@ -946,15 +935,14 @@ class SeminaiveKernels:
         )
         rest_body = CompiledBody(
             tuple(layout.slots), dict(layout.index), entry, sink_cell,
-            instance, state.indexes,
+            instance, state.indexes, plan,
         )
         head_eval = _compile_eval(rule.head.element, layout, instance)
         return (matcher, rest_body, head_eval)
 
     def valid_for(self, instance: Instance) -> bool:
-        return self.full.valid_for(instance) and all(
-            rest.valid_for(instance) for _, rest, _ in self._delta.values()
-        )
+        # Delta kernels are revalidated one by one in delta().
+        return self.full.valid_for(instance)
 
 
 def compile_seminaive(
@@ -975,7 +963,6 @@ def compile_seminaive(
         enumeration_budget=enumeration_budget,
         plan_cache=rule.plan_cache,
         stats=stats,
-        feedback=rule.feedback_cache,
     )
     head_full = _compile_eval(head.element, _layout_of(full), instance)
     return SeminaiveKernels(rule, instance, enumeration_budget, full, head_full)
@@ -1003,13 +990,12 @@ class _Fallback:
 class RuleCompiler:
     """Compiles rules on demand, caches kernels per rule, keeps the books.
 
-    Kernels live in the bounded ``Rule.kernel_cache`` keyed by shape —
-    ``"rule"`` (γ1) or ``"sn"`` (semi-naive) — and are revalidated against
-    the instance on every fetch; a stale kernel (new instance, or indexes
-    dropped by an IQL* deletion) is recompiled in place, and the drift
-    detector of :mod:`repro.iql.stats` evicts kernels outright when their
-    plan's estimates prove wrong. Per run, each rule is counted once as
-    compiled or interpreted in :class:`EvaluationStats`.
+    Kernels live in ``Rule.kernel_cache`` keyed by shape — ``"rule"``
+    (γ1) or ``"sn"`` (semi-naive) — and are revalidated against the
+    instance on every fetch; a stale kernel (new instance, indexes
+    dropped by an IQL* deletion, or a plan whose inputs grew or shrank
+    ``REPLAN_GROWTH``-fold) is recompiled in place. Per run, each rule is
+    counted once as compiled or interpreted in :class:`EvaluationStats`.
     """
 
     def __init__(self, enumeration_budget: int = 100_000):

@@ -89,11 +89,10 @@ class EvaluationStats:
     index_scans_avoided: int = 0
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
-    # Cost-based adaptive planning (repro.iql.stats): bodies planned with
-    # the cost model, plan-step estimate segments found drifted ≥ the
-    # replan ratio, and plans evicted + replanned from observed fan-outs.
+    # Cost-based planning (repro.iql.valuation): bodies planned with the
+    # cost model, and cached plans re-costed because an extension they
+    # read grew or shrank REPLAN_GROWTH-fold since they were costed.
     plans_costed: int = 0
-    estimate_drifts: int = 0
     plan_replans: int = 0
     intern_hits: int = 0
     intern_misses: int = 0
@@ -114,12 +113,10 @@ class EvaluationStats:
     compile_fallbacks: int = 0
     compile_fallback_reasons: Dict[str, int] = field(default_factory=dict)
     compile_time: float = 0.0
-    # End-of-run sizes of the per-rule bounded caches (repro.caches),
-    # summed over the program's rules; evictions signal cache pressure.
+    # End-of-run sizes of the per-rule plan and kernel caches, summed
+    # over the program's rules.
     plan_cache_entries: int = 0
-    plan_cache_evictions: int = 0
     kernel_cache_entries: int = 0
-    kernel_cache_evictions: int = 0
     # Incremental view maintenance (repro.iql.ivm.MaterializedProgram):
     # net base-fact deltas applied, support-count adjustments (counting
     # strategy), facts conservatively over-deleted and then re-derived
@@ -168,8 +165,9 @@ class Evaluator:
       (:mod:`repro.analysis.depgraph`), semi-naive delta rounds wherever
       a stratum qualifies (:mod:`repro.iql.seminaive`), rule bodies
       compiled into closure kernels (:mod:`repro.iql.compile`), and
-      cost-based join planning with mid-fixpoint replanning
-      (:mod:`repro.iql.stats`), all over hash-consed values. Stages the
+      cost-based join planning (:mod:`repro.iql.stats`) that re-costs a
+      plan, mid-fixpoint included, once an extension it reads has grown
+      or shrunk tenfold, all over hash-consed values. Stages the
       analysis cannot certify run one monolithic fixpoint (IQL601 warns),
       and rules outside the compilable fragment run interpreted; both
       fallbacks are counted in :class:`EvaluationStats`.
@@ -203,7 +201,6 @@ class Evaluator:
         trace: bool = False,
         naive: bool = False,
         preflight: bool = False,
-        replan_ratio: float = 10.0,
     ):
         if choose_mode not in ("verify", "trusted", "nondeterministic"):
             raise EvaluationError(f"unknown choose_mode {choose_mode!r}")
@@ -216,11 +213,6 @@ class Evaluator:
         self.trace_enabled = trace
         self._trace: Optional[List[TraceEvent]] = [] if trace else None
         self.naive = naive or trace
-        # Drift-triggered replanning (repro.iql.stats): plans whose
-        # runtime row counts drift ≥ replan_ratio from their estimates
-        # are replanned between rounds. Join order never affects the
-        # solution set, only speed.
-        self.replan_ratio = replan_ratio
         self._schedule = None
         self._compiler = None
         if not self.naive:
@@ -300,10 +292,8 @@ class Evaluator:
         for rule in self.program.rules:
             if rule._plan_cache is not None:
                 stats.plan_cache_entries += len(rule._plan_cache)
-                stats.plan_cache_evictions += rule._plan_cache.evictions
             if rule._kernel_cache is not None:
                 stats.kernel_cache_entries += len(rule._kernel_cache)
-                stats.kernel_cache_evictions += rule._kernel_cache.evictions
         return EvaluationResult(
             full=working, output=output, stats=stats, trace=self._trace
         )
@@ -369,7 +359,6 @@ class Evaluator:
                 stats,
                 self.limits.enumeration_budget,
                 max_steps=self.limits.max_steps,
-                replan_ratio=self.replan_ratio,
                 compiler=self._compiler,
                 initial_delta=initial_delta,
                 added=added,
@@ -407,7 +396,6 @@ class Evaluator:
                     stats,
                     self.limits.enumeration_budget,
                     max_steps=self.limits.max_steps,
-                    replan_ratio=self.replan_ratio,
                     compiler=self._compiler,
                 )
                 stats.per_stage_steps.append(rounds)
@@ -440,20 +428,7 @@ class Evaluator:
             steps_here += 1
             if not changed:
                 break
-            self._check_drift(rules, stats)
         stats.per_stage_steps.append(steps_here)
-
-    def _check_drift(self, rules: List[Rule], stats: EvaluationStats) -> None:
-        """Between fixpoint rounds: replan any plan whose estimates drifted.
-
-        Round boundaries are the only safe point — no kernel is running,
-        and staged additions are already applied — and also the useful
-        one: the next round re-fetches plans and kernels, so an eviction
-        takes effect immediately (mid-fixpoint adaptivity).
-        """
-        from repro.iql.stats import check_drift
-
-        check_drift(rules, stats, self.replan_ratio)
 
     # -- the certified schedule (the production engine) ------------------------------
 
@@ -524,7 +499,6 @@ class Evaluator:
                 stats,
                 self.limits.enumeration_budget,
                 max_steps=self.limits.max_steps,
-                replan_ratio=self.replan_ratio,
                 compiler=self._compiler,
             )
         effects = [rule_effects(rule, instance.schema) for rule in rules]
@@ -547,7 +521,6 @@ class Evaluator:
             steps_total += 1
             if not changed:
                 break
-            self._check_drift(rules, stats)
             current = {
                 symbol: self._fingerprint(instance, symbol)
                 for symbol in read_symbols
@@ -595,7 +568,6 @@ class Evaluator:
                 stats=stats,
                 plan_cache=rule.plan_cache,
                 use_indexes=not self.naive,
-                feedback=rule.feedback_cache,
             ):
                 stats.valuations_considered += 1
                 if rule.delete:

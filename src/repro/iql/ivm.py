@@ -232,8 +232,6 @@ class MaterializedProgram:
         deleting and re-inserting the same fact in one batch is a no-op.
         Returns the cumulative :attr:`stats`.
         """
-        from repro.iql.stats import check_drift
-
         # The step budget binds per batch: count this batch's steps from
         # zero, then fold them into the cumulative total.
         steps_before = self.stats.steps
@@ -242,12 +240,6 @@ class MaterializedProgram:
             self._apply(self._group(inserts), self._group(deletes))
         finally:
             self.stats.steps += steps_before
-        # The batch's row counts are fresh evidence; replanning here
-        # (plans evicted, kernels invalidated) makes the *next* batch run
-        # the corrected order — cardinalities drift across a long
-        # maintenance run as the instance grows away from its
-        # initial-fixpoint statistics.
-        check_drift(self.program.rules, self.stats, self._evaluator.replan_ratio)
         return self.stats
 
     # -- batch dispatch -----------------------------------------------------------
@@ -639,7 +631,6 @@ class MaterializedProgram:
                         initial=seed,
                         stats=self.stats,
                         plan_cache=rule.plan_cache,
-                        feedback=rule.feedback_cache,
                     ):
                         value = eval_term(head_term, theta, instance)
                         if value is not None:
@@ -761,7 +752,6 @@ class MaterializedProgram:
                     enumeration_budget=budget,
                     stats=self.stats,
                     plan_cache=rule.plan_cache,
-                    feedback=rule.feedback_cache,
                 ):
                     key = frozenset(theta.items())
                     if key in seen:

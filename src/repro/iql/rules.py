@@ -19,22 +19,11 @@ from __future__ import annotations
 
 from typing import FrozenSet, Iterable, Optional, Tuple
 
-from repro.caches import BoundedDict
 from repro.diagnostics import Span
 from repro.errors import TypeCheckError
 from repro.iql.literals import Choose, Equality, Literal, Membership
 from repro.iql.terms import Deref, NameTerm, Var
 from repro.typesys.expressions import ClassRef
-
-#: Bound on the per-rule body-plan memo: one entry per (sub-body,
-#: bound-set, indexes on/off) shape; the semi-naive rewriting produces at
-#: most a few per rule, so evictions mean pathological reuse, not normal
-#: operation.
-PLAN_CACHE_SIZE = 128
-
-#: Bound on the per-rule compiled-kernel cache (repro.iql.compile): at
-#: most a handful of shapes per rule ("rule"/"sn" × indexes on/off).
-KERNEL_CACHE_SIZE = 16
 
 
 class Rule:
@@ -54,7 +43,6 @@ class Rule:
         "span",
         "_plan_cache",
         "_kernel_cache",
-        "_feedback_cache",
     )
 
     def __init__(
@@ -82,7 +70,6 @@ class Rule:
         self.span = span if span is not None else head.span
         self._plan_cache = None
         self._kernel_cache = None
-        self._feedback_cache = None
 
     @property
     def plan_cache(self) -> dict:
@@ -90,42 +77,30 @@ class Rule:
 
         Keyed by (literal tuple, bound-variable set, use_indexes); the
         semi-naive delta rewriting solves many sub-bodies of the same rule,
-        so the cache lives here rather than per call. Bounded (FIFO, see
-        :mod:`repro.caches`) so long-lived rules cannot accumulate plans
-        without limit. Excluded from equality and hashing — it is an
-        evaluation artifact, not syntax.
+        so the cache lives here rather than per call. The keys are bounded
+        by the rule's shape: the whole body and each delta position's rest,
+        with indexes on or off — at most 2·(body length + 1) plans. A stale
+        plan is replaced in place, never added beside. Excluded from
+        equality and hashing — it is an evaluation artifact, not syntax.
         """
         if self._plan_cache is None:
-            self._plan_cache = BoundedDict(PLAN_CACHE_SIZE)
+            self._plan_cache = {}
         return self._plan_cache
 
     @property
     def kernel_cache(self) -> dict:
         """The rule compiler's kernel memo (repro.iql.compile).
 
-        Keyed by (shape, use_indexes); entries are revalidated against the
+        Keyed by shape, ``"rule"`` (γ1) or ``"sn"`` (semi-naive), so it
+        holds at most two kernels. Entries are revalidated against the
         current instance on every fetch (compiled kernels capture one
-        instance's sets and index dicts), so a stale entry costs one
-        recompile, never a wrong answer. Bounded like :attr:`plan_cache`
-        and likewise excluded from equality and hashing.
+        instance's sets and index dicts, and one plan), so a stale entry
+        costs one recompile, never a wrong answer. Likewise excluded from
+        equality and hashing.
         """
         if self._kernel_cache is None:
-            self._kernel_cache = BoundedDict(KERNEL_CACHE_SIZE)
+            self._kernel_cache = {}
         return self._kernel_cache
-
-    @property
-    def feedback_cache(self) -> dict:
-        """Observed fan-outs from the drift detector (repro.iql.stats).
-
-        Keyed like :attr:`plan_cache`; each entry carries the measured
-        per-step fan-outs of an evicted plan plus its replan count, so the
-        next planning of the same (body, bound-set) costs those steps with
-        reality instead of the model. Bounded like the other caches and
-        likewise excluded from equality and hashing.
-        """
-        if self._feedback_cache is None:
-            self._feedback_cache = BoundedDict(PLAN_CACHE_SIZE)
-        return self._feedback_cache
 
     def display_label(self) -> str:
         """The rule's label, or a rendering of it, for diagnostics."""
@@ -146,7 +121,6 @@ class Rule:
         self.head, self.body, self.delete, self.label, self.span = state
         self._plan_cache = None
         self._kernel_cache = None
-        self._feedback_cache = None
 
     # -- variable classification ------------------------------------------------
 

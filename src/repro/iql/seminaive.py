@@ -28,8 +28,10 @@ randomized inputs; benchmark E11 measures the speedup.
 
 Derefence containers, class or deref heads, invention, set-variable
 enumeration — anything beyond this fragment — falls back to the naive
-loop. Delta joins run through the hash indexes and the selectivity planner
-of :mod:`repro.iql.valuation` like every other body solve.
+loop. Delta joins run through the hash indexes and the cost-based planner
+of :mod:`repro.iql.valuation` like every other body solve; a delta kernel
+whose plan was costed while a relation it reads was a tenth of its size
+is recompiled under a re-costed plan at its next round.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from typing import Dict, Optional, Sequence, Set
 from repro.analysis.effects import DeltaBody, delta_body, mentions_name
 from repro.iql.literals import Membership
 from repro.iql.rules import Rule
-from repro.iql.stats import check_drift
 from repro.iql.terms import NameTerm, Var
 from repro.iql.valuation import eval_term, match, solve_body
 from repro.schema.instance import Instance
@@ -116,7 +117,6 @@ def run_stage_seminaive(
     compiler=None,
     initial_delta: Optional[Dict[str, Set[OValue]]] = None,
     added: Optional[Dict[str, Set[OValue]]] = None,
-    replan_ratio: float = 10.0,
 ) -> int:
     """Evaluate an eligible stage to fixpoint with delta rewriting.
 
@@ -139,33 +139,24 @@ def run_stage_seminaive(
     With a ``compiler`` (:class:`repro.iql.compile.RuleCompiler`) each
     rule's round-0 body, per-position delta matchers and rest bodies run
     as compiled closure kernels over slot lists; a delta position's
-    kernel is compiled the first time its relation has a delta. Rules
-    the compiler cannot take (a fallback construct in the body) run the
-    interpreted path above, rule by rule.
-
-    ``replan_ratio`` wires in the adaptive planner
-    (:mod:`repro.iql.stats`): kernels are re-fetched and the drift check
-    runs *per round*, so a plan whose round-0 estimates prove wrong (the
-    classic case: a recursive relation planned while still empty) is
-    replanned mid-fixpoint and the remaining rounds run the better order.
+    kernel is compiled the first time its relation has a delta, and
+    again in any round where its plan has gone stale, so a recursive
+    relation that keeps growing is joined in an order re-costed on its
+    grown extension. Rules the compiler cannot take (a fallback construct
+    in the body) run the interpreted path above, rule by rule.
     """
     schema = instance.schema
     shapes: Dict[int, DeltaBody] = {}
+    kernels = {}
     for index, rule in enumerate(rules):
         shape = delta_body(rule, schema)
         assert shape is not None  # guaranteed by stage_eligible
         shapes[index] = shape
-
-    def fetch_kernels():
-        fetched = {}
-        if compiler is not None:
-            for index, rule in enumerate(rules):
-                compiled = compiler.seminaive_kernels(rule, instance)
-                if compiled is not None:
-                    fetched[index] = compiled
-        return fetched
-
-    kernels = fetch_kernels()
+        compiled = (
+            compiler.seminaive_kernels(rule, instance) if compiler is not None else None
+        )
+        if compiled is not None:
+            kernels[index] = compiled
     rounds = 0
     first = initial_delta is None
     delta: Dict[str, Set[OValue]] = (
@@ -217,7 +208,6 @@ def run_stage_seminaive(
                     enumeration_budget=enumeration_budget,
                     stats=stats,
                     plan_cache=rule.plan_cache,
-                    feedback=rule.feedback_cache,
                 ):
                     derive(theta)
                 continue
@@ -264,7 +254,6 @@ def run_stage_seminaive(
                             initial=seed,
                             stats=stats,
                             plan_cache=rule.plan_cache,
-                            feedback=rule.feedback_cache,
                         ):
                             derive(theta)
 
@@ -280,8 +269,3 @@ def run_stage_seminaive(
                     if added is not None:
                         added.setdefault(name, set()).add(value)
         delta = new
-        # Mid-fixpoint adaptivity: a drifted plan is evicted here and the
-        # re-fetch below recompiles the rule against the replanned order
-        # for the remaining rounds.
-        if check_drift(rules, stats, replan_ratio):
-            kernels = fetch_kernels()

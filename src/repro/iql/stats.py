@@ -1,13 +1,13 @@
-"""Cardinality statistics and the adaptive-planning feedback loop.
+"""Cardinality statistics for the cost-based body planner.
 
 The paper's closing remark — IQL "is a good candidate for conventional
 database optimizations" — licensed the indexes (PR 2), the semi-naive
 deltas and the compiled kernels; this module supplies the *optimizer
 statistics* that turn the body planner of :mod:`repro.iql.valuation` from
-a static rank heuristic into a cost model. It has two halves:
+a static rank heuristic into a cost model.
 
-**Statistics** (:class:`Statistics`) answers the planner's cardinality
-questions about one instance:
+:class:`Statistics` answers the planner's cardinality questions about one
+instance:
 
 * per-relation / per-class sizes — read straight off the live extension
   sets, so they are exact and free,
@@ -27,26 +27,14 @@ Rewriting a body's join order is answer-preserving (every literal is still
 checked on every valuation; Bonifati et al.'s equivalence results for
 object-creating conjunctive queries are the semantic license), so the
 planner may consume these numbers aggressively: estimates affect speed,
-never the solution set.
-
-**Feedback** (:func:`check_drift`) closes the loop at run time. Cost-based
-plans (:class:`~repro.iql.valuation.Plan`) carry their per-step estimates
-and a row-counter array that both the interpreter and the compiled kernels
-maintain; between fixpoint rounds the evaluator calls :func:`check_drift`,
-which compares observed per-step fan-out against the estimate. When they
-disagree by ≥ ``replan_ratio`` (default 10×), the plan is evicted from the
-rule's plan cache, its compiled kernels are invalidated, and the observed
-fan-outs are recorded in ``Rule.feedback_cache`` so the *next* planning of
-the same (body, bound-set) costs those steps with measured reality instead
-of the model. Replanning is double-bounded: the feedback store is a
-:class:`~repro.caches.BoundedDict` like the plan cache, and each plan key
-replans at most :data:`MAX_REPLANS` times, so a workload whose fan-out
-genuinely oscillates settles on its last plan instead of thrashing.
+never the solution set. A plan records the extension sizes it was costed
+on (``Plan.basis``), and the planner costs it again once one of them has
+moved ``REPLAN_GROWTH``-fold (:mod:`repro.iql.valuation`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 from repro.iql.terms import Deref, SetTerm, Term, TupleTerm
 from repro.values.ovalues import OSet
@@ -67,23 +55,9 @@ DEFAULT_SET_WIDTH = 4.0
 #: Fraction of rows assumed to survive a fully-bound filter literal.
 FILTER_SELECTIVITY = 0.5
 
-#: Hard cap on replans per plan-cache key: after this many rounds of
-#: feedback the last plan sticks, so oscillating fan-outs cannot thrash
-#: the compiler (the feedback store itself is a BoundedDict on the rule).
-MAX_REPLANS = 4
-
-#: Minimum observed rows (into + out of a step) before its fan-out counts
-#: as evidence for drift. Ratios at or below 1.0 ("replan whenever the
-#: estimate is not exact" — the forced-replan test mode) accept any
-#: non-empty observation instead.
-MIN_EVIDENCE = 16
-
-#: Additive smoothing for fan-out ratios, so bucket estimates below one
-#: row do not manufacture infinite drift.
+#: Floor for bucket and width estimates, so a perfectly selective probe
+#: still costs one lookup.
 _SMOOTH = 0.125
-
-#: Plan-step kinds that generate rows (and therefore maintain row counts).
-GENERATOR_KINDS = ("member", "equal")
 
 
 class Statistics:
@@ -191,106 +165,6 @@ def _set_slot_counts(term: Term) -> Iterator[int]:
     elif isinstance(term, TupleTerm):
         for _, sub in term.fields:
             yield from _set_slot_counts(sub)
-
-
-# -- the runtime feedback loop -------------------------------------------------
-
-
-def _segments(plan: "Plan") -> Iterator[Tuple[int, int, int, float, float]]:
-    """(generator step, obs_in, obs_out, est_in, est_out) per counted segment.
-
-    Row counters exist at generator steps and at the sink; a segment runs
-    from one counted checkpoint to the next, so its observed and estimated
-    fan-outs both include any filter steps in between (the estimates chain
-    applies :data:`FILTER_SELECTIVITY` at the same places).
-    """
-    estimates = plan.estimates
-    counts = plan.counts
-    points = [i for i, step in enumerate(plan) if step[0] in GENERATOR_KINDS]
-    points.append(len(plan))
-    for j in range(len(points) - 1):
-        i, nxt = points[j], points[j + 1]
-        est_in = estimates[i - 1] if i > 0 else 1.0
-        est_out = estimates[nxt - 1]
-        yield i, counts[i], counts[nxt], est_in, est_out
-
-
-def drifted_segments(plan: "Plan", ratio: float) -> List[Tuple[int, float]]:
-    """(generator step, observed fan-out) for segments off by ≥ ``ratio``."""
-    out: List[Tuple[int, float]] = []
-    min_evidence = 1 if ratio <= 1.0 else MIN_EVIDENCE
-    for i, obs_in, obs_out, est_in, est_out in _segments(plan):
-        if obs_in <= 0 or obs_in + obs_out < min_evidence:
-            continue
-        obs_f = obs_out / obs_in
-        est_f = est_out / max(est_in, 1e-9)
-        r = max(
-            (obs_f + _SMOOTH) / (est_f + _SMOOTH),
-            (est_f + _SMOOTH) / (obs_f + _SMOOTH),
-        )
-        if r >= ratio:
-            out.append((i, obs_f))
-    return out
-
-
-def observed_fanouts(plan: "Plan") -> Dict[tuple, float]:
-    """Every measured generator fan-out, keyed for the planner's reuse.
-
-    The key is (literal, bound-set before the step): a replanned body
-    consulting the feedback hits it exactly when it considers the same
-    literal at a point where the same variables are bound — the situation
-    in which the measurement is meaningful.
-    """
-    out: Dict[tuple, float] = {}
-    for i, obs_in, obs_out, _, _ in _segments(plan):
-        if obs_in <= 0:
-            continue
-        step = plan[i]
-        out[(step[1], plan.bound_before[i])] = obs_out / obs_in
-    return out
-
-
-def check_drift(rules, stats, ratio: float = 10.0) -> int:
-    """Replan every cached plan whose estimates drifted ≥ ``ratio``.
-
-    For each drifted plan: record all measured fan-outs into the rule's
-    ``feedback_cache`` (a BoundedDict keyed like the plan cache), evict the
-    plan, and invalidate the rule's compiled kernels so the next fetch
-    recompiles against the replanned order. Returns the number of plans
-    evicted; ``stats`` (an :class:`EvaluationStats`) gains
-    ``estimate_drifts`` per drifted segment and ``plan_replans`` per
-    eviction. Plans that already replanned :data:`MAX_REPLANS` times are
-    left alone — their last ordering sticks.
-    """
-    replanned = 0
-    for rule in rules:
-        cache = rule._plan_cache
-        if not cache:
-            continue
-        for key, plan in list(cache.items()):
-            if plan.replans >= MAX_REPLANS:
-                continue
-            drifts = drifted_segments(plan, ratio)
-            if not drifts:
-                continue
-            if stats is not None:
-                stats.estimate_drifts += len(drifts)
-                stats.plan_replans += 1
-            feedback = rule.feedback_cache
-            entry = feedback.get(key)
-            fanouts = dict(entry["fanouts"]) if entry else {}
-            fanouts.update(observed_fanouts(plan))
-            feedback[key] = {"fanouts": fanouts, "replans": plan.replans + 1}
-            del cache[key]
-            kernel_cache = rule._kernel_cache
-            if kernel_cache is not None:
-                for kkey, kernel in list(kernel_cache.items()):
-                    # Keep negative entries (fallback markers stay true);
-                    # drop real kernels — they embed the evicted plan.
-                    if hasattr(kernel, "valid_for"):
-                        del kernel_cache[kkey]
-            replanned += 1
-    return replanned
 
 
 # -- plan rendering (repro analyze --plans) ------------------------------------

@@ -20,7 +20,9 @@ This module provides the two directions the evaluator needs:
   cardinality statistics of :mod:`repro.iql.stats` and the cheapest is
   processed first, with the order decided once per (body,
   bound-variable-set) and memoized in the caller-supplied plan cache
-  (normally the owning :class:`~repro.iql.rules.Rule`'s). The
+  (normally the owning :class:`~repro.iql.rules.Rule`'s) until an
+  extension the plan reads grows or shrinks :data:`REPLAN_GROWTH`-fold,
+  when it is costed again against the instance at hand. The
   enumeration fallback covers variables no literal can bind (the
   non-range-restricted case, e.g. the ``R1(X) ← X = X`` powerset program
   of Example 3.4.2).
@@ -285,9 +287,8 @@ def satisfies(literal: Literal, bindings: Bindings, instance: Instance) -> bool:
 # intermediate result size multiplies into every later step, so join
 # cardinality propagates along the partial plan. Estimates affect speed,
 # never the solution set: every literal is still checked on every
-# valuation. Plans carry their per-step estimates and live row counters
-# (:class:`Plan`), which the drift check of
-# :func:`repro.iql.stats.check_drift` compares to trigger replanning.
+# valuation. A cached plan is re-costed once an extension it was costed
+# on has grown or shrunk :data:`REPLAN_GROWTH`-fold (:meth:`Plan.is_stale`).
 
 
 def _tuple_probes(element: Term, bound: Set[Var]) -> Tuple[Tuple[str, Term], ...]:
@@ -310,40 +311,29 @@ def _contains_set_term(term: Term) -> bool:
 
 
 class Plan(tuple):
-    """A step sequence plus the metadata the feedback loop needs.
+    """A step sequence plus what the planner knew when it costed it.
 
     Behaves exactly like the plain step tuple it used to be (indexing,
-    iteration, hashing), with four attributes on the side:
+    iteration, hashing), with two attributes on the side:
 
     * ``estimates`` — per-step estimated intermediate cardinality (rows
       *out* of each step, join-propagated),
-    * ``counts`` — live row counters, one per step plus a final-output
-      cell; maintained at generator steps by both the interpreter and the
-      compiled kernels,
-    * ``bound_before`` — the bound-variable set entering each step (the
-      feedback key space of :func:`repro.iql.stats.observed_fanouts`),
-    * ``replans`` — how many times this (body, bound-set) has already been
-      replanned from feedback (capped by ``stats.MAX_REPLANS``).
+    * ``basis`` — ``(name, is_relation, size)`` for every relation or
+      class extension a generator step reads, as sized at costing time.
     """
 
     estimates: Tuple[float, ...]
-    counts: List[int]
-    bound_before: Tuple[FrozenSet[Var], ...]
-    replans: int
+    basis: Tuple[Tuple[str, bool, int], ...]
 
-
-def _finish_plan(
-    steps: List[tuple],
-    estimates: List[float],
-    bound_before: List[FrozenSet[Var]],
-    replans: int,
-) -> Plan:
-    plan = Plan(steps)
-    plan.estimates = tuple(estimates)
-    plan.counts = [0] * (len(steps) + 1)
-    plan.bound_before = tuple(bound_before)
-    plan.replans = replans
-    return plan
+    def is_stale(self, instance: Instance) -> bool:
+        """Has some extension of :attr:`basis` grown or shrunk at least
+        :data:`REPLAN_GROWTH`-fold in ``instance`` (sizes floored at 1)?"""
+        for name, is_relation, then in self.basis:
+            now = len(instance.relations[name] if is_relation else instance.classes[name])
+            then, now = max(then, 1), max(now, 1)
+            if now >= then * REPLAN_GROWTH or then >= now * REPLAN_GROWTH:
+                return True
+        return False
 
 
 def _costed_candidate(
@@ -352,20 +342,14 @@ def _costed_candidate(
     instance: Instance,
     use_indexes: bool,
     statistics: Statistics,
-    observed: Optional[Dict[tuple, float]],
-    snapshot: FrozenSet[Var],
 ):
     """(work, fan-out, step) under the cost model, or None.
 
     Work estimates candidates *examined* per input row (a probe examines
     its smallest bucket, a scan the whole container); fan-out estimates
     rows *produced* per input row (a multi-attribute probe intersects, so
-    its fan-out can be far below its work). ``observed`` — measured
-    fan-outs from a previous plan of the same body (keyed by literal and
-    bound set) — overrides the model where available: that is the replan
-    half of the feedback loop.
+    its fan-out can be far below its work).
     """
-    obs = observed.get((lit, snapshot)) if observed else None
     if isinstance(lit, Membership) and lit.positive:
         container = lit.container
         if not all(v in bound for v in container.variables()):
@@ -380,18 +364,12 @@ def _costed_candidate(
                         work, fanout = statistics.bucket_estimate(
                             name, tuple(attr for attr, _ in probes)
                         )
-                        if obs is not None:
-                            # A probe examines at least what it produces.
-                            work = fanout = max(obs, EST_FLOOR)
                         return (work, fanout, ("member", lit, probes))
-                fanout = size if obs is None else max(obs, EST_FLOOR)
-                return (size, fanout, ("member", lit, ()))
+                return (size, size, ("member", lit, ()))
             size = float(len(instance.classes[name]))
-            fanout = size if obs is None else max(obs, EST_FLOOR)
-            return (size, fanout, ("member", lit, ()))
+            return (size, size, ("member", lit, ()))
         width = statistics.container_width(container, use_indexes)
-        fanout = width if obs is None else max(obs, EST_FLOOR)
-        return (width, fanout, ("member", lit, ()))
+        return (width, width, ("member", lit, ()))
     if isinstance(lit, Equality) and lit.positive:
         left_known = all(v in bound for v in lit.left.variables())
         right_known = all(v in bound for v in lit.right.variables())
@@ -403,8 +381,7 @@ def _costed_candidate(
                 branching = statistics.set_branching(pattern, known, use_indexes)
             else:
                 branching = 1.0
-            fanout = branching if obs is None else max(obs, EST_FLOOR)
-            return (branching, fanout, ("equal", lit, left_known))
+            return (branching, branching, ("equal", lit, left_known))
     return None
 
 
@@ -414,6 +391,10 @@ EST_FLOOR = 0.125
 #: Ceiling on the propagated intermediate-size estimate (overflow guard).
 EST_CEILING = 1e18
 
+#: A cached plan is re-costed once some extension it was costed on has
+#: grown or shrunk this many times over (:meth:`Plan.is_stale`).
+REPLAN_GROWTH = 10
+
 
 def plan_body(
     literals: Sequence[Literal],
@@ -421,8 +402,6 @@ def plan_body(
     instance: Instance,
     use_indexes: bool = True,
     costed: bool = True,
-    observed: Optional[Dict[tuple, float]] = None,
-    replans: int = 0,
 ) -> Plan:
     """The cost-ordered step sequence for ``literals``.
 
@@ -430,16 +409,13 @@ def plan_body(
     live cardinality statistics, with ``est_in`` the estimated
     intermediate result size propagated along the partial plan — so a
     selective 50-row scan beats an unselective probe into a huge skewed
-    bucket. ``observed``/``replans`` carry replan feedback (measured
-    fan-outs) from :mod:`repro.iql.stats`. ``costed`` is accepted for
-    older callers; the static-rank planner it once selected is gone, so
-    only True is legal.
+    bucket. ``costed`` is accepted for older callers; the static-rank
+    planner it once selected is gone, so only True is legal.
     """
     if not costed:
         raise EvaluationError("plan_body is cost-based only: costed=False was removed")
     steps: List[tuple] = []
     estimates: List[float] = []
-    bound_before: List[FrozenSet[Var]] = []
     est = 1.0
     statistics = Statistics(instance)
     remaining = list(literals)
@@ -452,7 +428,6 @@ def plan_body(
         found_filter = False
         for lit in remaining:
             if all(v in bound for v in lit.variables()):
-                bound_before.append(frozenset(bound))
                 steps.append(("filter", lit))
                 est *= FILTER_SELECTIVITY
                 estimates.append(est)
@@ -463,13 +438,10 @@ def plan_body(
         if found_filter or not remaining:
             continue
         # 2. The cheapest processable generator goes next.
-        snapshot = frozenset(bound)
         chosen = None
         best_cost = None
         for position, lit in enumerate(remaining):
-            candidate = _costed_candidate(
-                lit, bound, instance, use_indexes, statistics, observed, snapshot
-            )
+            candidate = _costed_candidate(lit, bound, instance, use_indexes, statistics)
             if candidate is None:
                 continue
             work, fanout, step = candidate
@@ -480,7 +452,6 @@ def plan_body(
         if chosen is not None:
             position, step, fanout = chosen
             lit = remaining.pop(position)
-            bound_before.append(snapshot)
             steps.append(step)
             est = min(est * max(fanout, EST_FLOOR), EST_CEILING)
             estimates.append(est)
@@ -496,12 +467,22 @@ def plan_body(
         if not unbound:  # pragma: no cover - step 1 would have consumed these
             raise EvaluationError(f"stuck with fully bound literals: {remaining!r}")
         var = unbound[0]
-        bound_before.append(frozenset(bound))
         steps.append(("enum", var))
         est = min(est * max(1.0, float(len(instance.sorted_constants()))), EST_CEILING)
         estimates.append(est)
         bound.add(var)
-    return _finish_plan(steps, estimates, bound_before, replans)
+    plan = Plan(steps)
+    plan.estimates = tuple(estimates)
+    basis: Dict[str, Tuple[str, bool, int]] = {}
+    for step in steps:
+        if step[0] == "member" and isinstance(step[1].container, NameTerm):
+            name = step[1].container.name
+            if instance.schema.is_relation(name):
+                basis[name] = (name, True, len(instance.relations[name]))
+            else:
+                basis[name] = (name, False, len(instance.classes[name]))
+    plan.basis = tuple(basis.values())
+    return plan
 
 
 def lookup_plan(
@@ -511,15 +492,14 @@ def lookup_plan(
     use_indexes: bool = True,
     plan_cache: Optional[Dict] = None,
     stats=None,
-    feedback: Optional[Dict] = None,
 ) -> Plan:
     """The memoized plan for ``literals`` with ``bound0`` pre-bound.
 
     Shared by the interpreter (:func:`solve_body`) and the rule compiler
     (:mod:`repro.iql.compile`) so both agree on join order; ``stats``
-    records the hit/miss per lookup. ``feedback`` (the owning rule's
-    feedback cache, written by :func:`repro.iql.stats.check_drift`) feeds
-    observed fan-outs into a replan after a drift invalidation.
+    records the hit/miss per lookup. A hit whose plan is stale for
+    ``instance`` (:meth:`Plan.is_stale`) is re-costed against ``instance``
+    and replaced (``stats.plan_replans``).
     """
     plan: Optional[Plan] = None
     key = (literals, bound0, use_indexes)
@@ -530,17 +510,12 @@ def lookup_plan(
                 stats.plan_cache_misses += 1
             else:
                 stats.plan_cache_hits += 1
+        if plan is not None and plan.is_stale(instance):
+            plan = None
+            if stats is not None:
+                stats.plan_replans += 1
     if plan is None:
-        observed = None
-        replans = 0
-        if feedback is not None:
-            entry = feedback.get(key)
-            if entry is not None:
-                observed = entry["fanouts"]
-                replans = entry["replans"]
-        plan = plan_body(
-            literals, bound0, instance, use_indexes, observed=observed, replans=replans
-        )
+        plan = plan_body(literals, bound0, instance, use_indexes)
         if stats is not None:
             stats.plans_costed += 1
         if plan_cache is not None:
@@ -556,7 +531,6 @@ def solve_body(
     stats=None,
     plan_cache: Optional[Dict] = None,
     use_indexes: bool = True,
-    feedback: Optional[Dict] = None,
 ) -> Iterator[Bindings]:
     """All valuations θ of the body's variables with I ⊨ θ(body).
 
@@ -567,19 +541,15 @@ def solve_body(
     literals are only ever used as filters, as inflationary Datalog¬
     requires. ``use_indexes=False`` restores the original
     generate-and-test join (the reference engine's); ``stats`` is any object with the
-    counters of :class:`~repro.iql.evaluator.EvaluationStats`. Rows
-    entering each generator step and rows produced overall are tallied
-    into ``plan.counts`` for the estimate-drift check.
+    counters of :class:`~repro.iql.evaluator.EvaluationStats`.
     """
     literals = tuple(lit for lit in body if not isinstance(lit, Choose))
     bindings0 = dict(initial or {})
     bound0 = frozenset(bindings0)
-    plan = lookup_plan(literals, bound0, instance, use_indexes, plan_cache, stats, feedback)
-    counts = plan.counts
+    plan = lookup_plan(literals, bound0, instance, use_indexes, plan_cache, stats)
 
     def run(step_index: int, bindings: Bindings) -> Iterator[Bindings]:
         if step_index == len(plan):
-            counts[step_index] += 1
             yield dict(bindings)
             return
         step = plan[step_index]
@@ -589,7 +559,6 @@ def solve_body(
                 yield from run(step_index + 1, bindings)
             return
         if kind == "member":
-            counts[step_index] += 1
             lit, probes = step[1], step[2]
             members = None
             if probes:
@@ -635,7 +604,6 @@ def solve_body(
                     yield from run(step_index + 1, extended)
             return
         if kind == "equal":
-            counts[step_index] += 1
             lit, left_known = step[1], step[2]
             known, pattern = (
                 (lit.left, lit.right) if left_known else (lit.right, lit.left)

@@ -7,6 +7,7 @@ pre-flight hook.
 """
 
 import json
+import pathlib
 import warnings
 
 import pytest
@@ -23,34 +24,25 @@ from repro.analysis import (
     diagnostic,
 )
 from repro.diagnostics import sort_diagnostics
-from repro.errors import SublanguageError, TypeCheckError
+from repro.errors import NonTerminationError, SublanguageError, TypeCheckError
 from repro.iql import Evaluator, Membership, Program, Rule, Var, atom, classify, columns
+from repro.iql.evaluator import EvaluatorLimits
 from repro.iql.typecheck import check_program_diagnostics, check_rule_diagnostics
 from repro.parser.grammar import program_from_source
-from repro.schema import Schema
+from repro.schema import Instance, Schema
 from repro.transform import (
     graph_to_class_program,
     powerset_restricted_program,
     powerset_unrestricted_program,
 )
 from repro.typesys import D, tuple_of
+from repro.values import Oid, OTuple
 from repro.__main__ import main
 
 
-DIVERGENT = """
-schema {
-  relation Seed: [A1: P];
-  relation R3: [A1: P, A2: P];
-  class P: [];
-}
-var x, y, z: P
-input Seed
-output R3
-rules {
-  R3(x, z) :- Seed(x).
-  R3(y, z) :- R3(x, y).
-}
-"""
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
+
+DIVERGENT = (EXAMPLES / "divergent_invention.iql").read_text()
 
 TC = """
 schema {
@@ -318,6 +310,13 @@ class TestCli:
         assert main(["lint", broken_path]) == 1
         assert "IQL001" in capsys.readouterr().out
 
+    def test_lint_reports_io_names_that_drop_a_referenced_class(self, tmp_path, capsys):
+        path = tmp_path / "unclosed.iql"
+        path.write_text(DIVERGENT.replace("Seed, P", "Seed").replace("R3, P", "R3"))
+        assert main(["lint", str(path)]) == 1
+        out = [line for line in capsys.readouterr().out.splitlines() if "IQL110" in line]
+        assert len(out) == 2 and "input 'Seed'" in out[0] and "output 'R3'" in out[1]
+
     def test_lint_json_format(self, divergent_path, capsys):
         assert main(["lint", divergent_path, "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -372,10 +371,16 @@ class TestExamples:
         ],
     )
     def test_shipped_examples_lint(self, name, expect_ok, expect_codes):
-        import pathlib
-
-        path = pathlib.Path(__file__).resolve().parent.parent / "examples" / f"{name}.iql"
+        path = EXAMPLES / f"{name}.iql"
         report = analyze_source(path.read_text(), str(path))
         assert report.ok is expect_ok
         warning_codes = {d.code for d in report.warnings}
         assert warning_codes == expect_codes
+
+    def test_divergent_example_runs_into_the_step_budget(self):
+        program = program_from_source(DIVERGENT)
+        instance, seed = Instance(program.input_schema), Oid("seed")
+        instance.add_class_member("P", seed)
+        instance.add_relation_member("Seed", OTuple(A1=seed))
+        with pytest.raises(NonTerminationError):
+            Evaluator(program, limits=EvaluatorLimits(max_steps=50)).run(instance)

@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+import repro.iql.valuation as valuation
 from repro.iql import Evaluator, Program, Rule, Var, atom, columns
 from repro.iql.literals import Equality
 from repro.schema import Instance, Schema, are_o_isomorphic
@@ -242,27 +243,26 @@ def test_optimized_engine_matches_reference(seed, monkeypatch):
 # Join order is the one thing the planner may change, so the sharpest
 # oracle is the same engine under static plans: every plan costed
 # against the empty input — no statistics, so the order falls out of the
-# body's shape alone — and never replanned (replan_ratio=inf). On about
-# two seeds in five that order differs from the one costed on the data.
-# The second sweep sets replan_ratio=1.0 — "any inexact estimate is
-# drift" — which forces mid-fixpoint evictions, feedback-driven replans
-# and kernel invalidation on as many rounds as the cap allows: the
-# adversarial schedule for the feedback loop.
+# body's shape alone — and never re-costed (REPLAN_GROWTH = inf). On
+# about two seeds in five that order differs from the one costed on the
+# data. The second sweep sets REPLAN_GROWTH = 1.0: every plan lookup
+# re-costs and every kernel fetch recompiles, the adversarial schedule.
 
 
-def run_planner_differential(seed, replan_ratio=None, scheduled=False):
+def run_planner_differential(seed, monkeypatch, growth=valuation.REPLAN_GROWTH, scheduled=False):
     import math
     import warnings
 
     static_program, instance = random_case(seed, scheduled)
     costed_program, _ = random_case(seed, scheduled)
-    kwargs = {} if replan_ratio is None else {"replan_ratio": replan_ratio}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        static_engine = Evaluator(static_program, replan_ratio=math.inf)
+        monkeypatch.setattr(valuation, "REPLAN_GROWTH", math.inf)
+        static_engine = Evaluator(static_program)
         static_engine.run(Instance(static_program.input_schema))
         static = static_engine.run(instance.copy()).output
-        costed = Evaluator(costed_program, **kwargs).run(instance.copy())
+        monkeypatch.setattr(valuation, "REPLAN_GROWTH", growth)
+        costed = Evaluator(costed_program).run(instance.copy())
     assert costed.stats.rules_interpreted == 0, (
         f"seed {seed}: unexpected compile fallback "
         f"{costed.stats.compile_fallback_reasons}"
@@ -271,10 +271,10 @@ def run_planner_differential(seed, replan_ratio=None, scheduled=False):
 
 
 @pytest.mark.parametrize("seed", range(220))
-def test_costed_planner_matches_static(seed):
-    run_planner_differential(seed)
+def test_costed_planner_matches_static(seed, monkeypatch):
+    run_planner_differential(seed, monkeypatch)
 
 
 @pytest.mark.parametrize("seed", range(220))
-def test_forced_replanning_matches_static(seed):
-    run_planner_differential(seed, replan_ratio=1.0, scheduled=True)
+def test_forced_replanning_matches_static(seed, monkeypatch):
+    run_planner_differential(seed, monkeypatch, growth=1.0, scheduled=True)

@@ -271,7 +271,8 @@ class TestImpactDiagnostics:
         with open("examples/divergent_invention.iql", encoding="utf-8") as handle:
             program = source_program(handle.read())
         diags = impact_pass(program)
-        assert [d.code for d in diags] == ["IQL701"]
+        # One per updatable input: Seed and the class P.
+        assert [d.code for d in diags] == ["IQL701", "IQL701"]
         assert diags[0].span is not None
 
     def test_iql702_on_delete_through_negation(self):

@@ -284,13 +284,11 @@ def test_unpickled_rule_has_cold_caches():
     Evaluator(program).run(chain_instance(schema, 8))
     recursive = program.rules[1]
     assert recursive._plan_cache and recursive._kernel_cache
-    assert recursive._feedback_cache is not None
 
     shipped = pickle.loads(pickle.dumps(recursive))
     assert shipped == recursive
     assert shipped._plan_cache is None
     assert shipped._kernel_cache is None
-    assert shipped._feedback_cache is None
 
 
 # -- evaluation is serial ------------------------------------------------------------

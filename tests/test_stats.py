@@ -1,24 +1,26 @@
-"""Tests for cardinality statistics and adaptive planning (repro.iql.stats)."""
+"""Tests for cardinality statistics and cost-based planning (repro.iql.stats)."""
 
+import math
+import pathlib
 import random
 
 import pytest
 
+import repro.iql.valuation as valuation
 from repro import io
 from repro.errors import EvaluationError
 from repro.iql import (
     Evaluator,
     Statistics,
     atom,
-    check_drift,
     columns,
     describe_plan,
     make_vars,
     plan_body,
 )
-from repro.iql.stats import MAX_REPLANS
+from repro.iql.evaluator import EvaluationStats
 from repro.parser.grammar import program_from_source
-from repro.schema import Instance, Schema
+from repro.schema import Instance, Schema, are_o_isomorphic
 from repro.typesys import D, set_of, tuple_of
 from repro.values import Oid, OSet, OTuple
 
@@ -134,21 +136,22 @@ class TestCostedPlans:
         kinds = [(step[0], step[1].container.name) for step in plan]
         assert kinds == [("member", "A"), ("member", "C"), ("filter", "B")]
         assert len(plan.estimates) == 3
-        assert plan.counts == [0, 0, 0, 0]
+        assert plan.basis == (("A", True, 10), ("C", True, 50))  # generator steps only
 
-    def test_observed_fanouts_override_the_model(self):
-        """Feedback saying 'the C scan explodes' pushes C behind B again."""
+    def test_a_cached_plan_is_recosted_once_an_input_moved_tenfold(self):
         schema = skew_schema()
-        instance = skew_instance(schema)
-        literals = self.body(schema)
-        scan_c = literals[2]
-        observed = {(scan_c, frozenset(literals[0].variables())): 1e6}
-        plan = plan_body(
-            self.body(schema), frozenset(), instance, observed=observed, replans=1
-        )
-        names = [step[1].container.name for step in plan]
-        assert names.index("C") > names.index("B")
-        assert plan.replans == 1
+        instance = skew_instance(schema, b_rows=20)
+        literals, cache, stats = self.body(schema), {}, EvaluationStats()
+        plan = valuation.lookup_plan(literals, frozenset(), instance, True, cache, stats)
+        assert ("B", True, 20) in plan.basis  # A scan, then a B probe
+        assert plan.is_stale(skew_instance(schema, b_rows=2))  # shrinking counts too
+        for rows, costed in ((199, 1), (200, 2)):  # 9.95x, then 10x
+            for i in range(len(instance.relations["B"]), rows):
+                instance.add_relation_member("B", OTuple(A01=f"s{i % 10}", A02=f"w{i}"))
+            again = valuation.lookup_plan(literals, frozenset(), instance, True, cache, stats)
+            assert (stats.plans_costed, stats.plan_replans) == (costed, costed - 1)
+        assert again is not plan and ("B", True, 200) in again.basis
+        assert list(cache.values()) == [again]
 
     def test_describe_plan_renders_estimates(self):
         schema = skew_schema()
@@ -182,52 +185,45 @@ def tc_instance(program, n=12):
     return instance
 
 
-class TestFeedbackLoop:
-    def test_forced_replan_preserves_answers(self):
-        """replan_ratio=1.0 treats every inexact estimate as drift, so the
-        engine replans as hard as it can — and must change nothing."""
-        program = program_from_source(TC_PROGRAM)
-        instance = tc_instance(program)
-        reference = Evaluator(program, naive=True).run(instance.copy())
-        adaptive = Evaluator(program, replan_ratio=1.0).run(instance.copy())
-        assert adaptive.output == reference.output
-        assert adaptive.stats.rules_compiled == len(program.rules)
-        assert adaptive.stats.plan_replans >= 1
-        assert adaptive.stats.estimate_drifts >= adaptive.stats.plan_replans
+def test_a_plan_costed_on_empty_input_is_recosted_on_the_first_data_run():
+    program = program_from_source(TC_PROGRAM)
+    Evaluator(program).run(Instance(program.input_schema))
+    result = Evaluator(program).run(tc_instance(program))
+    assert result.stats.plan_replans >= 1  # E grew from 0 (floored at 1) to 11
+    for rule in program.rules:
+        assert all(("E", True, 11) in plan.basis for plan in rule.plan_cache.values())
+    assert result.output == Evaluator(program, naive=True).run(tc_instance(program)).output
 
-    def test_replans_are_capped(self):
-        program = program_from_source(TC_PROGRAM)
-        instance = tc_instance(program, n=24)
-        result = Evaluator(program, replan_ratio=1.0).run(instance.copy())
-        for rule in program.rules:
-            feedback = rule._feedback_cache
-            if feedback:
-                for entry in feedback.values():
-                    assert entry["replans"] <= MAX_REPLANS
-        # one recursive rule drives the loop; the cap bounds total evictions
-        assert result.stats.plan_replans <= MAX_REPLANS * 2 * len(program.rules)
 
-    def test_drift_records_feedback_and_evicts(self):
-        program = program_from_source(TC_PROGRAM)
-        instance = tc_instance(program)
-        Evaluator(program, replan_ratio=1.0).run(instance.copy())
-        drifted = [r for r in program.rules if r._feedback_cache]
-        assert drifted
-        for rule in drifted:
-            for entry in rule._feedback_cache.values():
-                assert entry["fanouts"]  # measured fan-outs, keyed for reuse
-                assert entry["replans"] >= 1
+def test_replan_ratio_is_gone():
+    with pytest.raises(TypeError):
+        Evaluator(program_from_source(TC_PROGRAM), replan_ratio=10.0)
 
-    def test_check_drift_without_counts_is_a_no_op(self):
-        program = program_from_source(TC_PROGRAM)
-        instance = tc_instance(program)
-        result = Evaluator(program).run(instance.copy())
-        # plans exist and are counted, but with the default 10x tolerance
-        # this tiny chain produces no actionable drift a second time around
-        before = result.stats.plan_replans
-        evicted = check_drift(program.rules, result.stats, ratio=1e9)
-        assert evicted == 0
-        assert result.stats.plan_replans == before
+
+E24_PROGRAM = (pathlib.Path(__file__).parent.parent / "examples" / "replan_growth.iql").read_text()
+
+
+def e24_run(n, growth, monkeypatch):
+    """E24 under REPLAN_GROWTH = growth: result, M's plan order, program, input."""
+    program = program_from_source(E24_PROGRAM)
+    instance = tc_instance(program, n)
+    for j in range(3):
+        instance.add_relation_member("S", OTuple(A1=f"n{(7 * j) % n}", A2=f"m{j}"))
+    monkeypatch.setattr(valuation, "REPLAN_GROWTH", growth)
+    result = Evaluator(program).run(instance.copy())
+    plan = program.rules[2].plan_cache[(program.rules[2].body, frozenset(), True)]
+    return result, [step[1].container.name for step in plan], program, instance
+
+
+def test_e24_recosts_m_to_scan_s_once_t_has_grown(monkeypatch):
+    """M's body is first costed while T is empty; T then grows to n²/2."""
+    static, static_order, _, _ = e24_run(40, math.inf, monkeypatch)
+    recosted, order, _, _ = e24_run(40, 10, monkeypatch)
+    assert (static.stats.plan_replans, static_order) == (0, ["T", "S"])
+    assert recosted.stats.plan_replans >= 1 and order == ["S", "T"]
+    assert are_o_isomorphic(recosted.output, static.output)
+    small, _, program, instance = e24_run(20, 10, monkeypatch)
+    assert are_o_isomorphic(small.output, Evaluator(program, naive=True).run(instance).output)
 
 
 SKEW_PROGRAM = """
