@@ -438,6 +438,7 @@ def cmd_maintain(args: argparse.Namespace) -> int:
                     f"supports adjusted    {s.supports_adjusted}\n"
                     f"overdeleted          {s.overdeleted}\n"
                     f"rederived            {s.rederived}\n"
+                    f"rederive reruns      {s.rederive_reruns}\n"
                     f"fallbacks            {s.maintenance_fallbacks}\n"
                     f"facts +{s.facts_added} -{s.facts_deleted}"
                 )

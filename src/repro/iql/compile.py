@@ -869,6 +869,11 @@ def _compile_apply(rule: Rule, layout: _Layout, instance: Instance):
 # -- compiled semi-naive kernels ---------------------------------------------------
 
 
+#: The position of the head-bound kernel (:meth:`SeminaiveKernels.delta`);
+#: body positions are 0, 1, ...
+HEAD = -1
+
+
 class SeminaiveKernels:
     """One eligible rule's kernels for the delta rewriting.
 
@@ -882,6 +887,9 @@ class SeminaiveKernels:
     recursive rule) never builds its kernel, nor the projection index
     that kernel would probe; a position whose rest kernel is no longer
     valid (its plan went stale as the fixpoint grew) compiles again.
+    Position :data:`HEAD` gives the same triple with the head element as
+    the matched element and the whole body as the rest: it asks whether
+    one given fact has a derivation, by probing instead of scanning.
     """
 
     __slots__ = ("rule", "instance", "budget", "full", "head_full", "fallback", "_delta")
@@ -894,7 +902,7 @@ class SeminaiveKernels:
         self.head_full = head_full
         #: The fallback reason once some delta position failed to compile.
         self.fallback: Optional[str] = None
-        self._delta: Dict[int, tuple] = {}
+        self._delta: Dict[int, Any] = {}
 
     def delta(self, position: int, stats=None) -> Optional[tuple]:
         """The delta kernel of ``position``, compiled on first use and
@@ -902,10 +910,13 @@ class SeminaiveKernels:
 
         None once any position of the rule has fallen outside the
         compilable fragment (``fallback`` names the construct); the
-        caller then runs the position interpreted. ``stats`` receives
-        the plan lookups and the compile time of a (re)compile.
+        caller then runs the position interpreted. A head element outside
+        the fragment refuses only the :data:`HEAD` kernel. ``stats``
+        receives the plan lookups and the compile time of a (re)compile.
         """
         kernel = self._delta.get(position)
+        if kernel is False:
+            return None
         if kernel is not None and not kernel[1].valid_for(self.instance):
             kernel = None
         if kernel is None and self.fallback is None:
@@ -913,19 +924,25 @@ class SeminaiveKernels:
             try:
                 kernel = self._delta[position] = self._compile_delta(position, stats)
             except CompileFallback as fallback:
-                self.fallback = fallback.reason
+                if position == HEAD:
+                    self._delta[HEAD] = False
+                else:
+                    self.fallback = fallback.reason
             if stats is not None:
                 stats.compile_time += time.perf_counter() - started
         return kernel
 
     def _compile_delta(self, position: int, stats) -> tuple:
         rule, instance = self.rule, self.instance
-        element = rule.body[position].element
+        if position == HEAD:
+            element, rest = rule.head.element, rule.body
+        else:
+            element = rule.body[position].element
+            rest = rule.body[:position] + rule.body[position + 1 :]
         init_vars = tuple(sorted(element.variables(), key=lambda v: v.name))
         layout = _Layout(init_vars)
         bound: Set[Var] = set()
         matcher = _compile_match(element, layout, bound, instance)
-        rest = rule.body[:position] + rule.body[position + 1 :]
         plan = lookup_plan(
             tuple(rest), frozenset(init_vars), instance, True, rule.plan_cache, stats
         )

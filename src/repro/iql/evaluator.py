@@ -120,11 +120,14 @@ class EvaluationStats:
     # Incremental view maintenance (repro.iql.ivm.MaterializedProgram):
     # net base-fact deltas applied, support-count adjustments (counting
     # strategy), facts conservatively over-deleted and then re-derived
-    # (DRed), and batches that fell back to a slice or full recompute.
+    # (DRed), DRed strata whose re-derivation re-ran the whole stratum
+    # instead of probing the over-deleted facts, and batches that fell
+    # back to a slice or full recompute.
     deltas_applied: int = 0
     supports_adjusted: int = 0
     overdeleted: int = 0
     rederived: int = 0
+    rederive_reruns: int = 0
     maintenance_fallbacks: int = 0
 
 
@@ -328,7 +331,9 @@ class Evaluator:
         directly from the given delta, so work is proportional to the
         change, not the instance. Sound only when every new derivation
         must use at least one delta fact positively (true for insert
-        propagation into a previously-converged fixpoint); when the
+        propagation into a previously-converged fixpoint, and for DRed's
+        re-derivation once the over-deleted facts that still have a
+        derivation are back, see ``MaterializedProgram._rederive``); when the
         stratum's rules fall outside the semi-naive fragment the stratum
         runs to an ordinary full fixpoint instead, which is sound for the
         same reason. ``added`` (if given) collects the facts each relation

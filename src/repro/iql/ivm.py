@@ -15,9 +15,15 @@ PR-6 analysis (IQL701–704) is exactly what runs here:
   when its count crosses zero. Exact for both inserts and deletes.
 * **dred** symbols (recursive, or reached through negation) get the
   classical two phases: *over-delete* a conservative superset of the
-  facts whose derivations may involve the delta, then *re-derive* by
-  re-running the stratum to its fixpoint on the new state. Facts that
-  come back are counted in ``stats.rederived``.
+  facts whose derivations may involve the delta, then *re-derive*:
+  probe each over-deleted fact for a derivation on the new state
+  through a compiled head-bound kernel, add the facts that came back,
+  and run the stratum semi-naively from those facts and the facts
+  inserted so far, so the cost follows the over-deleted cone. A stratum
+  outside the semi-naive fragment, one that reads a changing symbol
+  non-monotonically, or one that over-deleted at least as many facts as
+  survived re-runs whole instead (``stats.rederive_reruns``). Facts
+  that come back are counted in ``stats.rederived``.
 * **recompute** certificates (a maintenance hazard in the cone) fall
   back — a batch touching one re-evaluates from the maintained base
   input; class-extent updates fall back to re-running only the
@@ -45,6 +51,10 @@ Deletion happens *in place*: the removal mutators of
 :class:`~repro.schema.instance.Instance` retract the affected index
 entries instead of dropping the index set, so the hash joins — and the
 compiled kernels capturing their buckets — stay warm across updates.
+
+Batches are atomic: a batch that raises partway (a step budget, a
+malformed value) puts the maintained base back as it was and recomputes
+the instance and the supports from it before the exception propagates.
 
 ``repro maintain`` is the CLI face (a read-eval-update loop over
 ``+R fact`` / ``-R fact`` lines); benchmark E20
@@ -77,9 +87,11 @@ from repro.analysis.maintenance import (
     validate_certificate,
 )
 from repro.errors import EvaluationError
+from repro.iql.compile import HEAD
 from repro.iql.evaluator import EvaluationResult, EvaluationStats, Evaluator
 from repro.iql.program import Program
 from repro.iql.rules import Rule
+from repro.iql.seminaive import stage_eligible
 from repro.iql.supports import SupportTable
 from repro.iql.valuation import eval_term, match, solve_body
 from repro.schema.instance import Instance
@@ -89,6 +101,14 @@ from repro.values.ovalues import Oid, OValue, ensure_ovalue
 Update = Tuple[str, OValue]
 #: Per-symbol delta sets.
 Delta = Dict[str, Set[OValue]]
+
+
+class _Derivable(Exception):
+    """Raised by a head probe's sink: the probed fact has a derivation."""
+
+
+def _stop_at_first(slots: object) -> None:
+    raise _Derivable
 
 
 class _BatchPlan:
@@ -231,6 +251,12 @@ class MaterializedProgram:
         Δ⁺ = inserts − extent and Δ⁻ = (deletes ∩ extent) − inserts, so
         deleting and re-inserting the same fact in one batch is a no-op.
         Returns the cumulative :attr:`stats`.
+
+        A batch is atomic. If maintaining it raises (a step budget, a
+        malformed value), the maintained base is put back as it was, the
+        instance and the supports are recomputed from it, and the
+        exception propagates. The recompute runs under the same limits;
+        should it raise too, that error propagates instead.
         """
         # The step budget binds per batch: count this batch's steps from
         # zero, then fold them into the cumulative total.
@@ -280,11 +306,31 @@ class MaterializedProgram:
                 minus[name] = m
         if not plus and not minus:
             return
+        added: Delta = {}
+        removed: Delta = {}
+        lost_nu = {
+            oid: self.base.nu[oid]
+            for name, oids in minus.items()
+            if self._schema.is_class(name)
+            for oid in oids
+            if oid in self.base.nu
+        }
+        try:
+            self._write(self.base, plus, minus, added, removed)
+            self._maintain(plus, minus)
+        except BaseException:
+            self._write(self.base, removed, added, {}, {})
+            for oid, value in lost_nu.items():
+                self.base.assign(oid, value)
+            self._full_recompute()
+            raise
         self.stats.deltas_applied += sum(len(v) for v in plus.values()) + sum(
             len(v) for v in minus.values()
         )
-        self._mirror_base(plus, minus)
 
+    def _maintain(self, plus: Delta, minus: Delta) -> None:
+        """Bring the instance and the supports to the fixpoint of the base,
+        which already holds the net batch ``plus`` / ``minus``."""
         involved: List[MaintenanceCertificate] = []
         for name in plus:
             involved.append(self.certificates[(name, "insert")])
@@ -337,42 +383,37 @@ class MaterializedProgram:
 
     # -- base bookkeeping ----------------------------------------------------------
 
-    def _mirror_base(self, plus: Delta, minus: Delta) -> None:
-        for target in (self.base,):
-            for name, values in minus.items():
-                if self._schema.is_relation(name):
-                    for value in values:
-                        target.remove_relation_member(name, value)
-                else:
-                    for oid in values:
-                        target.remove_class_member(name, oid)
-            for name, values in plus.items():
-                if self._schema.is_relation(name):
-                    for value in values:
-                        target.add_relation_member(name, value)
-                else:
-                    for oid in values:
-                        target.add_class_member(name, oid)
+    def _write(
+        self, target: Instance, plus: Delta, minus: Delta, added: Delta, removed: Delta
+    ) -> None:
+        """Delete ``minus`` from ``target``, then insert ``plus``, and
+        record in ``added`` / ``removed`` the facts that changed it; a
+        failed batch reverses its base update from that record."""
+        for name, values in minus.items():
+            remove = (
+                target.remove_relation_member
+                if self._schema.is_relation(name)
+                else target.remove_class_member
+            )
+            for value in values:
+                if remove(name, value):
+                    removed.setdefault(name, set()).add(value)
+        for name, values in plus.items():
+            add = (
+                target.add_relation_member
+                if self._schema.is_relation(name)
+                else target.add_class_member
+            )
+            for value in values:
+                if add(name, value):
+                    added.setdefault(name, set()).add(value)
 
     def _apply_base_live(self, plus: Delta, minus: Delta) -> None:
-        for name, values in minus.items():
-            if self._schema.is_relation(name):
-                for value in values:
-                    if self.instance.remove_relation_member(name, value):
-                        self.stats.facts_deleted += 1
-            else:
-                for oid in values:
-                    if self.instance.remove_class_member(name, oid):
-                        self.stats.facts_deleted += 1
-        for name, values in plus.items():
-            if self._schema.is_relation(name):
-                for value in values:
-                    if self.instance.add_relation_member(name, value):
-                        self.stats.facts_added += 1
-            else:
-                for oid in values:
-                    if self.instance.add_class_member(name, oid):
-                        self.stats.facts_added += 1
+        added: Delta = {}
+        removed: Delta = {}
+        self._write(self.instance, plus, minus, added, removed)
+        self.stats.facts_deleted += sum(len(v) for v in removed.values())
+        self.stats.facts_added += sum(len(v) for v in added.values())
 
     # -- fallback tiers -------------------------------------------------------------
 
@@ -458,9 +499,12 @@ class MaterializedProgram:
         strata decrement the dying valuations exactly; DRed strata mark a
         conservative over-delete set. Phase B retracts everything marked,
         in place; phase C applies the base inserts; phase D sweeps the
-        *new* state: counting strata increment the born valuations, DRed
-        strata re-run to fixpoint (re-deriving survivors of the
-        over-delete).
+        *new* state: counting strata increment the born valuations, and
+        DRed strata re-derive (:meth:`_rederive`): each over-deleted fact
+        is probed for a surviving derivation with its head bound, the
+        facts that came back are added, and a semi-naive fixpoint seeded
+        with them and with everything inserted so far (``delta_plus``)
+        derives the rest.
 
         Nothing mutates until phase B, so the live instance *is* the old
         state throughout phase A — no snapshot copy, and the compiled
@@ -471,6 +515,7 @@ class MaterializedProgram:
         delta_minus: Delta = {name: set(values) for name, values in minus.items()}
         changed = set(plus) | set(minus) | plan.derived_set
         over: Delta = {}
+        overdeleted: Dict[Tuple[int, int], int] = {}
         exact_dead: Delta = {}
         dirty: Set[str] = set()
         counting_strata: Set[Tuple[int, int]] = set()
@@ -490,6 +535,7 @@ class MaterializedProgram:
                     exact_dead.setdefault(symbol, set()).update(facts)
             else:
                 marked = self._overdelete_stratum(rules, old, plan, changed, delta_minus)
+                overdeleted[key] = sum(len(facts) for facts in marked.values())
                 for symbol, facts in marked.items():
                     if not facts:
                         continue
@@ -503,6 +549,11 @@ class MaterializedProgram:
                 for fact in facts:
                     if self.instance.remove_relation_member(symbol, fact):
                         self.stats.facts_deleted += 1
+        survivors = {
+            symbol: len(self.instance.relations[symbol])
+            for symbol in plan.derived_set
+            if self._schema.is_relation(symbol)
+        }
         # Phase C: the base updates themselves.
         self._apply_base_live(plus, minus)
 
@@ -526,13 +577,16 @@ class MaterializedProgram:
                     for s in (head_symbol(rule) for rule in rules)
                     if self._schema.is_relation(s)
                 }
-                before = {s: set(self.instance.relations[s]) for s in written}
-                self._evaluator.solve_stratum(self.instance, rules, self.stats)
-                for symbol in written:
-                    fresh = self.instance.relations[symbol] - before[symbol]
-                    if fresh:
-                        delta_plus.setdefault(symbol, set()).update(fresh)
-                        self.stats.rederived += len(fresh & over.get(symbol, set()))
+                small_cone = overdeleted[key] < sum(
+                    survivors.get(s, 0) for s in written
+                )
+                fresh = self._rederive(
+                    rules, written, over, small_cone, changed, delta_plus
+                )
+                for symbol, facts in fresh.items():
+                    if facts:
+                        delta_plus.setdefault(symbol, set()).update(facts)
+                        self.stats.rederived += len(facts & over.get(symbol, set()))
                 dirty |= written & self._counting_anywhere
         if dirty:
             self._build_supports(dirty)
@@ -732,6 +786,102 @@ class MaterializedProgram:
                         next_frontier.setdefault(head_name, set()).add(value)
             frontier = next_frontier
         return marked
+
+    def _rederive(
+        self,
+        rules: Sequence[Rule],
+        written: Set[str],
+        over: Delta,
+        small_cone: bool,
+        changed: Set[str],
+        delta_plus: Delta,
+    ) -> Delta:
+        """Phase D of one DRed stratum: bring its relations to the new
+        fixpoint and return the facts it added.
+
+        DRed's re-derive step (Gupta, Mumick and Subrahmanian, SIGMOD
+        1993): probe every over-deleted fact that is not back yet against
+        the new state with its head bound, add the facts that have a
+        derivation, then run the stratum semi-naively from those facts
+        and ``delta_plus``. Outside ``delta_plus`` the state holds old
+        facts only, so a missing fact of the new fixpoint either has a
+        derivation from them (an over-deleted fact, found by its probe)
+        or uses a fact of the seed.
+
+        The stratum re-runs whole from the new state instead unless it
+        over-deleted fewer facts than survived in its relations
+        (``small_cone``; at or above that, one full round costs no more
+        than probing every over-deleted fact) and :meth:`_head_kernels`
+        allows the probes.
+        """
+        relations = self.instance.relations
+        kernels = self._head_kernels(rules, changed) if small_cone else None
+        if kernels is None:
+            self.stats.rederive_reruns += 1
+            before = {s: set(relations[s]) for s in written}
+            self._evaluator.solve_stratum(self.instance, rules, self.stats)
+            return {s: relations[s] - before[s] for s in written}
+        pending = {
+            s: [fact for fact in over.get(s, ()) if fact not in relations[s]]
+            for s in written
+        }
+        # Probe everything before adding anything: kernels iterate the
+        # live extensions, which must not change under them.
+        back: Delta = {}
+        for symbol, (matcher, body, _head_eval) in kernels:
+            if not pending[symbol]:
+                continue
+            found = back.setdefault(symbol, set())
+            body.sink_cell[0] = _stop_at_first
+            slots = body.new_slots()
+            entry = body.entry
+            for fact in pending[symbol]:
+                if fact not in found and matcher(fact, slots):
+                    try:
+                        entry(slots)
+                    except _Derivable:
+                        found.add(fact)
+        seed: Delta = dict(delta_plus)
+        added: Delta = {}
+        for symbol, facts in back.items():
+            for fact in facts:
+                if self.instance.add_relation_member(symbol, fact):
+                    self.stats.facts_added += 1
+                    added.setdefault(symbol, set()).add(fact)
+        for symbol, facts in added.items():
+            seed[symbol] = seed.get(symbol, set()) | facts
+        self._evaluator.solve_stratum(
+            self.instance, rules, self.stats, initial_delta=seed, added=added
+        )
+        return added
+
+    def _head_kernels(
+        self, rules: Sequence[Rule], changed: Set[str]
+    ) -> Optional[List[Tuple[str, tuple]]]:
+        """``(head symbol, head-bound kernel)`` per rule when one DRed
+        stratum can re-derive by probes and a seeded fixpoint, else None.
+
+        It can when it is semi-naive eligible, no rule reads a changing
+        symbol non-monotonically (a negated fact that disappears can
+        enable facts that were never over-deleted), and the evaluator
+        compiles every rule's head-bound kernel.
+        """
+        compiler = self._evaluator._compiler
+        if compiler is None or not stage_eligible(rules, self.instance):
+            return None
+        if any(
+            rule_effects(rule, self._schema).nonmonotone_reads & changed
+            for rule in rules
+        ):
+            return None
+        kernels: List[Tuple[str, tuple]] = []
+        for rule in rules:
+            compiled = compiler.seminaive_kernels(rule, self.instance)
+            head = compiled.delta(HEAD, self.stats) if compiled is not None else None
+            if head is None:
+                return None
+            kernels.append((head_symbol(rule), head))
+        return kernels
 
     # -- support (re)building ------------------------------------------------------------
 

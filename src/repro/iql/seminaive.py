@@ -133,8 +133,10 @@ def run_stage_seminaive(
     delta, not the instance. Sound whenever every derivation new since
     that fixpoint must use at least one delta fact in a positive relation
     position, which insert propagation into a converged stratum
-    guarantees. ``added`` (if given) collects the facts each relation
-    actually gained, for downstream propagation.
+    guarantees, and so does DRed's re-derivation once the probed
+    over-deleted facts are back in the seed. ``added`` (if given)
+    collects the facts each relation actually gained, for downstream
+    propagation.
 
     With a ``compiler`` (:class:`repro.iql.compile.RuleCompiler`) each
     rule's round-0 body, per-position delta matchers and rest bodies run

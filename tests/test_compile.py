@@ -10,7 +10,8 @@ Three layers:
   change of instance must force recompilation;
 * lazy delta kernels — a semi-naive delta position compiles on first
   use, so positions that never see a delta build neither a kernel nor
-  the indexes it would probe;
+  the indexes it would probe; the head-bound kernel compiles the same
+  way, and a head it cannot match leaves the delta kernels compiled;
 * plumbing — the surfaced statistics.
 
 The 220-seed production-vs-reference sweeps live in test_differential.py.
@@ -30,7 +31,7 @@ from repro.iql import (
     atom,
     columns,
 )
-from repro.iql.compile import RuleCompiler
+from repro.iql.compile import HEAD, RuleCompiler
 from repro.iql.evaluator import EvaluationStats
 from repro.parser.grammar import program_from_source
 from repro.schema import Instance, Schema, are_o_isomorphic
@@ -400,6 +401,55 @@ class TestLazyDeltaKernels:
         kernels = program.rules[1].kernel_cache["sn"]
         assert set(kernels._delta) == {0}  # T(x, y) has deltas; E(y, z) never
         assert out.output == reference(program, instance).output
+
+    def test_head_kernel_probes_one_fact(self):
+        # T(x, z) :- T(x, y), E(y, z) with x and z bound from the fact:
+        # the body yields one solution per derivation of that fact.
+        program, instance = _tc_setup()
+        full = compiled(program, instance).full
+        compiler = RuleCompiler()
+        compiler.begin_run(EvaluationStats())
+        sn = compiler.seminaive_kernels(program.rules[1], full)
+        matcher, body, _head_eval = sn.delta(HEAD)
+        assert sn.delta(HEAD)[1] is body  # cached like a delta kernel
+
+        def derivable(fact):
+            solutions = []
+            slots = body.new_slots()
+            body.sink_cell[0] = lambda slots: solutions.append(list(slots))
+            if matcher(fact, slots):
+                body.entry(slots)
+            return len(solutions)
+
+        assert derivable(OTuple(A01="n0", A02="n3")) == 1
+        assert derivable(OTuple(A01="n0", A02="n1")) == 0  # only E(n0, n1)
+        assert derivable(OTuple(A01="n3", A02="n0")) == 0
+
+    def test_a_head_outside_the_fragment_keeps_the_delta_kernels(self):
+        # Out(p̂) :- Sel(p): matching the head binds p̂ with p unbound, which
+        # only the interpreter enumerates. The head kernel is refused, but
+        # the rule's delta rewriting stays compiled.
+        C = classref("C")
+        schema = Schema(
+            relations={"Sel": columns(C), "Out": columns(D)}, classes={"C": D}
+        )
+        p = Var("p", C)
+        program = Program(
+            schema,
+            rules=[Rule(atom(schema, "Out", Deref(p)), [atom(schema, "Sel", p)])],
+            input_names=["Sel", "C"],
+            output_names=["Out"],
+        )
+        instance = Instance(schema)
+        o1 = Oid("o1")
+        instance.add_class_member("C", o1)
+        instance.assign(o1, "a")
+        instance.add_relation_member("Sel", OTuple(A01=o1))
+        compiler = RuleCompiler()
+        compiler.begin_run(EvaluationStats())
+        sn = compiler.seminaive_kernels(program.rules[0], instance)
+        assert sn.delta(HEAD) is None and sn.delta(HEAD) is None
+        assert sn.delta(0) is not None and sn.fallback is None
 
     def test_a_position_that_falls_back_demotes_the_rule(self):
         # The full body binds p from the class scan before Val(p̂) is a

@@ -1,6 +1,6 @@
 """Tests for the live IVM runtime (repro.iql.ivm / repro.iql.supports).
 
-Three layers, mirroring the other engine test files:
+Layers, mirroring the other engine test files:
 
 * unit tests over the E19 acceptance shape — the counting path (exact
   support adjustments, zero fallbacks), the DRed path (over-delete then
@@ -9,6 +9,12 @@ Three layers, mirroring the other engine test files:
 * the :class:`~repro.iql.supports.SupportTable` storage layer and the
   memoized :func:`~repro.analysis.maintenance.validate_certificate`
   front door,
+* atomic batches: a fault injected at every call of the mutating steps
+  of a mixed batch leaves the pre-batch base and fixpoint,
+* DRed's seeded re-derivation: two E19 cases that a wrong seed fails,
+  and a differential over seven program shapes (mixed batches on small
+  random graphs with 2-cycles) in which about four in ten DRed strata
+  re-derive by probes and the rest re-run,
 * a differential property test over the same 220-seed corpus as
   ``test_differential``: after every update batch the maintained
   instance must equal a fresh full evaluation of the maintained base
@@ -17,6 +23,7 @@ Three layers, mirroring the other engine test files:
   and the index/support invariants re-verified at the end.
 """
 
+import json
 import random
 import warnings
 
@@ -184,12 +191,17 @@ class TestE19Paths:
 
 class TestStepBudget:
     def test_max_steps_binds_per_batch(self):
-        # Each one-edge batch takes a handful of fixpoint rounds; summed
-        # over the materialization's lifetime they pass max_steps many
-        # times over, which must not matter.
-        program, mp = e19_setup(n=6)
+        # Each one-edge batch takes at least one fixpoint round; summed
+        # over the materialization's lifetime they pass max_steps, which
+        # must not matter.
+        program = program_from_source(E19_PROGRAM)
+        instance = Instance(program.input_schema)
+        for i in range(6):
+            instance.add_relation_member("E", edge(f"n{i}", f"n{i + 1}"))
+        evaluator = Evaluator(program, limits=EvaluatorLimits(max_steps=100))
+        mp = materialize(program, instance, evaluator=evaluator)
         fact = edge("n2", "n3")
-        for _ in range(2000):
+        for _ in range(200):
             mp.apply_delta(deletes=[("E", fact)])
             mp.apply_delta(inserts=[("E", fact)])
         assert mp.stats.steps > mp._evaluator.limits.max_steps
@@ -202,10 +214,317 @@ class TestStepBudget:
             instance.add_relation_member("E", edge(f"n{i}", f"n{i + 1}"))
         evaluator = Evaluator(program, limits=EvaluatorLimits(max_steps=20))
         mp = materialize(program, instance, evaluator=evaluator)
+        before = mp.base.copy()
         # Appending a 40-edge path needs ~40 semi-naive rounds for T.
         chain = [("E", edge(f"n{i}", f"n{i + 1}")) for i in range(3, 43)]
         with pytest.raises(NonTerminationError):
             mp.apply_delta(inserts=chain)
+        # The failed batch left nothing behind, so the next one is exact.
+        assert mp.base == before
+        assert_matches_fresh(mp)
+        mp.apply_delta(deletes=[("E", edge("n1", "n2"))])
+        assert_matches_fresh(mp)
+        assert mp.extent("T") == {edge("n0", "n1"), edge("n2", "n3")}
+
+
+# -- batches are atomic ---------------------------------------------------------------
+
+
+class Injected(Exception):
+    """The fault the injection tests raise."""
+
+
+def cycle_behind_tail(tail=12):
+    """E19 over a 2-cycle a⇄b with a second path a→c→b, reached from the
+    end of a ``tail``-edge chain t0→…→a."""
+    program = program_from_source(E19_PROGRAM)
+    instance = Instance(program.input_schema)
+    nodes = [f"t{i}" for i in range(tail)] + ["a"]
+    for left, right in zip(nodes, nodes[1:]):
+        instance.add_relation_member("E", edge(left, right))
+    for left, right in [("a", "b"), ("b", "a"), ("a", "c"), ("c", "b")]:
+        instance.add_relation_member("E", edge(left, right))
+    return program, materialize(program, instance)
+
+
+MIXED_INSERTS = [("E", edge("t3", "m")), ("E", edge("m", "b"))]
+#: With ``cycle_behind_tail``: T re-derives by probes and a seeded
+#: fixpoint for the first batch, and re-runs whole for the second.
+MIXED_DELETES = {
+    "seeded": [("E", edge("a", "c")), ("E", edge("t11", "a"))],
+    "rerun": [("E", edge("a", "c")), ("E", edge("t0", "t1"))],
+}
+
+FAULT_POINTS = [
+    (Evaluator, "solve_stratum"),
+    (SupportTable, "add"),
+    (SupportTable, "sub"),
+    (Instance, "remove_relation_member"),
+]
+
+
+def fail_on_call(monkeypatch, owner, name, k):
+    """Patch ``owner.name`` so that its ``k``-th call raises
+    :class:`Injected` (never when ``k`` is 0); return the call counter."""
+    original = getattr(owner, name)
+    calls = [0]
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == k:
+            raise Injected(f"{name} call {k}")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestAtomicBatches:
+    @pytest.mark.parametrize("path", sorted(MIXED_DELETES))
+    @pytest.mark.parametrize(
+        "owner, name", FAULT_POINTS, ids=[f"{o.__name__}.{n}" for o, n in FAULT_POINTS]
+    )
+    def test_a_fault_anywhere_in_a_mixed_batch_leaves_the_pre_batch_state(
+        self, monkeypatch, owner, name, path
+    ):
+        deletes = MIXED_DELETES[path]
+        program, mp = cycle_behind_tail()
+        with monkeypatch.context() as patch:
+            calls = fail_on_call(patch, owner, name, 0)
+            mp.apply_delta(inserts=MIXED_INSERTS, deletes=deletes)
+            total = calls[0]
+        assert total > 0
+        assert mp.stats.rederive_reruns == (path == "rerun")
+        for k in range(1, total + 1):
+            program, mp = cycle_behind_tail()
+            before = mp.base.copy()
+            with monkeypatch.context() as patch:
+                fail_on_call(patch, owner, name, k)
+                with pytest.raises(Injected):
+                    mp.apply_delta(inserts=MIXED_INSERTS, deletes=deletes)
+            assert mp.base == before, f"call {k}: base not restored"
+            assert_matches_fresh(mp)
+            assert mp.supports.negative_symbols() == [] and mp._support_exact["F"]
+            mp.apply_delta(inserts=MIXED_INSERTS, deletes=deletes)
+            assert edge("t3", "m") in mp.base.relations["E"]
+            assert edge("a", "c") not in mp.base.relations["E"]
+            assert_matches_fresh(mp)
+            assert mp.instance.indexes.equals_rebuild()
+
+    def test_a_failed_class_delete_restores_the_oid_and_its_value(self, monkeypatch):
+        program = program_from_source(E19_PROGRAM)
+        instance = Instance(program.input_schema)
+        instance.add_relation_member("E", edge("a", "b"))
+        o = Oid("p0")
+        instance.add_class_member("P", o)
+        instance.assign(o, OTuple())
+        mp = materialize(program, instance)
+        before = mp.base.copy()
+        with monkeypatch.context() as patch:
+            fail_on_call(patch, Evaluator, "run", 1)  # the batch's recompute
+            with pytest.raises(Injected):
+                mp.apply_delta(deletes=[("P", o)])
+        assert mp.base == before and mp.base.nu[o] == OTuple()
+        assert_matches_fresh(mp)
+
+    def test_cli_prints_the_pre_batch_extent_after_a_failed_batch(
+        self, tmp_path, capsys
+    ):
+        from repro import io
+
+        prog = tmp_path / "e19.iql"
+        prog.write_text(E19_PROGRAM)
+        program = program_from_source(E19_PROGRAM)
+        instance = Instance(program.input_schema)
+        for i in range(3):
+            instance.add_relation_member("E", edge(f"n{i}", f"n{i + 1}"))
+        data = tmp_path / "in.json"
+        io.dump(instance, str(data))
+        chain = "; ".join(
+            f'+E {{"A1": "n{i}", "A2": "n{i + 1}"}}' for i in range(3, 43)
+        )
+        script = tmp_path / "session.txt"
+        script.write_text(f"?T\n{chain}\n?T\nquit\n")
+        rc = main(
+            [
+                "maintain", str(prog), "--input", str(data),
+                "--max-steps", "20", "--script", str(script),
+            ]
+        )
+        assert rc == 0
+        before, failed, after = capsys.readouterr().out.splitlines()
+        assert failed.startswith("error: no fixpoint within 20 steps")
+        assert after == before
+        assert before.count('"tuple"') == 6
+
+
+# -- the seeded re-derivation ----------------------------------------------------------
+
+
+class TestSeededRederive:
+    def test_a_mixed_batch_seeds_with_its_inserts(self):
+        # The tail delete over-deletes T(·, n12) only, so T re-derives by
+        # probes and a seeded fixpoint; the seed must carry the batch's
+        # insert, or T(·, m) never appears.
+        program, mp = e19_setup(12)
+        mp.apply_delta(
+            inserts=[("E", edge("n3", "m"))], deletes=[("E", edge("n11", "n12"))]
+        )
+        assert mp.stats.overdeleted == 12
+        assert mp.stats.rederive_reruns == 0
+        assert {edge(f"n{i}", "m") for i in range(4)} <= mp.extent("T")
+        assert_matches_fresh(mp)
+
+    def test_rederived_facts_flow_to_the_counting_stratum(self):
+        # Deleting a→c over-deletes T(a, b) and, with it, F(a, b)'s only
+        # valuation. T(a, b) comes back by its probe (E(a, b)); F must
+        # re-count from the facts T re-derived.
+        program, mp = cycle_behind_tail()
+        assert edge("a", "b") in mp.extent("F")
+        mp.apply_delta(deletes=[("E", edge("a", "c"))])
+        assert mp.stats.rederive_reruns == 0
+        assert mp.stats.rederived > 0
+        assert {edge("a", "b"), edge("b", "a"), edge("a", "a")} <= mp.extent("F")
+        assert_matches_fresh(mp)
+        assert mp.supports.negative_symbols() == []
+
+    def test_an_overdelete_as_large_as_the_survivors_reruns(self):
+        # Deleting the first edge of a chain over-deletes every T fact
+        # that starts at n0: with nothing left to probe against, the
+        # stratum re-runs whole.
+        program, mp = e19_setup(2)
+        mp.apply_delta(deletes=[("E", edge("n0", "n1"))])
+        assert mp.stats.overdeleted == 2
+        assert mp.stats.rederive_reruns == 1
+        assert_matches_fresh(mp)
+
+
+#: Program shapes for the seeded re-derivation differential. The last two
+#: negate a changing symbol, so the DRed strata reading it must re-run. In
+#: ``negated-derived`` that stratum keeps many facts no delete touches
+#: (S from B), so the negation rule, not the size rule, sends it there.
+_EDGE_SCHEMA = "relation E: [A1: D, A2: D];"
+SEEDED_SHAPES = {
+    "left-linear": E19_PROGRAM,
+    "non-linear": f"""
+schema {{ {_EDGE_SCHEMA} relation T: [A1: D, A2: D]; relation F: [A1: D, A2: D]; }}
+var x, y, z: D
+input E
+output T, F
+rules {{
+  T(x, y) :- E(x, y).
+  T(x, z) :- T(x, y), T(y, z).
+  F(x, y) :- T(x, y), T(y, x).
+}}""",
+    "mutual": f"""
+schema {{ {_EDGE_SCHEMA} relation O: [A1: D, A2: D]; relation V: [A1: D, A2: D]; }}
+var x, y, z: D
+input E
+output O, V
+rules {{
+  O(x, y) :- E(x, y).
+  V(x, z) :- O(x, y), E(y, z).
+  O(x, z) :- V(x, y), E(y, z).
+}}""",
+    "chained": f"""
+schema {{ {_EDGE_SCHEMA} relation T: [A1: D, A2: D]; relation S: [A1: D, A2: D]; }}
+var x, y, z: D
+input E
+output T, S
+rules {{
+  T(x, y) :- E(x, y).
+  T(x, z) :- T(x, y), E(y, z).
+  S(x, y) :- T(x, y), E(y, x).
+  S(x, z) :- S(x, y), T(y, z).
+}}""",
+    "negated-base": f"""
+schema {{ {_EDGE_SCHEMA} relation B: [A1: D, A2: D]; relation T: [A1: D, A2: D]; }}
+var x, y, z: D
+input E, B
+output T
+rules {{
+  T(x, y) :- E(x, y), not B(x, y).
+  T(x, z) :- T(x, y), E(y, z), not B(y, z).
+}}""",
+    "negated-derived": f"""
+schema {{
+  {_EDGE_SCHEMA} relation B: [A1: D, A2: D]; relation T: [A1: D, A2: D];
+  relation R: [A1: D, A2: D]; relation S: [A1: D, A2: D];
+}}
+var x, y, z: D
+input E, B
+output T, R, S
+rules {{
+  T(x, y) :- E(x, y).
+  T(x, z) :- T(x, y), E(y, z).
+  ;
+  R(x, y) :- E(x, y), not T(y, x).
+  R(x, y) :- S(x, y), E(x, y).
+  S(x, y) :- R(x, y).
+  S(x, y) :- B(x, y).
+}}""",
+    "negated-changing-base": f"""
+schema {{ {_EDGE_SCHEMA} relation T: [A1: D, A2: D]; }}
+var x, y, z: D
+input E
+output T
+rules {{
+  T(x, y) :- E(x, y).
+  T(x, z) :- T(x, y), E(y, z), not E(z, x).
+}}""",
+}
+
+
+def random_digraph(rng, nodes=24, per_node=1.3, reversed_share=0.15):
+    """``nodes * per_node`` random edges, a share of them also reversed
+    (2-cycles)."""
+    names = [f"v{i}" for i in range(nodes)]
+    edges = set()
+    while len(edges) < int(nodes * per_node):
+        a, b = rng.sample(names, 2)
+        edges.add((a, b))
+    for a, b in sorted(edges):
+        if rng.random() < reversed_share:
+            edges.add((b, a))
+    return names, edges
+
+
+def run_seeded_differential(shape, seed, batches=12):
+    rng = random.Random(seed)
+    program = program_from_source(SEEDED_SHAPES[shape])
+    names, edges = random_digraph(rng)
+    instance = Instance(program.input_schema)
+    for a, b in sorted(edges):
+        instance.add_relation_member("E", edge(a, b))
+    if "B" in program.input_names:
+        for _ in range(40):
+            instance.add_relation_member("B", edge(*rng.sample(names, 2)))
+    mp = materialize(program, instance)
+    for batch in range(batches):
+        live = sorted(mp.base.relations["E"], key=repr)
+        deletes = [("E", fact) for fact in rng.sample(live, rng.randint(1, 2))]
+        inserts = []
+        while len(inserts) < rng.randint(1, 2):
+            fact = edge(*rng.sample(names, 2))
+            if fact not in mp.base.relations["E"]:
+                inserts.append(("E", fact))
+        mp.apply_delta(inserts=inserts, deletes=deletes)
+        fresh = Evaluator(program).run(mp.base.copy()).full
+        assert mp.instance.ground_facts() == fresh.ground_facts(), (
+            f"{shape}, seed {seed}, batch {batch}"
+        )
+    assert mp.stats.maintenance_fallbacks == 0
+    assert mp.supports.negative_symbols() == []
+    assert mp.instance.indexes.equals_rebuild()
+    return mp
+
+
+@pytest.mark.parametrize("shape", sorted(SEEDED_SHAPES))
+@pytest.mark.parametrize("seed", range(8))
+def test_seeded_rederive_matches_full_reevaluation(shape, seed):
+    mp = run_seeded_differential(shape, seed)
+    if shape.startswith("negated-") and shape != "negated-base":
+        assert mp.stats.rederive_reruns > 0
 
 
 class TestSupportTable:
@@ -304,6 +623,7 @@ class TestMaintainCLI:
         lines = out.out.splitlines()
         assert lines[0].startswith("ok: 1 net update(s)")
         assert any(line.startswith("deltas applied") for line in lines)
+        assert any(line.startswith("rederive reruns") for line in lines)
         assert any("E insert:" in line for line in lines)
         assert sum(1 for line in lines if line.startswith("error:")) == 2
         assert any('"T"' in line for line in lines)  # the output dump
@@ -326,6 +646,18 @@ class TestMaintainCLI:
         out = capsys.readouterr()
         assert rc == 0
         assert out.out.splitlines()[0].startswith("ok: 1 net update(s)")
+
+    def test_shipped_session_ends_where_repro_run_does(self, capsys):
+        # examples/path_graph_session.txt: deletes, re-inserts and one
+        # batch over --max-steps; CI runs the same session.
+        args = ["examples/transitive_closure.iql", "--input", "examples/path_graph.json"]
+        assert main(["run", *args]) == 0
+        expected = json.loads(capsys.readouterr().out)
+        session = ["--max-steps", "12", "--script", "examples/path_graph_session.txt"]
+        assert main(["maintain", *args, *session]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(1 for line in lines if line.startswith("error:")) == 1
+        assert json.loads("\n".join(lines[lines.index("{"):])) == expected
 
     def test_ill_typed_insert_is_rejected(self, tmp_path, capsys):
         from repro import io
