@@ -5,7 +5,7 @@ Four engines on identical transitive-closure workloads:
 * the dedicated Datalog engine, naive and semi-naive,
 * the generic IQL evaluator's two engines: the reference engine
   (``Evaluator(naive=True)``: the paper's γ1 iterated with
-  generate-and-test joins) and the production engine (the default:
+  written-order joins) and the production engine (the default:
   certified scheduling, semi-naive delta rounds, compiled rule kernels
   and cost-based planning).
 
@@ -129,7 +129,7 @@ def main(sizes=None):
     )
     print(
         "  shape: the production engine's delta rounds, hash joins and\n"
-        "  compiled kernels beat the reference engine's generate-and-test\n"
+        "  compiled kernels beat the reference engine's written-order\n"
         "  γ1 iteration by a factor that grows with n; the flat Datalog\n"
         "  engine's semi-naive loop joins without indexes, so the IQL\n"
         "  production engine overtakes it as n grows."

@@ -55,8 +55,12 @@ def _load_program(path: str):
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from repro.analysis import io_schema_pass
+
     program = _load_program(args.program)
     errors = check_program(program)
+    # An input or output schema that is not closed (IQL110) cannot run.
+    unclosed = [d for d in io_schema_pass(program) if d.severity == "error"]
     report = classify(program)
     if getattr(args, "json", False):
         from repro.analysis import analyze
@@ -64,16 +68,18 @@ def cmd_check(args: argparse.Namespace) -> int:
         doc = analyze(program).to_json(filename=args.program)
         doc["classification"] = report.summary()
         print(json.dumps(doc, indent=2))
-        return 1 if errors else 0
+        return 1 if errors or unclosed else 0
     for error in errors:
         print(f"type error: {error}", file=sys.stderr)
+    for diag in unclosed:
+        print(diag.render(args.program), file=sys.stderr)
     print(f"rules: {len(program.rules)} in {len(program.stages)} stage(s)")
     print(f"classification: {report.summary()}")
     if program.uses_choose():
         print("features: choose (IQL+)")
     if program.uses_deletion():
         print("features: deletion (IQL*)")
-    return 1 if errors else 0
+    return 1 if errors or unclosed else 0
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -337,8 +343,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"  facts deleted        {stats.facts_deleted}\n"
             f"  oids invented        {stats.oids_invented}\n"
             f"  valuations           {stats.valuations_considered}\n"
-            f"  index probes         {stats.index_probes}\n"
-            f"  index scans avoided  {stats.index_scans_avoided}\n"
             f"  plan cache           {stats.plan_cache_hits}/{plan_total} hits, "
             f"{stats.plan_cache_entries} entries\n"
             f"  plans costed         {stats.plans_costed}\n"
@@ -414,12 +418,12 @@ def cmd_maintain(args: argparse.Namespace) -> int:
         return value
 
     def show_extent(symbol: str) -> None:
-        names = _oid_names(mp.instance)
         try:
             extent = mp.extent(symbol)
         except ReproError as exc:
             print(f"error: {exc}")
             return
+        names = _oid_names(mp.instance)
         docs = [value_to_json(v, names) for v in extent]
         print(json.dumps(sorted(docs, key=json.dumps), default=str))
 
@@ -448,7 +452,10 @@ def cmd_maintain(args: argparse.Namespace) -> int:
                     print(f"{base} {op}: {cert.strategy}")
                 continue
             if line == "output":
-                print(io.dumps(mp.output()))
+                try:
+                    print(io.dumps(mp.output()))
+                except ReproError as exc:
+                    print(f"error: {exc}")
                 continue
             if line.startswith("?"):
                 show_extent(line[1:].strip())
@@ -611,13 +618,13 @@ def main(argv=None) -> int:
     p_run.add_argument(
         "--stats",
         action="store_true",
-        help="print full evaluation statistics (index probes, plan cache, ...)",
+        help="print full evaluation statistics (plan cache, compilation, ...)",
     )
     p_run.add_argument(
         "--naive",
         action="store_true",
-        help="run the Section 3.2 reference engine (generate-and-test "
-        "joins, no scheduling or compilation) instead of the "
+        help="run the Section 3.2 reference engine (joins in written "
+        "order, no planner, scheduling or compilation) instead of the "
         "production engine",
     )
     p_run.set_defaults(func=cmd_run)

@@ -1,14 +1,13 @@
 """Rule compilation: specialize planned bodies into Python closures.
 
-PR2–PR4 removed the algorithmic waste from the join engine (hash indexes,
-semi-naive deltas, certified scheduling); what remains on the hot loops is
-*interpretive dispatch*: :func:`~repro.iql.valuation.solve_body` walks a
-plan step list and re-dispatches through ``eval_term``/``satisfies``/
-``match`` per candidate binding, copying a dict per extension. This module
-follows the Soufflé-style move of specializing each rule once: the
-memoized plan from :func:`~repro.iql.valuation.plan_body` is compiled into
-a *closure chain* — one nested closure per plan step, calling the next
-step directly — over a single mutable **slot list** instead of dict
+Compiled kernels are the production engine's only join path. An
+interpreter (:func:`~repro.iql.valuation.solve_body`) walks a plan step
+list and re-dispatches through ``eval_term``/``satisfies``/``match`` per
+candidate binding, copying a dict per extension. This module follows the
+Soufflé-style move of specializing each rule once: the memoized
+cost-based plan from :func:`~repro.iql.valuation.lookup_plan` is compiled
+into a *closure chain* — one nested closure per plan step, calling the
+next step directly — over a single mutable **slot list** instead of dict
 copies.
 
 What the compiler resolves at compile time (per rule, per instance):
@@ -30,14 +29,22 @@ What the compiler resolves at compile time (per rule, per instance):
   over class extents) and a compiled applier (relation/class membership,
   set-element insertion, and the weak-assignment (★) protocol).
 
-The compilable fragment covers everything the planner emits *except* the
-constructs whose matching is inherently enumerative; those raise
-:class:`CompileFallback` and the owning rule runs interpreted:
+The compilable fragment covers everything the planner emits, IQL*
+deletion bodies included, *except* the constructs whose matching is
+inherently enumerative; those raise :class:`CompileFallback`, and the
+owning rule runs on the reference interpreter inside the evaluator's γ1
+loop:
 
-* deletion bodies (IQL* rules mutate state mid-step),
 * ``choose`` (IQL+ selection runs through the evaluator's orbit check),
 * unbound dereference enumeration (``x̂`` matched with ``x`` unbound),
-* set-assignment enumeration (matching a ``{t1, ..., tk}`` pattern).
+* set-assignment enumeration (matching a ``{t1, ..., tk}`` pattern with
+  k ≥ 2 and some variable unbound). A fully bound set term is evaluated
+  and compared, ``{}`` matches only the empty set, and ``{t}`` matches a
+  one-element set whose element matches ``t``.
+
+A semi-naive stratum needs every rule's round-0 and delta kernels; when
+one refuses, the γ1 loop finishes the stratum, and
+:meth:`RuleCompiler.seminaive_kernels` refuses the rule from then on.
 
 **Invalidation.** A kernel hard-codes one instance's sets and index dicts
 and one plan's join order. It is valid only while three things hold:
@@ -59,10 +66,7 @@ and the semi-naive rounds stage new facts in a delta before applying.
 
 Compiled execution reports ``rules_compiled`` / ``rules_interpreted`` /
 ``compile_fallbacks`` / ``compile_time`` into
-:class:`~repro.iql.evaluator.EvaluationStats`. The interpreter's
-``index_probes`` / ``index_scans_avoided`` counters are *not* maintained
-by compiled kernels (the probe is a plain dict lookup; counting it would
-cost what the compilation saved).
+:class:`~repro.iql.evaluator.EvaluationStats`.
 """
 
 from __future__ import annotations
@@ -88,11 +92,12 @@ Consumer = Callable[[Slots], None]
 
 
 class CompileFallback(Exception):
-    """A construct outside the compilable fragment; the rule runs interpreted.
+    """A construct outside the compilable fragment; the rule runs on the
+    reference interpreter.
 
     ``reason`` is a short stable tag, one per fallback construct:
-    ``"deletion"``, ``"choose"``, ``"unbound-dereference"`` (dereference
-    enumeration), ``"set-assignment"`` (set-pattern enumeration).
+    ``"choose"``, ``"unbound-dereference"`` (dereference enumeration),
+    ``"set-assignment"`` (set-pattern enumeration).
     """
 
     def __init__(self, reason: str):
@@ -212,7 +217,8 @@ def _can_be_undefined(term: Term) -> bool:
 # The compiled counterpart of the *single-extension* subset of match():
 # every construct below extends the bindings at most once per value, so a
 # boolean suffices. The two multi-extension constructs — unbound
-# dereference and set patterns — raise CompileFallback instead.
+# dereference and set patterns of two or more terms — raise
+# CompileFallback instead.
 
 
 def _compile_match(term: Term, layout: _Layout, bound: Set[Var], instance: Instance):
@@ -260,8 +266,8 @@ def _compile_match(term: Term, layout: _Layout, bound: Set[Var], instance: Insta
         return lambda x, slots: evaluate(slots) == x
     if isinstance(term, Deref):
         if term.var not in bound:
-            # Unbound dereference: match() enumerates the reverse ν-index
-            # bucket — possibly many extensions per value.
+            # Unbound dereference: match() scans the class — possibly
+            # many extensions per value.
             raise CompileFallback("unbound-dereference")
         i = layout.index[term.var]
         value_of = instance.value_of
@@ -283,8 +289,22 @@ def _compile_match(term: Term, layout: _Layout, bound: Set[Var], instance: Insta
 
         return match_tuple
     if isinstance(term, SetTerm):
-        # Set patterns branch over element assignments (k-fold product).
-        raise CompileFallback("set-assignment")
+        if term.variables() <= bound:
+            # Fully bound (``{}`` included): match() yields iff it
+            # evaluates to the value.
+            evaluate = _compile_eval(term, layout, instance)
+            return lambda x, slots: evaluate(slots) == x
+        if len(term.terms) > 1:
+            # Set patterns branch over element assignments (k-fold product).
+            raise CompileFallback("set-assignment")
+        # {t}: match()'s cover check admits exactly the one-element sets
+        # whose element matches t.
+        element_match = _compile_match(term.terms[0], layout, bound, instance)
+
+        def match_singleton(x, slots):
+            return isinstance(x, OSet) and len(x) == 1 and element_match(next(iter(x)), slots)
+
+        return match_singleton
     raise EvaluationError(f"not a term: {term!r}")  # pragma: no cover
 
 
@@ -586,10 +606,10 @@ def compile_body(
     stats=None,
 ) -> CompiledBody:
     """Compile ``literals`` given ``initial_vars`` pre-bound, or raise
-    :class:`CompileFallback`. Plans are shared with the interpreter through
-    ``plan_cache`` (the owning rule's), so both agree on join order."""
+    :class:`CompileFallback`. The cost-based plan is memoized in
+    ``plan_cache`` (the owning rule's)."""
     literals = tuple(lit for lit in literals if not isinstance(lit, Choose))
-    plan = lookup_plan(literals, frozenset(initial_vars), instance, True, plan_cache, stats)
+    plan = lookup_plan(literals, frozenset(initial_vars), instance, plan_cache, stats)
     layout = _Layout(initial_vars)
     bound: Set[Var] = set(initial_vars)
     state = _State()
@@ -610,7 +630,9 @@ class CompiledRule:
     ``solve`` enumerates body valuations (slot lists sized for body *and*
     invention variables); ``blocked`` is the valuation-domain condition
     (True iff some extension already satisfies the head); the evaluator
-    fills ``inv_slots`` with fresh oids and calls ``apply``.
+    fills ``inv_slots`` with fresh oids and calls ``apply``. A deletion
+    rule compiles its body only (``blocked`` and ``apply`` are None): the
+    evaluator turns each solution into a θ for its deletion step.
     """
 
     __slots__ = (
@@ -651,8 +673,6 @@ def compile_rule(
 ) -> CompiledRule:
     """Compile one rule for the naive one-step operator, or raise
     :class:`CompileFallback`."""
-    if rule.delete:
-        raise CompileFallback("deletion")
     if rule.has_choose():
         raise CompileFallback("choose")
     body = compile_body(
@@ -663,6 +683,8 @@ def compile_rule(
         plan_cache=rule.plan_cache,
         stats=stats,
     )
+    if rule.delete:
+        return CompiledRule(rule, body, len(body.slot_vars), (), None, None, False)
     layout = _Layout(())
     layout.slots = list(body.slot_vars)
     layout.index = dict(body.slot_index)
@@ -910,9 +932,11 @@ class SeminaiveKernels:
 
         None once any position of the rule has fallen outside the
         compilable fragment (``fallback`` names the construct); the
-        caller then runs the position interpreted. A head element outside
-        the fragment refuses only the :data:`HEAD` kernel. ``stats``
-        receives the plan lookups and the compile time of a (re)compile.
+        caller then leaves the rule to the γ1 loop or a recompute, and
+        :meth:`RuleCompiler.seminaive_kernels` refuses the rule from then
+        on. A head element outside the fragment refuses only the
+        :data:`HEAD` kernel. ``stats`` receives the plan lookups and the
+        compile time of a (re)compile.
         """
         kernel = self._delta.get(position)
         if kernel is False:
@@ -943,9 +967,7 @@ class SeminaiveKernels:
         layout = _Layout(init_vars)
         bound: Set[Var] = set()
         matcher = _compile_match(element, layout, bound, instance)
-        plan = lookup_plan(
-            tuple(rest), frozenset(init_vars), instance, True, rule.plan_cache, stats
-        )
+        plan = lookup_plan(tuple(rest), frozenset(init_vars), instance, rule.plan_cache, stats)
         state = _State()
         entry, sink_cell = _compile_steps(
             plan, layout, bound, instance, self.budget, state
@@ -1044,14 +1066,9 @@ class RuleCompiler:
                 reasons = self.stats.compile_fallback_reasons
                 reasons[reason] = reasons.get(reason, 0) + 1
 
-    def demote(self, rule: Rule, reason: str) -> None:
-        """A lazily compiled delta kernel of ``rule`` fell back: the rule's
-        delta rewriting runs interpreted from now on."""
-        rule.kernel_cache["sn"] = _Fallback(reason)
-        self._note_interpreted(rule, reason)
-
     def compiled_rule(self, rule: Rule, instance: Instance) -> Optional[CompiledRule]:
-        """The γ1 kernel for ``rule`` on ``instance``, or None (interpreted)."""
+        """The γ1 kernel for ``rule`` on ``instance``, or None (the rule runs
+        on the reference interpreter)."""
         return self._kernel(
             rule,
             "rule",
@@ -1060,7 +1077,12 @@ class RuleCompiler:
         )
 
     def seminaive_kernels(self, rule: Rule, instance: Instance) -> Optional[SeminaiveKernels]:
-        """The delta-rewriting kernels for ``rule``, or None (interpreted)."""
+        """The delta-rewriting kernels for ``rule``, or None once its
+        round-0 kernel or any of its delta kernels has refused."""
+        cache = rule.kernel_cache
+        entry = cache.get("sn")
+        if isinstance(entry, SeminaiveKernels) and entry.fallback is not None:
+            cache["sn"] = _Fallback(entry.fallback)
         return self._kernel(
             rule,
             "sn",

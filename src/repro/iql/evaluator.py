@@ -62,15 +62,10 @@ class EvaluatorLimits:
 class EvaluationStats:
     """Observability for benchmarks: what the fixpoint actually did.
 
-    ``index_*`` / ``plan_cache_*`` report on the indexed join engine:
-    hash-index probes taken, members *not* scanned thanks to those probes,
-    and the body planner's memo behaviour (one miss per new (body,
-    bound-set) pair, hits for every re-solve of a known shape).
-
-    ``index_probes`` / ``index_scans_avoided`` are counted by the
-    interpreter only. Compiled kernels never counted them (the probe is a
-    plain dict lookup resolved at compile time), so on the production
-    engine, which compiles every rule it can, they read about 0.
+    ``plan_*`` report on the cost-based planner of the compiled kernels:
+    the memo behaviour (one miss per new (body, bound-set) pair, hits for
+    every recompile of a known shape), plans costed and re-costed. The
+    reference interpreter plans in written order and counts none of them.
 
     ``intern_*`` / ``eq_fast_paths`` report on the hash-consing layer
     (:mod:`repro.values.intern`) over the duration of the run: value
@@ -85,8 +80,6 @@ class EvaluationStats:
     oids_invented: int = 0
     valuations_considered: int = 0
     per_stage_steps: List[int] = field(default_factory=list)
-    index_probes: int = 0
-    index_scans_avoided: int = 0
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
     # Cost-based planning (repro.iql.valuation): bodies planned with the
@@ -105,8 +98,8 @@ class EvaluationStats:
     schedule_fallbacks: int = 0
     # Rule compilation (the production engine, repro.iql.compile):
     # distinct rules that ran as compiled kernels vs fell back to the
-    # interpreter this run, fallback events by construct tag ("deletion",
-    # "choose", "unbound-dereference", "set-assignment"), and the wall
+    # reference interpreter this run, fallback events by construct tag
+    # ("choose", "unbound-dereference", "set-assignment"), and the wall
     # time spent compiling (cache misses only).
     rules_compiled: int = 0
     rules_interpreted: int = 0
@@ -171,15 +164,18 @@ class Evaluator:
       cost-based join planning (:mod:`repro.iql.stats`) that re-costs a
       plan, mid-fixpoint included, once an extension it reads has grown
       or shrunk tenfold, all over hash-consed values. Stages the
-      analysis cannot certify run one monolithic fixpoint (IQL601 warns),
-      and rules outside the compilable fragment run interpreted; both
+      analysis cannot certify run one monolithic fixpoint (IQL601 warns).
+      The few rules outside the compilable fragment (``choose``, an
+      unbound dereference, a set pattern of two or more terms) run on
+      the reference interpreter inside the γ1 loop, and a semi-naive
+      stratum with such a rule is finished by the γ1 loop. Both
       fallbacks are counted in :class:`EvaluationStats`.
     * the **reference engine** (``naive=True``): the Section 3.2
-      one-step operator γ1 iterated stage by stage, with
-      generate-and-test joins and no indexes. It is the oracle the
-      differential tests compare the production engine against.
-      ``trace=True`` runs this same engine, since its γ1 steps are what
-      the trace events describe.
+      one-step operator γ1 iterated stage by stage, joining each body in
+      written order with no statistics, plan cache or index. It is the
+      oracle the differential tests compare the production engine
+      against. ``trace=True`` runs this same engine, since its γ1 steps
+      are what the trace events describe.
 
     ``choose_mode`` controls the genericity discipline of IQL+:
 
@@ -334,10 +330,11 @@ class Evaluator:
         propagation into a previously-converged fixpoint, and for DRed's
         re-derivation once the over-deleted facts that still have a
         derivation are back, see ``MaterializedProgram._rederive``); when the
-        stratum's rules fall outside the semi-naive fragment the stratum
-        runs to an ordinary full fixpoint instead, which is sound for the
-        same reason. ``added`` (if given) collects the facts each relation
-        actually gained, for downstream delta propagation.
+        stratum's rules fall outside the semi-naive fragment, or one of
+        their kernels refuses, the γ1 loop runs the stratum to an ordinary
+        full fixpoint instead, which is sound for the same reason.
+        ``added`` (if given) collects the facts each relation actually
+        gained, for downstream delta propagation.
         """
         if stats is None:
             stats = EvaluationStats()
@@ -355,26 +352,15 @@ class Evaluator:
         initial_delta: Dict[str, Set[OValue]],
         added: Optional[Dict[str, Set[OValue]]],
     ) -> None:
-        from repro.iql.seminaive import run_stage_seminaive, stage_eligible
-
-        if not self.naive and stage_eligible(rules, instance):
-            rounds = run_stage_seminaive(
-                instance,
-                rules,
-                stats,
-                self.limits.enumeration_budget,
-                max_steps=self.limits.max_steps,
-                compiler=self._compiler,
-                initial_delta=initial_delta,
-                added=added,
-            )
+        rounds = self._seminaive(instance, rules, stats, initial_delta, added)
+        if rounds is not None:
             stats.per_stage_steps.append(rounds)
             return
-        # Outside the semi-naive fragment the delta seed is only a hint:
-        # re-running the stratum to its inflationary fixpoint from the
-        # current state derives everything the delta could have enabled.
-        # Diff the written relation extents so the caller still learns
-        # what changed.
+        # Outside the semi-naive fragment, or once a kernel refused, the
+        # delta seed is only a hint: re-running the stratum to its
+        # inflationary fixpoint from the current state derives everything
+        # the delta could have enabled. Diff the written relation extents
+        # so the caller still learns what changed.
         from repro.analysis.effects import head_symbol
 
         written = {
@@ -383,28 +369,49 @@ class Evaluator:
             if instance.schema.is_relation(symbol)
         }
         before = {name: set(instance.relations[name]) for name in written}
-        self._run_stage(instance, rules, stats)
+        stats.per_stage_steps.append(self._run_gamma(instance, rules, stats))
         if added is not None:
             for name in written:
                 fresh = instance.relations[name] - before[name]
                 if fresh:
                     added.setdefault(name, set()).update(fresh)
 
-    def _run_stage(self, instance: Instance, rules: List[Rule], stats: EvaluationStats) -> None:
-        if not self.naive:
-            from repro.iql.seminaive import run_stage_seminaive, stage_eligible
+    def _seminaive(
+        self,
+        instance: Instance,
+        rules: List[Rule],
+        stats: EvaluationStats,
+        initial_delta: Optional[Dict[str, Set[OValue]]] = None,
+        added: Optional[Dict[str, Set[OValue]]] = None,
+    ) -> Optional[int]:
+        """The rounds of a semi-naive run of ``rules``, or None when the
+        engine is the reference, the stratum is outside the semi-naive
+        fragment, or one of its kernels refused. The caller's γ1 loop
+        then runs, or finishes, the stratum from the current state: a
+        semi-naive round adds exactly what a γ1 step would, so a stratum
+        handed over between rounds reaches the same fixpoint."""
+        from repro.iql.seminaive import run_stage_seminaive, stage_eligible
 
-            if stage_eligible(rules, instance):
-                rounds = run_stage_seminaive(
-                    instance,
-                    rules,
-                    stats,
-                    self.limits.enumeration_budget,
-                    max_steps=self.limits.max_steps,
-                    compiler=self._compiler,
-                )
-                stats.per_stage_steps.append(rounds)
-                return
+        if self._compiler is None or not stage_eligible(rules, instance):
+            return None
+        return run_stage_seminaive(
+            instance,
+            rules,
+            stats,
+            self._compiler,
+            max_steps=self.limits.max_steps,
+            initial_delta=initial_delta,
+            added=added,
+        )
+
+    def _run_stage(self, instance: Instance, rules: List[Rule], stats: EvaluationStats) -> None:
+        rounds = self._seminaive(instance, rules, stats)
+        if rounds is None:
+            rounds = self._run_gamma(instance, rules, stats)
+        stats.per_stage_steps.append(rounds)
+
+    def _run_gamma(self, instance: Instance, rules: List[Rule], stats: EvaluationStats) -> int:
+        """Iterate γ1 over ``rules`` to a fixpoint; return the step count."""
         non_inflationary = any(rule.delete for rule in rules)
         seen_states: Set[int] = set()
         steps_here = 0
@@ -432,8 +439,7 @@ class Evaluator:
             stats.steps += 1
             steps_here += 1
             if not changed:
-                break
-        stats.per_stage_steps.append(steps_here)
+                return steps_here
 
     # -- the certified schedule (the production engine) ------------------------------
 
@@ -475,12 +481,12 @@ class Evaluator:
         Each stratum first tries the semi-naive rewriting over *its own*
         rules — a stratum is often eligible when the whole stage is not
         (e.g. a relation-only recursion scheduled after an invention
-        stratum). Otherwise it runs the naive loop with rule-level
-        dirtiness tracking: a rule re-executes only when some symbol of
-        its read set changed since its last execution; a clean rule can
-        only re-derive facts it already derived (reads are complete for
-        range-restricted rules, which certification guarantees), so
-        skipping it is sound.
+        stratum). Otherwise, or once a kernel refused, it runs the γ1
+        loop with rule-level dirtiness tracking: a rule re-executes only
+        when some symbol of its read set changed since its last
+        execution; a clean rule can only re-derive facts it already
+        derived (reads are complete for range-restricted rules, which
+        certification guarantees), so skipping it is sound.
         """
         steps_total = 0
         for stratum in strata:
@@ -493,19 +499,12 @@ class Evaluator:
         """One stratum's fixpoint (the per-stratum body of
         :meth:`_run_stage_scheduled`), returning its step count."""
         from repro.analysis.effects import rule_effects
-        from repro.iql.seminaive import run_stage_seminaive, stage_eligible
 
         steps_total = 0
         stats.strata += 1
-        if stage_eligible(rules, instance):
-            return run_stage_seminaive(
-                instance,
-                rules,
-                stats,
-                self.limits.enumeration_budget,
-                max_steps=self.limits.max_steps,
-                compiler=self._compiler,
-            )
+        rounds = self._seminaive(instance, rules, stats)
+        if rounds is not None:
+            return rounds
         effects = [rule_effects(rule, instance.schema) for rule in rules]
         read_symbols = frozenset().union(*(eff.reads for eff in effects))
         fingerprints = {
@@ -545,8 +544,8 @@ class Evaluator:
 
     def _one_step(self, instance: Instance, rules: List[Rule], stats: EvaluationStats) -> bool:
         # Each addition is (rule, bindings, kernel): bindings is a θ dict
-        # on the interpreted path, a slot list on the compiled one (with
-        # kernel the rule's CompiledRule).
+        # on the reference path, a slot list on the compiled one (with
+        # kernel the rule's CompiledRule). Deletions always carry a θ.
         additions: List[Tuple[Rule, object, object]] = []
         deletions: List[Tuple[Rule, Bindings]] = []
 
@@ -557,22 +556,23 @@ class Evaluator:
                 else None
             )
             if kernel is not None:
-                blocked = kernel.blocked
+                if rule.delete:
 
-                def consume(slots, _rule=rule, _kernel=kernel, _blocked=blocked):
-                    stats.valuations_considered += 1
-                    if not _blocked(slots):
-                        additions.append((_rule, slots[:], _kernel))
+                    def consume(slots, _rule=rule, _vars=kernel.body.slot_vars):
+                        stats.valuations_considered += 1
+                        deletions.append((_rule, dict(zip(_vars, slots))))
+
+                else:
+
+                    def consume(slots, _rule=rule, _kernel=kernel, _blocked=kernel.blocked):
+                        stats.valuations_considered += 1
+                        if not _blocked(slots):
+                            additions.append((_rule, slots[:], _kernel))
 
                 kernel.solve(consume)
                 continue
             for theta in solve_body(
-                rule.body,
-                instance,
-                enumeration_budget=self.limits.enumeration_budget,
-                stats=stats,
-                plan_cache=rule.plan_cache,
-                use_indexes=not self.naive,
+                rule.body, instance, enumeration_budget=self.limits.enumeration_budget
             ):
                 stats.valuations_considered += 1
                 if rule.delete:
@@ -754,16 +754,14 @@ class Evaluator:
                 if element is not None:
                     return element in members
                 for existing in members:
-                    for _ in match(
-                        head.element, existing, theta, instance, not self.naive
-                    ):
+                    for _ in match(head.element, existing, theta, instance):
                         return True
                 return False
             container = eval_term(head.container, theta, instance)
             if container is None:
                 return False
             for element in container:
-                for _ in match(head.element, element, theta, instance, not self.naive):
+                for _ in match(head.element, element, theta, instance):
                     return True
             return False
         if isinstance(head, Equality):
@@ -780,7 +778,7 @@ class Evaluator:
                     continue
                 extended = dict(theta)
                 extended[deref.var] = candidate
-                for _ in match(head.right, value, extended, instance, not self.naive):
+                for _ in match(head.right, value, extended, instance):
                     return True
             return False
         raise EvaluationError(f"illegal head {head!r}")  # pragma: no cover

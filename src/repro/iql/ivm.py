@@ -8,11 +8,13 @@ of re-evaluating from scratch. The strategy trichotomy certified by the
 PR-6 analysis (IQL701–704) is exactly what runs here:
 
 * **counting** symbols keep per-fact derivation counts
-  (:class:`~repro.iql.supports.SupportTable`). An update adjusts counts
-  by enumerating only the valuations that touch a delta fact — through
-  the compiled semi-naive kernels of :mod:`repro.iql.compile` when
-  available — and a fact is physically inserted or retracted exactly
-  when its count crosses zero. Exact for both inserts and deletes.
+  (:class:`~repro.iql.supports.SupportTable`), counted at construction
+  by each writer's compiled round-0 kernel. An update adjusts counts
+  by enumerating only the valuations that touch a delta fact, through
+  the compiled semi-naive kernels of :mod:`repro.iql.compile`, and a
+  fact is physically inserted or retracted exactly when its count
+  crosses zero. Exact for both inserts and deletes. A counting symbol
+  with a writer that does not compile is demoted to DRed.
 * **dred** symbols (recursive, or reached through negation) get the
   classical two phases: *over-delete* a conservative superset of the
   facts whose derivations may involve the delta, then *re-derive*:
@@ -26,9 +28,11 @@ PR-6 analysis (IQL701–704) is exactly what runs here:
   that come back are counted in ``stats.rederived``.
 * **recompute** certificates (a maintenance hazard in the cone) fall
   back — a batch touching one re-evaluates from the maintained base
-  input; class-extent updates fall back to re-running only the
-  certified slice strata. Both are tallied in
-  ``stats.maintenance_fallbacks``.
+  input, and so does a batch that needs a delta kernel that does not
+  compile (or any delta join, when the evaluator has no compiler);
+  class-extent updates fall back to re-running only the certified
+  slice strata. All are tallied in ``stats.maintenance_fallbacks``.
+  Maintenance joins run on compiled kernels only.
 
 Exactness of the counting adjustments rests on a dying/born argument: a
 valuation θ of a counting rule changes validity across the update iff it
@@ -55,6 +59,9 @@ compiled kernels capturing their buckets — stay warm across updates.
 Batches are atomic: a batch that raises partway (a step budget, a
 malformed value) puts the maintained base back as it was and recomputes
 the instance and the supports from it before the exception propagates.
+Should that recompute raise too, the materialization is *stale*: every
+later query or batch first recomputes it, and raises for as long as
+that recompute does, so a stale instance is never served.
 
 ``repro maintain`` is the CLI face (a read-eval-update loop over
 ``+R fact`` / ``-R fact`` lines); benchmark E20
@@ -93,7 +100,6 @@ from repro.iql.program import Program
 from repro.iql.rules import Rule
 from repro.iql.seminaive import stage_eligible
 from repro.iql.supports import SupportTable
-from repro.iql.valuation import eval_term, match, solve_body
 from repro.schema.instance import Instance
 from repro.values.ovalues import Oid, OValue, ensure_ovalue
 
@@ -109,6 +115,11 @@ class _Derivable(Exception):
 
 def _stop_at_first(slots: object) -> None:
     raise _Derivable
+
+
+class _NoKernel(Exception):
+    """A delta join this batch needs has no compiled kernel: the batch
+    recomputes from the maintained base instead."""
 
 
 class _BatchPlan:
@@ -175,6 +186,9 @@ class MaterializedProgram:
         #: The maintained copy of the base input, mirrored on every batch.
         self.base = base.copy()
         self.stats = EvaluationStats()
+        #: True while :attr:`instance` may not be the fixpoint of
+        #: :attr:`base` (a failed batch's recompute raised).
+        self._stale = False
 
         result: EvaluationResult = evaluator.run(self.base)
         #: The live full instance (over S); queries read it directly.
@@ -228,6 +242,7 @@ class MaterializedProgram:
 
     def extent(self, symbol: str) -> Set[OValue]:
         """The current extent of a relation or class, as a fresh set."""
+        self._refresh()
         if self._schema.is_relation(symbol):
             return set(self.instance.relations[symbol])
         if self._schema.is_class(symbol):
@@ -236,7 +251,13 @@ class MaterializedProgram:
 
     def output(self) -> Instance:
         """The maintained instance projected on the output schema."""
+        self._refresh()
         return self.instance.project(self.program.output_schema)
+
+    def _refresh(self) -> None:
+        """Recompute a stale materialization; raises while that does."""
+        if self._stale:
+            self._full_recompute()
 
     # -- the one public mutator ---------------------------------------------------
 
@@ -256,8 +277,13 @@ class MaterializedProgram:
         malformed value), the maintained base is put back as it was, the
         instance and the supports are recomputed from it, and the
         exception propagates. The recompute runs under the same limits;
-        should it raise too, that error propagates instead.
+        should it raise too, that error propagates instead and the
+        materialization is stale: this method, :meth:`extent` and
+        :meth:`output` first recompute it from the restored base, and
+        raise that recompute's error for as long as it fails, instead of
+        answering from the half-maintained instance.
         """
+        self._refresh()
         # The step budget binds per batch: count this batch's steps from
         # zero, then fold them into the cumulative total.
         steps_before = self.stats.steps
@@ -349,10 +375,14 @@ class MaterializedProgram:
         if minus and self._dual & (set(minus) | plan.derived_set):
             self._full_recompute()
             return
-        if minus or plan.via_negation:
-            self._general_path(plan, plus, minus)
-        else:
-            self._insert_only(plan, plus)
+        try:
+            if minus or plan.via_negation:
+                self._general_path(plan, plus, minus)
+            else:
+                self._insert_only(plan, plus)
+        except _NoKernel:
+            self._full_recompute()
+            return
         if self.supports.negative_symbols():  # pragma: no cover - defensive
             self._slice_recompute(plan, {}, {})
 
@@ -418,13 +448,17 @@ class MaterializedProgram:
     # -- fallback tiers -------------------------------------------------------------
 
     def _full_recompute(self) -> None:
-        """Re-evaluate from the maintained base input (hazardous cone)."""
+        """Re-evaluate from the maintained base input (a hazardous cone,
+        a delta kernel that does not compile, or a failed batch); the
+        materialization is stale until this returns."""
         self.stats.maintenance_fallbacks += 1
+        self._stale = True
         result = self._evaluator.run(self.base)
         self.instance = result.full
         if self._evaluator._compiler is not None:
             self._evaluator._compiler.begin_run(self.stats)
         self._build_supports(None)
+        self._stale = False
 
     def _slice_recompute(self, plan: _BatchPlan, plus: Delta, minus: Delta) -> None:
         """Clear and re-run only the certified slice strata (class bases,
@@ -466,9 +500,7 @@ class MaterializedProgram:
                 if self._schema.is_relation(s)
             }
             if self._counting_stratum(rules, plan):
-                crossed = self._counting_adjust(
-                    rules, delta_plus, self.instance, +1, use_kernels=True
-                )
+                crossed = self._counting_adjust(rules, delta_plus, self.instance, +1)
                 for symbol, facts in crossed.items():
                     for fact in facts:
                         if self.instance.add_relation_member(symbol, fact):
@@ -527,9 +559,7 @@ class MaterializedProgram:
                 live_minus = {n for n, v in delta_minus.items() if v}
                 if not live_minus:
                     continue
-                crossed = self._counting_adjust(
-                    rules, delta_minus, old, -1, use_kernels=True
-                )
+                crossed = self._counting_adjust(rules, delta_minus, old, -1)
                 for symbol, facts in crossed.items():
                     delta_minus.setdefault(symbol, set()).update(facts)
                     exact_dead.setdefault(symbol, set()).update(facts)
@@ -563,9 +593,7 @@ class MaterializedProgram:
                 live_plus = {n for n, v in delta_plus.items() if v}
                 if not live_plus:
                     continue
-                crossed = self._counting_adjust(
-                    rules, delta_plus, self.instance, +1, use_kernels=True
-                )
+                crossed = self._counting_adjust(rules, delta_plus, self.instance, +1)
                 for symbol, facts in crossed.items():
                     for fact in facts:
                         if self.instance.add_relation_member(symbol, fact):
@@ -610,93 +638,62 @@ class MaterializedProgram:
                 return False  # pragma: no cover - forward closure forbids this
         return True
 
-    def _delta_valuations(
-        self,
-        rule: Rule,
-        shape,
-        delta: Delta,
-        instance: Instance,
-        use_kernels: bool,
-    ):
+    def _delta_valuations(self, rule: Rule, shape, delta: Delta, instance: Instance):
         """Yield ``(dedup key, head value)`` for every valuation of
         ``rule`` that uses at least one ``delta`` fact in a positive
-        relation position. Keys are canonical per call (kernel slot
-        tuples or frozen θs — never mixed, since the kernel decision is
-        made once per rule), so the caller can deduplicate valuations
-        enumerated from several delta positions.
+        relation position. Keys are the kernel's slot values in variable
+        name order, so the caller can deduplicate valuations enumerated
+        from several delta positions.
 
-        Kernels are only valid against the instance they captured (the
-        per-rule cache revalidates by identity), which is why the general
-        path keeps the live instance unmutated through its whole phase A.
+        Runs on the rule's compiled delta kernels only, and raises
+        :class:`_NoKernel` when one of them does not compile. Kernels are
+        only valid against the instance they captured (the per-rule cache
+        revalidates by identity), which is why the general path keeps the
+        live instance unmutated through its whole phase A.
         """
-        compiler = self._evaluator._compiler if use_kernels else None
-        budget = self._evaluator.limits.enumeration_budget
-        head_term = rule.head.element
-        body = list(rule.body)
+        body = rule.body
         live = [
             p for p in shape.relation_positions if delta.get(body[p].container.name)
         ]
-        per_position = None
+        if not live:
+            return
+        compiler = self._evaluator._compiler
         kernels = compiler.seminaive_kernels(rule, instance) if compiler else None
-        if kernels is not None:
-            per_position = {p: kernels.delta(p, self.stats) for p in live}
-            if None in per_position.values():
-                # A live position falls outside the compiled fragment:
-                # the whole rule runs interpreted, so the dedup keys of
-                # one call are never mixed.
-                compiler.demote(rule, kernels.fallback)
-                per_position = None
+        if kernels is None:
+            raise _NoKernel
+        per_position = []
         for position in live:
-            literal = body[position]
-            source = delta[literal.container.name]
-            if per_position is not None:
-                matcher, rest_body, head_eval = per_position[position]
-                order = tuple(
-                    rest_body.slot_index[v]
-                    for v in sorted(rest_body.slot_vars, key=lambda v: v.name)
-                )
-                firings: List[Tuple[tuple, OValue]] = []
+            kernel = kernels.delta(position, self.stats)
+            if kernel is None:
+                raise _NoKernel
+            per_position.append((position, kernel))
+        for position, (matcher, rest_body, head_eval) in per_position:
+            order = tuple(
+                rest_body.slot_index[v]
+                for v in sorted(rest_body.slot_vars, key=lambda v: v.name)
+            )
+            firings: List[Tuple[tuple, OValue]] = []
 
-                def consume(
-                    slots: List[object],
-                    _he: Callable = head_eval,
-                    _f: List = firings,
-                    _o: tuple = order,
-                ) -> None:
-                    value = _he(slots)
-                    if value is not None:
-                        _f.append((tuple(slots[i] for i in _o), value))
+            def consume(
+                slots: List[object],
+                _he: Callable = head_eval,
+                _f: List = firings,
+                _o: tuple = order,
+            ) -> None:
+                value = _he(slots)
+                if value is not None:
+                    _f.append((tuple(slots[i] for i in _o), value))
 
-                slots = rest_body.new_slots()
-                rest_body.sink_cell[0] = consume
-                entry = rest_body.entry
-                for fact in source:
-                    if matcher(fact, slots):
-                        entry(slots)
-                yield from firings
-                continue
-            rest = body[:position] + body[position + 1 :]
-            for fact in source:
-                for seed in match(literal.element, fact, {}, instance, True, self.stats):
-                    for theta in solve_body(
-                        rest,
-                        instance,
-                        enumeration_budget=budget,
-                        initial=seed,
-                        stats=self.stats,
-                        plan_cache=rule.plan_cache,
-                    ):
-                        value = eval_term(head_term, theta, instance)
-                        if value is not None:
-                            yield (frozenset(theta.items()), value)
+            slots = rest_body.new_slots()
+            rest_body.sink_cell[0] = consume
+            entry = rest_body.entry
+            for fact in delta[body[position].container.name]:
+                if matcher(fact, slots):
+                    entry(slots)
+            yield from firings
 
     def _counting_adjust(
-        self,
-        rules: Sequence[Rule],
-        delta: Delta,
-        instance: Instance,
-        sign: int,
-        use_kernels: bool,
+        self, rules: Sequence[Rule], delta: Delta, instance: Instance, sign: int
     ) -> Delta:
         """One exact counting round: enumerate the valuations of ``rules``
         that use at least one ``delta`` fact in a positive relation
@@ -714,9 +711,7 @@ class MaterializedProgram:
             ):
                 continue  # pragma: no cover - counting strata write counting heads
             seen: Set[object] = set()
-            for key, value in self._delta_valuations(
-                rule, shape, delta, instance, use_kernels
-            ):
+            for key, value in self._delta_valuations(rule, shape, delta, instance):
                 if key in seen:
                     continue
                 seen.add(key)
@@ -771,16 +766,13 @@ class MaterializedProgram:
                     frontier.setdefault(head_name, set()).update(fresh)
             else:
                 delta_rules.append((rule, shape))
-        use_kernels = old is self.instance
         while any(frontier.values()):
             next_frontier: Delta = {}
             for rule, shape in delta_rules:
                 head_name = head_symbol(rule)
                 extent = old.relations[head_name]
                 already = marked.setdefault(head_name, set())
-                for _key, value in self._delta_valuations(
-                    rule, shape, frontier, old, use_kernels
-                ):
+                for _key, value in self._delta_valuations(rule, shape, frontier, old):
                     if value in extent and value not in already:
                         already.add(value)
                         next_frontier.setdefault(head_name, set()).add(value)
@@ -887,32 +879,33 @@ class MaterializedProgram:
 
     def _build_supports(self, symbols: Optional[Iterable[str]]) -> None:
         """(Re)count the derivations of the given counting symbols (all of
-        them when ``symbols`` is None) against the live instance."""
+        them when ``symbols`` is None) against the live instance, each
+        writer through its compiled round-0 kernel. A symbol with a
+        writer that has no kernel is not exact (demoted to DRed)."""
         targets = (
             set(symbols) if symbols is not None else set(self._counting_anywhere)
         )
-        budget = self._evaluator.limits.enumeration_budget
+        compiler = self._evaluator._compiler
         for symbol in sorted(targets):
             counts: Dict[OValue, int] = {}
+            exact = self._schema.is_relation(symbol)
             for rule in self._writers.get(symbol, ()):
-                seen: Set[object] = set()
-                for theta in solve_body(
-                    rule.body,
-                    self.instance,
-                    enumeration_budget=budget,
-                    stats=self.stats,
-                    plan_cache=rule.plan_cache,
-                ):
-                    key = frozenset(theta.items())
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    value = eval_term(rule.head.element, theta, self.instance)
+                kernels = (
+                    compiler.seminaive_kernels(rule, self.instance)
+                    if exact and compiler is not None and rule.is_invention_free()
+                    else None
+                )
+                if kernels is None:
+                    exact = False
+                    break
+
+                def count(slots, _head=kernels.head_full):
+                    value = _head(slots)
                     if value is not None:
                         counts[value] = counts.get(value, 0) + 1
+
+                kernels.full.execute((), count)
             self.supports.set_counts(symbol, counts)
             self._support_exact[symbol] = (
-                set(counts) == self.instance.relations[symbol]
-                if self._schema.is_relation(symbol)
-                else False
+                exact and set(counts) == self.instance.relations[symbol]
             )

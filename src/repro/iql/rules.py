@@ -73,15 +73,17 @@ class Rule:
 
     @property
     def plan_cache(self) -> dict:
-        """The body planner's memo (repro.iql.valuation.solve_body).
+        """The cost-based planner's memo for the compiled kernels
+        (repro.iql.valuation.lookup_plan).
 
-        Keyed by (literal tuple, bound-variable set, use_indexes); the
-        semi-naive delta rewriting solves many sub-bodies of the same rule,
-        so the cache lives here rather than per call. The keys are bounded
-        by the rule's shape: the whole body and each delta position's rest,
-        with indexes on or off — at most 2·(body length + 1) plans. A stale
-        plan is replaced in place, never added beside. Excluded from
-        equality and hashing — it is an evaluation artifact, not syntax.
+        Keyed by (literal tuple, bound-variable set); the semi-naive delta
+        rewriting compiles many sub-bodies of the same rule, so the cache
+        lives here rather than per call. The keys are bounded by the
+        rule's shape: the whole body, each delta position's rest, and the
+        whole body with the head's variables bound — at most body length
+        + 2 plans. A stale plan is replaced in place, never added beside.
+        Excluded from equality and hashing — it is an evaluation artifact,
+        not syntax.
         """
         if self._plan_cache is None:
             self._plan_cache = {}

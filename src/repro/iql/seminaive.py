@@ -27,25 +27,29 @@ equivalence is tested against the naive evaluator (the specification) on
 randomized inputs; benchmark E11 measures the speedup.
 
 Derefence containers, class or deref heads, invention, set-variable
-enumeration — anything beyond this fragment — falls back to the naive
-loop. Delta joins run through the hash indexes and the cost-based planner
-of :mod:`repro.iql.valuation` like every other body solve; a delta kernel
-whose plan was costed while a relation it reads was a tenth of its size
-is recompiled under a re-costed plan at its next round.
+enumeration — anything beyond this fragment — runs the γ1 loop instead.
+Every round runs on compiled kernels (:mod:`repro.iql.compile`), joined
+through the hash indexes in the cost-based order of
+:mod:`repro.iql.valuation`; a delta kernel whose plan was costed while a
+relation it reads was a tenth of its size is recompiled under a
+re-costed plan at its next round. A rule whose kernels refuse hands the
+stage to the γ1 loop.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Set
 
-from repro.analysis.effects import DeltaBody, delta_body, mentions_name
+from repro.analysis.effects import delta_body, mentions_name
 from repro.iql.literals import Membership
 from repro.iql.rules import Rule
 from repro.iql.terms import NameTerm, Var
-from repro.iql.valuation import eval_term, match, solve_body
 from repro.schema.instance import Instance
 from repro.schema.schema import Schema
 from repro.values.ovalues import OValue
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.iql.compile import RuleCompiler
 
 
 def rule_eligible(rule: Rule, schema: Schema) -> bool:
@@ -112,19 +116,18 @@ def run_stage_seminaive(
     instance: Instance,
     rules: Sequence[Rule],
     stats,
-    enumeration_budget: int,
+    compiler: "RuleCompiler",
     max_steps: int = 10_000,
-    compiler=None,
     initial_delta: Optional[Dict[str, Set[OValue]]] = None,
     added: Optional[Dict[str, Set[OValue]]] = None,
-) -> int:
+) -> Optional[int]:
     """Evaluate an eligible stage to fixpoint with delta rewriting.
 
-    Returns the number of rounds. Round 0 seeds the delta with a full
-    evaluation; each later round requires one positive relation membership
-    to match a fact from the previous round's delta — matched directly,
-    with the remaining literals solved under the resulting bindings (so
-    all the planning and indexing machinery is reused verbatim).
+    Returns the number of rounds, or None when a kernel refused (below).
+    Round 0 seeds the delta with a full evaluation; each later round
+    requires one positive relation membership to match a fact from the
+    previous round's delta — matched directly, with the remaining
+    literals solved under the resulting bindings.
 
     With ``initial_delta`` (the IVM runtime's delta-seeded mode) round 0
     is skipped entirely: the given per-relation fact sets — already
@@ -138,27 +141,26 @@ def run_stage_seminaive(
     collects the facts each relation actually gained, for downstream
     propagation.
 
-    With a ``compiler`` (:class:`repro.iql.compile.RuleCompiler`) each
-    rule's round-0 body, per-position delta matchers and rest bodies run
-    as compiled closure kernels over slot lists; a delta position's
-    kernel is compiled the first time its relation has a delta, and
-    again in any round where its plan has gone stale, so a recursive
-    relation that keeps growing is joined in an order re-costed on its
-    grown extension. Rules the compiler cannot take (a fallback construct
-    in the body) run the interpreted path above, rule by rule.
+    Every rule runs as compiled closure kernels
+    (:class:`repro.iql.compile.RuleCompiler`): its round-0 body, and per
+    position a delta matcher and a rest body. A delta position's kernel
+    is compiled the first time its relation has a delta, and again in
+    any round where its plan has gone stale, so a recursive relation
+    that keeps growing is joined in an order re-costed on its grown
+    extension. When a round-0 or a delta kernel refuses (a fallback
+    construct in the body), the stage returns None before the round
+    applies anything: the facts of the completed rounds are all sound
+    derivations, and the caller's γ1 loop finishes the inflationary
+    stage from there.
     """
-    schema = instance.schema
-    shapes: Dict[int, DeltaBody] = {}
-    kernels = {}
-    for index, rule in enumerate(rules):
-        shape = delta_body(rule, schema)
+    kernels = []
+    for rule in rules:
+        shape = delta_body(rule, instance.schema)
         assert shape is not None  # guaranteed by stage_eligible
-        shapes[index] = shape
-        compiled = (
-            compiler.seminaive_kernels(rule, instance) if compiler is not None else None
-        )
-        if compiled is not None:
-            kernels[index] = compiled
+        compiled = compiler.seminaive_kernels(rule, instance)
+        if compiled is None:
+            return None
+        kernels.append((rule, shape.relation_positions, compiled))
     rounds = 0
     first = initial_delta is None
     delta: Dict[str, Set[OValue]] = (
@@ -176,88 +178,43 @@ def run_stage_seminaive(
                 f"no fixpoint within {max_steps} steps (semi-naive stage)"
             )
         new: Dict[str, Set[OValue]] = {}
-        for rule_index, rule in enumerate(rules):
+        for rule, positions, compiled in kernels:
             head = rule.head
             assert isinstance(head, Membership)  # guaranteed by rule_eligible
             assert isinstance(head.container, NameTerm)
             head_name = head.container.name
-            head_term = head.element
             existing = instance.relations[head_name]
-            compiled = kernels.get(rule_index)
+            bucket = new.setdefault(head_name, set())
 
-            def derive(theta, _ht=head_term, _ex=existing, _hn=head_name, _new=new):
-                value = eval_term(_ht, theta, instance)
-                if value is not None and value not in _ex:
-                    _new.setdefault(_hn, set()).add(value)
-                    stats.valuations_considered += 1
+            def sink(head_eval, _b=bucket, _ex=existing):
+                def consume(slots):
+                    value = head_eval(slots)
+                    if value is not None and value not in _ex:
+                        _b.add(value)
+                        stats.valuations_considered += 1
+
+                return consume
 
             if first:
-                if compiled is not None:
-                    bucket = new.setdefault(head_name, set())
-                    head_eval = compiled.head_full
-
-                    def consume(slots, _he=head_eval, _b=bucket, _ex=existing):
-                        value = _he(slots)
-                        if value is not None and value not in _ex:
-                            _b.add(value)
-                            stats.valuations_considered += 1
-
-                    compiled.full.execute((), consume)
-                    continue
-                for theta in solve_body(
-                    rule.body,
-                    instance,
-                    enumeration_budget=enumeration_budget,
-                    stats=stats,
-                    plan_cache=rule.plan_cache,
-                ):
-                    derive(theta)
+                compiled.full.execute((), sink(compiled.head_full))
                 continue
-
-            body = list(rule.body)
-            for position in shapes[rule_index].relation_positions:
-                literal = body[position]
+            for position in positions:
+                literal = rule.body[position]
                 assert isinstance(literal, Membership)  # by delta_body
                 assert isinstance(literal.container, NameTerm)
                 source = delta.get(literal.container.name)
                 if not source:
                     continue
-                kernel = compiled.delta(position, stats) if compiled is not None else None
-                if compiled is not None and kernel is None:
-                    # This position falls outside the compilable fragment:
-                    # it runs interpreted, and so does the rule from now on.
-                    compiler.demote(rule, compiled.fallback)
-                    del kernels[rule_index]
-                    compiled = None
-                if kernel is not None:
-                    matcher, rest_body, head_eval = kernel
-                    bucket = new.setdefault(head_name, set())
-
-                    def consume(slots, _he=head_eval, _b=bucket, _ex=existing):
-                        value = _he(slots)
-                        if value is not None and value not in _ex:
-                            _b.add(value)
-                            stats.valuations_considered += 1
-
-                    slots = rest_body.new_slots()
-                    rest_body.sink_cell[0] = consume
-                    entry = rest_body.entry
-                    for fact in source:
-                        if matcher(fact, slots):
-                            entry(slots)
-                    continue
-                rest = body[:position] + body[position + 1 :]
+                kernel = compiled.delta(position, stats)
+                if kernel is None:
+                    return None
+                matcher, rest_body, head_eval = kernel
+                slots = rest_body.new_slots()
+                rest_body.sink_cell[0] = sink(head_eval)
+                entry = rest_body.entry
                 for fact in source:
-                    for seed in match(literal.element, fact, {}, instance, True, stats):
-                        for theta in solve_body(
-                            rest,
-                            instance,
-                            enumeration_budget=enumeration_budget,
-                            initial=seed,
-                            stats=stats,
-                            plan_cache=rule.plan_cache,
-                        ):
-                            derive(theta)
+                    if matcher(fact, slots):
+                        entry(slots)
 
         first = False
         rounds += 1

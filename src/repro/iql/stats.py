@@ -13,8 +13,8 @@ instance:
   sets, so they are exact and free,
 * per-attribute distinct-value counts (NDV) — ``len`` of the lazy
   projection indexes of :class:`~repro.iql.indexes.InstanceIndexes`.
-  Because those indexes are maintained incrementally through the four
-  insert mutators *and* the removal mutators (PR 7), NDV stays warm under
+  Because those indexes are maintained incrementally by the relation
+  insert and removal mutators, NDV stays warm under
   arbitrary mutation — including :meth:`MaterializedProgram.apply_delta`
   batches — without any separate bookkeeping: the statistic *is* the
   index,
@@ -29,7 +29,9 @@ object-creating conjunctive queries are the semantic license), so the
 planner may consume these numbers aggressively: estimates affect speed,
 never the solution set. A plan records the extension sizes it was costed
 on (``Plan.basis``), and the planner costs it again once one of them has
-moved ``REPLAN_GROWTH``-fold (:mod:`repro.iql.valuation`).
+moved ``REPLAN_GROWTH``-fold (:mod:`repro.iql.valuation`). Only the
+compiled kernels are cost-planned; the reference interpreter plans in
+written order and reads none of these numbers.
 """
 
 from __future__ import annotations
@@ -44,8 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (valuation → stats)
     from repro.schema.instance import Instance
 
 #: Fan-out assumed for a dereference container when the class has no
-#: set-valued members to average over (and for use_indexes=False planning,
-#: which must not touch the index layer).
+#: set-valued members to average over.
 DEFAULT_DEREF_WIDTH = 8.0
 
 #: Elements assumed per matched set value when no class statistic applies
@@ -128,17 +129,17 @@ class Statistics:
             return DEFAULT_DEREF_WIDTH
         return max(total / counted, _SMOOTH)
 
-    def container_width(self, container: Term, use_indexes: bool) -> float:
+    def container_width(self, container: Term) -> float:
         """Estimated element count of a non-name membership container."""
         if isinstance(container, SetTerm):
             return float(max(len(container.terms), 1))
-        if isinstance(container, Deref) and use_indexes:
+        if isinstance(container, Deref):
             class_name = getattr(container.var.type, "name", None)
             if class_name is not None:
                 return self.deref_width(class_name)
         return DEFAULT_DEREF_WIDTH
 
-    def set_branching(self, pattern: Term, known: Optional[Term], use_indexes: bool) -> float:
+    def set_branching(self, pattern: Term, known: Optional[Term]) -> float:
         """Match extensions of an equality whose pattern contains set terms.
 
         A k-slot set pattern matched against a set of width s branches over
@@ -147,7 +148,7 @@ class Statistics:
         The old planner hard-coded 64 here regardless of the pattern.
         """
         width = DEFAULT_SET_WIDTH
-        if isinstance(known, Deref) and use_indexes:
+        if isinstance(known, Deref):
             class_name = getattr(known.var.type, "name", None)
             if class_name is not None:
                 width = max(self.deref_width(class_name), 1.0)

@@ -15,22 +15,18 @@ This module provides the two directions the evaluator needs:
   returns None when a variable is unbound or a dereference undefined,
 * :func:`match` — extend bindings so that a term evaluates to a given
   value (the generator yields every such extension),
-* :func:`solve_body` — enumerate all valuations of a rule body through a
-  *cost-ordered plan*: candidate literals are scored against the live
-  cardinality statistics of :mod:`repro.iql.stats` and the cheapest is
-  processed first, with the order decided once per (body,
-  bound-variable-set) and memoized in the caller-supplied plan cache
-  (normally the owning :class:`~repro.iql.rules.Rule`'s) until an
-  extension the plan reads grows or shrinks :data:`REPLAN_GROWTH`-fold,
-  when it is costed again against the instance at hand. The
-  enumeration fallback covers variables no literal can bind (the
+* :func:`solve_body` — enumerate all valuations of a rule body, literal
+  by literal in *written order*: no statistics, no plan cache, no index.
+  The enumeration fallback covers variables no literal can bind (the
   non-range-restricted case, e.g. the ``R1(X) ← X = X`` powerset program
   of Example 3.4.2).
 
-Join-level index use (hash probes instead of scans) is routed through
-:mod:`repro.iql.indexes`; ``use_indexes=False`` forces the original
-generate-and-test behaviour — the reference engine
-(``Evaluator(naive=True)``) runs that way.
+:func:`solve_body` is the reference engine (``Evaluator(naive=True)``),
+and the production engine runs it only for the rules that do not compile
+(:mod:`repro.iql.compile`). The cost-based planner (:func:`plan_body`
+with ``costed=True``, memoized by :func:`lookup_plan`) orders the
+compiled kernels' joins; join order never changes the answer, so the
+reference need not share it.
 """
 
 from __future__ import annotations
@@ -92,24 +88,15 @@ def is_evaluable(term: Term, bindings: Bindings) -> bool:
 
 
 def match(
-    term: Term,
-    value: OValue,
-    bindings: Bindings,
-    instance: Instance,
-    use_indexes: bool = True,
-    stats=None,
+    term: Term, value: OValue, bindings: Bindings, instance: Instance
 ) -> Iterator[Bindings]:
     """All extensions of ``bindings`` making ``term`` evaluate to ``value``.
 
     Variable bindings respect the valuation conditions: the value must
     belong to the variable's type interpretation given the current π (this
     is where class-typed variables refuse oids of other classes, and where
-    union coercion in bodies is effectively decided).
-
-    With ``use_indexes`` (the default) an *unbound* dereference probes the
-    class's reverse ν-index instead of scanning and re-sorting the whole
-    class per call; ``stats`` (any object with ``index_probes`` /
-    ``index_scans_avoided`` counters) records what that saved.
+    union coercion in bodies is effectively decided). An *unbound*
+    dereference scans the class.
     """
     if isinstance(term, Const):
         if term.value == value:
@@ -138,24 +125,11 @@ def match(
             return
         # Unbound dereference: find class oids whose value matches.
         class_name = term.var.type.name
-        if use_indexes:
-            bucket = instance.indexes.deref_probe(class_name, value)
-            if stats is not None:
-                stats.index_probes += 1
-                stats.index_scans_avoided += max(
-                    0, len(instance.classes.get(class_name, ())) - len(bucket)
-                )
-            candidates = sorted(bucket, key=sort_key)
-        else:
-            candidates = [
-                c
-                for c in sorted(instance.classes.get(class_name, ()), key=sort_key)
-                if instance.value_of(c) == value
-            ]
-        for candidate in candidates:
-            extended = dict(bindings)
-            extended[term.var] = candidate
-            yield extended
+        for candidate in sorted(instance.classes.get(class_name, ()), key=sort_key):
+            if instance.value_of(candidate) == value:
+                extended = dict(bindings)
+                extended[term.var] = candidate
+                yield extended
         return
     if isinstance(term, TupleTerm):
         if not isinstance(value, OTuple):
@@ -164,11 +138,7 @@ def match(
         if attrs != value.attributes:
             return
         yield from _match_sequence(
-            [(sub, value[attr]) for attr, sub in term.fields],
-            bindings,
-            instance,
-            use_indexes,
-            stats,
+            [(sub, value[attr]) for attr, sub in term.fields], bindings, instance
         )
         return
     if isinstance(term, SetTerm):
@@ -184,7 +154,7 @@ def match(
         seen = set()
         for assignment in _set_assignments(len(term.terms), elements):
             for extended in _match_sequence(
-                list(zip(term.terms, assignment)), bindings, instance, use_indexes, stats
+                list(zip(term.terms, assignment)), bindings, instance
             ):
                 # The term set must equal the value exactly (cover check).
                 result = eval_term(term, extended, instance)
@@ -198,18 +168,14 @@ def match(
 
 
 def _match_sequence(
-    pairs: List[Tuple[Term, OValue]],
-    bindings: Bindings,
-    instance: Instance,
-    use_indexes: bool = True,
-    stats=None,
+    pairs: List[Tuple[Term, OValue]], bindings: Bindings, instance: Instance
 ) -> Iterator[Bindings]:
     if not pairs:
         yield bindings
         return
     (term, value), rest = pairs[0], pairs[1:]
-    for extended in match(term, value, bindings, instance, use_indexes, stats):
-        yield from _match_sequence(rest, extended, instance, use_indexes, stats)
+    for extended in match(term, value, bindings, instance):
+        yield from _match_sequence(rest, extended, instance)
 
 
 def _set_assignments(k: int, elements: List[OValue]) -> Iterator[Tuple[OValue, ...]]:
@@ -263,7 +229,7 @@ def satisfies(literal: Literal, bindings: Bindings, instance: Instance) -> bool:
     raise EvaluationError(f"unknown literal {literal!r}")
 
 
-# -- body solving: the cost-based planner -------------------------------------------
+# -- body solving: the planner ------------------------------------------------------
 #
 # A *plan* is a tuple of steps, each one of
 #
@@ -277,18 +243,20 @@ def satisfies(literal: Literal, bindings: Bindings, instance: Instance) -> bool:
 #
 # The plan depends only on the body and the set of initially-bound
 # variables (each generator step binds exactly its literal's variables, so
-# the bound set evolves deterministically along the plan); it is memoized
-# per (body, bound-set, use_indexes) in the caller's plan cache.
+# the bound set evolves deterministically along the plan).
 #
-# The planner scores every candidate with the cardinality statistics of
-# :mod:`repro.iql.stats`: a probe costs its estimated bucket (size/NDV per
-# probed attribute), a scan its container size, equalities their
-# pattern's branching factor — and the running estimate of the
-# intermediate result size multiplies into every later step, so join
-# cardinality propagates along the partial plan. Estimates affect speed,
-# never the solution set: every literal is still checked on every
-# valuation. A cached plan is re-costed once an extension it was costed
+# The cost-based planner (``costed=True``, the compiled kernels') scores
+# every candidate with the cardinality statistics of :mod:`repro.iql.stats`:
+# a probe costs its estimated bucket (size/NDV per probed attribute), a
+# scan its container size, equalities their pattern's branching factor —
+# and the running estimate of the intermediate result size multiplies into
+# every later step, so join cardinality propagates along the partial plan.
+# Its plans are memoized per (body, bound-set) in the rule's plan cache
+# (:func:`lookup_plan`) and re-costed once an extension they were costed
 # on has grown or shrunk :data:`REPLAN_GROWTH`-fold (:meth:`Plan.is_stale`).
+# The written-order planner (``costed=False``, the reference's) takes the
+# first literal that can generate and scans. Estimates affect speed, never
+# the solution set: every literal is still checked on every valuation.
 
 
 def _tuple_probes(element: Term, bound: Set[Var]) -> Tuple[Tuple[str, Term], ...]:
@@ -336,39 +304,40 @@ class Plan(tuple):
         return False
 
 
-def _costed_candidate(
+def _candidate(
     lit: Literal,
     bound: Set[Var],
     instance: Instance,
-    use_indexes: bool,
-    statistics: Statistics,
+    statistics: Optional[Statistics],
 ):
-    """(work, fan-out, step) under the cost model, or None.
+    """(work, fan-out, step) if ``lit`` can generate under ``bound``, or None.
 
     Work estimates candidates *examined* per input row (a probe examines
     its smallest bucket, a scan the whole container); fan-out estimates
     rows *produced* per input row (a multi-attribute probe intersects, so
-    its fan-out can be far below its work).
+    its fan-out can be far below its work). Without ``statistics`` (the
+    written-order planner) a membership scans and both estimates are 1.
     """
     if isinstance(lit, Membership) and lit.positive:
         container = lit.container
         if not all(v in bound for v in container.variables()):
             return None
+        if statistics is None:
+            return (1.0, 1.0, ("member", lit, ()))
         if isinstance(container, NameTerm):
             name = container.name
             if instance.schema.is_relation(name):
+                probes = _tuple_probes(lit.element, bound)
+                if probes:
+                    work, fanout = statistics.bucket_estimate(
+                        name, tuple(attr for attr, _ in probes)
+                    )
+                    return (work, fanout, ("member", lit, probes))
                 size = float(len(instance.relations[name]))
-                if use_indexes:
-                    probes = _tuple_probes(lit.element, bound)
-                    if probes:
-                        work, fanout = statistics.bucket_estimate(
-                            name, tuple(attr for attr, _ in probes)
-                        )
-                        return (work, fanout, ("member", lit, probes))
                 return (size, size, ("member", lit, ()))
             size = float(len(instance.classes[name]))
             return (size, size, ("member", lit, ()))
-        width = statistics.container_width(container, use_indexes)
+        width = statistics.container_width(container)
         return (width, width, ("member", lit, ()))
     if isinstance(lit, Equality) and lit.positive:
         left_known = all(v in bound for v in lit.left.variables())
@@ -377,8 +346,8 @@ def _costed_candidate(
             known, pattern = (
                 (lit.left, lit.right) if left_known else (lit.right, lit.left)
             )
-            if _contains_set_term(pattern):
-                branching = statistics.set_branching(pattern, known, use_indexes)
+            if statistics is not None and _contains_set_term(pattern):
+                branching = statistics.set_branching(pattern, known)
             else:
                 branching = 1.0
             return (branching, branching, ("equal", lit, left_known))
@@ -400,24 +369,28 @@ def plan_body(
     literals: Sequence[Literal],
     bound_vars: FrozenSet[Var],
     instance: Instance,
-    use_indexes: bool = True,
     costed: bool = True,
 ) -> Plan:
-    """The cost-ordered step sequence for ``literals``.
+    """The step sequence for ``literals`` with ``bound_vars`` pre-bound.
 
-    Each candidate is scored ``est_in * (work + fan-out)`` against the
-    live cardinality statistics, with ``est_in`` the estimated
-    intermediate result size propagated along the partial plan — so a
-    selective 50-row scan beats an unselective probe into a huge skewed
-    bucket. ``costed`` is accepted for older callers; the static-rank
-    planner it once selected is gone, so only True is legal.
+    1. Literals become filters as soon as their variables are bound.
+    2. Otherwise a generator goes next. With ``costed`` (the compiled
+       kernels') each candidate is scored ``est_in * (work + fan-out)``
+       against the live cardinality statistics, with ``est_in`` the
+       estimated intermediate result size propagated along the partial
+       plan — so a selective 50-row scan beats an unselective probe into
+       a huge skewed bucket — and the cheapest goes next. With
+       ``costed=False`` (the reference's written order) the first literal
+       in body order that can generate goes next, as a scan: a positive
+       membership whose container is bound, or a positive equality with
+       one side bound. It reads no statistics and builds no index.
+    3. When nothing can generate, the first unbound variable by name is
+       enumerated.
     """
-    if not costed:
-        raise EvaluationError("plan_body is cost-based only: costed=False was removed")
     steps: List[tuple] = []
     estimates: List[float] = []
     est = 1.0
-    statistics = Statistics(instance)
+    statistics = Statistics(instance) if costed else None
     remaining = list(literals)
     bound: Set[Var] = set(bound_vars)
     while remaining:
@@ -437,11 +410,12 @@ def plan_body(
         remaining = generators
         if found_filter or not remaining:
             continue
-        # 2. The cheapest processable generator goes next.
+        # 2. The cheapest (or, in written order, the first) processable
+        # generator goes next.
         chosen = None
         best_cost = None
         for position, lit in enumerate(remaining):
-            candidate = _costed_candidate(lit, bound, instance, use_indexes, statistics)
+            candidate = _candidate(lit, bound, instance, statistics)
             if candidate is None:
                 continue
             work, fanout, step = candidate
@@ -449,6 +423,8 @@ def plan_body(
             if best_cost is None or cost < best_cost:
                 best_cost = cost
                 chosen = (position, step, fanout)
+            if statistics is None:
+                break
         if chosen is not None:
             position, step, fanout = chosen
             lit = remaining.pop(position)
@@ -489,20 +465,18 @@ def lookup_plan(
     literals: Tuple[Literal, ...],
     bound0: FrozenSet[Var],
     instance: Instance,
-    use_indexes: bool = True,
     plan_cache: Optional[Dict] = None,
     stats=None,
 ) -> Plan:
-    """The memoized plan for ``literals`` with ``bound0`` pre-bound.
+    """The memoized cost-based plan for ``literals`` with ``bound0``
+    pre-bound — the rule compiler's (:mod:`repro.iql.compile`).
 
-    Shared by the interpreter (:func:`solve_body`) and the rule compiler
-    (:mod:`repro.iql.compile`) so both agree on join order; ``stats``
-    records the hit/miss per lookup. A hit whose plan is stale for
-    ``instance`` (:meth:`Plan.is_stale`) is re-costed against ``instance``
-    and replaced (``stats.plan_replans``).
+    ``stats`` records the hit/miss per lookup. A hit whose plan is stale
+    for ``instance`` (:meth:`Plan.is_stale`) is re-costed against
+    ``instance`` and replaced (``stats.plan_replans``).
     """
     plan: Optional[Plan] = None
-    key = (literals, bound0, use_indexes)
+    key = (literals, bound0)
     if plan_cache is not None:
         plan = plan_cache.get(key)
         if stats is not None:
@@ -515,7 +489,7 @@ def lookup_plan(
             if stats is not None:
                 stats.plan_replans += 1
     if plan is None:
-        plan = plan_body(literals, bound0, instance, use_indexes)
+        plan = plan_body(literals, bound0, instance)
         if stats is not None:
             stats.plans_costed += 1
         if plan_cache is not None:
@@ -528,25 +502,17 @@ def solve_body(
     instance: Instance,
     enumeration_budget: int = 100_000,
     initial: Optional[Bindings] = None,
-    stats=None,
-    plan_cache: Optional[Dict] = None,
-    use_indexes: bool = True,
 ) -> Iterator[Bindings]:
     """All valuations θ of the body's variables with I ⊨ θ(body).
 
-    The literal order comes from :func:`plan_body` (cost-ordered,
-    memoized in ``plan_cache`` — normally the owning rule's); membership
-    literals over relations with bound tuple components probe the hash
-    indexes of :mod:`repro.iql.indexes` instead of scanning. Negative
-    literals are only ever used as filters, as inflationary Datalog¬
-    requires. ``use_indexes=False`` restores the original
-    generate-and-test join (the reference engine's); ``stats`` is any object with the
-    counters of :class:`~repro.iql.evaluator.EvaluationStats`.
+    The literal order is written order (:func:`plan_body` with
+    ``costed=False``), planned afresh per call: no statistics, no plan
+    cache, no index. Negative literals are only ever used as filters, as
+    inflationary Datalog¬ requires.
     """
     literals = tuple(lit for lit in body if not isinstance(lit, Choose))
     bindings0 = dict(initial or {})
-    bound0 = frozenset(bindings0)
-    plan = lookup_plan(literals, bound0, instance, use_indexes, plan_cache, stats)
+    plan = plan_body(literals, frozenset(bindings0), instance, costed=False)
 
     def run(step_index: int, bindings: Bindings) -> Iterator[Bindings]:
         if step_index == len(plan):
@@ -559,30 +525,8 @@ def solve_body(
                 yield from run(step_index + 1, bindings)
             return
         if kind == "member":
-            lit, probes = step[1], step[2]
-            members = None
-            if probes:
-                # Evaluate every plannable component and probe the smallest
-                # bucket; match() re-verifies the full element against each
-                # candidate, so one probe is enough for correctness.
-                name = lit.container.name
-                indexes = instance.indexes
-                for attr, sub in probes:
-                    value = eval_term(sub, bindings, instance)
-                    if value is None:
-                        return  # undefined dereference: no member can match
-                    bucket = indexes.relation_probe(name, attr, value)
-                    if members is None or len(bucket) < len(members):
-                        members = bucket
-                    if not members:
-                        break
-                if stats is not None:
-                    stats.index_probes += 1
-                    stats.index_scans_avoided += max(
-                        0, len(instance.relations[name]) - len(members)
-                    )
-                members = list(members)
-            elif isinstance(lit.container, NameTerm):
+            lit = step[1]
+            if isinstance(lit.container, NameTerm):
                 name = lit.container.name
                 if instance.schema.is_relation(name):
                     members = list(instance.relations[name])
@@ -598,9 +542,7 @@ def solve_body(
                     )
                 members = list(container)
             for element in members:
-                for extended in match(
-                    lit.element, element, bindings, instance, use_indexes, stats
-                ):
+                for extended in match(lit.element, element, bindings, instance):
                     yield from run(step_index + 1, extended)
             return
         if kind == "equal":
@@ -611,7 +553,7 @@ def solve_body(
             value = eval_term(known, bindings, instance)
             if value is None:
                 return  # undefined dereference: unsatisfiable
-            for extended in match(pattern, value, bindings, instance, use_indexes, stats):
+            for extended in match(pattern, value, bindings, instance):
                 yield from run(step_index + 1, extended)
             return
         # kind == "enum"

@@ -72,9 +72,8 @@ class Instance:
         self.classes: Dict[str, Set[Oid]] = {p: set() for p in schema.classes}
         self.nu: Dict[Oid, OValue] = {}
         self._class_of: Dict[Oid, str] = {}
-        # Lazily-built hash indexes (repro.iql.indexes) and the cached
-        # constants(I); both maintained by the four mutators below and
-        # dropped wholesale around non-monotone mutation (deletions).
+        # Lazily-built hash indexes (repro.iql.indexes), maintained by the
+        # relation mutators below, and the cached constants(I).
         self._indexes = None
         self._constants_cache: Optional[FrozenSet[OValue]] = None
         self._sorted_constants: Optional[List[OValue]] = None
@@ -125,8 +124,6 @@ class Instance:
             return False
         self.classes[name].add(oid)
         self._class_of[oid] = name
-        if self._indexes is not None:
-            self._indexes.on_add_class_member(name, oid)
         if self._member_cache:
             self._member_cache.clear()
         return True
@@ -146,10 +143,7 @@ class Instance:
             raise InstanceError(f"{value!r} is not an o-value")
         if self.nu.get(oid) == value:
             return False
-        old = self.value_of(oid)
         self.nu[oid] = value
-        if self._indexes is not None:
-            self._indexes.on_assign(oid, old, value)
         self._note_constants(value)
         return True
 
@@ -169,10 +163,7 @@ class Instance:
         current = self.nu.get(oid, OSet())
         if element in current:
             return False
-        updated = current.add(element)
-        self.nu[oid] = updated
-        if self._indexes is not None:
-            self._indexes.on_assign(oid, current, updated)
+        self.nu[oid] = current.add(element)
         self._note_constants(element)
         return True
 
@@ -202,12 +193,9 @@ class Instance:
             raise InstanceError(f"unknown class {name!r}")
         if oid not in self.classes[name]:
             return False
-        old = self.value_of(oid)
         self.classes[name].discard(oid)
         self._class_of.pop(oid, None)
         self.nu.pop(oid, None)
-        if self._indexes is not None:
-            self._indexes.on_remove_class_member(name, oid, old)
         if self._member_cache:
             self._member_cache.clear()
         self._forget_constants()
@@ -217,10 +205,7 @@ class Instance:
         """Make ν(oid) undefined again; returns True if it had a value."""
         if oid not in self.nu:
             return False
-        old = self.nu[oid]
         del self.nu[oid]
-        if self._indexes is not None:
-            self._indexes.on_unassign(oid, old)
         self._forget_constants()
         return True
 
@@ -236,10 +221,7 @@ class Instance:
         current = self.nu.get(oid, OSet())
         if element not in current:
             return False
-        updated = OSet(v for v in current if v != element)
-        self.nu[oid] = updated
-        if self._indexes is not None:
-            self._indexes.on_assign(oid, current, updated)
+        self.nu[oid] = OSet(v for v in current if v != element)
         self._forget_constants()
         return True
 

@@ -334,6 +334,28 @@ class TestCli:
         assert main(["check", divergent_path]) == 0
         assert "classification:" in capsys.readouterr().out
 
+    @pytest.fixture
+    def unclosed_path(self, tmp_path):
+        path = tmp_path / "unclosed.iql"
+        path.write_text(DIVERGENT.replace("Seed, P", "Seed"))
+        return str(path)
+
+    def test_check_rejects_io_names_that_drop_a_referenced_class(
+        self, unclosed_path, capsys
+    ):
+        assert main(["check", unclosed_path]) == 1
+        err = capsys.readouterr().err
+        assert "IQL110" in err and "input 'Seed'" in err
+
+    def test_check_json_rejects_io_names_that_drop_a_referenced_class(
+        self, unclosed_path, capsys
+    ):
+        assert main(["check", unclosed_path, "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert any(
+            d["code"] == "IQL110" and d["severity"] == "error" for d in doc["diagnostics"]
+        )
+
 
 class TestPreflight:
     def test_preflight_warns_on_divergent_program(self):

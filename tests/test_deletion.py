@@ -5,6 +5,7 @@ import pytest
 from repro.errors import NonTerminationError
 from repro.iql import (
     Equality,
+    Evaluator,
     EvaluatorLimits,
     Program,
     Rule,
@@ -153,3 +154,68 @@ class TestOidDeletionCascade:
         # cascades too. The Uses row mentioning o2 disappears.
         assert out.classes["P"] == set()
         assert out.relations["Uses"] == set()
+
+
+class TestCompiledDeletions:
+    """E9's cleanup and chain programs run on compiled kernels only and
+    agree with the reference."""
+
+    def agree(self, program, instance):
+        production = Evaluator(program).run(instance.copy())
+        reference = Evaluator(program, naive=True).run(instance.copy())
+        assert production.stats.rules_interpreted == 0
+        assert production.stats.rules_compiled == len(program.rules)
+        assert production.output == reference.output
+        return production.output
+
+    def test_relation_cleanup(self):
+        schema = Schema(relations={"R": columns(D, D), "Kill": D})
+        x, y = Var("x", D), Var("y", D)
+        program = typecheck_program(
+            Program(
+                schema,
+                rules=[
+                    Rule(
+                        atom(schema, "R", x, y),
+                        [atom(schema, "R", x, y), atom(schema, "Kill", x)],
+                        delete=True,
+                    )
+                ],
+                input_names=["R", "Kill"],
+                output_names=["R"],
+            )
+        )
+        rows = [OTuple(A01=f"k{i}", A02=f"v{i}") for i in range(12)]
+        instance = Instance(schema, relations={"R": rows, "Kill": ["k0", "k3", "k6", "k9"]})
+        assert len(self.agree(program, instance).relations["R"]) == 8
+
+    def test_chain_cascade(self):
+        P = classref("P")
+        schema = Schema(
+            relations={"KillTag": D},
+            classes={"P": tuple_of(tag=D, prev=set_of(P))},
+        )
+        p, t = Var("p", P), Var("t", D)
+        program = typecheck_program(
+            Program(
+                schema,
+                rules=[
+                    Rule(
+                        atom(schema, "P", p),
+                        [
+                            atom(schema, "P", p),
+                            Equality(p.hat(), TupleTerm(tag=t, prev=Var("S", set_of(P)))),
+                            atom(schema, "KillTag", t),
+                        ],
+                        delete=True,
+                    )
+                ],
+                input_names=["P", "KillTag"],
+                output_names=["P"],
+            )
+        )
+        oids = [Oid(f"n{i}") for i in range(8)]
+        instance = Instance(schema, classes={"P": oids}, relations={"KillTag": ["t0"]})
+        for i, oid in enumerate(oids):
+            instance.assign(oid, OTuple(tag=f"t{i}", prev=OSet(oids[i - 1 : i])))
+        assert self.agree(program, instance).classes["P"] == set()

@@ -1,8 +1,8 @@
 """Differential tests: the production engine against the reference engine.
 
 ``Evaluator(naive=True)`` is the executable specification — a direct
-transcription of the paper's inflationary one-step operator with
-generate-and-test joins. The production engine (certified scheduling,
+transcription of the paper's inflationary one-step operator that joins
+each body in written order, with no statistics, plan cache or index. The production engine (certified scheduling,
 semi-naive rounds, compiled rules, cost-based planning) must agree with
 it on *every* program: exactly (ground facts) when the program is
 invention-free, up to O-isomorphism when it invents oids (invented
@@ -204,13 +204,15 @@ def test_compiled_engine_matches_reference(seed):
     run_production_differential(seed, scheduled=False)
 
 
-# -- the interpreted fallback ----------------------------------------------------------
+# -- the production fallback -----------------------------------------------------------
 #
-# Rules outside the compilable fragment (deletions, choose, unbound
-# dereferences, set assignment) run on the production engine's
-# interpreter: scheduled, semi-naive, indexed and cost-planned, just not
-# compiled. Refusing to compile anything sends every rule of the corpus
-# down that path through the same CompileFallback bookkeeping.
+# Rules outside the compilable fragment (choose, unbound dereferences,
+# set patterns of two or more terms) run on the reference interpreter
+# inside the production γ1 loop, under the scheduler; a semi-naive
+# stratum whose kernels refuse hands over to that loop. No corpus
+# program has such a rule, so refusing to compile anything is the only
+# way to drive every corpus program down that path, through the same
+# CompileFallback bookkeeping.
 
 
 def run_interpreted_differential(seed, monkeypatch):

@@ -4,8 +4,10 @@ constants cache on Instance.
 The invariant under test everywhere: an incrementally-maintained index
 must equal a from-scratch rebuild from current instance state, after any
 sequence of mutator calls — `InstanceIndexes.equals_rebuild` is the
-oracle. The planner's use of the indexes is covered by the differential
-tests; here we pin down the storage layer itself.
+oracle. The compiled kernels' use of the indexes is covered by the
+differential tests; here we pin down the storage layer itself, and that
+the reference interpreter, which uses no index, agrees with a kernel
+that probes one.
 """
 
 from hypothesis import given, settings
@@ -13,9 +15,9 @@ from hypothesis import strategies as st
 
 from repro.datalog import database_to_instance, datalog_to_iql, transitive_closure_program
 from repro.iql import Evaluator, Membership, Var, atom, columns
-from repro.iql.evaluator import EvaluationStats
+from repro.iql.compile import compile_body
 from repro.iql.indexes import InstanceIndexes
-from repro.iql.valuation import match, solve_body
+from repro.iql.valuation import solve_body
 from repro.schema import Instance, Schema
 from repro.typesys import D, classref, set_of, tuple_of
 from repro.values import Oid, OTuple
@@ -49,45 +51,6 @@ class TestRelationIndexes:
         instance.add_relation_member("R", member)
         assert member in instance.indexes.relation_probe("R", "A01", "a")
         assert instance.indexes.equals_rebuild()
-
-
-class TestDerefIndexes:
-    def test_reverse_nu_probe(self):
-        instance = Instance(make_schema())
-        o1, o2, o3 = Oid(), Oid(), Oid()
-        for o in (o1, o2, o3):
-            instance.add_class_member("P", o)
-        instance.assign(o1, OTuple(a="x"))
-        instance.assign(o2, OTuple(a="x"))
-        instance.assign(o3, OTuple(a="y"))
-        assert instance.indexes.deref_probe("P", OTuple(a="x")) == {o1, o2}
-        assert instance.indexes.deref_probe("P", OTuple(a="y")) == {o3}
-
-    def test_reassignment_moves_buckets(self):
-        instance = Instance(make_schema())
-        o = Oid()
-        instance.add_class_member("P", o)
-        instance.assign(o, OTuple(a="x"))
-        instance.indexes.deref_index("P")
-        instance.assign(o, OTuple(a="y"))
-        assert instance.indexes.deref_probe("P", OTuple(a="x")) == frozenset()
-        assert instance.indexes.deref_probe("P", OTuple(a="y")) == {o}
-        assert instance.indexes.equals_rebuild()
-
-    def test_unbound_deref_match_uses_index(self):
-        # x̂ matched against a value with x unbound must enumerate exactly
-        # the oids whose ν-value equals it — via the reverse index.
-        instance = Instance(make_schema())
-        o1, o2 = Oid(), Oid()
-        instance.add_class_member("P", o1)
-        instance.add_class_member("P", o2)
-        v = OTuple(a="x")
-        instance.assign(o1, v)
-        instance.assign(o2, OTuple(a="y"))
-        x = Var("x", classref("P"))
-        indexed = [theta[x] for theta in match(x.hat(), v, {}, instance, True)]
-        scanned = [theta[x] for theta in match(x.hat(), v, {}, instance, False)]
-        assert indexed == scanned == [o1]
 
 
 class TestConstantsCache:
@@ -139,20 +102,16 @@ class TestEvaluatorStats:
         )
         result = Evaluator(program).run(instance)
         stats = result.stats
-        # The production engine compiles both rules, and compiled kernels
-        # do not count probes: only the interpreter does.
+        # The production engine compiles both rules; the join kernel
+        # probes a projection index it built.
         assert stats.rules_compiled == len(program.rules)
-        assert stats.index_probes == 0
         assert stats.plan_cache_misses >= 1
-        interpreted = EvaluationStats()
+        assert result.full.indexes.built_relation_indexes()
+        # The reference interpreter neither reads nor writes the plan memo.
         join = next(rule for rule in program.rules if len(rule.body) == 2)
-        solutions = solve_body(
-            join.body, result.full, stats=interpreted, plan_cache=join.plan_cache
-        )
-        assert list(solutions)
-        assert interpreted.index_probes > 0
-        assert interpreted.index_scans_avoided > 0
-        assert interpreted.plan_cache_hits == 1  # the plan the kernel compiled
+        cached = dict(join.plan_cache)
+        assert list(solve_body(join.body, result.full))
+        assert join.plan_cache == cached
 
     def test_unindexed_run_reports_no_probes(self):
         dprog = transitive_closure_program()
@@ -160,9 +119,8 @@ class TestEvaluatorStats:
         instance = database_to_instance(
             dprog, {"E": set(path_graph(8))}, names=dprog.edb
         )
-        stats = Evaluator(program, naive=True).run(instance).stats
-        assert stats.index_probes == 0
-        assert stats.index_scans_avoided == 0
+        full = Evaluator(program, naive=True).run(instance).full
+        assert full.indexes.built_relation_indexes() == frozenset()
 
 
 # -- the incremental-maintenance property test --------------------------------
@@ -193,11 +151,9 @@ OPS = st.lists(
 def test_indexes_match_rebuild_after_arbitrary_mutations(ops):
     """After any mutator sequence, maintained indexes == from-scratch build."""
     instance = Instance(make_schema())
-    # Build every index family up front so each op exercises maintenance.
+    # Build every index up front so each op exercises maintenance.
     instance.indexes.relation_index("R", "A01")
     instance.indexes.relation_index("R", "A02")
-    instance.indexes.deref_index("P")
-    instance.indexes.deref_index("Q")
     indexes_before = instance.indexes
     p_oids, q_oids = [], []
     for op in ops:
@@ -255,10 +211,19 @@ def test_indexes_rebuilt_lazily_are_fresh_object():
     assert instance.indexes is not first
 
 
-def test_membership_literal_solved_through_probe():
-    """R([A01: x, A02: y]) with x bound probes, and agrees with the scan."""
-    from repro.iql.valuation import solve_body
+def kernel_solutions(body, initial, instance, var):
+    """``var``'s values over the solutions of a compiled kernel."""
+    kernel = compile_body(body, tuple(initial), instance)
+    found = set()
+    kernel.execute(
+        tuple(initial.values()), lambda slots: found.add(slots[kernel.slot_index[var]])
+    )
+    return kernel, found
 
+
+def test_membership_literal_solved_through_probe():
+    """R([A01: x, A02: y]) with x bound: the kernel probes, and agrees with
+    the reference's scan."""
     schema = make_schema()
     instance = Instance(schema)
     for i in range(6):
@@ -266,18 +231,14 @@ def test_membership_literal_solved_through_probe():
     x, y = Var("x", D), Var("y", D)
     body = [atom(schema, "R", x, y)]
     seed = {x: "k1"}
-    with_idx = {theta[y] for theta in solve_body(body, instance, initial=seed)}
-    without = {
-        theta[y]
-        for theta in solve_body(body, instance, initial=seed, use_indexes=False)
-    }
-    assert with_idx == without == {"v1", "v3", "v5"}
+    kernel, probed = kernel_solutions(body, seed, instance, y)
+    assert [step[0] for step in kernel.plan] == ["member"] and kernel.plan[0][2]
+    scanned = {theta[y] for theta in solve_body(body, instance, initial=seed)}
+    assert probed == scanned == {"v1", "v3", "v5"}
 
 
 def test_deref_container_membership_agrees():
     """q̂(x) — a set-valued deref container — same answers both ways."""
-    from repro.iql.valuation import solve_body
-
     schema = make_schema()
     instance = Instance(schema)
     q = Oid()
@@ -288,9 +249,6 @@ def test_deref_container_membership_agrees():
     x = Var("x", D)
     body = [Membership(qv.hat(), x)]
     seed = {qv: q}
-    with_idx = {theta[x] for theta in solve_body(body, instance, initial=seed)}
-    without = {
-        theta[x]
-        for theta in solve_body(body, instance, initial=seed, use_indexes=False)
-    }
-    assert with_idx == without == {"m", "n"}
+    _, compiled = kernel_solutions(body, seed, instance, x)
+    reference = {theta[x] for theta in solve_body(body, instance, initial=seed)}
+    assert compiled == reference == {"m", "n"}

@@ -327,6 +327,49 @@ class TestAtomicBatches:
         assert mp.base == before and mp.base.nu[o] == OTuple()
         assert_matches_fresh(mp)
 
+    def test_a_failed_rollback_serves_no_stale_answer(self):
+        # Each one-edge batch fits max_steps, but a full evaluation of the
+        # grown 20-edge base does not: when a batch fails, so does the
+        # recompute that rolls it back.
+        program = program_from_source(E19_PROGRAM)
+        instance = Instance(program.input_schema)
+        instance.add_relation_member("E", edge("n0", "n1"))
+        evaluator = Evaluator(program, limits=EvaluatorLimits(max_steps=12))
+        mp = materialize(program, instance, evaluator=evaluator)
+        for i in range(1, 20):
+            mp.apply_delta(inserts=[("E", edge(f"n{i}", f"n{i + 1}"))])
+        assert len(mp.extent("T")) == 210
+        chain = [("E", edge(f"n{i}", f"n{i + 1}")) for i in range(20, 36)]
+        with pytest.raises(NonTerminationError):
+            mp.apply_delta(inserts=chain)
+        uses = [
+            lambda: mp.extent("T"),
+            mp.output,
+            lambda: mp.apply_delta(deletes=[("E", edge("n0", "n1"))]),
+        ]
+        for use in uses:
+            with pytest.raises(NonTerminationError):
+                use()
+        assert len(mp.base.relations["E"]) == 20
+
+    def test_a_rollback_that_raised_is_recomputed_by_the_next_batch(self, monkeypatch):
+        program, mp = e19_setup()
+        with monkeypatch.context() as patch:
+            fail_on_call(patch, Evaluator, "solve_stratum", 1)  # the batch
+            fail_on_call(patch, Evaluator, "run", 1)  # its rollback recompute
+            with pytest.raises(Injected):
+                mp.apply_delta(inserts=[("E", edge("n5", "n6"))])
+        fallbacks = mp.stats.maintenance_fallbacks
+        # The next batch first recomputes the restored base, then is
+        # maintained; so is every batch after it.
+        mp.apply_delta(inserts=[("E", edge("n5", "n6"))])
+        assert mp.stats.maintenance_fallbacks == fallbacks + 1
+        assert_matches_fresh(mp)
+        mp.apply_delta(deletes=[("E", edge("n1", "n2"))])
+        assert mp.stats.maintenance_fallbacks == fallbacks + 1
+        assert_matches_fresh(mp)
+        assert edge("n5", "n6") in mp.extent("E")
+
     def test_cli_prints_the_pre_batch_extent_after_a_failed_batch(
         self, tmp_path, capsys
     ):
@@ -356,6 +399,33 @@ class TestAtomicBatches:
         assert failed.startswith("error: no fixpoint within 20 steps")
         assert after == before
         assert before.count('"tuple"') == 6
+
+    def test_cli_reports_errors_while_a_failed_rollback_is_stale(self, tmp_path, capsys):
+        from repro import io
+
+        prog = tmp_path / "e19.iql"
+        prog.write_text(E19_PROGRAM)
+        program = program_from_source(E19_PROGRAM)
+        instance = Instance(program.input_schema)
+        instance.add_relation_member("E", edge("n0", "n1"))
+        data = tmp_path / "in.json"
+        io.dump(instance, str(data))
+        grow = [f'+E {{"A1": "n{i}", "A2": "n{i + 1}"}}' for i in range(1, 20)]
+        chain = "; ".join(
+            f'+E {{"A1": "n{i}", "A2": "n{i + 1}"}}' for i in range(20, 36)
+        )
+        script = tmp_path / "session.txt"
+        script.write_text("\n".join(grow + [chain, "?T", "output", "quit"]) + "\n")
+        rc = main(
+            [
+                "maintain", str(prog), "--input", str(data),
+                "--max-steps", "12", "--script", str(script),
+            ]
+        )
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line[:3] for line in lines] == ["ok:"] * 19 + ["err"] * 3
+        assert all("no fixpoint within 12 steps" in line for line in lines[19:])
 
 
 # -- the seeded re-derivation ----------------------------------------------------------

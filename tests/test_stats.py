@@ -8,7 +8,6 @@ import pytest
 
 import repro.iql.valuation as valuation
 from repro import io
-from repro.errors import EvaluationError
 from repro.iql import (
     Evaluator,
     Statistics,
@@ -121,11 +120,21 @@ class TestCostedPlans:
             atom(schema, "C", y),
         )
 
-    def test_static_plans_are_gone(self):
+    def test_written_order_plans_follow_the_body(self):
+        # The reference's plan: each generator in body order, as a scan,
+        # without reading a statistic or building an index.
         schema = skew_schema()
-        instance = skew_instance(schema)
-        with pytest.raises(EvaluationError):
-            plan_body(self.body(schema), frozenset(), instance, costed=False)
+        instance = skew_instance(schema, b_rows=2000)
+        written = plan_body(self.body(schema), frozenset(), instance, costed=False)
+        assert [(step[0], step[1].container.name) for step in written] == [
+            ("member", "A"),
+            ("member", "B"),
+            ("filter", "C"),
+        ]
+        assert all(step[2] == () for step in written if step[0] == "member")
+        assert instance.indexes.built_relation_indexes() == frozenset()
+        costed = plan_body(self.body(schema), frozenset(), instance)
+        assert [step[1].container.name for step in costed] != ["A", "B", "C"]
 
     def test_costed_plan_joins_the_selective_relation_first(self):
         schema = skew_schema()
@@ -142,13 +151,13 @@ class TestCostedPlans:
         schema = skew_schema()
         instance = skew_instance(schema, b_rows=20)
         literals, cache, stats = self.body(schema), {}, EvaluationStats()
-        plan = valuation.lookup_plan(literals, frozenset(), instance, True, cache, stats)
+        plan = valuation.lookup_plan(literals, frozenset(), instance, cache, stats)
         assert ("B", True, 20) in plan.basis  # A scan, then a B probe
         assert plan.is_stale(skew_instance(schema, b_rows=2))  # shrinking counts too
         for rows, costed in ((199, 1), (200, 2)):  # 9.95x, then 10x
             for i in range(len(instance.relations["B"]), rows):
                 instance.add_relation_member("B", OTuple(A01=f"s{i % 10}", A02=f"w{i}"))
-            again = valuation.lookup_plan(literals, frozenset(), instance, True, cache, stats)
+            again = valuation.lookup_plan(literals, frozenset(), instance, cache, stats)
             assert (stats.plans_costed, stats.plan_replans) == (costed, costed - 1)
         assert again is not plan and ("B", True, 200) in again.basis
         assert list(cache.values()) == [again]
@@ -195,6 +204,15 @@ def test_a_plan_costed_on_empty_input_is_recosted_on_the_first_data_run():
     assert result.output == Evaluator(program, naive=True).run(tc_instance(program)).output
 
 
+def test_the_reference_costs_no_plan_and_caches_none():
+    program = program_from_source(TC_PROGRAM)
+    result = Evaluator(program, naive=True).run(tc_instance(program))
+    assert result.stats.plans_costed == 0
+    assert result.stats.plan_cache_hits == result.stats.plan_cache_misses == 0
+    assert all(not rule.plan_cache for rule in program.rules)
+    assert result.output == Evaluator(program).run(tc_instance(program)).output
+
+
 def test_replan_ratio_is_gone():
     with pytest.raises(TypeError):
         Evaluator(program_from_source(TC_PROGRAM), replan_ratio=10.0)
@@ -211,7 +229,7 @@ def e24_run(n, growth, monkeypatch):
         instance.add_relation_member("S", OTuple(A1=f"n{(7 * j) % n}", A2=f"m{j}"))
     monkeypatch.setattr(valuation, "REPLAN_GROWTH", growth)
     result = Evaluator(program).run(instance.copy())
-    plan = program.rules[2].plan_cache[(program.rules[2].body, frozenset(), True)]
+    plan = program.rules[2].plan_cache[(program.rules[2].body, frozenset())]
     return result, [step[1].container.name for step in plan], program, instance
 
 

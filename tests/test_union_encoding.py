@@ -1,7 +1,7 @@
 """E5 — Example 3.4.3: lossless elimination of union types."""
 
 
-from repro.iql import evaluate, typecheck_program
+from repro.iql import Evaluator, evaluate, typecheck_program
 from repro.schema import Instance, are_o_isomorphic
 from repro.transform import (
     union_decode_program,
@@ -51,6 +51,25 @@ class TestRoundTrip:
         original, _, renamed = round_trip(
             {"a": ("b", "c"), "b": "c", "c": ("a", "a"), "d": None, "e": "d"}
         )
+        assert are_o_isomorphic(original, renamed)
+
+
+class TestCompiled:
+    def test_encode_and_decode_run_on_compiled_kernels(self):
+        # The encode heads x̂' = [B1: {y'}, B2: {}] and the decode bodies
+        # matching them compile: no rule runs on the reference.
+        links = {"a": ("b", "c"), "b": "c", "c": ("a", "a"), "d": None, "e": "d"}
+        original = union_instance(links)
+        encoded = Evaluator(typecheck_program(union_encode_program())).run(original)
+        decoded = Evaluator(typecheck_program(union_decode_program())).run(encoded.output)
+        for result in (encoded, decoded):
+            assert result.stats.rules_interpreted == 0
+            assert result.stats.compile_fallbacks == 0
+        s, _ = union_schemas()
+        renamed = Instance(s)
+        for oid in decoded.output.classes["P_dec"]:
+            renamed.add_class_member("P", oid)
+        renamed.nu.update(decoded.output.nu)
         assert are_o_isomorphic(original, renamed)
 
 
