@@ -355,7 +355,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"  intern hits          {stats.intern_hits}\n"
             f"  intern misses        {stats.intern_misses}\n"
             f"  intern live nodes    {live_tuples} tuples, {live_sets} sets\n"
-            f"  eq fast paths        {stats.eq_fast_paths}\n"
             f"  strata               {stats.strata}\n"
             f"  rules skipped clean  {stats.rules_skipped_clean}\n"
             f"  schedule fallbacks   {stats.schedule_fallbacks}",

@@ -24,6 +24,14 @@ What the compiler resolves at compile time (per rule, per instance):
   these objects in place, so captured references stay current),
 * **constant subterms** — ground, name-free terms are evaluated once at
   compile time,
+* **tuple construction** — a tuple term becomes its canonical pair tuple,
+  built in the term's (sorted) field order and interned through the
+  trusted :func:`~repro.values.ovalues.interned_tuple`, with no
+  re-validation or re-sorting per fact,
+* **membership without a tuple** — a name-container membership filter
+  whose element is a tuple term with no dereference probes the intern
+  table for the pair tuple instead of building the tuple: no live node
+  means no extension holds the value,
 * **the head** — each rule gets a compiled blocking check (the
   valuation-domain condition of γ1, including invention variables ranging
   over class extents) and a compiled applier (relation/class membership,
@@ -72,6 +80,7 @@ Compiled execution reports ``rules_compiled`` / ``rules_interpreted`` /
 from __future__ import annotations
 
 import time
+from operator import itemgetter
 from typing import AbstractSet, Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.effects import mentions_name
@@ -83,7 +92,8 @@ from repro.iql.valuation import Plan, eval_term, lookup_plan
 from repro.schema.instance import Instance
 from repro.typesys.enumeration import enumerate_type
 from repro.typesys.expressions import Base, ClassRef
-from repro.values.ovalues import Oid, OSet, OTuple, OValue, is_constant
+from repro.values.intern import STORE
+from repro.values.ovalues import CONSTANT_TYPES, Oid, OSet, OTuple, OValue, interned_tuple
 
 #: A binding environment: one mutable list, one slot per variable.
 Slots = List[Optional[OValue]]
@@ -136,8 +146,7 @@ def _compile_eval(term: Term, layout: _Layout, instance: Instance):
         value = term.value
         return lambda slots: value
     if isinstance(term, Var):
-        i = layout.index[term]
-        return lambda slots: slots[i]
+        return itemgetter(layout.index[term])
     if term.is_ground() and not mentions_name(term):
         # Constant subterm: pre-evaluate once at compile time.
         value = eval_term(term, {}, instance)
@@ -178,27 +187,56 @@ def _compile_eval(term: Term, layout: _Layout, instance: Instance):
 
         return eval_set
     if isinstance(term, TupleTerm):
+        if not _can_be_undefined(term):
+            return _compile_pairs(term, layout, instance, interned_tuple)
         subs = tuple(
             (attr, _compile_eval(sub, layout, instance)) for attr, sub in term.fields
         )
-        if not any(_can_be_undefined(sub) for _, sub in term.fields):
-
-            def eval_tuple_total(slots):
-                return OTuple({attr: sub(slots) for attr, sub in subs})
-
-            return eval_tuple_total
 
         def eval_tuple(slots):
-            fields = {}
+            pairs = []
             for attr, sub in subs:
                 v = sub(slots)
                 if v is None:
                     return None
-                fields[attr] = v
-            return OTuple(fields)
+                pairs.append((attr, v))
+            return interned_tuple(tuple(pairs))
 
         return eval_tuple
     raise EvaluationError(f"not a term: {term!r}")  # pragma: no cover
+
+
+def _compile_pairs(term: TupleTerm, layout: _Layout, instance: Instance, finish):
+    """fn(slots) -> ``finish(pairs)``, for a tuple term that cannot be
+    undefined, where ``pairs`` is the term's canonical pair tuple.
+
+    Pairs follow ``term.fields``, which is sorted by attribute: the order
+    :class:`OTuple` canonicalizes to, so ``pairs`` is the intern key of
+    the value. Every subterm evaluator yields an o-value (a matcher-bound
+    slot, a validated constant, an interned tuple or set), which is what
+    :func:`~repro.values.ovalues.interned_tuple` trusts.
+    """
+    subs = tuple((attr, _compile_eval(sub, layout, instance)) for attr, sub in term.fields)
+    if len(subs) == 1:
+        ((a0, e0),) = subs
+        return lambda slots: finish(((a0, e0(slots)),))
+    if len(subs) == 2:
+        (a0, e0), (a1, e1) = subs
+        return lambda slots: finish(((a0, e0(slots)), (a1, e1(slots))))
+
+    def finish_pairs(slots):
+        pairs = [(attr, sub(slots)) for attr, sub in subs]
+        return finish(tuple(pairs))
+
+    return finish_pairs
+
+
+def _live_tuple(pairs):
+    """The live interned tuple whose canonical pair tuple is ``pairs``, or
+    None. The table is read per call, never captured: a kernel outlives
+    any one table state."""
+    entry = STORE.tuples.get(pairs)
+    return None if entry is None else entry()
 
 
 def _can_be_undefined(term: Term) -> bool:
@@ -235,7 +273,7 @@ def _compile_match(term: Term, layout: _Layout, bound: Set[Var], instance: Insta
         if isinstance(var_type, Base):
 
             def match_base(x, slots):
-                if is_constant(x):
+                if isinstance(x, CONSTANT_TYPES):
                     slots[i] = x
                     return True
                 return False
@@ -273,11 +311,25 @@ def _compile_match(term: Term, layout: _Layout, bound: Set[Var], instance: Insta
         value_of = instance.value_of
         return lambda x, slots: value_of(slots[i]) == x
     if isinstance(term, TupleTerm):
-        attrs = tuple(attr for attr, _ in term.fields)
         pairs = tuple(
             (attr, _compile_match(sub, layout, bound, instance))
             for attr, sub in term.fields
         )
+        if len(pairs) == 2:
+            (a0, m0), (a1, m1) = pairs
+
+            def match_pair(x, slots):
+                # The value's pairs are in sorted attribute order, as the
+                # term's fields are.
+                if isinstance(x, OTuple):
+                    fields = x.items()
+                    if len(fields) == 2:
+                        (b0, v0), (b1, v1) = fields
+                        return a0 == b0 and a1 == b1 and m0(v0, slots) and m1(v1, slots)
+                return False
+
+            return match_pair
+        attrs = tuple(attr for attr, _ in term.fields)
 
         def match_tuple(x, slots):
             if not isinstance(x, OTuple) or x.attributes != attrs:
@@ -323,8 +375,21 @@ def _compile_filter(lit: Literal, layout: _Layout, instance: Instance):
                 src = instance.relations[name]
             else:
                 src = instance.classes[name]
-            element_eval = _compile_eval(lit.element, layout, instance)
             positive = lit.positive
+            element = lit.element
+            if isinstance(element, TupleTerm) and not _can_be_undefined(element):
+                # Every live o-value is the store's node for its content,
+                # so a content with no live node is in no extension.
+                probe = _compile_pairs(element, layout, instance, _live_tuple)
+
+                def check_name_member_probe(slots):
+                    node = probe(slots)
+                    if node is None:
+                        return not positive
+                    return (node in src) == positive
+
+                return check_name_member_probe
+            element_eval = _compile_eval(element, layout, instance)
 
             def check_name_member(slots):
                 element = element_eval(slots)
@@ -1057,7 +1122,8 @@ class RuleCompiler:
             if self.stats is not None:
                 self.stats.rules_compiled += 1
 
-    def _note_interpreted(self, rule: Rule, reason: str) -> None:
+    def note_interpreted(self, rule: Rule, reason: str) -> None:
+        """Count ``rule`` as interpreted this run, for ``reason``."""
         if id(rule) not in self._interpreted_seen:
             self._interpreted_seen.add(id(rule))
             if self.stats is not None:
@@ -1094,7 +1160,7 @@ class RuleCompiler:
         cache = rule.kernel_cache
         entry = cache.get(key)
         if isinstance(entry, _Fallback):
-            self._note_interpreted(rule, entry.reason)
+            self.note_interpreted(rule, entry.reason)
             return None
         if entry is not None and entry.valid_for(instance):
             self._note_compiled(rule)
@@ -1106,7 +1172,7 @@ class RuleCompiler:
             cache[key] = _Fallback(fallback.reason)
             if self.stats is not None:
                 self.stats.compile_time += time.perf_counter() - started
-            self._note_interpreted(rule, fallback.reason)
+            self.note_interpreted(rule, fallback.reason)
             return None
         cache[key] = kernel
         if self.stats is not None:

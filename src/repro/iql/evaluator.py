@@ -67,11 +67,11 @@ class EvaluationStats:
     every recompile of a known shape), plans costed and re-costed. The
     reference interpreter plans in written order and counts none of them.
 
-    ``intern_*`` / ``eq_fast_paths`` report on the hash-consing layer
+    ``intern_*`` report on the hash-consing layer
     (:mod:`repro.values.intern`) over the duration of the run: value
-    constructions answered from the intern table, constructions that
-    created a new node, and ``__eq__`` calls settled by the identity
-    check.
+    constructions answered from the intern table and constructions that
+    created a new node. Membership filters that probe the table without
+    building a tuple count as neither.
     """
 
     steps: int = 0
@@ -89,7 +89,6 @@ class EvaluationStats:
     plan_replans: int = 0
     intern_hits: int = 0
     intern_misses: int = 0
-    eq_fast_paths: int = 0
     # Certified scheduling (the production engine): strata solved, rule
     # executions skipped because their whole read set was clean, and
     # stages that ran monolithic because the analysis refused to certify.
@@ -218,10 +217,9 @@ class Evaluator:
             import warnings
 
             from repro.analysis import PreflightWarning
-            from repro.analysis.depgraph import compute_schedule
             from repro.iql.compile import RuleCompiler
 
-            self._schedule = compute_schedule(program)
+            self._schedule = program.schedule
             for plan in self._schedule.stages:
                 if plan.fallback_reason and "IQL601" in plan.fallback_reason:
                     warnings.warn(
@@ -274,7 +272,7 @@ class Evaluator:
             self._compiler.begin_run(stats)
         from repro.values import intern
 
-        hits0, misses0, fast0 = intern.counters()
+        hits0, misses0, _ = intern.counters()
         for index, stage in enumerate(self.program.stages):
             plan = self._schedule.stages[index] if self._schedule else None
             if plan is not None and plan.scheduled:
@@ -284,10 +282,9 @@ class Evaluator:
                     stats.schedule_fallbacks += 1
                 self._run_stage(working, list(stage), stats)
         output = working.project(self.program.output_schema)
-        hits1, misses1, fast1 = intern.counters()
+        hits1, misses1, _ = intern.counters()
         stats.intern_hits = hits1 - hits0
         stats.intern_misses = misses1 - misses0
-        stats.eq_fast_paths = fast1 - fast0
         for rule in self.program.rules:
             if rule._plan_cache is not None:
                 stats.plan_cache_entries += len(rule._plan_cache)

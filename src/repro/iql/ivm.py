@@ -186,13 +186,14 @@ class MaterializedProgram:
         #: The maintained copy of the base input, mirrored on every batch.
         self.base = base.copy()
         self.stats = EvaluationStats()
-        #: True while :attr:`instance` may not be the fixpoint of
+        #: True while :attr:`_instance` may not be the fixpoint of
         #: :attr:`base` (a failed batch's recompute raised).
         self._stale = False
 
         result: EvaluationResult = evaluator.run(self.base)
-        #: The live full instance (over S); queries read it directly.
-        self.instance = result.full
+        #: The live full instance (over S); readers go through
+        #: :attr:`instance`, which refreshes a stale one first.
+        self._instance = result.full
         self.initial_stats = result.stats
         if evaluator._compiler is not None:
             evaluator._compiler.begin_run(self.stats)
@@ -240,18 +241,28 @@ class MaterializedProgram:
 
     # -- queries -----------------------------------------------------------------
 
+    @property
+    def instance(self) -> Instance:
+        """The live full instance (over S), recomputed first if stale.
+
+        Read-only, and raises for as long as a stale materialization's
+        recompute does (see :meth:`apply_delta`). Callers must not
+        mutate it: only :meth:`apply_delta` keeps it and the supports in
+        step."""
+        self._refresh()
+        return self._instance
+
     def extent(self, symbol: str) -> Set[OValue]:
         """The current extent of a relation or class, as a fresh set."""
-        self._refresh()
+        instance = self.instance
         if self._schema.is_relation(symbol):
-            return set(self.instance.relations[symbol])
+            return set(instance.relations[symbol])
         if self._schema.is_class(symbol):
-            return set(self.instance.classes[symbol])
+            return set(instance.classes[symbol])
         raise EvaluationError(f"unknown symbol {symbol!r}")
 
     def output(self) -> Instance:
         """The maintained instance projected on the output schema."""
-        self._refresh()
         return self.instance.project(self.program.output_schema)
 
     def _refresh(self) -> None:
@@ -278,10 +289,10 @@ class MaterializedProgram:
         instance and the supports are recomputed from it, and the
         exception propagates. The recompute runs under the same limits;
         should it raise too, that error propagates instead and the
-        materialization is stale: this method, :meth:`extent` and
-        :meth:`output` first recompute it from the restored base, and
-        raise that recompute's error for as long as it fails, instead of
-        answering from the half-maintained instance.
+        materialization is stale: this method, :attr:`instance`,
+        :meth:`extent` and :meth:`output` first recompute it from the
+        restored base, and raise that recompute's error for as long as
+        it fails, instead of answering from the half-maintained instance.
         """
         self._refresh()
         # The step budget binds per batch: count this batch's steps from
@@ -319,9 +330,9 @@ class MaterializedProgram:
         minus: Delta = {}
         for name in set(inserts) | set(deletes):
             extent = (
-                self.instance.relations[name]
+                self._instance.relations[name]
                 if self._schema.is_relation(name)
-                else self.instance.classes[name]
+                else self._instance.classes[name]
             )
             ins = inserts.get(name, set())
             p = {v for v in ins if v not in extent}
@@ -441,7 +452,7 @@ class MaterializedProgram:
     def _apply_base_live(self, plus: Delta, minus: Delta) -> None:
         added: Delta = {}
         removed: Delta = {}
-        self._write(self.instance, plus, minus, added, removed)
+        self._write(self._instance, plus, minus, added, removed)
         self.stats.facts_deleted += sum(len(v) for v in removed.values())
         self.stats.facts_added += sum(len(v) for v in added.values())
 
@@ -454,7 +465,7 @@ class MaterializedProgram:
         self.stats.maintenance_fallbacks += 1
         self._stale = True
         result = self._evaluator.run(self.base)
-        self.instance = result.full
+        self._instance = result.full
         if self._evaluator._compiler is not None:
             self._evaluator._compiler.begin_run(self.stats)
         self._build_supports(None)
@@ -467,14 +478,14 @@ class MaterializedProgram:
         self._apply_base_live(plus, minus)
         for symbol in sorted(plan.derived_set):
             if self._schema.is_relation(symbol):
-                relation = self.instance.relations[symbol]
+                relation = self._instance.relations[symbol]
                 relation.clear()
                 if symbol in self._dual:
                     # A dual symbol keeps its base contribution.
                     relation |= self.base.relations[symbol]
-        self.instance.drop_indexes()
+        self._instance.drop_indexes()
         for _key, rules in plan.ordered:
-            self._evaluator.solve_stratum(self.instance, rules, self.stats)
+            self._evaluator.solve_stratum(self._instance, rules, self.stats)
         self._build_supports(self._counting_anywhere & plan.derived_set)
 
     # -- the incremental paths -------------------------------------------------------
@@ -500,16 +511,16 @@ class MaterializedProgram:
                 if self._schema.is_relation(s)
             }
             if self._counting_stratum(rules, plan):
-                crossed = self._counting_adjust(rules, delta_plus, self.instance, +1)
+                crossed = self._counting_adjust(rules, delta_plus, self._instance, +1)
                 for symbol, facts in crossed.items():
                     for fact in facts:
-                        if self.instance.add_relation_member(symbol, fact):
+                        if self._instance.add_relation_member(symbol, fact):
                             self.stats.facts_added += 1
                     delta_plus.setdefault(symbol, set()).update(facts)
             else:
                 added: Delta = {}
                 self._evaluator.solve_stratum(
-                    self.instance,
+                    self._instance,
                     rules,
                     self.stats,
                     initial_delta=delta_plus,
@@ -542,7 +553,7 @@ class MaterializedProgram:
         state throughout phase A — no snapshot copy, and the compiled
         kernels (validated by instance identity) serve both sweeps.
         """
-        old = self.instance
+        old = self._instance
         delta_plus: Delta = {name: set(values) for name, values in plus.items()}
         delta_minus: Delta = {name: set(values) for name, values in minus.items()}
         changed = set(plus) | set(minus) | plan.derived_set
@@ -577,10 +588,10 @@ class MaterializedProgram:
         for doomed in (exact_dead, over):
             for symbol, facts in doomed.items():
                 for fact in facts:
-                    if self.instance.remove_relation_member(symbol, fact):
+                    if self._instance.remove_relation_member(symbol, fact):
                         self.stats.facts_deleted += 1
         survivors = {
-            symbol: len(self.instance.relations[symbol])
+            symbol: len(self._instance.relations[symbol])
             for symbol in plan.derived_set
             if self._schema.is_relation(symbol)
         }
@@ -593,10 +604,10 @@ class MaterializedProgram:
                 live_plus = {n for n, v in delta_plus.items() if v}
                 if not live_plus:
                     continue
-                crossed = self._counting_adjust(rules, delta_plus, self.instance, +1)
+                crossed = self._counting_adjust(rules, delta_plus, self._instance, +1)
                 for symbol, facts in crossed.items():
                     for fact in facts:
-                        if self.instance.add_relation_member(symbol, fact):
+                        if self._instance.add_relation_member(symbol, fact):
                             self.stats.facts_added += 1
                     delta_plus.setdefault(symbol, set()).update(facts)
             else:
@@ -806,12 +817,12 @@ class MaterializedProgram:
         than probing every over-deleted fact) and :meth:`_head_kernels`
         allows the probes.
         """
-        relations = self.instance.relations
+        relations = self._instance.relations
         kernels = self._head_kernels(rules, changed) if small_cone else None
         if kernels is None:
             self.stats.rederive_reruns += 1
             before = {s: set(relations[s]) for s in written}
-            self._evaluator.solve_stratum(self.instance, rules, self.stats)
+            self._evaluator.solve_stratum(self._instance, rules, self.stats)
             return {s: relations[s] - before[s] for s in written}
         pending = {
             s: [fact for fact in over.get(s, ()) if fact not in relations[s]]
@@ -837,13 +848,13 @@ class MaterializedProgram:
         added: Delta = {}
         for symbol, facts in back.items():
             for fact in facts:
-                if self.instance.add_relation_member(symbol, fact):
+                if self._instance.add_relation_member(symbol, fact):
                     self.stats.facts_added += 1
                     added.setdefault(symbol, set()).add(fact)
         for symbol, facts in added.items():
             seed[symbol] = seed.get(symbol, set()) | facts
         self._evaluator.solve_stratum(
-            self.instance, rules, self.stats, initial_delta=seed, added=added
+            self._instance, rules, self.stats, initial_delta=seed, added=added
         )
         return added
 
@@ -859,7 +870,7 @@ class MaterializedProgram:
         compiles every rule's head-bound kernel.
         """
         compiler = self._evaluator._compiler
-        if compiler is None or not stage_eligible(rules, self.instance):
+        if compiler is None or not stage_eligible(rules, self._instance):
             return None
         if any(
             rule_effects(rule, self._schema).nonmonotone_reads & changed
@@ -868,7 +879,7 @@ class MaterializedProgram:
             return None
         kernels: List[Tuple[str, tuple]] = []
         for rule in rules:
-            compiled = compiler.seminaive_kernels(rule, self.instance)
+            compiled = compiler.seminaive_kernels(rule, self._instance)
             head = compiled.delta(HEAD, self.stats) if compiled is not None else None
             if head is None:
                 return None
@@ -891,7 +902,7 @@ class MaterializedProgram:
             exact = self._schema.is_relation(symbol)
             for rule in self._writers.get(symbol, ()):
                 kernels = (
-                    compiler.seminaive_kernels(rule, self.instance)
+                    compiler.seminaive_kernels(rule, self._instance)
                     if exact and compiler is not None and rule.is_invention_free()
                     else None
                 )
@@ -907,5 +918,5 @@ class MaterializedProgram:
                 kernels.full.execute((), count)
             self.supports.set_counts(symbol, counts)
             self._support_exact[symbol] = (
-                exact and set(counts) == self.instance.relations[symbol]
+                exact and set(counts) == self._instance.relations[symbol]
             )

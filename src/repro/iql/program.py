@@ -14,18 +14,24 @@ set of rules run to fixpoint before the next stage starts.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import TypeCheckError
 from repro.iql.rules import Rule
 from repro.schema.schema import Schema
 
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.analysis.depgraph import Schedule
+
 
 class Program:
     """An IQL program: stages of rules over ``schema``, with input/output
-    projections named by ``input_names`` / ``output_names``."""
+    projections named by ``input_names`` / ``output_names``.
 
-    __slots__ = ("schema", "stages", "input_names", "output_names")
+    A program is immutable once built, so analyses that depend only on it
+    are computed once and cached on it (:attr:`schedule`)."""
+
+    __slots__ = ("schema", "stages", "input_names", "output_names", "_schedule")
 
     def __init__(
         self,
@@ -52,6 +58,7 @@ class Program:
         self.stages: Tuple[Tuple[Rule, ...], ...] = tuple(stage_list)
         self.input_names = tuple(input_names)
         self.output_names = tuple(output_names)
+        self._schedule = None
         unknown = (set(self.input_names) | set(self.output_names)) - schema.names
         if unknown:
             raise TypeCheckError(f"input/output names not in the schema: {sorted(unknown)}")
@@ -76,6 +83,18 @@ class Program:
     def rules(self) -> Tuple[Rule, ...]:
         """All rules, across stages."""
         return tuple(rule for stage in self.stages for rule in stage)
+
+    @property
+    def schedule(self) -> "Schedule":
+        """The certified per-stage schedule
+        (:func:`~repro.analysis.depgraph.compute_schedule`), computed on
+        first use and shared by every :class:`~repro.iql.evaluator.Evaluator`
+        of this program."""
+        if self._schedule is None:
+            from repro.analysis.depgraph import compute_schedule
+
+            self._schedule = compute_schedule(self)
+        return self._schedule
 
     def then(self, other: "Program") -> "Program":
         """Sequential composition G1;G2 (schemas merged)."""

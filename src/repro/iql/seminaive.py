@@ -207,6 +207,11 @@ def run_stage_seminaive(
                     continue
                 kernel = compiled.delta(position, stats)
                 if kernel is None:
+                    # A body position refuses by naming the construct in
+                    # ``fallback``; report it in this run, not at the
+                    # rule's next kernel fetch.
+                    assert compiled.fallback is not None
+                    compiler.note_interpreted(rule, compiled.fallback)
                     return None
                 matcher, rest_body, head_eval = kernel
                 slots = rest_body.new_slots()

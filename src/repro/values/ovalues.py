@@ -31,14 +31,31 @@ Hash-consing
 
 Tuples and sets are *interned* (see :mod:`repro.values.intern`):
 constructing a structurally equal value returns the **same** Python
-object, so the value universe is a DAG of unique nodes. Equality then
-short-circuits on identity, set/dict membership never walks a tree, and
-the per-node metadata used by the hot paths — :func:`value_size`,
-:func:`value_depth`, :func:`oids_of`, :func:`constants_of`,
-:func:`sort_key`, :func:`sorted_elements` — is computed once per
-distinct value and cached on the node itself. Values of an earlier
-intern generation (built before :func:`repro.values.intern.clear`)
-still compare correctly through the structural fallback in ``__eq__``.
+object, so the value universe is a DAG of unique nodes and every live
+tuple or set is the store's node for its content. Equality is therefore
+identity — :class:`Oid`, :class:`OTuple` and :class:`OSet` define no
+``__eq__`` — while ``__hash__`` stays content-based (set iteration
+order, and with it invention order, depends on it). Set/dict membership
+never walks a tree, and the per-node metadata used by the hot paths —
+:func:`value_size`, :func:`value_depth`, :func:`oids_of`,
+:func:`constants_of`, :func:`sort_key`, :func:`sorted_elements` — is
+computed once per distinct value and cached on the node itself.
+
+Two ways to build a tuple
+-------------------------
+
+``OTuple(...)`` is the public constructor: it validates every field and
+canonicalizes the attribute order, and the parser, :mod:`repro.io`, tests
+and user code call it. It then hands the canonical field tuple to
+:func:`interned_tuple`, the one place tuples are interned. Compiled
+kernels call :func:`interned_tuple` directly, *trusted*: the caller
+guarantees that the pair tuple is canonical — distinct string attributes
+in sorted order, each paired with an o-value — because nothing checks it
+again. A kernel meets that contract by building pairs in a tuple term's
+``fields`` order (sorted at term construction) from subterm values that
+are o-values: matcher-bound slots, validated constants, interned tuples
+and sets, and dereferences already checked for None. Pairs in any other
+order would give one content a second node.
 """
 
 from __future__ import annotations
@@ -46,10 +63,11 @@ from __future__ import annotations
 import threading
 from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple, Union
 from weakref import WeakValueDictionary
-from weakref import ref as _weakref
 
 from repro.errors import OValueError
 from repro.values.intern import STORE as _STORE
+from repro.values.intern import adopt as _adopt
+from repro.values.intern import sweep as _sweep
 
 #: The Python types admitted as constants (the base domain D).
 CONSTANT_TYPES = (str, int, float, bool)
@@ -107,9 +125,6 @@ class Oid:
     def __hash__(self) -> int:
         return self._hash
 
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
     def __lt__(self, other: "Oid") -> bool:
         if not isinstance(other, Oid):
             return NotImplemented
@@ -163,9 +178,9 @@ class OTuple:
 
     Attribute names must be distinct strings; the empty tuple ``[]`` (k = 0)
     is permitted and is the unit value of the model. Tuples are immutable
-    and hashable; attribute order is canonicalized by sorting, so equality
-    is structural. Instances are interned (see module docstring): the
-    constructor may return an existing object.
+    and hashable; attribute order is canonicalized by sorting. Instances
+    are interned (see module docstring): the constructor may return an
+    existing object, and equal tuples are one object.
     """
 
     __slots__ = (
@@ -187,8 +202,8 @@ class OTuple:
         **kwargs: OValue,
     ):
         if fields is None:
-            # The keyword path owns ``kwargs`` outright (fresh dict, string
-            # keys, no duplicates possible) — use it as the lookup table.
+            # Keyword arguments have string keys and no duplicates: only
+            # the values need checking.
             items: Dict[str, OValue] = kwargs
             for attr, value in items.items():
                 if not isinstance(value, _OVALUE_TYPES):
@@ -196,7 +211,9 @@ class OTuple:
                         f"tuple component {attr}={value!r} is not an o-value"
                     )
         else:
-            if isinstance(fields, Mapping):
+            # The exact-type test first: the ABC check costs a Python-level
+            # __instancecheck__ per call.
+            if type(fields) is dict or isinstance(fields, Mapping):
                 items = dict(fields)
             else:
                 items = {}
@@ -217,33 +234,7 @@ class OTuple:
                     raise OValueError(
                         f"tuple component {attr}={value!r} is not an o-value"
                     )
-        canon: Tuple[Tuple[str, OValue], ...] = tuple(sorted(items.items()))
-        store = _STORE
-        # One dict probe on the hot path; a dead reference reads as a miss
-        # and is overwritten below (tombstones are only ever compacted by
-        # the amortized sweep).
-        ref = store.tuples.get(canon)
-        if ref is not None:
-            existing = ref()
-            if existing is not None:
-                store.hits += 1
-                return existing
-        store.misses += 1
-        self = object.__new__(cls)
-        self._fields = canon
-        self._lookup = items
-        self._hash = hash(canon) ^ _TUPLE_SALT
-        data = store.tuples
-        data[canon] = _weakref(self)
-        if len(data) >= store.tuples_mark:
-            # Amortized sweep: dead entries are left behind as tombstones
-            # (no removal callbacks — see intern.py). The sweep walks a
-            # copy: dict.copy() is one C call, so another thread cannot
-            # insert mid-walk, while a Python-level walk of ``data`` can
-            # be interrupted (a GC pass finalizing generators runs code).
-            store.tuples = {k: r for k, r in data.copy().items() if r() is not None}
-            store.tuples_mark = max(_STORE.SWEEP_FLOOR, 2 * len(store.tuples))
-        return self
+        return interned_tuple(tuple(sorted(items.items())))
 
     @property
     def attributes(self) -> Tuple[str, ...]:
@@ -285,16 +276,6 @@ class OTuple:
     def __hash__(self) -> int:
         return self._hash
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            _STORE.eq_fast_paths += 1
-            return True
-        return (
-            isinstance(other, OTuple)
-            and self._hash == other._hash
-            and self._fields == other._fields
-        )
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{attr}: {value!r}" for attr, value in self._fields)
         return f"[{inner}]"
@@ -313,6 +294,35 @@ class OTuple:
         return (OTuple, (self._fields,))
 
 
+def interned_tuple(pairs: Tuple[Tuple[str, OValue], ...]) -> OTuple:
+    """The interned :class:`OTuple` whose canonical field tuple is ``pairs``.
+
+    Trusted: ``pairs`` must be a tuple of ``(attr, o-value)`` pairs with
+    distinct string attributes in sorted order (the module docstring says
+    who may call this). Nothing is validated. One dict probe on a hit; on
+    a miss the store adopts the new node
+    (:func:`~repro.values.intern.adopt`, which returns the node another
+    thread may have stored first), and a table at its high-water mark is
+    swept.
+    """
+    store = _STORE
+    entry = store.tuples.get(pairs)
+    if entry is not None:
+        node = entry()
+        if node is not None:
+            store.hits += 1
+            return node
+    store.misses += 1
+    node = object.__new__(OTuple)
+    node._fields = pairs
+    node._lookup = dict(pairs)
+    node._hash = hash(pairs) ^ _TUPLE_SALT
+    node = _adopt(store.tuples, pairs, node)
+    if len(store.tuples) >= store.tuples_mark:
+        _sweep("tuples")
+    return node
+
+
 class OSet:
     """A finite set ``{v1, ..., vk}`` of o-values.
 
@@ -321,7 +331,8 @@ class OSet:
     paper stresses between the type ``{⊥}`` (whose only member is the empty
     set) and the type ``⊥`` (which has no members): ``OSet()`` is a value,
     and a perfectly ordinary one. Instances are interned (see module
-    docstring): the constructor may return an existing object.
+    docstring): the constructor may return an existing object, and equal
+    sets are one object.
     """
 
     __slots__ = (
@@ -342,22 +353,20 @@ class OSet:
             if not isinstance(value, _OVALUE_TYPES):
                 raise OValueError(f"set element {value!r} is not an o-value")
         store = _STORE
-        ref = store.sets.get(elems)
-        if ref is not None:
-            existing = ref()
-            if existing is not None:
+        entry = store.sets.get(elems)
+        if entry is not None:
+            node = entry()
+            if node is not None:
                 store.hits += 1
-                return existing
+                return node
         store.misses += 1
-        self = object.__new__(cls)
-        self._elements = elems
-        self._hash = hash(elems) ^ _SET_SALT
-        data = store.sets
-        data[elems] = _weakref(self)
-        if len(data) >= store.sets_mark:
-            store.sets = {k: r for k, r in data.copy().items() if r() is not None}
-            store.sets_mark = max(_STORE.SWEEP_FLOOR, 2 * len(store.sets))
-        return self
+        node = object.__new__(cls)
+        node._elements = elems
+        node._hash = hash(elems) ^ _SET_SALT
+        node = _adopt(store.sets, elems, node)
+        if len(store.sets) >= store.sets_mark:
+            _sweep("sets")
+        return node
 
     @property
     def elements(self) -> FrozenSet[OValue]:
@@ -384,16 +393,6 @@ class OSet:
     def __hash__(self) -> int:
         return self._hash
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            _STORE.eq_fast_paths += 1
-            return True
-        return (
-            isinstance(other, OSet)
-            and self._hash == other._hash
-            and self._elements == other._elements
-        )
-
     def __repr__(self) -> str:
         inner = ", ".join(sorted(repr(v) for v in self._elements))
         return "{" + inner + "}"
@@ -408,32 +407,6 @@ class OSet:
 
 
 _OVALUE_TYPES = (Oid, OTuple, OSet) + CONSTANT_TYPES
-
-
-def reintern(value: OValue) -> OValue:
-    """Rebuild ``value`` bottom-up through interned construction.
-
-    Returns the store's canonical node for the value's content. The
-    identity map on values already canonical — re-interning the canonical
-    node probes the store and gets the node itself back — and the bridge
-    for *cross-generation* values: anything built before
-    :func:`repro.values.intern.clear` collapses onto the current
-    generation's node. Oids and constants pass through untouched: an
-    oid's identity is the oid, and a constant is compared by value.
-    """
-    if isinstance(value, OTuple):
-        return OTuple(
-            tuple(
-                (attr, reintern(v) if isinstance(v, (OTuple, OSet)) else v)
-                for attr, v in value._fields
-            )
-        )
-    if isinstance(value, OSet):
-        return OSet(
-            reintern(v) if isinstance(v, (OTuple, OSet)) else v
-            for v in value._elements
-        )
-    return value
 
 
 def is_constant(value: object) -> bool:

@@ -38,7 +38,7 @@ from repro.iql.evaluator import EvaluationStats
 from repro.parser.grammar import program_from_source
 from repro.schema import Instance, Schema, are_o_isomorphic
 from repro.typesys import D, classref, set_of, tuple_of
-from repro.values import Oid, OTuple, OSet
+from repro.values import Oid, OTuple, OSet, intern
 
 
 def reference(program, instance):
@@ -360,6 +360,38 @@ class TestSemantics:
         # Blocking: exactly one invention per U-fact, then fixpoint.
         assert out.stats.oids_invented == 3
 
+    def test_a_negated_tuple_filter_fires_when_its_tuple_was_never_built(self):
+        # not T(y, x) probes the intern table for [A01: y, A02: x]. A content
+        # with no node is in no extension, so the negated filter passes,
+        # and the probe builds nothing.
+        schema = Schema(
+            relations={"E": columns(D, D), "T": columns(D, D), "R": columns(D)}
+        )
+        x, y = Var("x", D), Var("y", D)
+        program = Program(
+            schema,
+            rules=[
+                Rule(
+                    atom(schema, "R", x),
+                    [atom(schema, "E", x, y), atom(schema, "T", y, x, positive=False)],
+                )
+            ],
+            input_names=["E", "T"],
+            output_names=["R"],
+        )
+        a, b = "never-built-a", "never-built-b"
+        instance = Instance(schema.project(["E", "T"]))
+        instance.add_relation_member("E", OTuple(A01=a, A02=b))
+        instance.add_relation_member("T", OTuple(A01=a, A02=b))
+        reversed_pairs = (("A01", b), ("A02", a))
+        assert intern.STORE.tuples.get(reversed_pairs) is None
+        result = compiled(program, instance)
+        entry = intern.STORE.tuples.get(reversed_pairs)
+        assert entry is None or entry() is None
+        assert result.stats.rules_compiled == 1
+        assert result.output.relations["R"] == {OTuple(A01=a)}
+        assert result.output == reference(program, instance).output
+
 
 # -- cache plumbing and statistics -------------------------------------------------
 
@@ -479,6 +511,50 @@ class TestLazyDeltaKernels:
         sn = compiler.seminaive_kernels(program.rules[0], instance)
         assert sn.delta(HEAD) is None and sn.delta(HEAD) is None
         assert sn.delta(0) is not None and sn.fallback is None
+
+    def test_a_refused_delta_kernel_is_reported_in_the_run_that_refused(self):
+        # Out and Val form one recursive stratum. Its third round needs the
+        # Val delta kernel of Out's rule, which would match p̂ with p
+        # unbound: the kernel refuses and the γ1 loop finishes the stratum.
+        # The run in which it refuses reports that, as every later run does.
+        C = classref("C")
+        schema = Schema(
+            relations={"Val": columns(D), "Next": columns(D, D), "Out": columns(C)},
+            classes={"C": D},
+        )
+        p, y = Var("p", C), Var("y", D)
+        program = Program(
+            schema,
+            rules=[
+                Rule(
+                    atom(schema, "Out", p),
+                    [Membership(NameTerm("C"), p), atom(schema, "Val", Deref(p))],
+                ),
+                Rule(
+                    atom(schema, "Val", y),
+                    [atom(schema, "Out", p), atom(schema, "Next", Deref(p), y)],
+                ),
+            ],
+            input_names=["Val", "Next", "C"],
+            output_names=["Out", "Val", "C"],
+        )
+        instance = Instance(schema.project(["Val", "Next", "C"]))
+        o1, o2 = Oid("o1"), Oid("o2")
+        for oid, value in ((o1, "a"), (o2, "b")):
+            instance.add_class_member("C", oid)
+            instance.assign(oid, value)
+        for value in ("a", "x", "y", "z"):  # |Val| > |C|: the planner scans C
+            instance.add_relation_member("Val", OTuple(A01=value))
+        instance.add_relation_member("Next", OTuple(A01="a", A02="b"))
+        evaluator = Evaluator(program)
+        runs = [evaluator.run(instance.copy()) for _ in range(2)]
+        expected = reference(program, instance).output
+        assert OTuple(A01=o2) in expected.relations["Out"]
+        for result in runs:
+            assert result.output == expected
+            assert result.stats.compile_fallbacks == 1
+            assert result.stats.compile_fallback_reasons == {"unbound-dereference": 1}
+            assert result.stats.rules_interpreted == 1
 
     def test_a_position_that_falls_back_demotes_the_rule(self):
         # The full body binds p from the class scan before Val(p̂) is a

@@ -406,6 +406,14 @@ class TestScheduledEvaluator:
         reference = Evaluator(program, naive=True).run(edge_instance(program, edges))
         assert scheduled.output == reference.output
 
+    def test_schedule_is_computed_once_per_program_and_warned_per_evaluator(self):
+        program = program_from_source(UNSTRATIFIED)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            first, second = Evaluator(program), Evaluator(program)
+        assert first._schedule is second._schedule is program.schedule
+        assert sum("IQL601" in str(w.message) for w in caught) == 2
+
     def test_scheduled_invention_is_isomorphic(self):
         program = program_from_source((EXAMPLES / "graph_objects.iql").read_text())
         edges = [("a", "b"), ("b", "c"), ("c", "a")]

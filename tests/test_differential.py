@@ -24,7 +24,7 @@ from repro.iql import Evaluator, Program, Rule, Var, atom, columns
 from repro.iql.literals import Equality
 from repro.schema import Instance, Schema, are_o_isomorphic
 from repro.typesys import D, classref, tuple_of
-from repro.values import OTuple
+from repro.values import OSet, OTuple, intern
 
 CONSTS = ["a", "b", "c"]
 
@@ -118,6 +118,24 @@ def random_case(seed, scheduled=False):
     return program, random_instance(schema, rng)
 
 
+def assert_canonical(values):
+    """Every tuple and set reachable from ``values`` is the intern store's
+    node for its content: compiled membership filters answer by probing
+    the store, which is sound only if no value has a second node."""
+    stack = list(values)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, OTuple):
+            entry = intern.STORE.tuples.get(tuple(sorted(node.items())))
+            stack.extend(v for _, v in node.items())
+        elif isinstance(node, OSet):
+            entry = intern.STORE.sets.get(frozenset(node))
+            stack.extend(node)
+        else:
+            continue
+        assert entry is not None and entry() is node, f"{node!r} is not its content's node"
+
+
 def assert_agree(program, left, right, seed):
     """Exact agreement for invention-free programs, O-isomorphism otherwise."""
     if all(rule.is_invention_free() for rule in program.rules):
@@ -192,6 +210,9 @@ def run_production_differential(seed, scheduled=True):
     )
     assert result.stats.rules_compiled == len(program.rules), f"seed {seed}"
     assert_agree(program, result.output, reference, seed)
+    output = result.output
+    assert_canonical(v for members in output.relations.values() for v in members)
+    assert_canonical(output.nu.values())
 
 
 @pytest.mark.parametrize("seed", range(220))

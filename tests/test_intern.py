@@ -3,19 +3,19 @@ and what pickling preserves of value identity.
 
 Three families of properties:
 
-* **Interning** — structurally equal values are the *same* object;
-  values from different intern generations (either side of
-  :func:`repro.values.intern.clear`) still compare equal through the
-  structural fallback; cached per-node metadata agrees with a plain
-  recomputation.
+* **Interning** — structurally equal values are the *same* object, also
+  when host threads construct them at once (equality is identity, so a
+  second node for one content would be a value unequal to itself);
+  cached per-node metadata agrees with a plain recomputation.
 * **Colouring** — the joint partition refinement of
   :func:`repro.schema.refine_colours` is invariant under random
   O-isomorphisms, and the new :func:`find_o_isomorphism` agrees with the
   retained pre-PR-3 search on random instance pairs.
-* **Differential** — the evaluator run on values of a past intern
-  generation produces the same output (up to O-isomorphism for inventing
-  programs) as on canonical ones, on the same random-program corpus the
-  engine differential tests use.
+* **Differential** — the evaluator run again after a sweep of the intern
+  tables produces the same output (up to O-isomorphism for inventing
+  programs) as before it, on the same random-program corpus the engine
+  differential tests use, and every value it outputs is the store's node
+  for its content.
 * **Pickling** — round trips rebuild through interned construction, so
   canonical nodes and oids come back as themselves.
 """
@@ -44,13 +44,14 @@ from repro.values import (
     constants_of,
     intern,
     oids_of,
-    reintern,
     sort_key,
     sorted_elements,
     substitute_oids,
     value_depth,
     value_size,
 )
+
+from tests.test_differential import assert_agree, assert_canonical, random_case
 
 # -- strategies -----------------------------------------------------------------
 
@@ -87,21 +88,6 @@ def _rebuild(v):
     if isinstance(v, OSet):
         return OSet(_rebuild(x) for x in v)
     return v
-
-
-@given(ovalues())
-def test_cross_generation_equality(v):
-    """A value built before :func:`intern.clear` equals (but is not) the
-    build of the same content in the next generation — the structural
-    ``__eq__`` fallback."""
-    old = _rebuild(v)
-    intern.clear()
-    new = _rebuild(v)
-    if isinstance(v, (OTuple, OSet)):
-        assert new is not old
-    assert old == new
-    assert new == old
-    assert hash(old) == hash(new)
 
 
 def test_intern_counters_move():
@@ -153,6 +139,74 @@ def test_sweep_survives_concurrent_constructions():
         sys.setswitchinterval(previous)
     assert not any(thread.is_alive() for thread in threads)
     assert not errors, errors[0]
+
+
+def test_concurrent_constructions_make_one_node_per_content(monkeypatch):
+    # Equality is identity, so threads that intern one content at once
+    # must all get one node: a twin would be a value unequal to itself.
+    # Eight threads build the same contents in the same order, meeting at
+    # a barrier before each one so that they race for it. Every other
+    # content is built and dropped just before its race, so the threads
+    # meet a dead entry for it. Every miss sweeps the table (the sweep
+    # must not drop another thread's insert), and a tiny switch interval
+    # preempts constructions mid-way.
+    import sys
+    import threading
+
+    from repro.values import ovalues
+
+    sweep = ovalues._sweep
+
+    def sweep_every_miss(name):
+        sweep(name)
+        setattr(intern.STORE, name + "_mark", 0)
+
+    def content(i):
+        element = OSet([i, "one-node-probe"])
+        return element, OTuple(i=i, s=element)
+
+    workers, count = 8, 3000
+    built = [[] for _ in range(workers)]
+    errors = []
+    upcoming = iter(range(count))
+
+    def plant_dead_entry():
+        # Runs once per race, before the barrier releases the threads.
+        i = next(upcoming)
+        if i % 2:
+            content(i)  # built and dropped: its entries are dead
+
+    race = threading.Barrier(workers, action=plant_dead_entry)
+
+    def build(worker):
+        try:
+            for i in range(count):
+                race.wait(timeout=30)
+                built[worker].extend(content(i))
+        except Exception as exc:  # reported below: a thread cannot raise
+            errors.append(exc)
+
+    monkeypatch.setattr(ovalues, "_sweep", sweep_every_miss)
+    monkeypatch.setattr(intern.STORE, "tuples_mark", 0)
+    monkeypatch.setattr(intern.STORE, "sets_mark", 0)
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(w,)) for w in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors[0]
+    twins = [
+        k for k, node in enumerate(built[0])
+        if any(built[w][k] is not node for w in range(1, workers))
+    ]
+    assert not twins, f"{len(twins)} of {len(built[0])} contents have a twin"
+    assert_canonical(built[0])
 
 
 # -- cached metadata ------------------------------------------------------------
@@ -320,30 +374,42 @@ def test_found_isomorphism_is_valid(seed):
     assert are_o_isomorphic(target, source)
 
 
-# -- canonical vs past-generation values under the engine -----------------------
+# -- the engine on either side of an intern-table sweep -------------------------
 
 
-def _run_intern_differential(seed):
+def _force_sweep(monkeypatch):
+    """Sweep both intern tables now: drop their marks and build one new
+    content of each kind, whose miss finds its table at the mark."""
+    monkeypatch.setattr(intern.STORE, "tuples_mark", 0)
+    monkeypatch.setattr(intern.STORE, "sets_mark", 0)
+    OTuple(forced_sweep=Oid())
+    OSet([Oid()])
+    assert intern.STORE.tuples_mark >= intern.InternStore.SWEEP_FLOOR
+    assert intern.STORE.sets_mark >= intern.InternStore.SWEEP_FLOOR
+
+
+def _run_intern_differential(seed, monkeypatch):
     import warnings
-
-    from tests.test_differential import assert_agree, random_case
 
     program, instance = random_case(seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # IQL601 fallbacks are expected
-        interned = Evaluator(program).run(instance.copy()).output
-        # A new generation: the input's values, the first run's output and
-        # the constants in the program's cached plans all stop being
-        # canonical nodes, so the second run meets them only through the
-        # structural __eq__/hash fallback, never the identity fast path.
-        intern.clear()
-        stale = Evaluator(program).run(instance.copy()).output
-    assert_agree(program, interned, stale, seed)
+        before = Evaluator(program).run(instance.copy()).output
+        # The first run's intermediate values are dead entries by now;
+        # the sweep deletes them and must keep every live node. The second
+        # run reuses the kernels cached on the program's rules, so their
+        # membership probes read the compacted table, and every fact it
+        # derives must come back as the node the first run built.
+        _force_sweep(monkeypatch)
+        after = Evaluator(program).run(instance.copy()).output
+    assert_agree(program, before, after, seed)
+    assert_canonical(v for members in after.relations.values() for v in members)
+    assert_canonical(after.nu.values())
 
 
 @pytest.mark.parametrize("seed", range(0, 120))
-def test_interned_engine_matches_no_intern(seed):
-    _run_intern_differential(seed)
+def test_interned_engine_matches_no_intern(seed, monkeypatch):
+    _run_intern_differential(seed, monkeypatch)
 
 
 # -- pickling: identity survives a round trip -----------------------------------
@@ -352,13 +418,9 @@ def test_interned_engine_matches_no_intern(seed):
 #
 # 1. round trips preserve structure: a == pickle.loads(pickle.dumps(a)),
 # 2. unpickling rebuilds THROUGH interned construction, so a canonical
-#    node comes back as itself: a is reintern(loads(dumps(a))),
+#    node comes back as itself: a is loads(dumps(a)),
 # 3. oid identity survives via the serial registry: a process that
 #    unpickles its own oids gets the same objects back.
-#
-# A value pickled in one intern generation and unpickled after
-# intern.clear() is a structural twin; re-interning either lands on the
-# current generation's node.
 
 _PICKLE_OIDS = tuple(Oid(f"pk{i}") for i in range(4))
 
@@ -385,32 +447,10 @@ def test_pickle_round_trip_reinterns_to_the_identical_node(value):
     assert back == value
     if isinstance(value, (OTuple, OSet)):
         # Unpickling reconstructs through __new__, so the canonical node
-        # comes back as itself — reintern is then the identity on it.
+        # comes back as itself.
         assert back is value
-        assert reintern(back) is value
     elif isinstance(value, Oid):
         assert back is value
-
-
-@settings(deadline=None)
-@given(ovalues_with_oids())
-def test_cross_generation_pickles_reintern_to_one_node(value):
-    import pickle
-
-    blob = pickle.dumps(value)
-    intern.clear()
-    # A twin born in the next generation: equal to the old value, and (for
-    # containers) a different node.
-    twin = pickle.loads(blob)
-    assert twin == value
-    assert value == twin
-    if isinstance(value, (OTuple, OSet, Oid)):
-        assert reintern(twin) is twin
-        assert reintern(value) is twin
-    else:
-        # reintern passes constants through untouched and unpickling
-        # makes a new object, so only equality is promised.
-        assert reintern(twin) == reintern(value)
 
 
 def test_oid_identity_survives_a_subprocess_round_trip():

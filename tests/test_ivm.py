@@ -35,7 +35,7 @@ from repro.iql import Evaluator, EvaluatorLimits, MaterializedProgram
 from repro.iql.supports import SupportTable
 from repro.parser import program_from_source
 from repro.schema import Instance, are_o_isomorphic
-from repro.values import Oid, OTuple
+from repro.values import Oid, OTuple, intern
 from repro.__main__ import main
 
 from tests.test_differential import (
@@ -157,6 +157,23 @@ class TestE19Paths:
         assert mp.extent("P") == set()
         with pytest.raises(EvaluationError):
             mp.extent("nope")
+
+    def test_probes_stay_sound_across_an_intern_sweep(self, monkeypatch):
+        # F's rule filters on T(y, x), which the compiled kernels answer by
+        # probing the intern table instead of building the tuple. Once the
+        # delta kernels are compiled, a sweep of the table must not change
+        # an answer: closing the chain into a 4-cycle makes every pair an
+        # F fact.
+        program, mp = e19_setup(3)
+        mp.apply_delta(inserts=[("E", edge("n3", "n4"))])
+        mp.apply_delta(deletes=[("E", edge("n3", "n4"))])
+        monkeypatch.setattr(intern.STORE, "tuples_mark", 0)
+        OTuple(forced_sweep=Oid())  # a new content: its miss sweeps the table
+        assert intern.STORE.tuples_mark >= intern.InternStore.SWEEP_FLOOR
+        mp.apply_delta(inserts=[("E", edge("n3", "n0"))])
+        assert_matches_fresh(mp)
+        assert len(mp.extent("T")) == 16
+        assert len(mp.extent("F")) == 16
 
     def test_update_validation_errors(self):
         program, mp = e19_setup(n=1)
@@ -345,6 +362,7 @@ class TestAtomicBatches:
         uses = [
             lambda: mp.extent("T"),
             mp.output,
+            lambda: mp.instance,
             lambda: mp.apply_delta(deletes=[("E", edge("n0", "n1"))]),
         ]
         for use in uses:
@@ -369,6 +387,15 @@ class TestAtomicBatches:
         assert mp.stats.maintenance_fallbacks == fallbacks + 1
         assert_matches_fresh(mp)
         assert edge("n5", "n6") in mp.extent("E")
+
+    def test_a_stale_instance_is_recomputed_when_read(self, monkeypatch):
+        program, mp = e19_setup()
+        with monkeypatch.context() as patch:
+            fail_on_call(patch, Evaluator, "solve_stratum", 1)  # the batch
+            fail_on_call(patch, Evaluator, "run", 1)  # its rollback recompute
+            with pytest.raises(Injected):
+                mp.apply_delta(inserts=[("E", edge("n5", "n6"))])
+        assert_matches_fresh(mp)  # no batch or query refreshed it first
 
     def test_cli_prints_the_pre_batch_extent_after_a_failed_batch(
         self, tmp_path, capsys
