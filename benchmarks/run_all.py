@@ -35,6 +35,7 @@ EXPERIMENTS = {
     "E5": "bench_union_encoding",
     "E6": "bench_determinacy",
     "E7": "bench_quadrangle",
+    "E8": "bench_quadrangle:copy_elimination",
     "E9": "bench_deletion",
     "E10": "bench_ptime",
     "E11": "bench_datalog",

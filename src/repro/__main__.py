@@ -8,7 +8,6 @@ Usage::
     python -m repro lint PROGRAM.iql [--format text|json] [--strict]
     python -m repro analyze PROGRAM.iql [--format text|json|dot] [--stats]
     python -m repro analyze PROGRAM.iql --plans [--input data.json]
-    python -m repro analyze PROGRAM.iql --parallel [--format text|json|dot]
     python -m repro impact PROGRAM.iql [--symbol R] [--op insert|delete]
     python -m repro fmt PROGRAM.iql              # parse + pretty-print
     python -m repro validate data.json           # instance legality
@@ -121,8 +120,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     program = _load_program(args.program)
     if args.plans:
         return _dump_plans(program, args)
-    if args.parallel:
-        return _dump_parallel(program, args)
     timings = {}
     t0 = time.perf_counter()
     for rule in program.rules:
@@ -211,45 +208,6 @@ def _dump_plans(program, args: argparse.Namespace) -> int:
         print(f"\n{rule.display_label()}")
         for line in describe_plan(plan):
             print(f"  {line}")
-    return 0
-
-
-def _dump_parallel(program, args: argparse.Namespace) -> int:
-    """``repro analyze --parallel``: the IQL8xx parallel-safety plan.
-
-    Renders the :class:`~repro.analysis.parallel.ParallelCertificate` —
-    conflict groups, partitionable rules, and the stratum DAG with its
-    concurrency width — plus the IQL801/802/804 diagnostics. JSON output
-    carries ``clean``/``width`` at top level for CI gating.
-    """
-    from repro.analysis import (
-        build_parallel_certificate,
-        parallel_pass,
-        parallel_to_dot,
-        render_parallel_text,
-    )
-
-    certificate = build_parallel_certificate(program)
-    diagnostics = parallel_pass(program, certificate=certificate)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "file": args.program,
-                    "clean": certificate.clean,
-                    "width": certificate.width,
-                    "certificate": certificate.to_json(),
-                    "diagnostics": [d.to_json() for d in diagnostics],
-                },
-                indent=2,
-            )
-        )
-    elif args.format == "dot":
-        print(parallel_to_dot(certificate))
-    else:
-        print(render_parallel_text(certificate))
-        for diag in diagnostics:
-            print(diag.render(args.program))
     return 0
 
 
@@ -572,12 +530,6 @@ def main(argv=None) -> int:
     p_analyze.add_argument(
         "--input",
         help="with --plans: estimate against this JSON instance's cardinalities",
-    )
-    p_analyze.add_argument(
-        "--parallel",
-        action="store_true",
-        help="render the IQL8xx parallel-safety certificate: conflict "
-        "groups, partitionable rules, stratum DAG",
     )
     p_analyze.set_defaults(func=cmd_analyze)
 

@@ -51,18 +51,6 @@ from repro.analysis.maintenance import (
     replay_insert,
     validate_certificate,
 )
-from repro.analysis.parallel import (
-    ParallelCertificate,
-    PartitionPlan,
-    RuleConflict,
-    StagePlan,
-    StratumPlan,
-    build_parallel_certificate,
-    concurrent_batches,
-    parallel_pass,
-    parallel_to_dot,
-    render_parallel_text,
-)
 from repro.analysis.passes import (
     binding_pass,
     certification_pass,
@@ -84,32 +72,25 @@ __all__ = [
     "ImpactCone",
     "MaintenanceCertificate",
     "NOOP",
-    "ParallelCertificate",
-    "PartitionPlan",
     "PreflightWarning",
     "RECOMPUTE",
     "Report",
-    "RuleConflict",
     "RuleEffects",
     "Schedule",
     "Span",
     "StageGraph",
-    "StagePlan",
     "StageSchedule",
-    "StratumPlan",
     "SymbolImpact",
     "analyze",
     "analyze_source",
     "binding_pass",
     "build_certificate",
     "build_certificates",
-    "build_parallel_certificate",
     "certification_pass",
     "certify",
     "check_certificate",
     "classify_cone",
     "compute_schedule",
-    "concurrent_batches",
     "delta_body",
     "depgraph_pass",
     "diagnostic",
@@ -121,13 +102,10 @@ __all__ = [
     "invention_cycle_pass",
     "io_schema_pass",
     "overall_strategy",
-    "parallel_pass",
-    "parallel_to_dot",
     "program_cones",
     "program_graphs",
     "render_graphs_text",
     "render_impact_text",
-    "render_parallel_text",
     "replay_insert",
     "rule_effects",
     "stage_graph",

@@ -118,13 +118,6 @@ def mentions_name(term: Term) -> bool:
     return False
 
 
-def term_names(term: Term) -> FrozenSet[str]:
-    """All relation/class names mentioned anywhere inside ``term``."""
-    return frozenset(
-        sub.name for sub in walk_term(term) if isinstance(sub, NameTerm)
-    )
-
-
 # -- the effect summary -------------------------------------------------------------
 
 

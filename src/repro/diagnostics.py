@@ -20,10 +20,8 @@ Error-code conventions:
 * ``IQL7xx`` — update-impact and incremental-maintainability analysis
   (which derived symbols a base-fact update reaches, and whether the
   affected cone can be maintained incrementally),
-* ``IQL8xx`` — parallel-safety analysis (which rule firings inside a
-  certified stratum may run concurrently without changing the
-  inflationary fixpoint, and which runtime surfaces that soundness
-  argument assumes).
+* ``IQL8xx`` — retired with the deleted parallel-safety analysis; the
+  codes are not reused.
 
 The catalogue with minimal triggering programs lives in
 ``docs/LANGUAGE.md`` ("Diagnostics and error codes").
@@ -106,9 +104,6 @@ CODES: Dict[str, Tuple[str, str]] = {
     "IQL702": (WARNING, "delete through negation requires over-delete/re-derive (DRed)"),
     "IQL703": (INFO, "update cone is empty: the symbol is static"),
     "IQL704": (INFO, "bounded update cone: only the listed strata need re-running"),
-    "IQL801": (WARNING, "rule conflict: read/write overlap serializes the stratum"),
-    "IQL802": (WARNING, "partition hazard: invention/★/deletion/choose is order-sensitive"),
-    "IQL804": (INFO, "bounded parallelism: the certified concurrency width of a stage"),
 }
 
 

@@ -11,7 +11,6 @@ O-isomorphic.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
 
 from repro.values.ovalues import Oid
 
@@ -22,9 +21,6 @@ class OidFactory:
 
     def invent(self, class_name: str) -> Oid:
         return Oid(f"{class_name}!")
-
-    def invent_many(self, class_name: str, count: int) -> Iterable[Oid]:
-        return [self.invent(class_name) for _ in range(count)]
 
 
 class CountingOidFactory(OidFactory):

@@ -19,9 +19,7 @@ from typing import FrozenSet, Optional
 
 from repro.diagnostics import Span
 from repro.errors import TypeCheckError
-from repro.iql.terms import Deref, NameTerm, Term, Var, as_term
-from repro.schema.schema import Schema
-from repro.typesys.expressions import SetOf
+from repro.iql.terms import Term, Var, as_term
 
 
 class Literal:
@@ -139,29 +137,3 @@ class Choose(Literal):
     def __eq__(self, other):
         return isinstance(other, Choose)
 
-
-# -- fact classification (what may appear in heads) ---------------------------
-
-
-def is_fact_shape(literal: Literal, schema: Schema) -> bool:
-    """Syntactic check: does this positive literal have one of the four
-    head shapes R(t) / P(t) / x̂(t) / x̂ = t?
-
-    Full typing of heads is the type checker's job; this only recognizes
-    the shape.
-    """
-    if not literal.positive:
-        return False
-    if isinstance(literal, Membership):
-        if isinstance(literal.container, NameTerm):
-            return schema.is_relation(literal.container.name) or schema.is_class(
-                literal.container.name
-            )
-        if isinstance(literal.container, Deref):
-            return isinstance(literal.container.type_in(schema), SetOf)
-        return False
-    if isinstance(literal, Equality):
-        if isinstance(literal.left, Deref):
-            return not isinstance(literal.left.type_in(schema), SetOf)
-        return False
-    return False

@@ -23,7 +23,6 @@ from repro.diagnostics import Span
 from repro.errors import TypeCheckError
 from repro.iql.literals import Choose, Equality, Literal, Membership
 from repro.iql.terms import Deref, NameTerm, Var
-from repro.typesys.expressions import ClassRef
 
 
 class Rule:
@@ -108,22 +107,6 @@ class Rule:
         """The rule's label, or a rendering of it, for diagnostics."""
         return self.label if self.label else repr(self)
 
-    # -- pickling ----------------------------------------------------------------
-
-    def __getstate__(self):
-        """Pickle the syntax only — never the evaluation caches.
-
-        Plans and compiled kernels capture one instance's sets and index
-        buckets; whoever unpickles this rule plans and compiles afresh
-        against the instance it evaluates.
-        """
-        return (self.head, self.body, self.delete, self.label, self.span)
-
-    def __setstate__(self, state) -> None:
-        self.head, self.body, self.delete, self.label, self.span = state
-        self._plan_cache = None
-        self._kernel_cache = None
-
     # -- variable classification ------------------------------------------------
 
     def head_variables(self) -> FrozenSet[Var]:
@@ -168,15 +151,6 @@ class Rule:
         if isinstance(self.head, Equality) and isinstance(self.head.left, Deref):
             return self.head.left
         return None
-
-    def check_invention_variable_types(self) -> None:
-        """Condition (3) of the rule syntax: head-only vars have class type."""
-        for var in self.invention_variables():
-            if not isinstance(var.type, ClassRef):
-                raise TypeCheckError(
-                    f"variable {var.name!r} occurs only in the head of {self!r} "
-                    f"but has non-class type {var.type!r}"
-                )
 
     def __repr__(self):
         arrow = "⊣" if self.delete else "←"

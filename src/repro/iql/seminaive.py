@@ -55,11 +55,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
 def rule_eligible(rule: Rule, schema: Schema) -> bool:
     """True iff ``rule`` sits in the delta-staged fragment.
 
-    Purely schema-level — the parallel-safety analysis
-    (:mod:`repro.analysis.parallel`) reuses this exact predicate to
-    decide hash-partitionability, so the fragment the certificate
-    reasons about and the fragment the engine's delta rounds run are one
-    predicate, not two that could drift.
+    Purely schema-level: it reads the rule and the schema, never an
+    instance. :func:`stage_eligible` is its only caller.
     """
     if rule.delete or rule.has_choose() or not rule.is_invention_free():
         return False

@@ -48,11 +48,6 @@ from repro.typesys.expressions import (
 from repro.typesys.reduction import intersection_free
 
 
-def types_equal(a: TypeExpr, b: TypeExpr) -> bool:
-    """Strict structural equality (types are canonical by construction)."""
-    return a == b
-
-
 def assignable(actual: TypeExpr, expected: TypeExpr) -> bool:
     """Sound subsumption for head typing: every value of ``actual`` is a
     value of ``expected``.

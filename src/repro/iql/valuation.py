@@ -81,12 +81,6 @@ def eval_term(term: Term, bindings: Bindings, instance: Instance) -> Optional[OV
     raise EvaluationError(f"not a term: {term!r}")
 
 
-def is_evaluable(term: Term, bindings: Bindings) -> bool:
-    """True iff :func:`eval_term` would produce a value (all vars bound and,
-    for dereferences, the oid's value defined is still checked at eval time)."""
-    return all(var in bindings for var in term.variables())
-
-
 def match(
     term: Term, value: OValue, bindings: Bindings, instance: Instance
 ) -> Iterator[Bindings]:

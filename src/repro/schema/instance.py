@@ -461,33 +461,6 @@ class Instance:
         new.nu.update(self.nu)
         return new
 
-    # -- pickling ----------------------------------------------------------------
-
-    def __getstate__(self):
-        """Pickle only ``(ρ, π, ν)`` and the schema.
-
-        The lazy index registry, the constants caches and the member-type
-        memo are evaluation artifacts built against this process's value
-        nodes: whoever unpickles the instance builds its own
-        (``tests/test_parallel.py`` pins this exclusion), and a snapshot
-        written to disk should not drag an index graph with it.
-        ``_class_of`` is real state (the disjointness map) and travels.
-        """
-        return (
-            self.schema,
-            self.relations,
-            self.classes,
-            self.nu,
-            self._class_of,
-        )
-
-    def __setstate__(self, state) -> None:
-        self.schema, self.relations, self.classes, self.nu, self._class_of = state
-        self._indexes = None
-        self._constants_cache = None
-        self._sorted_constants = None
-        self._member_cache = {}
-
     # -- dunder -----------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -38,10 +38,6 @@ from repro.schema.schema import Schema
 from repro.typesys.expressions import ClassRef, SetOf, TupleOf, TypeExpr, classref, tuple_of
 
 
-def _value_var(name: str, t: TypeExpr) -> Var:
-    return Var(name, t)
-
-
 def _map_relation(schema: Schema, name: str, src: str, dst: str) -> Schema:
     return schema.with_names(
         relations={name: tuple_of(src=classref(src), dst=classref(dst))}

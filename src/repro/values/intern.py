@@ -61,15 +61,13 @@ Process locality
 ----------------
 
 The store is **process-local** by design: nothing here is shared memory,
-and node identity never survives a pickle round trip on its own.
-Unpickled values are rebuilt *through the receiving side's interned
-constructors* (``Oid.__reduce__`` / ``OTuple.__reduce__`` /
-``OSet.__reduce__`` in :mod:`repro.values.ovalues`), so a value loaded
-back into the process that pickled it is that process's canonical node
-again and the ``v1 == v2  ⇔  v1 is v2`` invariant holds.  Caches built
-against one process's nodes — an instance's constants cache and lazy
-index registry — are never pickled (``Instance.__getstate__`` leaves
-them out).
+and no node leaves the process.  ``Oid``, ``OTuple`` and ``OSet`` refuse
+to pickle or copy (their ``__reduce__`` raises ``TypeError``), because a
+copy of a node would be a second node for one content and break the
+``v1 == v2  ⇔  v1 is v2`` invariant.  Values reach another process only
+as a :mod:`repro.io` document; loading one mints fresh oids and rebuilds
+tuples and sets through the interned constructors, so the result equals
+the original up to a renaming of oids.
 """
 
 from __future__ import annotations

@@ -61,8 +61,7 @@ order would give one content a second node.
 from __future__ import annotations
 
 import threading
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple, Union
-from weakref import WeakValueDictionary
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, NoReturn, Optional, Tuple, Union
 
 from repro.errors import OValueError
 from repro.values.intern import STORE as _STORE
@@ -90,6 +89,24 @@ _SET_SALT = 0x5A1_5E75
 #: ``(Oid, OTuple, OSet) + CONSTANT_TYPES`` — i.e. :func:`is_ovalue` —
 #: and is filled in after the classes are defined.
 _OVALUE_TYPES: tuple = ()
+
+
+def _refuse_reduce(value: object) -> NoReturn:
+    """The ``__reduce__`` of :class:`Oid`, :class:`OTuple` and :class:`OSet`:
+    values neither pickle nor copy.
+
+    An oid is a bare identity whose meaning lives in one instance, and a
+    tuple or set is its content's one interned node in this process, so
+    neither has a faithful copy. The method must raise rather than be
+    left out: the default reduction rebuilds a tuple or set through
+    ``__new__`` with no arguments, which returns the interned empty node,
+    and then overwrites that node's fields; and it would give a second
+    ``Oid`` an existing serial.
+    """
+    raise TypeError(
+        f"{type(value).__name__} values cannot be pickled or copied: an "
+        "o-value is an identity or an interned node of this process"
+    )
 
 
 class Oid:
@@ -130,47 +147,7 @@ class Oid:
             return NotImplemented
         return self.serial < other.serial
 
-    def __reduce__(self):
-        """Pickle as ``(serial, name)``, resolved through the registry.
-
-        Identity is what an oid *is*, so a pickle round-trip must not
-        manufacture a second element of ``O``: the sender registers the
-        live object under its serial, and :func:`_oid_from_wire` on the
-        receiving side returns the registered object when the serial is
-        already known in that process, so unpickling in the process that
-        pickled yields the very same oid. A serial seen for the first
-        time (another process loading the pickle) reconstructs an oid
-        carrying the sender's serial, so sort order and invention
-        determinism agree across processes.
-        """
-        with _OID_REGISTRY_LOCK:
-            _OID_REGISTRY[self.serial] = self
-        return (_oid_from_wire, (self.serial, self.name))
-
-
-#: serial → live oid, for pickle round-trips (:meth:`Oid.__reduce__`).
-#: Weak so the registry never keeps an oid alive by itself.
-_OID_REGISTRY: "WeakValueDictionary[int, Oid]" = WeakValueDictionary()
-_OID_REGISTRY_LOCK = threading.Lock()
-
-
-def _oid_from_wire(serial: int, name: str) -> Oid:
-    """Resolve a pickled oid to the process-local object for that serial."""
-    with _OID_REGISTRY_LOCK:
-        existing = _OID_REGISTRY.get(serial)
-        if existing is not None:
-            return existing
-        oid = object.__new__(Oid)
-        oid.serial = serial
-        oid.name = name
-        oid._hash = hash((Oid, serial))
-        _OID_REGISTRY[serial] = oid
-    # Local invention must never collide with an imported serial: fresh
-    # oids in this process continue strictly above everything unpickled.
-    with Oid._lock:
-        if Oid._next_serial < serial:
-            Oid._next_serial = serial
-    return oid
+    __reduce__ = _refuse_reduce
 
 
 class OTuple:
@@ -280,18 +257,7 @@ class OTuple:
         inner = ", ".join(f"{attr}: {value!r}" for attr, value in self._fields)
         return f"[{inner}]"
 
-    def __reduce__(self):
-        """Pickle as the canonical field tuple, rebuilt through ``__new__``.
-
-        Unpickling therefore *re-interns* into the receiving process's
-        store: a value pickled and loaded back in the same process is its
-        own canonical node (identity equality holds), and a value first
-        seen by another process lands in that process's store.
-        The per-node metadata caches are deliberately not shipped — they
-        are recomputed lazily, and on a hit the canonical node already
-        has them.
-        """
-        return (OTuple, (self._fields,))
+    __reduce__ = _refuse_reduce
 
 
 def interned_tuple(pairs: Tuple[Tuple[str, OValue], ...]) -> OTuple:
@@ -397,13 +363,7 @@ class OSet:
         inner = ", ".join(sorted(repr(v) for v in self._elements))
         return "{" + inner + "}"
 
-    def __reduce__(self):
-        """Pickle as the element tuple, rebuilt through ``__new__``.
-
-        Same contract as :meth:`OTuple.__reduce__`: unpickling re-interns
-        into the receiving process's store.
-        """
-        return (OSet, (tuple(self._elements),))
+    __reduce__ = _refuse_reduce
 
 
 _OVALUE_TYPES = (Oid, OTuple, OSet) + CONSTANT_TYPES

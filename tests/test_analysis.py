@@ -8,6 +8,7 @@ pre-flight hook.
 
 import json
 import pathlib
+import re
 import warnings
 
 import pytest
@@ -69,6 +70,18 @@ class TestSpanAndDiagnostic:
             assert code.startswith("IQL") and len(code) == 6
             assert severity in ("error", "warning", "info")
             assert title
+
+    def test_catalogue_rows_match_codes(self):
+        # docs/LANGUAGE.md lists every code: a live one with its
+        # severity, a retired one (never reused) with severity "—".
+        text = (EXAMPLES.parent / "docs" / "LANGUAGE.md").read_text(encoding="utf-8")
+        found = re.findall(r"^\| `(IQL\d{3})` \| ([^|]*?) \|", text, re.MULTILINE)
+        rows = dict(found)
+        assert len(rows) == len(found), "a code has two rows"
+        for code, (severity, _) in CODES.items():
+            assert rows.get(code) == severity, code
+        retired = {code: severity for code, severity in rows.items() if code not in CODES}
+        assert retired and set(retired.values()) == {"—"}, retired
 
     def test_unknown_code_rejected(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 """Effects soundness: observed runtime writes ⊆ declared ``RuleEffects`` writes.
 
-Every IQL801 independence verdict — and through it every concurrent
-batch the parallel-safety analysis certifies — rests on one premise:
-the static write sets of :func:`repro.analysis.effects.rule_effects`
-over-approximate everything evaluation actually mutates. This file
-checks that premise dynamically: the four add-direction
+The certified schedule of :mod:`repro.analysis.depgraph` (which strata
+run apart, and in which order) and the IQL7xx maintenance cones of
+:mod:`repro.analysis.impact` (which strata an update replays) rest on
+one premise: the static write sets of
+:func:`repro.analysis.effects.rule_effects` over-approximate everything
+evaluation actually mutates. This file checks that premise
+dynamically: the four add-direction
 :class:`~repro.schema.instance.Instance` mutators are instrumented to
 record the symbol they touch (relation name, class extent name, or the
 ``^P`` value plane behind a set-element/weak-assignment write), a full
@@ -12,9 +14,10 @@ evaluation runs, and every observed symbol must be declared by some
 rule of the program.
 
 Removal mutators are deliberately *not* instrumented: an IQL* deletion
-cascade may touch arbitrary reachable symbols, which is exactly why
-deletion is an IQL802 hazard and is never certified to run concurrently —
-there is no per-rule write set to be sound against.
+cascade may touch arbitrary reachable symbols, which is exactly why a
+stage with deletion is never scheduled by strata and an update cone that
+reaches one is an IQL701 full recompute — there is no per-rule write set
+to be sound against.
 """
 
 import random

@@ -1,7 +1,7 @@
 """The hash-consing layer: interning, cached metadata, colour refinement,
-and what pickling preserves of value identity.
+and the refusal of values to pickle or copy.
 
-Three families of properties:
+Four families of properties:
 
 * **Interning** — structurally equal values are the *same* object, also
   when host threads construct them at once (equality is identity, so a
@@ -16,8 +16,9 @@ Three families of properties:
   programs) as before it, on the same random-program corpus the engine
   differential tests use, and every value it outputs is the store's node
   for its content.
-* **Pickling** — round trips rebuild through interned construction, so
-  canonical nodes and oids come back as themselves.
+* **No copies** — pickling or copying an oid, tuple or set raises
+  ``TypeError``: a copy would be a second node for one content, or a
+  second oid with an existing serial.
 """
 
 import random
@@ -412,56 +413,22 @@ def test_interned_engine_matches_no_intern(seed, monkeypatch):
     _run_intern_differential(seed, monkeypatch)
 
 
-# -- pickling: identity survives a round trip -----------------------------------
-#
-# The value types' pickling contract, for any caller that pickles values:
-#
-# 1. round trips preserve structure: a == pickle.loads(pickle.dumps(a)),
-# 2. unpickling rebuilds THROUGH interned construction, so a canonical
-#    node comes back as itself: a is loads(dumps(a)),
-# 3. oid identity survives via the serial registry: a process that
-#    unpickles its own oids gets the same objects back.
-
-_PICKLE_OIDS = tuple(Oid(f"pk{i}") for i in range(4))
+# -- values neither pickle nor copy --------------------------------------------------
 
 
-def ovalues_with_oids():
-    return st.recursive(
-        st.one_of(constants, st.sampled_from(_PICKLE_OIDS)),
-        lambda children: st.one_of(
-            st.lists(children, max_size=3).map(OSet),
-            st.dictionaries(
-                st.sampled_from(["a", "b", "c"]), children, max_size=3
-            ).map(OTuple),
-        ),
-        max_leaves=8,
-    )
-
-
-@settings(deadline=None)
-@given(ovalues_with_oids())
-def test_pickle_round_trip_reinterns_to_the_identical_node(value):
+def test_values_refuse_to_pickle_or_copy():
+    import copy
+    import functools
     import pickle
 
-    back = pickle.loads(pickle.dumps(value))
-    assert back == value
-    if isinstance(value, (OTuple, OSet)):
-        # Unpickling reconstructs through __new__, so the canonical node
-        # comes back as itself.
-        assert back is value
-    elif isinstance(value, Oid):
-        assert back is value
-
-
-def test_oid_identity_survives_a_subprocess_round_trip():
-    # Values pickled and loaded back in the same process: its own oids
-    # must come back as the same objects (the registry path).
-    import pickle
-
-    oid = Oid("w")
-    t = OTuple(a=oid, b=1)
-    blob = pickle.dumps((oid, t))
-    back_oid, back_t = pickle.loads(blob)
-    assert back_oid is oid
-    assert back_t is t
-    assert back_t["a"] is oid
+    attempts = [copy.copy, copy.deepcopy] + [
+        functools.partial(pickle.dumps, protocol=protocol)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for value in (Oid("w"), OTuple(a=1), OSet([1])):
+        for attempt in attempts:
+            with pytest.raises(TypeError, match=type(value).__name__):
+                attempt(value)
+    # A default reduction would rebuild through ``__new__()``, which
+    # returns the interned empty node, and then overwrite its fields.
+    assert OTuple().items() == () and OSet().elements == frozenset()

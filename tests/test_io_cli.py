@@ -190,3 +190,24 @@ class TestCli:
         from repro.__main__ import main
 
         assert main(["check", "/nonexistent.iql"]) == 1
+
+    def test_parallel_option_is_gone(self, tmp_path):
+        from repro.__main__ import main
+        from repro.iql import Evaluator
+        from repro.parser import program_from_source
+
+        with pytest.raises(TypeError):
+            Evaluator(program_from_source(self.PROGRAM), parallel=2)
+        # Evaluation is serial and the parallel-safety analysis is gone:
+        # the CLI rejects their flags at argument parsing (exit status 2),
+        # before reading any file.
+        program, data = str(tmp_path / "missing.iql"), str(tmp_path / "missing.json")
+        for argv in (
+            ["run", program, "--input", data, "--parallel", "2"],
+            ["run", program, "--input", data, "--parallel", "auto"],
+            ["run", program, "--input", data, "--backend", "process"],
+            ["analyze", program, "--parallel"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
