@@ -11,8 +11,6 @@ import pytest
 
 from repro.iql import (
     Equality,
-    Membership,
-    NameTerm,
     Program,
     Rule,
     TupleTerm,

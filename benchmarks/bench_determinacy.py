@@ -8,8 +8,6 @@ dominated by the isomorphism search, which colour refinement keeps small.
 Run standalone:  python benchmarks/bench_determinacy.py
 """
 
-import pytest
-
 from repro.transform import (
     check_determinacy,
     check_genericity,

@@ -13,7 +13,6 @@ import pytest
 from repro.iql import evaluate, evaluate_full
 from repro.transform import (
     class_to_graph_program,
-    decode_graph_output,
     graph_instance,
     graph_to_class_program,
 )

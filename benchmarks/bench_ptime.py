@@ -14,7 +14,7 @@ import pytest
 from repro.datalog import database_to_instance, datalog_to_iql, transitive_closure_program
 from repro.iql import classify, evaluate
 from repro.transform import powerset_input, powerset_unrestricted_program
-from repro.workloads import path_graph, random_graph, transitive_closure
+from repro.workloads import random_graph, transitive_closure
 
 from helpers import fit_loglog_slope, ms, print_series, time_call
 

@@ -23,7 +23,6 @@ from repro.typesys import (
     equivalent_on_samples,
     intersection,
     intersection_free,
-    intersection_reduced,
     set_of,
     tuple_of,
     union,

@@ -21,11 +21,9 @@ from __future__ import annotations
 import gc
 import math
 import time
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
-from repro.iql import columns
 from repro.schema import Instance, Schema
-from repro.typesys import D
 from repro.values import OTuple
 
 

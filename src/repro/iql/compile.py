@@ -34,8 +34,9 @@ What the compiler resolves at compile time (per rule, per instance):
   means no extension holds the value,
 * **the head** — each rule gets a compiled blocking check (the
   valuation-domain condition of γ1, including invention variables ranging
-  over class extents) and a compiled applier (relation/class membership,
-  set-element insertion, and the weak-assignment (★) protocol).
+  over class extents) and a compiled applier, which evaluates the head
+  and stages its write (a relation or class fact, a set element, a (★)
+  candidate) for the evaluator to apply after the step's last head.
 
 The compilable fragment covers everything the planner emits, IQL*
 deletion bodies included, *except* the constructs whose matching is
@@ -71,6 +72,7 @@ delta rewriting.
 not mutate the instance while a kernel is executing. Both engines satisfy
 this: γ1 collects additions and applies them after all bodies are solved,
 and the semi-naive rounds stage new facts in a delta before applying.
+Appliers stage too, so no head of a γ1 step sees another's write.
 
 Compiled execution reports ``rules_compiled`` / ``rules_interpreted`` /
 ``compile_fallbacks`` / ``compile_time`` into
@@ -695,22 +697,15 @@ class CompiledRule:
     ``solve`` enumerates body valuations (slot lists sized for body *and*
     invention variables); ``blocked`` is the valuation-domain condition
     (True iff some extension already satisfies the head); the evaluator
-    fills ``inv_slots`` with fresh oids and calls ``apply``. A deletion
-    rule compiles its body only (``blocked`` and ``apply`` are None): the
+    fills ``inv_slots`` with fresh oids and calls ``apply`` with the
+    step's :class:`~repro.iql.evaluator.StepWrites`. A deletion rule
+    compiles its body only (``blocked`` and ``apply`` are None): the
     evaluator turns each solution into a θ for its deletion step.
     """
 
-    __slots__ = (
-        "rule",
-        "body",
-        "n_slots",
-        "inv_slots",
-        "blocked",
-        "apply",
-        "is_assignment",
-    )
+    __slots__ = ("rule", "body", "n_slots", "inv_slots", "blocked", "apply")
 
-    def __init__(self, rule, body, n_slots, inv_slots, blocked, apply, is_assignment):
+    def __init__(self, rule, body, n_slots, inv_slots, blocked, apply):
         self.rule = rule
         self.body: CompiledBody = body
         self.n_slots = n_slots
@@ -719,7 +714,6 @@ class CompiledRule:
         self.inv_slots: Tuple[Tuple[str, int], ...] = inv_slots
         self.blocked = blocked
         self.apply = apply
-        self.is_assignment = is_assignment
 
     def solve(self, consume: Consumer) -> None:
         slots: Slots = [None] * self.n_slots
@@ -749,7 +743,7 @@ def compile_rule(
         stats=stats,
     )
     if rule.delete:
-        return CompiledRule(rule, body, len(body.slot_vars), (), None, None, False)
+        return CompiledRule(rule, body, len(body.slot_vars), (), None, None)
     layout = _Layout(())
     layout.slots = list(body.slot_vars)
     layout.index = dict(body.slot_index)
@@ -764,10 +758,8 @@ def compile_rule(
     blocked = _compile_blocked(rule, layout, bound, instance)
     for var in inv_vars:
         bound.add(var)  # the invention phase fills these before apply
-    apply, is_assignment = _compile_apply(rule, layout, instance)
-    return CompiledRule(
-        rule, body, len(layout.slots), inv_slots, blocked, apply, is_assignment
-    )
+    apply = _compile_apply(rule, layout, instance)
+    return CompiledRule(rule, body, len(layout.slots), inv_slots, blocked, apply)
 
 
 def _compile_blocked(rule: Rule, layout: _Layout, bound: Set[Var], instance: Instance):
@@ -874,60 +866,53 @@ def _compile_blocked(rule: Rule, layout: _Layout, bound: Set[Var], instance: Ins
 
 
 def _compile_apply(rule: Rule, layout: _Layout, instance: Instance):
-    """The head applier: fn(slots, weak, weak_was_defined) -> bool (added).
+    """The head applier: fn(slots, writes) evaluates the head and stages
+    its write in ``writes`` (a :class:`~repro.iql.evaluator.StepWrites`).
 
-    Weak-assignment heads stage into ``weak`` / ``weak_was_defined`` and
-    return False; the evaluator's (★) pass decides what sticks.
+    Nothing is written to the instance here: the evaluator applies the
+    staged writes after the step's last head, so every head reads the
+    instance the step started from.
     """
     head = rule.head
     if isinstance(head, Membership):
         element_eval = _compile_eval(head.element, layout, instance)
         container = head.container
+
+        def evaluated(slots):
+            element = element_eval(slots)
+            if element is None:
+                raise EvaluationError(
+                    f"head {head!r} not evaluable "
+                    f"(undefined dereference in a head term)"
+                )
+            return element
+
         if isinstance(container, NameTerm):
             name = container.name
             if instance.schema.is_relation(name):
-                add_relation = instance.add_relation_member
 
-                def apply_relation(slots, weak, weak_was_defined):
-                    element = element_eval(slots)
-                    if element is None:
-                        raise EvaluationError(
-                            f"head {head!r} not evaluable "
-                            f"(undefined dereference in a head term)"
-                        )
-                    return add_relation(name, element)
+                def apply_relation(slots, writes):
+                    writes.facts.append((rule, name, evaluated(slots)))
 
-                return apply_relation, False
-            add_class = instance.add_class_member
+                return apply_relation
 
-            def apply_class(slots, weak, weak_was_defined):
-                element = element_eval(slots)
-                if element is None:
-                    raise EvaluationError(
-                        f"head {head!r} not evaluable "
-                        f"(undefined dereference in a head term)"
-                    )
+            def apply_class(slots, writes):
+                element = evaluated(slots)
                 if not isinstance(element, Oid):
                     raise EvaluationError(
                         f"class head {head!r} derived non-oid {element!r}"
                     )
-                return add_class(name, element)
+                writes.facts.append((rule, name, element))
 
-            return apply_class, False
+            return apply_class
         if isinstance(container, Deref):
             i = layout.index[container.var]
-            add_element = instance.add_set_element
 
-            def apply_set(slots, weak, weak_was_defined):
-                element = element_eval(slots)
-                if element is None:
-                    raise EvaluationError(
-                        f"head {head!r} not evaluable "
-                        f"(undefined dereference in a head term)"
-                    )
-                return add_element(slots[i], element)
+            def apply_set(slots, writes):
+                element = evaluated(slots)
+                writes.elements.setdefault(slots[i], {}).setdefault(element, rule)
 
-            return apply_set, False
+            return apply_set
         raise EvaluationError(f"illegal head container {container!r}")  # pragma: no cover
     if isinstance(head, Equality):
         deref = head.left
@@ -935,21 +920,16 @@ def _compile_apply(rule: Rule, layout: _Layout, instance: Instance):
             raise EvaluationError(f"illegal equality head {head!r}")
         i = layout.index[deref.var]
         right_eval = _compile_eval(head.right, layout, instance)
-        value_of = instance.value_of
 
-        def apply_weak(slots, weak, weak_was_defined):
-            oid = slots[i]
+        def apply_weak(slots, writes):
             value = right_eval(slots)
             if value is None:
                 raise EvaluationError(
                     f"head {head!r} not evaluable (undefined dereference)"
                 )
-            if oid not in weak_was_defined:
-                weak_was_defined[oid] = value_of(oid) is not None
-            weak.setdefault(oid, set()).add(value)
-            return False
+            writes.assign(slots[i], value)
 
-        return apply_weak, True
+        return apply_weak
     raise EvaluationError(f"illegal head {head!r}")  # pragma: no cover
 
 

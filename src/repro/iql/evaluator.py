@@ -11,7 +11,11 @@ The semantics of a program G is defined through its one-step operator
    head-only variables of each pair (the :class:`OidFactory`),
 3. add the derived ground facts, subject to the weak-assignment rule (★):
    a non-set-valued oid is assigned a value only if it was undefined in I
-   and exactly one value was derived for it this step,
+   and exactly one value was derived for it this step. Every head term,
+   dereferences included, is evaluated over I, with the oids of step 4
+   already in their classes (a new set-valued oid dereferences to { }):
+   each head's write is staged (:class:`StepWrites`) and all are applied
+   after the last head, a set-valued oid's new elements as one new set,
 4. place every invented oid in its class (with the default value:
    undefined, or { } for set-valued classes).
 
@@ -139,6 +143,38 @@ class TraceEvent:
 
     def __repr__(self):
         return f"[step {self.step}] {self.kind:<7} {self.rule}: {self.detail}"
+
+
+class StepWrites:
+    """The writes one γ1 step's heads derive, staged until its last head.
+
+    Compiled appliers and the reference interpreter stage here, and
+    :meth:`Evaluator._one_step` applies everything afterwards, so no head
+    reads another head's write of the same step:
+
+    * ``facts`` — relation and class facts ``(rule, name, value)`` in
+      derivation order, applied one at a time by the checked mutators;
+    * ``elements`` — per oid of an ``x̂(t)`` head, each derived element
+      mapped to the first rule that derived it (the trace's label); the
+      ones not yet in the set are added as one new set per oid;
+    * ``weak`` / ``weak_was_defined`` — the (★) candidates per oid, and
+      whether the oid had a value when the step started.
+    """
+
+    __slots__ = ("facts", "elements", "weak", "weak_was_defined", "_value_of")
+
+    def __init__(self, instance: Instance):
+        self.facts: List[Tuple[Rule, str, OValue]] = []
+        self.elements: Dict[Oid, Dict[OValue, Rule]] = {}
+        self.weak: Dict[Oid, Set[OValue]] = {}
+        self.weak_was_defined: Dict[Oid, bool] = {}
+        self._value_of = instance.value_of
+
+    def assign(self, oid: Oid, value: OValue) -> None:
+        """Stage the weak assignment ``ô = value``."""
+        if oid not in self.weak_was_defined:
+            self.weak_was_defined[oid] = self._value_of(oid) is not None
+        self.weak.setdefault(oid, set()).add(value)
 
 
 @dataclass
@@ -586,6 +622,11 @@ class Evaluator:
             return False
 
         changed = False
+        # Deletion heads read the instance the step started from as well.
+        doomed = [
+            (rule, theta, eval_term(_deleted_term(rule.head), theta, instance))
+            for rule, theta in deletions
+        ]
 
         # Invention / choose: extend each valuation on head-only variables.
         extended: List[Tuple[Rule, object, object]] = []
@@ -621,21 +662,19 @@ class Evaluator:
                         )
             extended.append((rule, theta, None))
 
-        # Place invented oids in their classes first (their facts may refer
-        # to one another within the same step).
+        # Place invented oids in their classes before any head is
+        # evaluated: a head may dereference or write a new oid.
         for class_name, oid in invented:
             if instance.add_class_member(class_name, oid):
                 changed = True
                 stats.facts_added += 1
 
-        # Derive facts; group weak assignments for the (★) rule.
-        weak: Dict[Oid, Set[OValue]] = {}
-        weak_was_defined: Dict[Oid, bool] = {}
+        # Evaluate every head over the instance the step started from,
+        # staging its write; nothing is applied until the last head.
+        writes = StepWrites(instance)
         for rule, theta, kernel in extended:
             if kernel is not None:
-                if kernel.apply(theta, weak, weak_was_defined):
-                    changed = True
-                    stats.facts_added += 1
+                kernel.apply(theta, writes)
                 continue
             head = rule.head
             if isinstance(head, Membership):
@@ -648,45 +687,56 @@ class Evaluator:
                     )
                 if isinstance(container, NameTerm):
                     name = container.name
-                    if instance.schema.is_relation(name):
-                        if instance.add_relation_member(name, element):
-                            changed = True
-                            stats.facts_added += 1
-                            self._emit(stats, "fact", rule, f"{name}({element!r})")
-                    else:
-                        if not isinstance(element, Oid):
-                            raise EvaluationError(
-                                f"class head {head!r} derived non-oid {element!r}"
-                            )
-                        if instance.add_class_member(name, element):
-                            changed = True
-                            stats.facts_added += 1
-                            self._emit(stats, "fact", rule, f"{name}({element!r})")
+                    if not instance.schema.is_relation(name) and not isinstance(element, Oid):
+                        raise EvaluationError(
+                            f"class head {head!r} derived non-oid {element!r}"
+                        )
+                    writes.facts.append((rule, name, element))
                 elif isinstance(container, Deref):
                     oid = theta[container.var]
-                    if instance.add_set_element(oid, element):
-                        changed = True
-                        stats.facts_added += 1
-                        self._emit(stats, "fact", rule, f"{oid!r}^({element!r})")
+                    writes.elements.setdefault(oid, {}).setdefault(element, rule)
                 else:  # pragma: no cover - rejected by the type checker
                     raise EvaluationError(f"illegal head container {container!r}")
             elif isinstance(head, Equality):
                 deref = head.left
                 if not isinstance(deref, Deref):  # pragma: no cover
                     raise EvaluationError(f"illegal equality head {head!r}")
-                oid = theta[deref.var]
                 value = eval_term(head.right, theta, instance)
                 if value is None:
                     raise EvaluationError(
                         f"head {head!r} not evaluable (undefined dereference)"
                     )
-                if oid not in weak_was_defined:
-                    weak_was_defined[oid] = instance.value_of(oid) is not None
-                weak.setdefault(oid, set()).add(value)
+                writes.assign(theta[deref.var], value)
+
+        # Apply: relation and class facts one at a time, then each
+        # set-valued oid's new elements as one set, then (★).
+        for rule, name, value in writes.facts:
+            if instance.schema.is_relation(name):
+                added = instance.add_relation_member(name, value)
+            else:
+                added = instance.add_class_member(name, value)
+            if added:
+                changed = True
+                stats.facts_added += 1
+                self._emit(stats, "fact", rule, f"{name}({value!r})")
+        for oid, derived in writes.elements.items():
+            if not instance.is_set_valued(oid):
+                raise EvaluationError(
+                    f"x̂(t) head on {oid!r}, which is not a set-valued oid"
+                )
+            present = instance.value_of(oid).elements
+            fresh = [element for element in derived if element not in present]
+            if fresh:
+                instance.add_set_elements(oid, fresh)
+                changed = True
+                stats.facts_added += len(fresh)
+                if self._trace is not None:
+                    for element in fresh:
+                        self._emit(stats, "fact", derived[element], f"{oid!r}^({element!r})")
 
         # (★): assign only previously-undefined oids with a unique derived value.
-        for oid, values in weak.items():
-            if weak_was_defined[oid]:
+        for oid, values in writes.weak.items():
+            if writes.weak_was_defined[oid]:
                 if self._trace is not None:
                     self._trace.append(
                         TraceEvent(
@@ -723,8 +773,8 @@ class Evaluator:
 
         # IQL* deletions, applied after additions: a fact both derived and
         # deleted in the same step ends up deleted.
-        if deletions:
-            changed = self._apply_deletions(instance, deletions, stats) or changed
+        if doomed:
+            changed = self._apply_deletions(instance, doomed, stats) or changed
 
         return changed
 
@@ -805,19 +855,20 @@ class Evaluator:
     def _apply_deletions(
         self,
         instance: Instance,
-        deletions: List[Tuple[Rule, Bindings]],
+        deletions: List[Tuple[Rule, Bindings, Optional[OValue]]],
         stats: EvaluationStats,
     ) -> bool:
+        """Apply a step's deletions; each comes with its head term's value
+        over the instance the step started from (None: undefined)."""
         changed = False
         # Deletions go through the removal mutators, which retract the
         # affected index entries in place — indexes (and the compiled
         # kernels capturing their buckets) stay warm across IQL* steps.
         doomed_oids: Set[Oid] = set()
-        for rule, theta in deletions:
+        for rule, theta, element in deletions:
             head = rule.head
             if isinstance(head, Membership):
                 container = head.container
-                element = eval_term(head.element, theta, instance)
                 if element is None:
                     continue
                 if isinstance(container, NameTerm):
@@ -846,7 +897,7 @@ class Evaluator:
                             stats.facts_deleted += 1
             elif isinstance(head, Equality):
                 oid = theta[head.left.var]
-                value = eval_term(head.right, theta, instance)
+                value = element
                 if value is not None and instance.nu.get(oid) == value:
                     instance.unassign(oid)
                     changed = True
@@ -892,6 +943,11 @@ class Evaluator:
                 if oids_of(value) & removed:
                     if oid not in removed:
                         worklist.add(oid)
+
+
+def _deleted_term(head):
+    """The term a deletion head removes: ``t`` of ``C(t)``, ``u`` of ``x̂ = u``."""
+    return head.element if isinstance(head, Membership) else head.right
 
 
 # -- convenience entry points ----------------------------------------------------------

@@ -14,7 +14,10 @@ index.
 
 Indexes are built lazily — the first probe of a (relation, attribute)
 pays one scan — and then maintained *incrementally* by
-``Instance.add_relation_member`` and ``Instance.remove_relation_member``.
+``Instance.add_relation_members`` (the bulk insert every relation
+addition goes through, ``add_relation_member`` included) and
+``Instance.remove_relation_member``. Insertion grows the captured index
+dicts and their buckets in place.
 Retraction happens *in place* — entries are discarded from the affected
 buckets, never by dropping the whole index set — so the IVM runtime
 (:mod:`repro.iql.ivm`) and the IQL* deletion step keep warm indexes (and,
@@ -26,7 +29,7 @@ arbitrary mixed add/remove mutation sequences.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Set, Tuple
 
 from repro.values.ovalues import OTuple, OValue
 
@@ -84,11 +87,15 @@ class InstanceIndexes:
 
     # -- incremental maintenance (called by the Instance mutators) ---------------
 
-    def on_add_relation_member(self, name: str, value: OValue) -> None:
-        if isinstance(value, OTuple):
-            for (rname, attr), index in self._relation_attr.items():
-                if rname == name and attr in value:
-                    index.setdefault(value[attr], set()).add(value)
+    def on_add_relation_members(self, name: str, values: Iterable[OValue]) -> None:
+        for (rname, attr), index in self._relation_attr.items():
+            if rname != name:
+                continue
+            for value in values:
+                if isinstance(value, OTuple):
+                    key = value.get(attr)
+                    if key is not None:
+                        index.setdefault(key, set()).add(value)
 
     def on_remove_relation_member(self, name: str, value: OValue) -> None:
         if isinstance(value, OTuple):

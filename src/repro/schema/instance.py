@@ -20,18 +20,20 @@ the ``ground-facts(I)`` view the paper uses to define the semantics:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import InstanceError
 from repro.schema.schema import Schema
 from repro.typesys.expressions import TypeExpr
 from repro.typesys.interpretation import member
 from repro.values.ovalues import (
+    EMPTY_SET,
     Oid,
     OSet,
     OValue,
     constants_of,
     ensure_ovalue,
+    interned_set,
     is_ovalue,
     oids_of,
     sort_key,
@@ -88,6 +90,10 @@ class Instance:
             self.assign(o, ensure_ovalue(v))
 
     # -- mutation (used by constructors and by the evaluator) ------------------
+    #
+    # The single-fact mutators check their arguments for outside callers and
+    # delegate the write to the trusted bulk mutators, which the engine calls
+    # directly with facts it has already checked.
 
     def add_relation_member(self, name: str, value: OValue) -> bool:
         """Add ``value`` to ρ(name); returns True if it was new."""
@@ -95,14 +101,26 @@ class Instance:
             raise InstanceError(f"unknown relation {name!r}")
         if not is_ovalue(value):
             raise InstanceError(f"{value!r} is not an o-value")
-        members = self.relations[name]
-        if value in members:
+        if value in self.relations[name]:
             return False
-        members.add(value)
-        if self._indexes is not None:
-            self._indexes.on_add_relation_member(name, value)
-        self._note_constants(value)
+        self.add_relation_members(name, (value,))
         return True
+
+    def add_relation_members(self, name: str, values: Collection[OValue]) -> None:
+        """ρ(name) ∪= values, trusted: nothing is checked.
+
+        The caller guarantees that ``name`` is a relation of the schema
+        and that ``values`` are distinct o-values none of which is in
+        ρ(name) yet; a semi-naive round's new facts meet that by
+        construction. The extension set and every built projection index
+        of ``name`` grow in place, never rebound, because compiled
+        kernels capture both by identity; the constants cache folds the
+        new constants.
+        """
+        self.relations[name].update(values)
+        if self._indexes is not None:
+            self._indexes.on_add_relation_members(name, values)
+        self._note_constants(values)
 
     def add_class_member(self, name: str, oid: Oid) -> bool:
         """Add ``oid`` to π(name); returns True if it was new.
@@ -141,10 +159,15 @@ class Instance:
             raise InstanceError(f"oid {oid!r} does not belong to any class of this instance")
         if not is_ovalue(value):
             raise InstanceError(f"{value!r} is not an o-value")
-        if self.nu.get(oid) == value:
+        previous = self.nu.get(oid)
+        if previous == value:
             return False
         self.nu[oid] = value
-        self._note_constants(value)
+        if previous is None:
+            self._note_constants((value,))
+        else:
+            # An overwrite can drop constants: recount, as after a removal.
+            self._forget_constants()
         return True
 
     def add_set_element(self, oid: Oid, element: OValue) -> bool:
@@ -160,12 +183,25 @@ class Instance:
             raise InstanceError(
                 f"ô(v) facts apply to set-valued oids only; {oid!r} is in class {name!r}"
             )
-        current = self.nu.get(oid, OSet())
-        if element in current:
+        if not is_ovalue(element):
+            raise InstanceError(f"{element!r} is not an o-value")
+        if element in self.nu.get(oid, EMPTY_SET):
             return False
-        self.nu[oid] = current.add(element)
-        self._note_constants(element)
+        self.add_set_elements(oid, (element,))
         return True
+
+    def add_set_elements(self, oid: Oid, elements: Collection[OValue]) -> None:
+        """ν(oid) ∪= elements as one new set, trusted: nothing is checked.
+
+        The caller guarantees that ``oid`` belongs to a set-valued class
+        of this instance and that ``elements`` are o-values none of which
+        is in ν(oid) yet (duplicates among them are harmless). The new
+        value is interned once, however many elements arrive; the
+        constants cache folds their constants.
+        """
+        current = self.nu.get(oid, EMPTY_SET)
+        self.nu[oid] = interned_set(current.elements.union(elements))
+        self._note_constants(elements)
 
     # -- removal (the deletion path: IQL* and the IVM runtime) -----------------
 
@@ -218,7 +254,7 @@ class Instance:
             raise InstanceError(
                 f"ô(v) facts apply to set-valued oids only; {oid!r} is in class {name!r}"
             )
-        current = self.nu.get(oid, OSet())
+        current = self.nu.get(oid, EMPTY_SET)
         if element not in current:
             return False
         self.nu[oid] = OSet(v for v in current if v != element)
@@ -226,9 +262,10 @@ class Instance:
         return True
 
     def _forget_constants(self) -> None:
-        """Invalidate the constants(I) caches after a removal.
+        """Invalidate the constants(I) caches after a removal or an
+        overwrite of ν.
 
-        Removal can shrink constants(I), so unlike :meth:`_note_constants`
+        Either can shrink constants(I), so unlike :meth:`_note_constants`
         there is no sound incremental update — the next call recomputes.
         The member-type cache and the hash indexes are unaffected by
         relation/ν removals (membership depends only on π, and the
@@ -252,11 +289,10 @@ class Instance:
         Set-valued oids always have a value (default { }); non-set-valued
         oids may be undefined (returns None).
         """
-        if oid in self.nu:
-            return self.nu[oid]
-        if self.is_set_valued(oid):
-            return OSet()
-        return None
+        value = self.nu.get(oid)
+        if value is None and self.is_set_valued(oid):
+            return EMPTY_SET
+        return value
 
     def has_value(self, oid: Oid) -> bool:
         return self.value_of(oid) is not None
@@ -316,13 +352,14 @@ class Instance:
             cache[key] = cached = member(value, t, self.classes)
         return cached
 
-    def _note_constants(self, value: OValue) -> None:
-        """Fold the constants of a freshly added value into the cache."""
-        if self._constants_cache is None:
+    def _note_constants(self, values: Iterable[OValue]) -> None:
+        """Fold the constants of freshly added values into the cache."""
+        cache = self._constants_cache
+        if cache is None:
             return
-        fresh = constants_of(value)
-        if not fresh <= self._constants_cache:
-            self._constants_cache = self._constants_cache | fresh
+        fresh = [c for value in values for c in constants_of(value) if c not in cache]
+        if fresh:
+            self._constants_cache = cache.union(fresh)
             self._sorted_constants = None
 
     # -- hash indexes (repro.iql.indexes) ---------------------------------------

@@ -41,21 +41,33 @@ never walks a tree, and the per-node metadata used by the hot paths —
 :func:`constants_of`, :func:`sort_key`, :func:`sorted_elements` — is
 computed once per distinct value and cached on the node itself.
 
-Two ways to build a tuple
--------------------------
+Two ways to build a tuple or a set
+----------------------------------
 
-``OTuple(...)`` is the public constructor: it validates every field and
-canonicalizes the attribute order, and the parser, :mod:`repro.io`, tests
-and user code call it. It then hands the canonical field tuple to
-:func:`interned_tuple`, the one place tuples are interned. Compiled
-kernels call :func:`interned_tuple` directly, *trusted*: the caller
-guarantees that the pair tuple is canonical — distinct string attributes
-in sorted order, each paired with an o-value — because nothing checks it
-again. A kernel meets that contract by building pairs in a tuple term's
-``fields`` order (sorted at term construction) from subterm values that
-are o-values: matcher-bound slots, validated constants, interned tuples
-and sets, and dereferences already checked for None. Pairs in any other
-order would give one content a second node.
+``OTuple(...)`` and ``OSet(...)`` are the public constructors: they
+validate every field or element (a tuple also canonicalizes its
+attribute order), and the parser, :mod:`repro.io`, tests and user code
+call them. They then hand the canonical content to
+:func:`interned_tuple` or :func:`interned_set`, the one place each kind
+is interned. Trusted callers call those two directly: the caller
+guarantees that the content is canonical, because nothing checks it
+again.
+
+* A tuple's content is a pair tuple with distinct string attributes in
+  sorted order, each paired with an o-value. Compiled kernels meet that
+  contract by building pairs in a tuple term's ``fields`` order (sorted
+  at term construction) from subterm values that are o-values:
+  matcher-bound slots, validated constants, interned tuples and sets,
+  and dereferences already checked for None. Pairs in any other order
+  would give one content a second node.
+* A set's content is a frozenset of o-values.
+  ``Instance.add_set_elements`` meets that contract by joining elements
+  its caller guarantees are o-values to the elements of an existing set.
+
+:data:`EMPTY_SET` is the interned empty set, held by this module for the
+life of the process, so the default value of a set-valued oid is always
+that one node: a fresh ``OSet()`` whose last holder had died would be a
+table miss on every call.
 """
 
 from __future__ import annotations
@@ -318,21 +330,7 @@ class OSet:
         for value in elems:
             if not isinstance(value, _OVALUE_TYPES):
                 raise OValueError(f"set element {value!r} is not an o-value")
-        store = _STORE
-        entry = store.sets.get(elems)
-        if entry is not None:
-            node = entry()
-            if node is not None:
-                store.hits += 1
-                return node
-        store.misses += 1
-        node = object.__new__(cls)
-        node._elements = elems
-        node._hash = hash(elems) ^ _SET_SALT
-        node = _adopt(store.sets, elems, node)
-        if len(store.sets) >= store.sets_mark:
-            _sweep("sets")
-        return node
+        return interned_set(elems)
 
     @property
     def elements(self) -> FrozenSet[OValue]:
@@ -350,12 +348,6 @@ class OSet:
     def union(self, other: Iterable[OValue]) -> "OSet":
         return OSet(self._elements | frozenset(other))
 
-    def add(self, value: OValue) -> "OSet":
-        """Return a new set with ``value`` added (OSet itself is immutable)."""
-        if value in self._elements:
-            return self
-        return OSet(self._elements | {value})
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -366,7 +358,37 @@ class OSet:
     __reduce__ = _refuse_reduce
 
 
+def interned_set(elements: FrozenSet[OValue]) -> OSet:
+    """The interned :class:`OSet` whose element set is ``elements``.
+
+    Trusted: ``elements`` must be a frozenset of o-values (the module
+    docstring says who may call this). Nothing is validated. Interned
+    like :func:`interned_tuple`: one dict probe on a hit, and on a miss
+    the store adopts the new node and sweeps a table at its high-water
+    mark.
+    """
+    store = _STORE
+    entry = store.sets.get(elements)
+    if entry is not None:
+        node = entry()
+        if node is not None:
+            store.hits += 1
+            return node
+    store.misses += 1
+    node = object.__new__(OSet)
+    node._elements = elements
+    node._hash = hash(elements) ^ _SET_SALT
+    node = _adopt(store.sets, elements, node)
+    if len(store.sets) >= store.sets_mark:
+        _sweep("sets")
+    return node
+
+
 _OVALUE_TYPES = (Oid, OTuple, OSet) + CONSTANT_TYPES
+
+#: The interned empty set, alive for the life of the process (see the
+#: module docstring).
+EMPTY_SET: OSet = OSet()
 
 
 def is_constant(value: object) -> bool:

@@ -6,9 +6,10 @@ run apart, and in which order) and the IQL7xx maintenance cones of
 one premise: the static write sets of
 :func:`repro.analysis.effects.rule_effects` over-approximate everything
 evaluation actually mutates. This file checks that premise
-dynamically: the four add-direction
-:class:`~repro.schema.instance.Instance` mutators are instrumented to
-record the symbol they touch (relation name, class extent name, or the
+dynamically: every add-direction
+:class:`~repro.schema.instance.Instance` mutator, the single-fact ones
+and the trusted bulk ones the engine calls directly, is instrumented to
+record the symbol it touches (relation name, class extent name, or the
 ``^P`` value plane behind a set-element/weak-assignment write), a full
 evaluation runs, and every observed symbol must be declared by some
 rule of the program.
@@ -54,40 +55,44 @@ def declared_writes(program):
     return symbols
 
 
+def _named(self, name, *_):
+    return name
+
+
+def _plane_of(self, oid, *_):
+    return plane(self.class_of(oid))
+
+
+#: Every add-direction Instance mutator and the symbol a call touches. The
+#: single-fact mutators delegate to the bulk ones, so a call through one of
+#: them is recorded twice, under the same symbol.
+ADD_MUTATORS = {
+    "add_relation_member": _named,
+    "add_relation_members": _named,
+    "add_class_member": _named,
+    "add_set_element": _plane_of,
+    "add_set_elements": _plane_of,
+    "assign": _plane_of,
+}
+
+
 @contextmanager
 def recorded_writes():
     """Patch the add-direction Instance mutators to log touched symbols."""
     observed = set()
-    originals = {
-        name: getattr(Instance, name)
-        for name in (
-            "add_relation_member",
-            "add_class_member",
-            "add_set_element",
-            "assign",
-        )
-    }
+    originals = {name: getattr(Instance, name) for name in ADD_MUTATORS}
 
-    def record_relation(self, name, value):
-        observed.add(name)
-        return originals["add_relation_member"](self, name, value)
+    def recording(name):
+        original, symbol_of = originals[name], ADD_MUTATORS[name]
 
-    def record_class(self, name, oid):
-        observed.add(name)
-        return originals["add_class_member"](self, name, oid)
+        def record(self, *args):
+            observed.add(symbol_of(self, *args))
+            return original(self, *args)
 
-    def record_set_element(self, oid, element):
-        observed.add(plane(self.class_of(oid)))
-        return originals["add_set_element"](self, oid, element)
+        return record
 
-    def record_assign(self, oid, value):
-        observed.add(plane(self.class_of(oid)))
-        return originals["assign"](self, oid, value)
-
-    Instance.add_relation_member = record_relation
-    Instance.add_class_member = record_class
-    Instance.add_set_element = record_set_element
-    Instance.assign = record_assign
+    for name in ADD_MUTATORS:
+        setattr(Instance, name, recording(name))
     try:
         yield observed
     finally:
@@ -185,6 +190,40 @@ def test_plane_writes_are_declared():
     assert {"^T", "^Q", "T", "Q"} <= observed
     declared = declared_writes(program)
     assert {"^T", "^Q"} <= declared
+
+
+def test_every_add_mutator_is_instrumented():
+    """A new add-direction mutator the harness does not wrap would make
+    its writes invisible to every check in this file."""
+    adders = {name for name in vars(Instance) if name.startswith("add_")}
+    assert adders | {"assign"} == set(ADD_MUTATORS)
+
+
+def test_seminaive_writes_are_observed():
+    """A semi-naive round inserts through the bulk mutator only, so its
+    head relation shows up in ``observed`` only if that mutator is
+    instrumented."""
+    from repro.values import OTuple
+
+    schema = make_schema()
+    x, y, z = Var("x0", D), Var("x1", D), Var("x2", D)
+    program = Program(
+        schema,
+        rules=[
+            Rule(atom(schema, "T", x, y), [atom(schema, "E", x, y)]),
+            Rule(atom(schema, "T", x, z), [atom(schema, "T", x, y), atom(schema, "E", y, z)]),
+        ],
+        input_names=["E"],
+        output_names=["T"],
+    )
+    instance = Instance(schema.project(["E"]))
+    for a, b in (("a", "b"), ("b", "c"), ("c", "d")):
+        instance.add_relation_member("E", OTuple(A01=a, A02=b))
+    with recorded_writes() as observed:
+        result = Evaluator(program).run(instance)
+    assert len(result.output.relations["T"]) == 6
+    assert result.stats.steps >= 3  # the recursive stratum ran its rounds
+    assert "T" in observed
 
 
 def test_instrumentation_detects_an_undeclared_write():

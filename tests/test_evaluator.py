@@ -6,8 +6,10 @@ from repro.errors import EvaluationError, NonTerminationError
 from repro.iql import (
     Const,
     Equality,
+    Evaluator,
     EvaluatorLimits,
     Membership,
+    NameTerm,
     PrefixedOidFactory,
     Program,
     Rule,
@@ -21,7 +23,7 @@ from repro.iql import (
 )
 from repro.schema import Instance, Schema
 from repro.typesys import D, classref, set_of, tuple_of
-from repro.values import Oid, OSet, OTuple
+from repro.values import Oid, OSet, OTuple, intern
 from repro.workloads import path_graph, transitive_closure
 
 from tests.conftest import edge_instance
@@ -248,6 +250,164 @@ class TestSetGrowth:
             inst.add_relation_member("S", c)
         out = evaluate(program, inst)
         assert out.value_of(o) == OSet(["a", "b", "c"])
+
+    def test_one_set_per_object_per_step(self):
+        # One γ1 step derives five elements for q: "pre" is already there
+        # and "g3" comes from both rules, so four are new. The constants
+        # are this test's own, so no other live value has q's final set.
+        schema = Schema(
+            relations={"S": D, "S2": D, "Seed": classref("Q")},
+            classes={"Q": set_of(D)},
+        )
+        x, q = Var("x", D), Var("q", classref("Q"))
+        program = typecheck_program(
+            Program(
+                schema,
+                rules=[
+                    Rule(Membership(q.hat(), x), [atom(schema, "Seed", q), atom(schema, name, x)])
+                    for name in ("S", "S2")
+                ],
+                input_names=["S", "S2", "Seed", "Q"],
+                output_names=["Q"],
+            )
+        )
+        o = Oid()
+        inst = Instance(schema.project(["S", "S2", "Seed", "Q"]))
+        inst.add_class_member("Q", o)
+        inst.add_relation_member("Seed", o)
+        inst.add_set_element(o, "growth-pre")
+        for c in ("growth-pre", "growth-g1", "growth-g2", "growth-g3"):
+            inst.add_relation_member("S", c)
+        for c in ("growth-g3", "growth-g4"):
+            inst.add_relation_member("S2", c)
+
+        _, misses0, _ = intern.counters()
+        result = Evaluator(program).run(inst.copy())
+        _, misses1, _ = intern.counters()
+        expected = OSet(["growth-pre", "growth-g1", "growth-g2", "growth-g3", "growth-g4"])
+        assert result.output.value_of(o) is expected
+        assert result.stats.facts_added == 4
+        # The step interns q's final set once; per-element growth would
+        # have built four sets, one per new element.
+        assert misses1 - misses0 == 1
+        assert result.output == Evaluator(program, naive=True).run(inst).output
+
+
+class TestStepReadsItsStart:
+    """γ1 evaluates every head over the instance the step started from,
+    so no head sees another's write of the same step, and the answer does
+    not depend on the order the rules are written in."""
+
+    schema = Schema(
+        relations={
+            "S": columns(classref("Q"), D),
+            "L": columns(classref("P"), classref("Q")),
+            "R2": tuple_of(A1=set_of(D)),
+            "R1": D,
+            "V": D,
+        },
+        classes={"Q": set_of(D), "P": tuple_of(A1=set_of(D))},
+    )
+    x = Var("x", D)
+    q = Var("q", classref("Q"))
+    p = Var("p", classref("P"))
+    # q̂ grows to {a, b} in the first step, while the other head reads it.
+    grow = Rule(Membership(q.hat(), x), [atom(schema, "S", q, x)])
+    heads = {
+        "A": Rule(Equality(p.hat(), TupleTerm(A1=q.hat())), [atom(schema, "L", p, q)]),
+        "B": Rule(
+            Membership(NameTerm("R2"), TupleTerm(A1=q.hat())), [atom(schema, "L", p, q)]
+        ),
+    }
+    # The same hazard through a relation name read in a head term.
+    grow_relation = Rule(Membership(NameTerm("R1"), x), [Membership(NameTerm("V"), x)])
+    head_c = Rule(
+        Membership(NameTerm("R2"), TupleTerm(A1=NameTerm("R1"))), [atom(schema, "L", p, q)]
+    )
+
+    def run(self, rules, **kwargs):
+        program = typecheck_program(
+            Program(
+                self.schema,
+                rules=rules,
+                input_names=["S", "L", "V", "P", "Q"],
+                output_names=["P", "Q", "R2"],
+            )
+        )
+        q, p = Oid("q"), Oid("p")
+        inst = Instance(self.schema.project(["S", "L", "V", "P", "Q"]))
+        inst.add_class_member("Q", q)
+        inst.add_class_member("P", p)
+        for c in ("a", "b"):
+            inst.add_relation_member("S", OTuple(A01=q, A02=c))
+            inst.add_relation_member("V", c)
+        inst.add_relation_member("L", OTuple(A01=p, A02=q))
+        return Evaluator(program, **kwargs).run(inst), q, p
+
+    @pytest.mark.parametrize("naive", [False, True], ids=["production", "reference"])
+    @pytest.mark.parametrize("grow_first", [True, False], ids=["grow-first", "grow-second"])
+    @pytest.mark.parametrize("program", ["A", "B"])
+    def test_a_head_reads_the_set_as_the_step_found_it(self, program, grow_first, naive):
+        head = self.heads[program]
+        rules = [self.grow, head] if grow_first else [head, self.grow]
+        result, q, p = self.run(rules, naive=naive)
+        assert result.output.value_of(q) == OSet(["a", "b"])
+        if program == "A":
+            # Step 1 assigns p̂ from the empty q̂; (★) keeps it.
+            assert result.output.value_of(p) == OTuple(A1=OSet())
+        else:
+            assert result.output.relations["R2"] == {
+                OTuple(A1=OSet()),
+                OTuple(A1=OSet(["a", "b"])),
+            }
+
+    @pytest.mark.parametrize("naive", [False, True], ids=["production", "reference"])
+    @pytest.mark.parametrize("grow_first", [True, False], ids=["grow-first", "grow-second"])
+    def test_a_head_reads_the_relation_as_the_step_found_it(self, grow_first, naive):
+        rules = [self.grow_relation, self.head_c]
+        if not grow_first:
+            rules.reverse()
+        result, _, _ = self.run(rules, naive=naive)
+        assert result.output.relations["R2"] == {
+            OTuple(A1=OSet()),
+            OTuple(A1=OSet(["a", "b"])),
+        }
+
+    @pytest.mark.parametrize("naive", [False, True], ids=["production", "reference"])
+    def test_a_deletion_head_reads_the_set_as_the_step_found_it(self, naive):
+        # Step 1 deletes R2([A1: {}]): q̂ was empty when the step started,
+        # although the step's insertions, applied first, grow it.
+        shrink = Rule(
+            Membership(NameTerm("R2"), TupleTerm(A1=self.q.hat())),
+            [atom(self.schema, "L", self.p, self.q)],
+            delete=True,
+        )
+        program = typecheck_program(
+            Program(
+                self.schema,
+                rules=[self.grow, shrink],
+                input_names=["S", "L", "R2", "P", "Q"],
+                output_names=["Q", "R2"],
+            )
+        )
+        q, p = Oid("q"), Oid("p")
+        inst = Instance(self.schema.project(["S", "L", "R2", "P", "Q"]))
+        inst.add_class_member("Q", q)
+        inst.add_class_member("P", p)
+        for c in ("a", "b"):
+            inst.add_relation_member("S", OTuple(A01=q, A02=c))
+        inst.add_relation_member("L", OTuple(A01=p, A02=q))
+        inst.add_relation_member("R2", OTuple(A1=OSet()))
+        inst.add_relation_member("R2", OTuple(A1=OSet(["a", "b"])))
+        out = Evaluator(program, naive=naive).run(inst).output
+        assert out.value_of(q) == OSet(["a", "b"])
+        assert out.relations["R2"] == set()
+
+    def test_the_trace_has_one_fact_per_new_set_element(self):
+        result, q, _ = self.run([self.grow, self.heads["A"]], trace=True)
+        grown = [e for e in result.trace if e.kind == "fact" and e.detail.startswith(f"{q!r}^(")]
+        assert sorted(e.detail for e in grown) == [f"{q!r}^('a')", f"{q!r}^('b')"]
+        assert {e.step for e in grown} == {1}
 
 
 class TestStages:

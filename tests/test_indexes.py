@@ -134,6 +134,9 @@ OPS = st.lists(
         st.tuples(st.just("new_q"), CONSTS),
         st.tuples(st.just("reassign"), st.integers(0, 7), CONSTS),
         st.tuples(st.just("grow_q"), st.integers(0, 7), CONSTS),
+        # the trusted bulk mutators the engine calls directly
+        st.tuples(st.just("rel_bulk"), st.lists(st.tuples(CONSTS, CONSTS), max_size=4)),
+        st.tuples(st.just("grow_q_bulk"), st.integers(0, 7), st.lists(CONSTS, max_size=4)),
         # in-place retraction: the removal mutators must discard exactly
         # the affected bucket entries (never by dropping the index set)
         st.tuples(st.just("rel_del"), CONSTS, CONSTS),
@@ -157,8 +160,15 @@ def test_indexes_match_rebuild_after_arbitrary_mutations(ops):
     indexes_before = instance.indexes
     p_oids, q_oids = [], []
     for op in ops:
+        # Keep the constants cache warm (a removal drops it), so every
+        # addition folds into it and the final check tests the folding.
+        instance.constants()
         if op[0] == "rel":
             instance.add_relation_member("R", OTuple(A01=op[1], A02=op[2]))
+        elif op[0] == "rel_bulk":
+            # The bulk contract: only facts not yet in R.
+            fresh = {OTuple(A01=a, A02=b) for a, b in op[1]} - instance.relations["R"]
+            instance.add_relation_members("R", fresh)
         elif op[0] == "new_p":
             o = Oid()
             instance.add_class_member("P", o)
@@ -173,6 +183,9 @@ def test_indexes_match_rebuild_after_arbitrary_mutations(ops):
             instance.assign(p_oids[op[1] % len(p_oids)], OTuple(a=op[2]))
         elif op[0] == "grow_q" and q_oids:
             instance.add_set_element(q_oids[op[1] % len(q_oids)], op[2])
+        elif op[0] == "grow_q_bulk" and q_oids:
+            o = q_oids[op[1] % len(q_oids)]
+            instance.add_set_elements(o, set(op[2]) - instance.value_of(o).elements)
         elif op[0] == "rel_del":
             instance.remove_relation_member("R", OTuple(A01=op[1], A02=op[2]))
         elif op[0] == "del_p" and p_oids:

@@ -95,12 +95,6 @@ class TestOSet:
         assert len(OSet()) == 0
         assert OSet() == OSet([])
 
-    def test_add_is_persistent(self):
-        s = OSet([1])
-        s2 = s.add(2)
-        assert 2 in s2 and 2 not in s
-        assert s.add(1) is s  # no-op returns self
-
     def test_union(self):
         assert OSet([1]).union([2, 3]) == OSet([1, 2, 3])
 
