@@ -1,42 +1,66 @@
-"""Rule compilation: specialize planned bodies into Python closures.
+"""Rule compilation: each kernel is one generated loop nest.
 
 Compiled kernels are the production engine's only join path. An
 interpreter (:func:`~repro.iql.valuation.solve_body`) walks a plan step
 list and re-dispatches through ``eval_term``/``satisfies``/``match`` per
-candidate binding, copying a dict per extension. This module follows the
-Soufflé-style move of specializing each rule once: the memoized
-cost-based plan from :func:`~repro.iql.valuation.lookup_plan` is compiled
-into a *closure chain* — one nested closure per plan step, calling the
-next step directly — over a single mutable **slot list** instead of dict
-copies.
+candidate binding, copying a dict per extension. This module instead
+writes the Python source of each kernel, in the manner of data-centric
+code generation (Neumann, "Efficiently Compiling Efficient Query Plans
+for Modern Hardware", VLDB 2011): the memoized cost-based plan from
+:func:`~repro.iql.valuation.lookup_plan` becomes one loop nest, a ``for``
+per probe or scan and a flat test per filter and matcher, over local
+variables, and each solution is written into a **slot list** (one fixed
+index per variable) that is handed to a consumer.
 
-What the compiler resolves at compile time (per rule, per instance):
+A kernel has one of four shapes: a γ1 rule (its body, the blocking check
+and the head applier), a semi-naive rule's round-0 body with its head
+evaluator, one delta position (a matcher that seeds the slots from one
+delta fact, the rest of the body, the head evaluator) and the
+:data:`HEAD` position (the same, with the head element as the matched
+fact). What the generator decides once per kernel and plan:
 
-* **slot layout** — every variable gets a fixed integer slot; which slots
+* **slot layout** — every variable gets a fixed slot and a local; which
   are bound at each program point is static (each generator step binds
-  exactly its literal's variables), so slots are written in place with no
-  undo machinery,
-* **index probes** — the relation attribute-projection dicts of
-  :class:`~repro.iql.indexes.InstanceIndexes` are captured as plain dicts,
-  so a probe is one ``dict.get`` at run time,
-* **scan sources** — relation/class extension *sets* are captured
-  directly (the :class:`~repro.schema.instance.Instance` mutators update
-  these objects in place, so captured references stay current),
-* **constant subterms** — ground, name-free terms are evaluated once at
-  compile time,
+  exactly its literal's variables), so nothing is ever undone,
+* **index probes** — a probe is one call of a projection index's
+  ``dict.get`` (:class:`~repro.iql.indexes.InstanceIndexes`),
+* **scan sources** — relation/class extension *sets* are read directly
+  (the :class:`~repro.schema.instance.Instance` mutators update these
+  objects in place, so they stay current),
+* **constant subterms** — ground, name-free terms are evaluated once,
 * **tuple construction** — a tuple term becomes its canonical pair tuple,
   built in the term's (sorted) field order and interned through the
   trusted :func:`~repro.values.ovalues.interned_tuple`, with no
   re-validation or re-sorting per fact,
 * **membership without a tuple** — a name-container membership filter
-  whose element is a tuple term with no dereference probes the intern
-  table for the pair tuple instead of building the tuple: no live node
-  means no extension holds the value,
-* **the head** — each rule gets a compiled blocking check (the
-  valuation-domain condition of γ1, including invention variables ranging
-  over class extents) and a compiled applier, which evaluates the head
-  and stages its write (a relation or class fact, a set element, a (★)
-  candidate) for the evaluator to apply after the step's last head.
+  whose element is a tuple term with no dereference probes the live
+  intern table (read on every test, never captured) for the pair tuple
+  instead of building the tuple: no live node means no extension holds
+  the value,
+* **the head** — the blocking check (the valuation-domain condition of
+  γ1, including invention variables ranging over class extents) and an
+  applier that evaluates the head and stages its write (a relation or
+  class fact, a set element, a (★) candidate) for the evaluator to apply
+  after the step's last head.
+
+**Factories and binding.** The generated text defines a *factory*,
+``factory(I, C, B)``. Every user value — a constant, an attribute,
+relation or class name, a type, a rule or literal quoted in an error
+message — is an element of the constants tuple ``C`` and the text names
+it by position, so no user text is ever compiled, and the text depends
+only on the rule's shape, the kernel's shape and the plan's steps.
+Factory functions are cached by their text for the whole process
+(:data:`CODE_CACHE`, at most :attr:`CodeCache.LIMIT` entries), so a
+second program of the same rules compiles nothing. A
+:class:`KernelFactory` — the factory, its constants and its plan —
+depends only on its :class:`~repro.iql.program.Program`, which memoizes
+it (:meth:`~repro.iql.program.Program.rule_memo`) beside the rule's
+plan memo.
+*Binding* a kernel to an instance ``I`` is one factory call: it reads
+the live extension sets and ``value_of``, builds any projection index
+the plan probes, and returns the kernel's functions. Bound kernels
+belong to an evaluator's :class:`RuleCompiler`, so a program keeps no
+instance alive.
 
 The compilable fragment covers everything the planner emits, IQL*
 deletion bodies included, *except* the constructs whose matching is
@@ -53,26 +77,32 @@ loop:
 
 A semi-naive stratum needs every rule's round-0 and delta kernels; when
 one refuses, the γ1 loop finishes the stratum, and
-:meth:`RuleCompiler.seminaive_kernels` refuses the rule from then on.
+:meth:`RuleCompiler.seminaive_kernels` refuses the rule from then on. A
+refusal is memoized on the program, with the construct's reason.
 
-**Invalidation.** A kernel hard-codes one instance's sets and index dicts
-and one plan's join order. It is valid only while three things hold:
-``kernel.instance is instance``; when index dicts were captured,
-``instance._indexes`` is still the captured :class:`InstanceIndexes`
-object; and its plan is not stale (:meth:`~repro.iql.valuation.Plan.is_stale`:
-no extension the plan reads has grown or shrunk ``REPLAN_GROWTH``-fold
-since it was costed). ``Instance.drop_indexes()`` (the IQL* deletion
-path) replaces the index object, so its kernels are recompiled from
-post-deletion state; a kernel whose plan went stale is recompiled against
-a plan re-costed on the instance at hand. Kernels are cached per rule in
-``Rule.kernel_cache`` keyed by shape: ``"rule"`` for γ1, ``"sn"`` for the
-delta rewriting.
+**Invalidation.** A bound kernel hard-codes one instance's sets and
+index dicts and one plan's join order. It is valid only while three
+things hold: ``kernel.instance is instance``; when it probes an index,
+``instance._indexes`` is still the :class:`InstanceIndexes` object it
+was bound to; and its plan is not stale
+(:meth:`~repro.iql.valuation.Plan.is_stale`: no extension the plan reads
+has grown or shrunk ``REPLAN_GROWTH``-fold since it was costed).
+``Instance.drop_indexes()`` replaces the index object, so its kernels
+are bound again; a kernel whose plan went stale is bound from a factory
+generated for a plan re-costed on the instance at hand (from the code
+cache when that text was seen before). A factory is valid for as long as
+its plan is not stale.
 
 **Contract.** A running kernel iterates live extension sets; callers must
 not mutate the instance while a kernel is executing. Both engines satisfy
 this: γ1 collects additions and applies them after all bodies are solved,
 and the semi-naive rounds stage new facts in a delta before applying.
-Appliers stage too, so no head of a γ1 step sees another's write.
+Appliers stage too, so no head of a γ1 step sees another's write. A
+factory function is shared by every program whose kernel has the same
+text, so it reads nothing but its arguments and this module's helpers,
+and a bound kernel keeps no state between calls: a solution lives only
+in the slot list its caller passes, and the consumer copies what it
+keeps.
 
 Compiled execution reports ``rules_compiled`` / ``rules_interpreted`` /
 ``compile_fallbacks`` / ``compile_time`` into
@@ -82,8 +112,7 @@ Compiled execution reports ``rules_compiled`` / ``rules_interpreted`` /
 from __future__ import annotations
 
 import time
-from operator import itemgetter
-from typing import AbstractSet, Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.effects import mentions_name
 from repro.errors import EvaluationError
@@ -97,10 +126,17 @@ from repro.typesys.expressions import Base, ClassRef
 from repro.values.intern import STORE
 from repro.values.ovalues import CONSTANT_TYPES, Oid, OSet, OTuple, OValue, interned_tuple
 
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.iql.program import Program
+
 #: A binding environment: one mutable list, one slot per variable.
 Slots = List[Optional[OValue]]
 #: A consumer invoked once per solution, with the (live, reused) slot list.
 Consumer = Callable[[Slots], None]
+
+#: The position of the head-bound kernel (:meth:`SeminaiveKernels.delta`);
+#: body positions are 0, 1, ...
+HEAD = -1
 
 
 class CompileFallback(Exception):
@@ -117,130 +153,6 @@ class CompileFallback(Exception):
         self.reason = reason
 
 
-class _Layout:
-    """The compile-time slot assignment: variable → fixed list index."""
-
-    __slots__ = ("slots", "index")
-
-    def __init__(self, initial_vars: Sequence[Var] = ()):
-        self.slots: List[Var] = list(initial_vars)
-        self.index: Dict[Var, int] = {v: i for i, v in enumerate(self.slots)}
-
-    def slot(self, var: Var) -> int:
-        """The slot of ``var``, allocating a new one on first sight."""
-        i = self.index.get(var)
-        if i is None:
-            i = len(self.slots)
-            self.slots.append(var)
-            self.index[var] = i
-        return i
-
-
-# -- term evaluators: fn(slots) -> OValue | None ---------------------------------
-#
-# Mirrors eval_term: None exactly when a dereferenced oid's value is
-# undefined (unbound variables cannot occur — the caller compiles an
-# evaluator only at program points where the term's variables have slots).
-
-
-def _compile_eval(term: Term, layout: _Layout, instance: Instance):
-    if isinstance(term, Const):
-        value = term.value
-        return lambda slots: value
-    if isinstance(term, Var):
-        return itemgetter(layout.index[term])
-    if term.is_ground() and not mentions_name(term):
-        # Constant subterm: pre-evaluate once at compile time.
-        value = eval_term(term, {}, instance)
-        return lambda slots: value
-    if isinstance(term, NameTerm):
-        name = term.name
-        src: AbstractSet[OValue]
-        if instance.schema.is_relation(name):
-            src = instance.relations[name]
-        else:
-            src = instance.classes[name]
-        return lambda slots: OSet(src)
-    if isinstance(term, Deref):
-        i = layout.index[term.var]
-        value_of = instance.value_of
-        var_name = term.var.name
-
-        def eval_deref(slots):
-            oid = slots[i]
-            if not isinstance(oid, Oid):
-                raise EvaluationError(
-                    f"{var_name!r} bound to non-oid {oid!r} in a dereference"
-                )
-            return value_of(oid)
-
-        return eval_deref
-    if isinstance(term, SetTerm):
-        subs = tuple(_compile_eval(sub, layout, instance) for sub in term.terms)
-
-        def eval_set(slots):
-            elements = []
-            for sub in subs:
-                v = sub(slots)
-                if v is None:
-                    return None
-                elements.append(v)
-            return OSet(elements)
-
-        return eval_set
-    if isinstance(term, TupleTerm):
-        if not _can_be_undefined(term):
-            return _compile_pairs(term, layout, instance, interned_tuple)
-        subs = tuple(
-            (attr, _compile_eval(sub, layout, instance)) for attr, sub in term.fields
-        )
-
-        def eval_tuple(slots):
-            pairs = []
-            for attr, sub in subs:
-                v = sub(slots)
-                if v is None:
-                    return None
-                pairs.append((attr, v))
-            return interned_tuple(tuple(pairs))
-
-        return eval_tuple
-    raise EvaluationError(f"not a term: {term!r}")  # pragma: no cover
-
-
-def _compile_pairs(term: TupleTerm, layout: _Layout, instance: Instance, finish):
-    """fn(slots) -> ``finish(pairs)``, for a tuple term that cannot be
-    undefined, where ``pairs`` is the term's canonical pair tuple.
-
-    Pairs follow ``term.fields``, which is sorted by attribute: the order
-    :class:`OTuple` canonicalizes to, so ``pairs`` is the intern key of
-    the value. Every subterm evaluator yields an o-value (a matcher-bound
-    slot, a validated constant, an interned tuple or set), which is what
-    :func:`~repro.values.ovalues.interned_tuple` trusts.
-    """
-    subs = tuple((attr, _compile_eval(sub, layout, instance)) for attr, sub in term.fields)
-    if len(subs) == 1:
-        ((a0, e0),) = subs
-        return lambda slots: finish(((a0, e0(slots)),))
-    if len(subs) == 2:
-        (a0, e0), (a1, e1) = subs
-        return lambda slots: finish(((a0, e0(slots)), (a1, e1(slots))))
-
-    def finish_pairs(slots):
-        pairs = [(attr, sub(slots)) for attr, sub in subs]
-        return finish(tuple(pairs))
-
-    return finish_pairs
-
-
-def _live_tuple(pairs):
-    """The live interned tuple whose canonical pair tuple is ``pairs``, or
-    None. The table is read per call, never captured: a kernel outlives
-    any one table state."""
-    entry = STORE.tuples.get(pairs)
-    return None if entry is None else entry()
-
-
 def _can_be_undefined(term: Term) -> bool:
     """Can evaluation yield None (i.e. is there a dereference inside)?"""
     if isinstance(term, Deref):
@@ -252,410 +164,716 @@ def _can_be_undefined(term: Term) -> bool:
     return False
 
 
-# -- matchers: fn(value, slots) -> bool, binding new slots in place ---------------
-#
-# The compiled counterpart of the *single-extension* subset of match():
-# every construct below extends the bindings at most once per value, so a
-# boolean suffices. The two multi-extension constructs — unbound
-# dereference and set patterns of two or more terms — raise
-# CompileFallback instead.
+# -- the errors generated code raises ----------------------------------------------
 
 
-def _compile_match(term: Term, layout: _Layout, bound: Set[Var], instance: Instance):
-    if isinstance(term, Const):
-        value = term.value
-        return lambda x, slots: value == x
-    if isinstance(term, Var):
-        if term in bound:
-            i = layout.index[term]
-            return lambda x, slots: slots[i] == x
-        i = layout.slot(term)
-        bound.add(term)
-        var_type = term.type
-        if isinstance(var_type, Base):
-
-            def match_base(x, slots):
-                if isinstance(x, CONSTANT_TYPES):
-                    slots[i] = x
-                    return True
-                return False
-
-            return match_base
-        if isinstance(var_type, ClassRef):
-            extent = instance.classes.get(var_type.name)
-            if extent is not None:
-
-                def match_class(x, slots):
-                    if isinstance(x, Oid) and x in extent:
-                        slots[i] = x
-                        return True
-                    return False
-
-                return match_class
-        member_of = instance.member_of
-
-        def match_typed(x, slots):
-            if member_of(x, var_type):
-                slots[i] = x
-                return True
-            return False
-
-        return match_typed
-    if isinstance(term, NameTerm):
-        evaluate = _compile_eval(term, layout, instance)
-        return lambda x, slots: evaluate(slots) == x
-    if isinstance(term, Deref):
-        if term.var not in bound:
-            # Unbound dereference: match() scans the class — possibly
-            # many extensions per value.
-            raise CompileFallback("unbound-dereference")
-        i = layout.index[term.var]
-        value_of = instance.value_of
-        return lambda x, slots: value_of(slots[i]) == x
-    if isinstance(term, TupleTerm):
-        pairs = tuple(
-            (attr, _compile_match(sub, layout, bound, instance))
-            for attr, sub in term.fields
-        )
-        if len(pairs) == 2:
-            (a0, m0), (a1, m1) = pairs
-
-            def match_pair(x, slots):
-                # The value's pairs are in sorted attribute order, as the
-                # term's fields are.
-                if isinstance(x, OTuple):
-                    fields = x.items()
-                    if len(fields) == 2:
-                        (b0, v0), (b1, v1) = fields
-                        return a0 == b0 and a1 == b1 and m0(v0, slots) and m1(v1, slots)
-                return False
-
-            return match_pair
-        attrs = tuple(attr for attr, _ in term.fields)
-
-        def match_tuple(x, slots):
-            if not isinstance(x, OTuple) or x.attributes != attrs:
-                return False
-            for attr, sub in pairs:
-                if not sub(x[attr], slots):
-                    return False
-            return True
-
-        return match_tuple
-    if isinstance(term, SetTerm):
-        if term.variables() <= bound:
-            # Fully bound (``{}`` included): match() yields iff it
-            # evaluates to the value.
-            evaluate = _compile_eval(term, layout, instance)
-            return lambda x, slots: evaluate(slots) == x
-        if len(term.terms) > 1:
-            # Set patterns branch over element assignments (k-fold product).
-            raise CompileFallback("set-assignment")
-        # {t}: match()'s cover check admits exactly the one-element sets
-        # whose element matches t.
-        element_match = _compile_match(term.terms[0], layout, bound, instance)
-
-        def match_singleton(x, slots):
-            return isinstance(x, OSet) and len(x) == 1 and element_match(next(iter(x)), slots)
-
-        return match_singleton
-    raise EvaluationError(f"not a term: {term!r}")  # pragma: no cover
+def _non_oid(name: str, value: object) -> None:
+    raise EvaluationError(f"{name!r} bound to non-oid {value!r} in a dereference")
 
 
-# -- filters: fn(slots) -> bool (fully-bound literals) ----------------------------
+def _non_set(value: object, lit: Literal) -> None:
+    raise EvaluationError(f"membership against non-set value {value!r} in {lit!r}")
 
 
-def _compile_filter(lit: Literal, layout: _Layout, instance: Instance):
-    if isinstance(lit, Membership):
-        if isinstance(lit.container, NameTerm):
-            # A name container always evaluates to the (live) extension —
-            # test against the captured set directly instead of wrapping
-            # it in a fresh OSet per check.
-            name = lit.container.name
-            src: AbstractSet[OValue]
-            if instance.schema.is_relation(name):
-                src = instance.relations[name]
-            else:
-                src = instance.classes[name]
-            positive = lit.positive
-            element = lit.element
-            if isinstance(element, TupleTerm) and not _can_be_undefined(element):
-                # Every live o-value is the store's node for its content,
-                # so a content with no live node is in no extension.
-                probe = _compile_pairs(element, layout, instance, _live_tuple)
-
-                def check_name_member_probe(slots):
-                    node = probe(slots)
-                    if node is None:
-                        return not positive
-                    return (node in src) == positive
-
-                return check_name_member_probe
-            element_eval = _compile_eval(element, layout, instance)
-
-            def check_name_member(slots):
-                element = element_eval(slots)
-                if element is None:
-                    return False
-                return (element in src) == positive
-
-            return check_name_member
-        container_eval = _compile_eval(lit.container, layout, instance)
-        element_eval = _compile_eval(lit.element, layout, instance)
-        positive = lit.positive
-
-        def check_member(slots):
-            container = container_eval(slots)
-            element = element_eval(slots)
-            if container is None or element is None:
-                return False
-            if not isinstance(container, OSet):
-                raise EvaluationError(
-                    f"membership against non-set value {container!r} in {lit!r}"
-                )
-            return (element in container) == positive
-
-        return check_member
-    if isinstance(lit, Equality):
-        left_eval = _compile_eval(lit.left, layout, instance)
-        right_eval = _compile_eval(lit.right, layout, instance)
-        positive = lit.positive
-
-        def check_equal(slots):
-            left = left_eval(slots)
-            right = right_eval(slots)
-            if left is None or right is None:
-                return False
-            return (left == right) == positive
-
-        return check_equal
-    raise EvaluationError(f"unknown literal {lit!r}")  # pragma: no cover
+def _undefined_head(head: Literal) -> None:
+    detail = "undefined dereference in a head term" if isinstance(head, Membership) else (
+        "undefined dereference"
+    )
+    raise EvaluationError(f"head {head!r} not evaluable ({detail})")
 
 
-# -- the step chain ----------------------------------------------------------------
+def _non_oid_head(head: Literal, element: object) -> None:
+    raise EvaluationError(f"class head {head!r} derived non-oid {element!r}")
 
 
-def _no_sink(slots: Slots) -> None:  # pragma: no cover - kernels install a consumer
-    raise EvaluationError("compiled kernel executed without a consumer installed")
+#: Loops per generated function; Python allows 20 nested blocks.
+_LOOPS_PER_FUNCTION = 16
+
+#: The global names generated code may read besides builtins.
+_GLOBALS: Dict[str, Any] = {
+    "_OTuple": OTuple,
+    "_OSet": OSet,
+    "_Oid": Oid,
+    "_CONSTANT_TYPES": CONSTANT_TYPES,
+    "_tuple": interned_tuple,
+    "_STORE": STORE,
+    "_enumerate_type": enumerate_type,
+    "_EMPTY": frozenset(),
+    "_non_oid": _non_oid,
+    "_non_set": _non_set,
+    "_undefined_head": _undefined_head,
+    "_non_oid_head": _non_oid_head,
+}
 
 
-class _State:
-    """Mutable compile-pass state: did any step capture an index dict?"""
+class CodeCache:
+    """Factory functions by source text, shared by every program of the
+    process.
 
-    __slots__ = ("indexes",)
+    Holds at most :attr:`LIMIT` functions and drops the oldest first.
+    ``misses`` counts the texts compiled. A text holds no user value, so
+    two programs with rules of the same shapes and plans share entries.
+
+    The bound is sized from measured working sets: the whole test suite,
+    which runs several hundred generated programs in one process,
+    generates 847 distinct texts, ``benchmarks/run_all.py`` 65 and a
+    perfbench workload fewer than 20. An entry (text and compiled
+    factory) takes about 5 kB, so a full cache holds about 5 MB.
+    """
+
+    LIMIT = 1024
 
     def __init__(self) -> None:
-        self.indexes: Optional[Any] = None
+        self._functions: Dict[str, Callable] = {}
+        self.misses = 0
+
+    def function(self, source: str) -> Callable:
+        """The ``factory`` that ``source`` defines, compiled on first sight."""
+        function = self._functions.get(source)
+        if function is None:
+            self.misses += 1
+            namespace: Dict[str, Any] = {}
+            exec(compile(source, "<iql kernel>", "exec"), _GLOBALS, namespace)
+            function = namespace["factory"]
+            if len(self._functions) >= self.LIMIT:
+                self._functions.pop(next(iter(self._functions)), None)
+            self._functions[source] = function
+        return function
 
 
-def _compile_steps(plan, layout, bound, instance, budget, state):
-    """Compile a plan into (entry, sink_cell).
+#: The process's code cache.
+CODE_CACHE = CodeCache()
 
-    Forward pass: compile each step's predicates/matchers while the
-    bound-set evolves exactly as in plan_body. Backward fold: chain the
-    steps so each calls the next directly; the innermost calls through
-    ``sink_cell[0]``, which the kernel swaps per execution.
+
+# -- the generator -----------------------------------------------------------------
+
+
+class _Source:
+    """The source text of one kernel factory, and the constants it reads.
+
+    The text defines ``factory(I, C, B)`` — ``I`` the instance, ``C`` the
+    constants, ``B`` the enumeration budget — whose nested functions are
+    the kernel. A variable lives in local ``v<slot>``, a constant is
+    ``c<k>`` (``C[k]``), an object read from the instance at binding is
+    ``i<k>`` and a temporary ``t<k>``. ``fail`` is the statement that
+    drops the current candidate: ``continue`` inside a loop, a return
+    outside one.
     """
-    makers = []
-    for step in plan:
-        kind = step[0]
-        if kind == "filter":
-            predicate = _compile_filter(step[1], layout, instance)
 
-            def make_filter(nxt, predicate=predicate):
-                def run_filter(slots):
-                    if predicate(slots):
-                        nxt(slots)
+    def __init__(self, schema, initial: Sequence[Var] = ()):
+        self.schema = schema
+        self.slots: List[Var] = list(initial)
+        self.index: Dict[Var, int] = {v: i for i, v in enumerate(self.slots)}
+        self.initial = len(self.slots)
+        self.consts: List[object] = []
+        self._const_names: Dict[Tuple[type, object], str] = {}
+        self._reads: Dict[tuple, str] = {}
+        self.prologue: List[str] = []
+        self.lines: List[str] = []
+        self.bound: Set[Var] = set()
+        self.depth = 1
+        self.fail = "return"
+        self._outer: List[str] = []
+        self._temps = 0
+        self.probes = False
 
-                return run_filter
+    # -- names -------------------------------------------------------------------
 
-            makers.append(make_filter)
-        elif kind == "member":
-            makers.append(_compile_member(step[1], step[2], layout, bound, instance, state))
-        elif kind == "equal":
-            lit, left_known = step[1], step[2]
-            known, pattern = (
-                (lit.left, lit.right) if left_known else (lit.right, lit.left)
-            )
-            known_eval = _compile_eval(known, layout, instance)
-            matcher = _compile_match(pattern, layout, bound, instance)
+    def const(self, value: object) -> str:
+        key = (type(value), value)
+        name = self._const_names.get(key)
+        if name is None:
+            name = self._const_names[key] = f"c{len(self.consts)}"
+            self.consts.append(value)
+        return name
 
-            def make_equal(nxt, known_eval=known_eval, matcher=matcher):
-                def run_equal(slots):
-                    value = known_eval(slots)
-                    if value is not None and matcher(value, slots):
-                        nxt(slots)
+    def read(self, key: tuple, code: str) -> str:
+        """A local holding ``code``, evaluated on the instance at binding."""
+        name = self._reads.get(key)
+        if name is None:
+            name = self._reads[key] = f"i{len(self._reads)}"
+            self.prologue.append(f"    {name} = {code}")
+        return name
 
-                return run_equal
+    def extension(self, name: str) -> str:
+        table = "relations" if self.schema.is_relation(name) else "classes"
+        return self.read(("extension", name), f"I.{table}[{self.const(name)}]")
 
-            makers.append(make_equal)
-        else:  # kind == "enum"
-            var = step[1]
-            i = layout.slot(var)
-            bound.add(var)
-            var_type = var.type
+    def value_of(self) -> str:
+        return self.read(("value_of",), "I.value_of")
 
-            def make_enum(nxt, i=i, var_type=var_type):
-                def run_enum(slots):
-                    for value in enumerate_type(
-                        var_type,
-                        instance.sorted_constants(),
-                        instance.classes,
-                        budget=budget,
-                    ):
-                        slots[i] = value
-                        nxt(slots)
+    def temp(self) -> str:
+        self._temps += 1
+        return f"t{self._temps}"
 
-                return run_enum
+    def var(self, var: Var) -> str:
+        return f"v{self.index[var]}"
 
-            makers.append(make_enum)
+    def bind(self, var: Var) -> str:
+        """``var``'s local, allocating its slot on first sight; marks it bound."""
+        if var not in self.index:
+            self.index[var] = len(self.slots)
+            self.slots.append(var)
+        self.bound.add(var)
+        return self.var(var)
 
-    sink_cell: List[Consumer] = [_no_sink]
+    # -- layout of the text ------------------------------------------------------
 
-    def sink(slots):
-        sink_cell[0](slots)
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.depth + line)
 
-    entry = sink
-    for maker in reversed(makers):
-        entry = maker(entry)
-    return entry, sink_cell
+    def function(self, signature: str, bound: Sequence[Var], reads=()) -> None:
+        """Start a nested function of the factory whose locals ``reads``
+        come from the slot list, with ``bound`` the variables bound."""
+        self.depth = 1
+        self.emit(f"def {signature}:")
+        self.depth = 2
+        self.fail = "return"
+        self._outer = []
+        self.bound = set(bound)
+        for var in sorted(reads, key=self.index.__getitem__):
+            self.emit(f"{self.var(var)} = slots[{self.index[var]}]")
 
+    def open(self, header: str) -> None:
+        """Open a loop; inside it, a failed test moves to the next element."""
+        self.emit(header)
+        self.depth += 1
+        self._outer.append(self.fail)
+        self.fail = "continue"
 
-def _compile_member(lit, probes, layout, bound, instance, state):
-    """A ("member", lit, probes) step: probe or scan, then match."""
-    container = lit.container
-    probe_list: Tuple[Tuple[Any, Any], ...] = ()
-    if probes:
-        name = container.name
-        indexes = instance.indexes
-        state.indexes = indexes
-        # Capture the projection index dicts now; they are maintained in
-        # place by the instance mutators, so a probe at run time is one
-        # dict.get against current contents.
-        probe_list = tuple(
-            (indexes.relation_index(name, attr), _compile_eval(sub, layout, instance))
-            for attr, sub in probes
-        )
-    matcher = _compile_match(lit.element, layout, bound, instance)
-    if probe_list:
-        if len(probe_list) == 1:
-            index_get = probe_list[0][0].get
-            value_eval = probe_list[0][1]
+    def close(self) -> None:
+        self.depth -= 1
+        self.fail = self._outer.pop()
 
-            def make_probe1(nxt, index_get=index_get, value_eval=value_eval, matcher=matcher):
-                def run_probe1(slots):
-                    value = value_eval(slots)
-                    if value is None:
-                        return  # undefined dereference: no member can match
-                    bucket = index_get(value)
-                    if bucket:
-                        for element in bucket:
-                            if matcher(element, slots):
-                                nxt(slots)
+    def text(self, names: Sequence[str]) -> str:
+        lines = ["def factory(I, C, B):"]
+        if self.consts:
+            lines.append("    " + "".join(f"c{k}, " for k in range(len(self.consts))) + "= C")
+        lines += self.prologue
+        lines += self.lines
+        lines.append("    return " + "".join(f"{name}, " for name in names))
+        return "\n".join(lines) + "\n"
 
-                return run_probe1
+    # -- terms ---------------------------------------------------------------------
+    #
+    # value() mirrors eval_term: a dereference of an oid without a value
+    # is undefined, and so is every term around it; ``undefined`` (the
+    # current ``fail`` by default) runs then. match() is the compiled
+    # counterpart of the *single-extension* subset of match(): each
+    # construct below extends the bindings at most once per value. The two
+    # multi-extension constructs raise CompileFallback instead.
 
-            return make_probe1
+    def value(self, term: Term, undefined: Optional[str] = None) -> str:
+        """A local or constant holding ``term``'s value."""
+        if isinstance(term, Const):
+            return self.const(term.value)
+        if isinstance(term, Var):
+            return self.var(term)
+        if term.is_ground() and not mentions_name(term):
+            # A ground, name-free term reads no instance.
+            return self.const(eval_term(term, {}, None))  # type: ignore[arg-type]
+        if undefined is None:
+            undefined = self.fail
+        if isinstance(term, NameTerm):
+            expr = f"_OSet({self.extension(term.name)})"
+        elif isinstance(term, Deref):
+            t = self.temp()
+            self.emit(f"{t} = {self.var(term.var)}")
+            self.emit(f"if not isinstance({t}, _Oid): _non_oid({self.const(term.var.name)}, {t})")
+            self.emit(f"{t} = {self.value_of()}({t})")
+            self.emit(f"if {t} is None: {undefined}")
+            return t
+        elif isinstance(term, SetTerm):
+            elements = [self.value(sub, undefined) for sub in term.terms]
+            expr = f"_OSet(({''.join(e + ', ' for e in elements)}))"
+        elif isinstance(term, TupleTerm):
+            expr = f"_tuple({self.pairs(term, undefined)})"
+        else:  # pragma: no cover - every term class is handled above
+            raise EvaluationError(f"not a term: {term!r}")
+        t = self.temp()
+        self.emit(f"{t} = {expr}")
+        return t
 
-        def make_probe(nxt, probe_list=probe_list, matcher=matcher):
-            def run_probe(slots):
-                members = None
-                for index, value_eval in probe_list:
-                    value = value_eval(slots)
-                    if value is None:
-                        return  # undefined dereference: no member can match
-                    bucket = index.get(value, ())
-                    if members is None or len(bucket) < len(members):
-                        members = bucket
-                    if not members:
-                        return
-                for element in members:
-                    if matcher(element, slots):
-                        nxt(slots)
+    def pairs(self, term: TupleTerm, undefined: Optional[str] = None) -> str:
+        """The canonical pair tuple of a tuple term, as an expression.
 
-            return run_probe
+        Pairs follow ``term.fields``, which is sorted by attribute: the
+        order :class:`OTuple` canonicalizes to, so the pair tuple is the
+        value's intern key. Every component is an o-value (a bound
+        variable, a validated constant, an interned tuple or set), which
+        is what :func:`~repro.values.ovalues.interned_tuple` trusts."""
+        items = [
+            f"({self.const(attr)}, {self.value(sub, undefined)}), " for attr, sub in term.fields
+        ]
+        return f"({''.join(items)})"
 
-        return make_probe
-    if isinstance(container, NameTerm):
-        name = container.name
-        src: AbstractSet[OValue]
-        if instance.schema.is_relation(name):
-            src = instance.relations[name]
+    def match(self, term: Term, x: str) -> None:
+        """Test the value in ``x`` against ``term``, binding its unbound
+        variables."""
+        fail = self.fail
+        if isinstance(term, Const):
+            self.emit(f"if {x} != {self.const(term.value)}: {fail}")
+        elif isinstance(term, Var):
+            if term in self.bound:
+                self.emit(f"if {x} != {self.var(term)}: {fail}")
+            else:
+                local = self.bind(term)
+                self.emit(f"{local} = {x}")
+                self.check_type(term, local)
+        elif isinstance(term, Deref):
+            if term.var not in self.bound:
+                # Unbound dereference: match() scans the class, possibly
+                # many extensions per value.
+                raise CompileFallback("unbound-dereference")
+            self.emit(f"if {self.value_of()}({self.var(term.var)}) != {x}: {fail}")
+        elif isinstance(term, TupleTerm):
+            self.match_tuple(term, x)
+        elif isinstance(term, SetTerm) and not term.variables() <= self.bound:
+            if len(term.terms) > 1:
+                # Set patterns branch over element assignments (k-fold product).
+                raise CompileFallback("set-assignment")
+            # {t}: match()'s cover check admits exactly the one-element
+            # sets whose element matches t.
+            self.emit(f"if not isinstance({x}, _OSet) or len({x}) != 1: {fail}")
+            element = self.temp()
+            self.emit(f"({element},) = {x}._elements")
+            self.match(term.terms[0], element)
+        elif isinstance(term, (NameTerm, SetTerm)):
+            # A name, or a fully bound set ({} included): equal iff it
+            # evaluates to the value.
+            value = self.value(term)
+            self.emit(f"if {value} != {x}: {fail}")
+        else:  # pragma: no cover - every term class is handled above
+            raise EvaluationError(f"not a term: {term!r}")
+
+    def match_tuple(self, term: TupleTerm, x: str) -> None:
+        fail = self.fail
+        fields = term.fields
+        self.emit(f"if not isinstance({x}, _OTuple): {fail}")
+        items = self.temp()
+        self.emit(f"{items} = {x}._fields")
+        self.emit(f"if len({items}) != {len(fields)}: {fail}")
+        if not fields:
+            return
+        # The value's pairs are in sorted attribute order, as the term's
+        # fields are. A variable met first here, and only once in the
+        # term, is unpacked straight into its local.
+        occurrences: Dict[Var, int] = {}
+        for _, sub in fields:
+            for var in sub.variables():
+                occurrences[var] = occurrences.get(var, 0) + 1
+        names, locals_, direct = [], [], []
+        for _, sub in fields:
+            first = isinstance(sub, Var) and sub not in self.bound and occurrences[sub] == 1
+            names.append(self.temp())
+            locals_.append(self.bind(sub) if first else self.temp())
+            direct.append(first)
+        self.emit("".join(f"({a}, {v}), " for a, v in zip(names, locals_)) + f"= {items}")
+        tests = " or ".join(f"{a} != {self.const(attr)}" for a, (attr, _) in zip(names, fields))
+        self.emit(f"if {tests}: {fail}")
+        for (_, sub), local, first in zip(fields, locals_, direct):
+            if first:
+                self.check_type(sub, local)
+            else:
+                self.match(sub, local)
+
+    def check_type(self, var: Var, local: str) -> None:
+        """The type test of a variable bound by matching."""
+        var_type = var.type
+        if isinstance(var_type, Base):
+            self.emit(f"if not isinstance({local}, _CONSTANT_TYPES): {self.fail}")
+        elif isinstance(var_type, ClassRef) and self.schema.is_class(var_type.name):
+            extent = self.extension(var_type.name)
+            self.emit(f"if not isinstance({local}, _Oid) or {local} not in {extent}: {self.fail}")
         else:
-            src = instance.classes[name]
+            member_of = self.read(("member_of",), "I.member_of")
+            self.emit(f"if not {member_of}({local}, {self.const(var_type)}): {self.fail}")
 
-        def make_scan(nxt, src=src, matcher=matcher):
-            def run_scan(slots):
-                for element in src:
-                    if matcher(element, slots):
-                        nxt(slots)
+    # -- body steps ----------------------------------------------------------------
 
-            return run_scan
+    def require_set(self, members: str, lit: Literal) -> None:
+        self.emit(f"if not isinstance({members}, _OSet): _non_set({members}, {self.const(lit)})")
 
-        return make_scan
-    container_eval = _compile_eval(container, layout, instance)
+    def filter(self, lit: Literal) -> None:
+        fail = self.fail
+        if isinstance(lit, Membership):
+            test = "not in" if lit.positive else "in"
+            container, element = lit.container, lit.element
+            if isinstance(container, NameTerm):
+                members = self.extension(container.name)
+                if isinstance(element, TupleTerm) and not _can_be_undefined(element):
+                    # Every live o-value is the store's node for its
+                    # content, so a content with no live node is in no
+                    # extension.
+                    node = self.temp()
+                    self.emit(f"{node} = _STORE.tuples.get({self.pairs(element)})")
+                    if lit.positive:
+                        self.emit(f"if {node} is None or {node}() not in {members}: {fail}")
+                    else:
+                        self.emit(f"if {node} is not None and {node}() in {members}: {fail}")
+                    return
+                self.emit(f"if {self.value(element)} {test} {members}: {fail}")
+                return
+            members = self.value(container)
+            value = self.value(element)
+            self.require_set(members, lit)
+            self.emit(f"if {value} {test} {members}: {fail}")
+            return
+        if isinstance(lit, Equality):
+            left = self.value(lit.left)
+            right = self.value(lit.right)
+            self.emit(f"if {left} {'!=' if lit.positive else '=='} {right}: {fail}")
+            return
+        raise EvaluationError(f"unknown literal {lit!r}")  # pragma: no cover
 
-    def make_deref_scan(nxt, container_eval=container_eval, matcher=matcher):
-        def run_deref_scan(slots):
-            members = container_eval(slots)
-            if members is None:
-                return  # undefined dereference: no facts to match
-            if not isinstance(members, OSet):
-                raise EvaluationError(
-                    f"membership against non-set value {members!r} in {lit!r}"
+    def member(self, lit: Membership, probes) -> None:
+        """A ("member", lit, probes) step: probe or scan, then match."""
+        container = lit.container
+        if probes:
+            assert isinstance(container, NameTerm)  # the planner probes relations only
+            name = self.const(container.name)
+            self.probes = True
+            source = ""
+            for attr, sub in probes:
+                get = self.read(
+                    ("index", container.name, attr),
+                    f"I.indexes.relation_index({name}, {self.const(attr)}).get",
                 )
-            for element in members:
-                if matcher(element, slots):
-                    nxt(slots)
+                bucket = f"{get}({self.value(sub)}, _EMPTY)"
+                if not source and len(probes) == 1:
+                    source = bucket
+                elif not source:
+                    source = self.temp()
+                    self.emit(f"{source} = {bucket}")
+                    self.emit(f"if not {source}: {self.fail}")
+                else:
+                    other = self.temp()
+                    self.emit(f"{other} = {bucket}")
+                    self.emit(f"if len({other}) < len({source}): {source} = {other}")
+                    self.emit(f"if not {source}: {self.fail}")
+        elif isinstance(container, NameTerm):
+            source = self.extension(container.name)
+        else:
+            source = self.value(container)
+            self.require_set(source, lit)
+        element = self.temp()
+        self.open(f"for {element} in {source}:")
+        self.match(lit.element, element)
 
-        return run_deref_scan
+    def nest(self, plan: Plan) -> None:
+        """``entry(slots, consume)``: the plan as one loop nest.
 
-    return make_deref_scan
+        Python nests at most 20 blocks in one function, so every
+        :data:`_LOOPS_PER_FUNCTION` loops the rest of the nest continues
+        in a function of its own, called with the variables bound so far.
+        """
+        initial = self.slots[: self.initial]
+        self.function("entry(slots, consume)", initial, initial)
+        finished: List[str] = []
+        loops = parts = 0
+        for step in plan:
+            kind = step[0]
+            if kind in ("member", "enum"):
+                if loops == _LOOPS_PER_FUNCTION:
+                    parts += 1
+                    bound = [v for v in self.slots if v in self.bound]
+                    args = "".join(f"{self.var(v)}, " for v in bound)
+                    call = f"nest{parts}(slots, consume, {args})"
+                    self.emit(call)
+                    finished += self.lines
+                    self.lines = []
+                    self.function(call, bound)
+                    loops = 0
+                loops += 1
+            if kind == "filter":
+                self.filter(step[1])
+            elif kind == "member":
+                self.member(step[1], step[2])
+            elif kind == "equal":
+                lit, left_known = step[1], step[2]
+                known, pattern = (lit.left, lit.right) if left_known else (lit.right, lit.left)
+                self.match(pattern, self.value(known))
+            else:  # kind == "enum"
+                var = step[1]
+                constants = self.read(("constants",), "I.sorted_constants")
+                classes = self.read(("classes",), "I.classes")
+                self.open(
+                    f"for {self.bind(var)} in _enumerate_type("
+                    f"{self.const(var.type)}, {constants}(), {classes}, budget=B):"
+                )
+        for i in range(self.initial, len(self.slots)):
+            self.emit(f"slots[{i}] = v{i}")
+        self.emit("consume(slots)")
+        self.lines = finished + self.lines
+
+    # -- the rest of a kernel --------------------------------------------------------
+
+    def matcher(self, element: Term) -> None:
+        """``matcher(x, slots)``: bind the initial slots from one fact."""
+        self.function("matcher(x, slots)", ())
+        self.fail = "return False"
+        self.match(element, "x")
+        for i in range(self.initial):
+            self.emit(f"slots[{i}] = v{i}")
+        self.emit("return True")
+
+    def head_eval(self, element: Term) -> None:
+        """``head_eval(slots)``: the head element, None when undefined."""
+        self.function("head_eval(slots)", self.slots, element.variables())
+        self.emit(f"return {self.value(element, 'return None')}")
+
+    def blocked(self, head: Literal, body_vars: Sequence[Var]) -> None:
+        """``blocked(slots)``: the valuation-domain blocking condition.
+
+        Head-only (invention) variables are unbound here, so their
+        matchers range over existing class members — exactly
+        ``Evaluator._head_satisfiable``."""
+        self.function("blocked(slots)", body_vars, head.variables() & set(body_vars))
+        self.fail = "return False"
+        if isinstance(head, Membership):
+            container = head.container
+            if isinstance(container, NameTerm):
+                members = self.extension(container.name)
+            elif isinstance(container, Deref):
+                if container.var not in self.bound:
+                    # x is an invention variable: a fresh oid has no ν
+                    # entry yet, so no extension can satisfy the head.
+                    self.emit("return False")
+                    return
+                members = self.temp()
+                self.emit(f"{members} = {self.value_of()}({self.var(container.var)})")
+                self.emit(f"if {members} is None: return False")
+            else:  # pragma: no cover - rejected by the type checker
+                raise EvaluationError(f"illegal head container {container!r}")
+            if head.element.variables() <= self.bound:
+                self.emit(f"return {self.value(head.element)} in {members}")
+                return
+            element = self.temp()
+            self.open(f"for {element} in {members}:")
+            self.match(head.element, element)
+        elif isinstance(head, Equality) and isinstance(head.left, Deref):
+            var = head.left.var
+            value = self.temp()
+            if var in self.bound:
+                self.emit(f"{value} = {self.value_of()}({self.var(var)})")
+                self.emit(f"if {value} is None: return False")
+                self.match(head.right, value)
+                self.emit("return True")
+                return
+            # Invented target: blocked iff some existing class oid's value
+            # matches the right-hand side (with the candidate bound to x).
+            class_name = _class_name(var)
+            extent = self.read(
+                ("extent", class_name), f"I.classes.get({self.const(class_name)}, _EMPTY)"
+            )
+            self.open(f"for {self.bind(var)} in {extent}:")
+            self.emit(f"{value} = {self.value_of()}({self.var(var)})")
+            self.emit(f"if {value} is None: continue")
+            self.match(head.right, value)
+        else:  # pragma: no cover - rejected by the type checker
+            raise EvaluationError(f"illegal head {head!r}")
+        self.emit("return True")
+        self.close()
+        self.emit("return False")
+
+    def apply(self, rule: Rule) -> None:
+        """``apply(slots, writes)``: evaluate the head and stage its write
+        in ``writes`` (a :class:`~repro.iql.evaluator.StepWrites`).
+
+        Nothing is written to the instance here: the evaluator applies the
+        staged writes after the step's last head, so every head reads the
+        instance the step started from."""
+        head = rule.head
+        self.function("apply(slots, writes)", self.slots, head.variables())
+        undefined = f"_undefined_head({self.const(head)})"
+        if isinstance(head, Membership):
+            element = self.value(head.element, undefined)
+            container = head.container
+            if isinstance(container, NameTerm):
+                if not self.schema.is_relation(container.name):
+                    self.emit(
+                        f"if not isinstance({element}, _Oid): "
+                        f"_non_oid_head({self.const(head)}, {element})"
+                    )
+                fact = f"({self.const(rule)}, {self.const(container.name)}, {element})"
+                self.emit(f"writes.facts.append({fact})")
+            else:
+                assert isinstance(container, Deref)  # checked by blocked()
+                oid = self.var(container.var)
+                self.emit(
+                    f"writes.elements.setdefault({oid}, {{}}).setdefault("
+                    f"{element}, {self.const(rule)})"
+                )
+        else:
+            assert isinstance(head, Equality) and isinstance(head.left, Deref)
+            value = self.value(head.right, undefined)
+            self.emit(f"writes.assign({self.var(head.left.var)}, {value})")
 
 
-# -- compiled bodies ---------------------------------------------------------------
+# -- factories ---------------------------------------------------------------------
+
+
+class KernelFactory:
+    """One kernel's factory, with what depends only on its program.
+
+    :meth:`bind` returns the kernel's functions for one instance: the
+    matcher of a delta kernel, the loop nest ``entry``, then the head
+    evaluator, or the blocking check and the applier of a γ1 rule.
+    ``source`` is the generated text. ``slot_vars`` is the body's layout
+    (initial variables first, then variables in order of first binding
+    along the plan), ``n_slots`` adds the invention slots of a γ1 rule,
+    ``inv_slots`` gives ((class name, slot), ...) for its invention
+    variables in name order (the interpreter's invention order), and
+    ``name_order`` the body slots in variable-name order.
+    """
+
+    __slots__ = (
+        "plan",
+        "make",
+        "consts",
+        "source",
+        "slot_vars",
+        "slot_index",
+        "n_slots",
+        "inv_slots",
+        "name_order",
+        "probes",
+    )
+
+    def __init__(self, plan: Plan, source: _Source, body_vars, inv_slots, functions):
+        self.plan = plan
+        self.source = source.text(functions)
+        self.make = CODE_CACHE.function(self.source)
+        self.consts = tuple(source.consts)
+        self.slot_vars: Tuple[Var, ...] = tuple(body_vars)
+        self.slot_index: Dict[Var, int] = {v: i for i, v in enumerate(body_vars)}
+        self.n_slots = len(source.slots)
+        self.inv_slots: Tuple[Tuple[str, int], ...] = inv_slots
+        self.name_order = tuple(
+            self.slot_index[v] for v in sorted(body_vars, key=lambda v: v.name)
+        )
+        self.probes = source.probes
+
+    def bind(self, instance: Instance, budget: int) -> tuple:
+        return self.make(instance, self.consts, budget)
+
+
+def _class_name(var: Var) -> str:
+    """The class of an invention variable, class-typed by the type checker."""
+    var_type = var.type
+    assert isinstance(var_type, ClassRef)
+    return var_type.name
+
+
+def _matched(rule: Rule, kind: int) -> Term:
+    """The element a delta kernel matches: the head's, or a body literal's."""
+    literal = rule.head if kind == HEAD else rule.body[kind]
+    assert isinstance(literal, Membership)  # the delta fragment's generators
+    return literal.element
+
+
+def _kernel_body(rule: Rule, kind) -> Tuple[Tuple[Literal, ...], Tuple[Var, ...]]:
+    """(literals, initially bound variables) of kernel ``kind`` of ``rule``."""
+    if kind in ("rule", "full"):
+        return tuple(lit for lit in rule.body if not isinstance(lit, Choose)), ()
+    rest = rule.body if kind == HEAD else rule.body[:kind] + rule.body[kind + 1 :]
+    return rest, tuple(sorted(_matched(rule, kind).variables(), key=lambda v: v.name))
+
+
+def _generate(schema, rule: Rule, kind, plan: Plan, initial) -> KernelFactory:
+    """Generate kernel ``kind`` of ``rule`` for ``plan``: ``"rule"`` (γ1),
+    ``"full"`` (round 0), a body position or :data:`HEAD` (delta)."""
+    source = _Source(schema, initial)
+    functions = ["entry"]
+    if kind not in ("rule", "full"):
+        source.matcher(_matched(rule, kind))
+        functions.insert(0, "matcher")
+    source.nest(plan)
+    body_vars = tuple(source.slots)
+    inv_slots: Tuple[Tuple[str, int], ...] = ()
+    if kind == "rule":
+        if not rule.delete:
+            inventions = sorted(rule.invention_variables(), key=lambda v: v.name)
+            for var in inventions:
+                source.bind(var)
+            inv_slots = tuple((_class_name(v), source.index[v]) for v in inventions)
+            source.blocked(rule.head, body_vars)
+            source.apply(rule)
+            functions += ["blocked", "apply"]
+    else:
+        head = rule.head
+        assert isinstance(head, Membership)  # semi-naive heads are R(t)
+        source.head_eval(head.element)
+        functions.append("head_eval")
+    return KernelFactory(plan, source, body_vars, inv_slots, functions)
+
+
+def kernel_factory(program: "Program", rule: Rule, kind, instance: Instance, stats=None):
+    """The factory of kernel ``kind`` of ``rule`` (``"rule"``, ``"full"``,
+    a body position or :data:`HEAD`), or raise :class:`CompileFallback`.
+
+    Every kernel the engine runs comes from here. The program memoizes
+    the factory; it is generated again only when its plan went stale for
+    ``instance``, under the plan re-costed on it. ``stats`` receives the
+    plan lookups."""
+    memo = program.rule_memo(rule)
+    factory = memo.factories.get(kind)
+    if factory is not None and not factory.plan.is_stale(instance):
+        if stats is not None:
+            stats.plan_cache_hits += 1
+        return factory
+    if kind == "rule" and rule.has_choose():
+        raise CompileFallback("choose")
+    literals, initial = _kernel_body(rule, kind)
+    plan = lookup_plan(literals, frozenset(initial), instance, memo.plans, stats)
+    if factory is None or factory.plan is not plan:
+        factory = memo.factories[kind] = _generate(program.schema, rule, kind, plan, initial)
+    return factory
+
+
+# -- bound kernels -----------------------------------------------------------------
 
 
 class CompiledBody:
-    """A planned body as a closure chain over a fixed slot layout.
+    """A planned body bound to one instance.
 
-    ``slots`` is the layout (initial variables first, then variables in
-    order of first binding along the plan). Executing writes one mutable
-    list in place and hands it to the consumer per solution; the consumer
-    must copy whatever it keeps.
+    ``entry(slots, consume)`` runs the loop nest with the initial slots
+    already in ``slots`` and hands ``consume`` the live, reused slot list
+    per solution; the consumer must copy whatever it keeps.
     """
 
-    __slots__ = ("slot_vars", "slot_index", "entry", "sink_cell", "instance", "indexes", "plan")
+    __slots__ = ("slot_vars", "slot_index", "name_order", "entry", "instance", "indexes", "plan")
 
-    def __init__(self, slot_vars, slot_index, entry, sink_cell, instance, indexes, plan):
-        self.slot_vars: Tuple[Var, ...] = slot_vars
-        self.slot_index: Dict[Var, int] = slot_index
+    def __init__(self, factory: KernelFactory, entry: Callable, instance: Instance):
+        self.slot_vars = factory.slot_vars
+        self.slot_index = factory.slot_index
+        #: The body's slots in variable-name order: the dedup key order of
+        #: the maintenance runtime's valuations.
+        self.name_order = factory.name_order
         self.entry = entry
-        self.sink_cell = sink_cell
         self.instance = instance
-        self.indexes = indexes
-        self.plan: Plan = plan
+        self.indexes = instance._indexes if factory.probes else None
+        self.plan: Plan = factory.plan
 
     def new_slots(self) -> Slots:
         return [None] * len(self.slot_vars)
 
     def execute(self, init_values: Sequence[OValue], consume: Consumer) -> None:
-        """Run the chain with slots 0..k-1 preset to ``init_values``."""
+        """Run the loop nest with slots 0..k-1 preset to ``init_values``."""
         slots: Slots = [None] * len(self.slot_vars)
         if init_values:
             slots[: len(init_values)] = init_values
-        self.sink_cell[0] = consume
-        self.entry(slots)
+        self.entry(slots, consume)
 
     def valid_for(self, instance: Instance) -> bool:
         """Is this kernel still sound, and its join order current, for
         ``instance``?
 
-        Identity of the instance pins the captured extension sets; when
-        probe dicts were captured, identity of ``instance._indexes`` pins
-        them too (``drop_indexes`` replaces the whole object). A stale
-        plan (:meth:`Plan.is_stale`) asks for a recompile under a
-        re-costed join order.
+        Identity of the instance pins the extension sets; when index
+        getters were bound, identity of ``instance._indexes`` pins them
+        too (``drop_indexes`` replaces the whole object). A stale plan
+        (:meth:`Plan.is_stale`) asks for a kernel under a re-costed join
+        order.
         """
         return (
             instance is self.instance
@@ -664,35 +882,8 @@ class CompiledBody:
         )
 
 
-def compile_body(
-    literals: Sequence[Literal],
-    initial_vars: Sequence[Var],
-    instance: Instance,
-    enumeration_budget: int = 100_000,
-    plan_cache: Optional[Dict] = None,
-    stats=None,
-) -> CompiledBody:
-    """Compile ``literals`` given ``initial_vars`` pre-bound, or raise
-    :class:`CompileFallback`. The cost-based plan is memoized in
-    ``plan_cache`` (the owning rule's)."""
-    literals = tuple(lit for lit in literals if not isinstance(lit, Choose))
-    plan = lookup_plan(literals, frozenset(initial_vars), instance, plan_cache, stats)
-    layout = _Layout(initial_vars)
-    bound: Set[Var] = set(initial_vars)
-    state = _State()
-    entry, sink_cell = _compile_steps(
-        plan, layout, bound, instance, enumeration_budget, state
-    )
-    return CompiledBody(
-        tuple(layout.slots), dict(layout.index), entry, sink_cell, instance, state.indexes, plan
-    )
-
-
-# -- compiled rules: body + blocking check + head applier -------------------------
-
-
 class CompiledRule:
-    """One rule specialized for γ1: body kernel, blocking check, applier.
+    """One rule bound for γ1: body kernel, blocking check, applier.
 
     ``solve`` enumerates body valuations (slot lists sized for body *and*
     invention variables); ``blocked`` is the valuation-domain condition
@@ -705,275 +896,59 @@ class CompiledRule:
 
     __slots__ = ("rule", "body", "n_slots", "inv_slots", "blocked", "apply")
 
-    def __init__(self, rule, body, n_slots, inv_slots, blocked, apply):
+    def __init__(self, rule: Rule, factory: KernelFactory, instance: Instance, budget: int):
+        entry, *head = factory.bind(instance, budget)
         self.rule = rule
-        self.body: CompiledBody = body
-        self.n_slots = n_slots
-        #: ((class name, slot index), ...) for invention variables, in
-        #: name order — the same invention order as the interpreter.
-        self.inv_slots: Tuple[Tuple[str, int], ...] = inv_slots
-        self.blocked = blocked
-        self.apply = apply
+        self.body = CompiledBody(factory, entry, instance)
+        self.n_slots = factory.n_slots
+        self.inv_slots = factory.inv_slots
+        self.blocked, self.apply = head if head else (None, None)
 
     def solve(self, consume: Consumer) -> None:
-        slots: Slots = [None] * self.n_slots
-        self.body.sink_cell[0] = consume
-        self.body.entry(slots)
+        self.body.entry([None] * self.n_slots, consume)
 
     def valid_for(self, instance: Instance) -> bool:
         return self.body.valid_for(instance)
 
 
-def compile_rule(
-    rule: Rule,
-    instance: Instance,
-    enumeration_budget: int = 100_000,
-    stats=None,
-) -> CompiledRule:
-    """Compile one rule for the naive one-step operator, or raise
-    :class:`CompileFallback`."""
-    if rule.has_choose():
-        raise CompileFallback("choose")
-    body = compile_body(
-        rule.body,
-        (),
-        instance,
-        enumeration_budget=enumeration_budget,
-        plan_cache=rule.plan_cache,
-        stats=stats,
-    )
-    if rule.delete:
-        return CompiledRule(rule, body, len(body.slot_vars), (), None, None)
-    layout = _Layout(())
-    layout.slots = list(body.slot_vars)
-    layout.index = dict(body.slot_index)
-    bound: Set[Var] = set(body.slot_vars)
-    inv_vars = sorted(rule.invention_variables(), key=lambda v: v.name)
-    inv_pairs: List[Tuple[str, int]] = []
-    for v in inv_vars:
-        v_type = v.type
-        assert isinstance(v_type, ClassRef)  # typechecked upstream
-        inv_pairs.append((v_type.name, layout.slot(v)))
-    inv_slots = tuple(inv_pairs)
-    blocked = _compile_blocked(rule, layout, bound, instance)
-    for var in inv_vars:
-        bound.add(var)  # the invention phase fills these before apply
-    apply = _compile_apply(rule, layout, instance)
-    return CompiledRule(rule, body, len(layout.slots), inv_slots, blocked, apply)
-
-
-def _compile_blocked(rule: Rule, layout: _Layout, bound: Set[Var], instance: Instance):
-    """The valuation-domain blocking condition, specialized per head shape.
-
-    ``bound`` holds the body variables; head-only (invention) variables
-    are unbound here, so their matchers range over existing class members
-    — exactly ``Evaluator._head_satisfiable``.
-    """
-    head = rule.head
-    value_of = instance.value_of
-    if isinstance(head, Membership):
-        container = head.container
-        if isinstance(container, NameTerm):
-            name = container.name
-            members: AbstractSet[OValue]
-            if instance.schema.is_relation(name):
-                members = instance.relations[name]
-            else:
-                members = instance.classes[name]
-            if head.element.variables() <= bound:
-                element_eval = _compile_eval(head.element, layout, instance)
-
-                def blocked_lookup(slots):
-                    element = element_eval(slots)
-                    return element is not None and element in members
-
-                return blocked_lookup
-            matcher = _compile_match(head.element, layout, bound, instance)
-
-            def blocked_scan(slots):
-                for existing in members:
-                    if matcher(existing, slots):
-                        return True
-                return False
-
-            return blocked_scan
-        # Deref container x̂(t).
-        assert isinstance(container, Deref)  # the only other legal container
-        var = container.var
-        if var not in bound:
-            # x is an invention variable: a fresh oid has no ν entry yet,
-            # so no extension can satisfy the head — never blocked.
-            return lambda slots: False
-        i = layout.index[var]
-        if head.element.variables() <= bound:
-            element_eval = _compile_eval(head.element, layout, instance)
-
-            def blocked_deref(slots):
-                members = value_of(slots[i])
-                if members is None:
-                    return False
-                element = element_eval(slots)
-                return element is not None and element in members
-
-            return blocked_deref
-        matcher = _compile_match(head.element, layout, bound, instance)
-
-        def blocked_deref_scan(slots):
-            members = value_of(slots[i])
-            if members is None:
-                return False
-            for element in members:
-                if matcher(element, slots):
-                    return True
-            return False
-
-        return blocked_deref_scan
-    if isinstance(head, Equality):
-        deref = head.left
-        if not isinstance(deref, Deref):  # pragma: no cover - typechecker
-            raise EvaluationError(f"illegal equality head {head!r}")
-        var = deref.var
-        if var in bound:
-            i = layout.index[var]
-            matcher = _compile_match(head.right, layout, bound, instance)
-
-            def blocked_assign(slots):
-                value = value_of(slots[i])
-                return value is not None and matcher(value, slots)
-
-            return blocked_assign
-        # Invented target: blocked iff some existing class oid's value
-        # matches the right-hand side (with the candidate bound to x).
-        i = layout.slot(var)
-        var_type = var.type
-        assert isinstance(var_type, ClassRef)  # typechecked upstream
-        extent: AbstractSet[Oid] = instance.classes.get(var_type.name, frozenset())
-        bound.add(var)
-        matcher = _compile_match(head.right, layout, bound, instance)
-
-        def blocked_assign_scan(slots):
-            for candidate in extent:
-                value = value_of(candidate)
-                if value is None:
-                    continue
-                slots[i] = candidate
-                if matcher(value, slots):
-                    return True
-            return False
-
-        return blocked_assign_scan
-    raise EvaluationError(f"illegal head {head!r}")  # pragma: no cover
-
-
-def _compile_apply(rule: Rule, layout: _Layout, instance: Instance):
-    """The head applier: fn(slots, writes) evaluates the head and stages
-    its write in ``writes`` (a :class:`~repro.iql.evaluator.StepWrites`).
-
-    Nothing is written to the instance here: the evaluator applies the
-    staged writes after the step's last head, so every head reads the
-    instance the step started from.
-    """
-    head = rule.head
-    if isinstance(head, Membership):
-        element_eval = _compile_eval(head.element, layout, instance)
-        container = head.container
-
-        def evaluated(slots):
-            element = element_eval(slots)
-            if element is None:
-                raise EvaluationError(
-                    f"head {head!r} not evaluable "
-                    f"(undefined dereference in a head term)"
-                )
-            return element
-
-        if isinstance(container, NameTerm):
-            name = container.name
-            if instance.schema.is_relation(name):
-
-                def apply_relation(slots, writes):
-                    writes.facts.append((rule, name, evaluated(slots)))
-
-                return apply_relation
-
-            def apply_class(slots, writes):
-                element = evaluated(slots)
-                if not isinstance(element, Oid):
-                    raise EvaluationError(
-                        f"class head {head!r} derived non-oid {element!r}"
-                    )
-                writes.facts.append((rule, name, element))
-
-            return apply_class
-        if isinstance(container, Deref):
-            i = layout.index[container.var]
-
-            def apply_set(slots, writes):
-                element = evaluated(slots)
-                writes.elements.setdefault(slots[i], {}).setdefault(element, rule)
-
-            return apply_set
-        raise EvaluationError(f"illegal head container {container!r}")  # pragma: no cover
-    if isinstance(head, Equality):
-        deref = head.left
-        if not isinstance(deref, Deref):  # pragma: no cover - typechecker
-            raise EvaluationError(f"illegal equality head {head!r}")
-        i = layout.index[deref.var]
-        right_eval = _compile_eval(head.right, layout, instance)
-
-        def apply_weak(slots, writes):
-            value = right_eval(slots)
-            if value is None:
-                raise EvaluationError(
-                    f"head {head!r} not evaluable (undefined dereference)"
-                )
-            writes.assign(slots[i], value)
-
-        return apply_weak
-    raise EvaluationError(f"illegal head {head!r}")  # pragma: no cover
-
-
-# -- compiled semi-naive kernels ---------------------------------------------------
-
-
-#: The position of the head-bound kernel (:meth:`SeminaiveKernels.delta`);
-#: body positions are 0, 1, ...
-HEAD = -1
-
-
 class SeminaiveKernels:
-    """One eligible rule's kernels for the delta rewriting.
+    """One eligible rule's kernels for the delta rewriting, bound to one
+    instance.
 
     ``full`` + ``head_full`` drive round 0 (a complete body solve);
     :meth:`delta` gives ``(delta matcher, rest kernel, head eval)`` for
     one relation position of the delta-driven rounds: the matcher seeds
     the rest kernel's initial slots from one delta fact, the rest kernel
     solves the remaining literals, and the head evaluator produces the
-    derived fact. Delta kernels compile on first use, so a position
+    derived fact. Delta kernels are bound on first use, so a position
     whose relation never has a delta (an input-only relation in a
-    recursive rule) never builds its kernel, nor the projection index
-    that kernel would probe; a position whose rest kernel is no longer
-    valid (its plan went stale as the fixpoint grew) compiles again.
+    recursive rule) never builds its factory, nor the projection index
+    its kernel would probe; a position whose rest kernel is no longer
+    valid (its plan went stale as the fixpoint grew) is bound again.
     Position :data:`HEAD` gives the same triple with the head element as
     the matched element and the whole body as the rest: it asks whether
     one given fact has a derivation, by probing instead of scanning.
     """
 
-    __slots__ = ("rule", "instance", "budget", "full", "head_full", "fallback", "_delta")
+    __slots__ = ("program", "rule", "instance", "budget", "full", "head_full", "_delta")
 
-    def __init__(self, rule, instance, budget, full, head_full):
-        self.rule: Rule = rule
-        self.instance: Instance = instance
+    def __init__(self, program: "Program", rule: Rule, instance: Instance, budget: int, factory):
+        self.program = program
+        self.rule = rule
+        self.instance = instance
         self.budget = budget
-        self.full: CompiledBody = full
-        self.head_full = head_full
-        #: The fallback reason once some delta position failed to compile.
-        self.fallback: Optional[str] = None
-        self._delta: Dict[int, Any] = {}
+        entry, self.head_full = factory.bind(instance, budget)
+        self.full = CompiledBody(factory, entry, instance)
+        self._delta: Dict[int, tuple] = {}
+
+    @property
+    def fallback(self) -> Optional[str]:
+        """The fallback reason once some body position failed to compile."""
+        return self.program.rule_memo(self.rule).refused.get("sn")
 
     def delta(self, position: int, stats=None) -> Optional[tuple]:
-        """The delta kernel of ``position``, compiled on first use and
-        again whenever its rest kernel is no longer valid.
+        """The delta kernel of ``position``, bound on first use and again
+        whenever its rest kernel is no longer valid.
 
         None once any position of the rule has fallen outside the
         compilable fragment (``fallback`` names the construct); the
@@ -981,112 +956,57 @@ class SeminaiveKernels:
         :meth:`RuleCompiler.seminaive_kernels` refuses the rule from then
         on. A head element outside the fragment refuses only the
         :data:`HEAD` kernel. ``stats`` receives the plan lookups and the
-        compile time of a (re)compile.
+        time of a (re)binding.
         """
         kernel = self._delta.get(position)
-        if kernel is False:
+        if kernel is not None and kernel[1].valid_for(self.instance):
+            return kernel
+        refused = self.program.rule_memo(self.rule).refused
+        if "sn" in refused or (position == HEAD and HEAD in refused):
             return None
-        if kernel is not None and not kernel[1].valid_for(self.instance):
+        started = time.perf_counter()
+        try:
+            factory = kernel_factory(self.program, self.rule, position, self.instance, stats)
+        except CompileFallback as fallback:
+            refused[HEAD if position == HEAD else "sn"] = fallback.reason
             kernel = None
-        if kernel is None and self.fallback is None:
-            started = time.perf_counter()
-            try:
-                kernel = self._delta[position] = self._compile_delta(position, stats)
-            except CompileFallback as fallback:
-                if position == HEAD:
-                    self._delta[HEAD] = False
-                else:
-                    self.fallback = fallback.reason
-            if stats is not None:
-                stats.compile_time += time.perf_counter() - started
-        return kernel
-
-    def _compile_delta(self, position: int, stats) -> tuple:
-        rule, instance = self.rule, self.instance
-        if position == HEAD:
-            element, rest = rule.head.element, rule.body
         else:
-            element = rule.body[position].element
-            rest = rule.body[:position] + rule.body[position + 1 :]
-        init_vars = tuple(sorted(element.variables(), key=lambda v: v.name))
-        layout = _Layout(init_vars)
-        bound: Set[Var] = set()
-        matcher = _compile_match(element, layout, bound, instance)
-        plan = lookup_plan(tuple(rest), frozenset(init_vars), instance, rule.plan_cache, stats)
-        state = _State()
-        entry, sink_cell = _compile_steps(
-            plan, layout, bound, instance, self.budget, state
-        )
-        rest_body = CompiledBody(
-            tuple(layout.slots), dict(layout.index), entry, sink_cell,
-            instance, state.indexes, plan,
-        )
-        head_eval = _compile_eval(rule.head.element, layout, instance)
-        return (matcher, rest_body, head_eval)
+            matcher, entry, head_eval = factory.bind(self.instance, self.budget)
+            kernel = (matcher, CompiledBody(factory, entry, self.instance), head_eval)
+            self._delta[position] = kernel
+        if stats is not None:
+            stats.compile_time += time.perf_counter() - started
+        return kernel
 
     def valid_for(self, instance: Instance) -> bool:
         # Delta kernels are revalidated one by one in delta().
         return self.full.valid_for(instance)
 
 
-def compile_seminaive(
-    rule: Rule,
-    instance: Instance,
-    enumeration_budget: int = 100_000,
-    stats=None,
-) -> SeminaiveKernels:
-    """Compile one semi-naive-eligible rule's round-0 kernel, or raise
-    :class:`CompileFallback`; its delta kernels compile lazily
-    (:meth:`SeminaiveKernels.delta`)."""
-    head = rule.head
-    assert isinstance(head, Membership)  # guaranteed by rule_eligible
-    full = compile_body(
-        rule.body,
-        (),
-        instance,
-        enumeration_budget=enumeration_budget,
-        plan_cache=rule.plan_cache,
-        stats=stats,
-    )
-    head_full = _compile_eval(head.element, _layout_of(full), instance)
-    return SeminaiveKernels(rule, instance, enumeration_budget, full, head_full)
-
-
-def _layout_of(body: CompiledBody) -> _Layout:
-    layout = _Layout(())
-    layout.slots = list(body.slot_vars)
-    layout.index = dict(body.slot_index)
-    return layout
-
-
 # -- the per-evaluator compiler front end ------------------------------------------
 
 
-class _Fallback:
-    """A cached negative result: this shape does not compile."""
-
-    __slots__ = ("reason",)
-
-    def __init__(self, reason: str):
-        self.reason = reason
-
-
 class RuleCompiler:
-    """Compiles rules on demand, caches kernels per rule, keeps the books.
+    """Binds the program's kernels to instances, keeps them, keeps the books.
 
-    Kernels live in ``Rule.kernel_cache`` keyed by shape — ``"rule"``
-    (γ1) or ``"sn"`` (semi-naive) — and are revalidated against the
-    instance on every fetch; a stale kernel (new instance, indexes
-    dropped by an IQL* deletion, or a plan whose inputs grew or shrank
-    ``REPLAN_GROWTH``-fold) is recompiled in place. Per run, each rule is
-    counted once as compiled or interpreted in :class:`EvaluationStats`.
+    Factories and refusals live on the :class:`~repro.iql.program.Program`
+    (:meth:`~repro.iql.program.Program.rule_memo`); the kernels bound from
+    them live here, per rule and shape — ``"rule"`` (γ1) or ``"sn"``
+    (semi-naive) — and are revalidated against the instance on every
+    fetch. A stale kernel (new instance, indexes dropped by an IQL*
+    deletion, or a plan whose inputs grew or shrank
+    ``REPLAN_GROWTH``-fold) is bound again. Per run, each rule is counted
+    once as compiled or interpreted in :class:`EvaluationStats`.
     """
 
-    def __init__(self, enumeration_budget: int = 100_000):
+    def __init__(self, program: "Program", enumeration_budget: int = 100_000):
+        self.program = program
         self.enumeration_budget = enumeration_budget
         self.stats: Any = None
         self._compiled_seen: Set[int] = set()
         self._interpreted_seen: Set[int] = set()
+        #: (id(rule), shape) → bound kernel; the kernel holds the rule.
+        self._bound: Dict[Tuple[int, str], Any] = {}
 
     def begin_run(self, stats) -> None:
         """Attach a run's stats object and reset the per-run rule tallies."""
@@ -1115,47 +1035,41 @@ class RuleCompiler:
     def compiled_rule(self, rule: Rule, instance: Instance) -> Optional[CompiledRule]:
         """The γ1 kernel for ``rule`` on ``instance``, or None (the rule runs
         on the reference interpreter)."""
-        return self._kernel(
-            rule,
-            "rule",
-            lambda: compile_rule(rule, instance, self.enumeration_budget, self.stats),
-            instance,
-        )
+        return self._kernel(rule, "rule", "rule", instance)
 
     def seminaive_kernels(self, rule: Rule, instance: Instance) -> Optional[SeminaiveKernels]:
         """The delta-rewriting kernels for ``rule``, or None once its
         round-0 kernel or any of its delta kernels has refused."""
-        cache = rule.kernel_cache
-        entry = cache.get("sn")
-        if isinstance(entry, SeminaiveKernels) and entry.fallback is not None:
-            cache["sn"] = _Fallback(entry.fallback)
-        return self._kernel(
-            rule,
-            "sn",
-            lambda: compile_seminaive(rule, instance, self.enumeration_budget, self.stats),
-            instance,
-        )
+        return self._kernel(rule, "sn", "full", instance)
 
-    def _kernel(self, rule: Rule, key, build, instance: Instance):
-        cache = rule.kernel_cache
-        entry = cache.get(key)
-        if isinstance(entry, _Fallback):
-            self.note_interpreted(rule, entry.reason)
+    def _kernel(self, rule: Rule, shape: str, kind: str, instance: Instance):
+        refused = self.program.rule_memo(rule).refused
+        if shape in refused:
+            self.note_interpreted(rule, refused[shape])
             return None
-        if entry is not None and entry.valid_for(instance):
+        kernel = self._bound.get((id(rule), shape))
+        if kernel is not None and kernel.valid_for(instance):
             self._note_compiled(rule)
-            return entry
+            return kernel
         started = time.perf_counter()
         try:
-            kernel = build()
+            factory = kernel_factory(self.program, rule, kind, instance, self.stats)
         except CompileFallback as fallback:
-            cache[key] = _Fallback(fallback.reason)
-            if self.stats is not None:
-                self.stats.compile_time += time.perf_counter() - started
+            refused[shape] = fallback.reason
+            self._add_time(started)
             self.note_interpreted(rule, fallback.reason)
             return None
-        cache[key] = kernel
-        if self.stats is not None:
-            self.stats.compile_time += time.perf_counter() - started
+        if shape == "rule":
+            kernel = CompiledRule(rule, factory, instance, self.enumeration_budget)
+        else:
+            kernel = SeminaiveKernels(
+                self.program, rule, instance, self.enumeration_budget, factory
+            )
+        self._bound[(id(rule), shape)] = kernel
+        self._add_time(started)
         self._note_compiled(rule)
         return kernel
+
+    def _add_time(self, started: float) -> None:
+        if self.stats is not None:
+            self.stats.compile_time += time.perf_counter() - started

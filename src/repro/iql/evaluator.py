@@ -103,14 +103,17 @@ class EvaluationStats:
     # distinct rules that ran as compiled kernels vs fell back to the
     # reference interpreter this run, fallback events by construct tag
     # ("choose", "unbound-dereference", "set-assignment"), and the wall
-    # time spent compiling (cache misses only).
+    # time spent getting kernels that were not bound yet: plan lookups,
+    # generating a factory (compiling its text on a code-cache miss) and
+    # binding it to the instance. A kernel already bound costs none.
     rules_compiled: int = 0
     rules_interpreted: int = 0
     compile_fallbacks: int = 0
     compile_fallback_reasons: Dict[str, int] = field(default_factory=dict)
     compile_time: float = 0.0
-    # End-of-run sizes of the per-rule plan and kernel caches, summed
-    # over the program's rules.
+    # End-of-run sizes of the program's plan memos (one per rule) and of
+    # its kernel factories (one per γ1 rule, round-0 body, delta position
+    # and head kernel generated), kept on the Program across runs.
     plan_cache_entries: int = 0
     kernel_cache_entries: int = 0
     # Incremental view maintenance (repro.iql.ivm.MaterializedProgram):
@@ -195,7 +198,7 @@ class Evaluator:
     * the **production engine** (the default): certified SCC scheduling
       (:mod:`repro.analysis.depgraph`), semi-naive delta rounds wherever
       a stratum qualifies (:mod:`repro.iql.seminaive`), rule bodies
-      compiled into closure kernels (:mod:`repro.iql.compile`), and
+      compiled into generated loop nests (:mod:`repro.iql.compile`), and
       cost-based join planning (:mod:`repro.iql.stats`) that re-costs a
       plan, mid-fixpoint included, once an extension it reads has grown
       or shrunk tenfold, all over hash-consed values. Stages the
@@ -264,10 +267,10 @@ class Evaluator:
                         PreflightWarning,
                         stacklevel=3,
                     )
-            self._compiler = RuleCompiler(self.limits.enumeration_budget)
-        import random as _random
-
-        self._rng = _random.Random(seed)
+            self._compiler = RuleCompiler(program, self.limits.enumeration_budget)
+        # Only choose_mode="nondeterministic" draws from it: built on first use.
+        self._seed = seed
+        self._rng = None
 
     @staticmethod
     def _preflight(program: Program) -> None:
@@ -321,11 +324,10 @@ class Evaluator:
         hits1, misses1, _ = intern.counters()
         stats.intern_hits = hits1 - hits0
         stats.intern_misses = misses1 - misses0
-        for rule in self.program.rules:
-            if rule._plan_cache is not None:
-                stats.plan_cache_entries += len(rule._plan_cache)
-            if rule._kernel_cache is not None:
-                stats.kernel_cache_entries += len(rule._kernel_cache)
+        if self._compiler is not None:
+            stats.plan_cache_entries, stats.kernel_cache_entries = (
+                self.program.kernel_cache_sizes()
+            )
         return EvaluationResult(
             full=working, output=output, stats=stats, trace=self._trace
         )
@@ -425,7 +427,7 @@ class Evaluator:
         handed over between rounds reaches the same fixpoint."""
         from repro.iql.seminaive import run_stage_seminaive, stage_eligible
 
-        if self._compiler is None or not stage_eligible(rules, instance):
+        if self._compiler is None or not stage_eligible(rules, self.program):
             return None
         return run_stage_seminaive(
             instance,
@@ -531,14 +533,12 @@ class Evaluator:
     ) -> int:
         """One stratum's fixpoint (the per-stratum body of
         :meth:`_run_stage_scheduled`), returning its step count."""
-        from repro.analysis.effects import rule_effects
-
         steps_total = 0
         stats.strata += 1
         rounds = self._seminaive(instance, rules, stats)
         if rounds is not None:
             return rounds
-        effects = [rule_effects(rule, instance.schema) for rule in rules]
+        effects = [self.program.rule_memo(rule).effects for rule in rules]
         read_symbols = frozenset().union(*(eff.reads for eff in effects))
         fingerprints = {
             symbol: self._fingerprint(instance, symbol) for symbol in read_symbols
@@ -840,6 +840,10 @@ class Evaluator:
         if self.choose_mode == "nondeterministic":
             # N-IQL: the witness operator — any candidate, genericity be
             # damned. Nondeterministically complete (Remark N-IQL).
+            if self._rng is None:
+                import random
+
+                self._rng = random.Random(self._seed)
             return self._rng.choice(candidates)
         if len(candidates) > 1 and self.choose_mode == "verify":
             orbits = orbit_partition(instance, candidates)

@@ -83,7 +83,7 @@ from typing import (
     Tuple,
 )
 
-from repro.analysis.effects import delta_body, head_symbol, rule_effects
+from repro.analysis.effects import head_symbol
 from repro.analysis.maintenance import (
     COUNTING,
     DRED,
@@ -501,9 +501,7 @@ class MaterializedProgram:
             live = {name for name, values in delta_plus.items() if values}
             if not live:
                 break
-            if not any(
-                rule_effects(rule, self._schema).reads & live for rule in rules
-            ):
+            if not any(self.program.rule_memo(rule).effects.reads & live for rule in rules):
                 continue
             written = {
                 s
@@ -640,12 +638,13 @@ class MaterializedProgram:
         not read any cone member (then the batch cannot change it)."""
         for rule in rules:
             head = head_symbol(rule)
+            memo = self.program.rule_memo(rule)
             if head in plan.derived_set:
                 if plan.strategies.get(head) != COUNTING:
                     return False
-                if delta_body(rule, self._schema) is None:
+                if memo.delta is None:
                     return False
-            elif rule_effects(rule, self._schema).reads & plan.members:
+            elif memo.effects.reads & plan.members:
                 return False  # pragma: no cover - forward closure forbids this
         return True
 
@@ -653,12 +652,12 @@ class MaterializedProgram:
         """Yield ``(dedup key, head value)`` for every valuation of
         ``rule`` that uses at least one ``delta`` fact in a positive
         relation position. Keys are the kernel's slot values in variable
-        name order, so the caller can deduplicate valuations enumerated
-        from several delta positions.
+        name order (``name_order``, fixed per kernel), so the caller can
+        deduplicate valuations enumerated from several delta positions.
 
         Runs on the rule's compiled delta kernels only, and raises
         :class:`_NoKernel` when one of them does not compile. Kernels are
-        only valid against the instance they captured (the per-rule cache
+        only valid against the instance they were bound to (the compiler
         revalidates by identity), which is why the general path keeps the
         live instance unmutated through its whole phase A.
         """
@@ -679,10 +678,7 @@ class MaterializedProgram:
                 raise _NoKernel
             per_position.append((position, kernel))
         for position, (matcher, rest_body, head_eval) in per_position:
-            order = tuple(
-                rest_body.slot_index[v]
-                for v in sorted(rest_body.slot_vars, key=lambda v: v.name)
-            )
+            order = rest_body.name_order
             firings: List[Tuple[tuple, OValue]] = []
 
             def consume(
@@ -696,11 +692,10 @@ class MaterializedProgram:
                     _f.append((tuple(slots[i] for i in _o), value))
 
             slots = rest_body.new_slots()
-            rest_body.sink_cell[0] = consume
             entry = rest_body.entry
             for fact in delta[body[position].container.name]:
                 if matcher(fact, slots):
-                    entry(slots)
+                    entry(slots, consume)
             yield from firings
 
     def _counting_adjust(
@@ -713,7 +708,7 @@ class MaterializedProgram:
         crossed zero — born facts for +1, dying facts for -1."""
         crossed: Delta = {}
         for rule in rules:
-            shape = delta_body(rule, self._schema)
+            shape = self.program.rule_memo(rule).delta
             if shape is None:
                 continue  # writes outside the cone; reads no delta
             head_name = head_symbol(rule)
@@ -764,9 +759,9 @@ class MaterializedProgram:
             head_name = head_symbol(rule)
             if head_name not in plan.derived_set:
                 continue
-            shape = delta_body(rule, self._schema)
-            effects = rule_effects(rule, self._schema)
-            if shape is None or effects.nonmonotone_reads & changed:
+            memo = self.program.rule_memo(rule)
+            shape = memo.delta
+            if shape is None or memo.effects.nonmonotone_reads & changed:
                 # Mark-everything rules do not depend on the frontier:
                 # one conservative pass up front is their fixpoint.
                 extent = old.relations[head_name]
@@ -835,13 +830,12 @@ class MaterializedProgram:
             if not pending[symbol]:
                 continue
             found = back.setdefault(symbol, set())
-            body.sink_cell[0] = _stop_at_first
             slots = body.new_slots()
             entry = body.entry
             for fact in pending[symbol]:
                 if fact not in found and matcher(fact, slots):
                     try:
-                        entry(slots)
+                        entry(slots, _stop_at_first)
                     except _Derivable:
                         found.add(fact)
         seed: Delta = dict(delta_plus)
@@ -870,12 +864,9 @@ class MaterializedProgram:
         compiles every rule's head-bound kernel.
         """
         compiler = self._evaluator._compiler
-        if compiler is None or not stage_eligible(rules, self._instance):
+        if compiler is None or not stage_eligible(rules, self.program):
             return None
-        if any(
-            rule_effects(rule, self._schema).nonmonotone_reads & changed
-            for rule in rules
-        ):
+        if any(self.program.rule_memo(rule).effects.nonmonotone_reads & changed for rule in rules):
             return None
         kernels: List[Tuple[str, tuple]] = []
         for rule in rules:

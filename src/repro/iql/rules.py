@@ -32,17 +32,14 @@ class Rule:
     removing the matching ground fact rather than adding it (Section 4.5).
     ``label`` is an optional name used in diagnostics and in the v-terms of
     the Theorem 4.3.1 experiment.
+
+    A rule is syntax only. What the engine derives from it — its effects,
+    its delta shape, its plans and kernel factories — is kept by the
+    :class:`~repro.iql.program.Program` that holds it
+    (:meth:`~repro.iql.program.Program.rule_memo`).
     """
 
-    __slots__ = (
-        "head",
-        "body",
-        "delete",
-        "label",
-        "span",
-        "_plan_cache",
-        "_kernel_cache",
-    )
+    __slots__ = ("head", "body", "delete", "label", "span")
 
     def __init__(
         self,
@@ -67,41 +64,6 @@ class Rule:
         self.delete = delete
         self.label = label
         self.span = span if span is not None else head.span
-        self._plan_cache = None
-        self._kernel_cache = None
-
-    @property
-    def plan_cache(self) -> dict:
-        """The cost-based planner's memo for the compiled kernels
-        (repro.iql.valuation.lookup_plan).
-
-        Keyed by (literal tuple, bound-variable set); the semi-naive delta
-        rewriting compiles many sub-bodies of the same rule, so the cache
-        lives here rather than per call. The keys are bounded by the
-        rule's shape: the whole body, each delta position's rest, and the
-        whole body with the head's variables bound — at most body length
-        + 2 plans. A stale plan is replaced in place, never added beside.
-        Excluded from equality and hashing — it is an evaluation artifact,
-        not syntax.
-        """
-        if self._plan_cache is None:
-            self._plan_cache = {}
-        return self._plan_cache
-
-    @property
-    def kernel_cache(self) -> dict:
-        """The rule compiler's kernel memo (repro.iql.compile).
-
-        Keyed by shape, ``"rule"`` (γ1) or ``"sn"`` (semi-naive), so it
-        holds at most two kernels. Entries are revalidated against the
-        current instance on every fetch (compiled kernels capture one
-        instance's sets and index dicts, and one plan), so a stale entry
-        costs one recompile, never a wrong answer. Likewise excluded from
-        equality and hashing.
-        """
-        if self._kernel_cache is None:
-            self._kernel_cache = {}
-        return self._kernel_cache
 
     def display_label(self) -> str:
         """The rule's label, or a rendering of it, for diagnostics."""

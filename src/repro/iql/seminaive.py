@@ -50,13 +50,15 @@ from repro.values.ovalues import OValue
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.iql.compile import RuleCompiler
+    from repro.iql.program import Program
 
 
 def rule_eligible(rule: Rule, schema: Schema) -> bool:
     """True iff ``rule`` sits in the delta-staged fragment.
 
     Purely schema-level: it reads the rule and the schema, never an
-    instance. :func:`stage_eligible` is its only caller.
+    instance. :attr:`repro.iql.program.RuleMemo.seminaive` is its only
+    caller, once per rule of a program.
     """
     if rule.delete or rule.has_choose() or not rule.is_invention_free():
         return False
@@ -104,9 +106,9 @@ def rule_eligible(rule: Rule, schema: Schema) -> bool:
     return rule.variables() <= derived
 
 
-def stage_eligible(rules: Sequence[Rule], instance: Instance) -> bool:
-    """True iff the delta rewriting is sound for this stage."""
-    return all(rule_eligible(rule, instance.schema) for rule in rules)
+def stage_eligible(rules: Sequence[Rule], program: "Program") -> bool:
+    """True iff the delta rewriting is sound for these rules of ``program``."""
+    return all(program.rule_memo(rule).seminaive for rule in rules)
 
 
 def run_stage_seminaive(
@@ -138,10 +140,10 @@ def run_stage_seminaive(
     collects the facts each relation actually gained, for downstream
     propagation.
 
-    Every rule runs as compiled closure kernels
+    Every rule runs as compiled kernels
     (:class:`repro.iql.compile.RuleCompiler`): its round-0 body, and per
     position a delta matcher and a rest body. A delta position's kernel
-    is compiled the first time its relation has a delta, and again in
+    is bound the first time its relation has a delta, and again in
     any round where its plan has gone stale, so a recursive relation
     that keeps growing is joined in an order re-costed on its grown
     extension. When a round-0 or a delta kernel refuses (a fallback
@@ -152,7 +154,7 @@ def run_stage_seminaive(
     """
     kernels = []
     for rule in rules:
-        shape = delta_body(rule, instance.schema)
+        shape = compiler.program.rule_memo(rule).delta
         assert shape is not None  # guaranteed by stage_eligible
         compiled = compiler.seminaive_kernels(rule, instance)
         if compiled is None:
@@ -212,11 +214,11 @@ def run_stage_seminaive(
                     return None
                 matcher, rest_body, head_eval = kernel
                 slots = rest_body.new_slots()
-                rest_body.sink_cell[0] = sink(head_eval)
+                consume = sink(head_eval)
                 entry = rest_body.entry
                 for fact in source:
                     if matcher(fact, slots):
-                        entry(slots)
+                        entry(slots, consume)
 
         first = False
         rounds += 1

@@ -245,9 +245,10 @@ def satisfies(literal: Literal, bindings: Bindings, instance: Instance) -> bool:
 # scan its container size, equalities their pattern's branching factor —
 # and the running estimate of the intermediate result size multiplies into
 # every later step, so join cardinality propagates along the partial plan.
-# Its plans are memoized per (body, bound-set) in the rule's plan cache
-# (:func:`lookup_plan`) and re-costed once an extension they were costed
-# on has grown or shrunk :data:`REPLAN_GROWTH`-fold (:meth:`Plan.is_stale`).
+# Its plans are memoized per (body, bound-set) in the rule's plan memo
+# (:func:`lookup_plan`, :class:`~repro.iql.program.RuleMemo`) and re-costed
+# once an extension they were costed on has grown or shrunk
+# :data:`REPLAN_GROWTH`-fold (:meth:`Plan.is_stale`).
 # The written-order planner (``costed=False``, the reference's) takes the
 # first literal that can generate and scans. Estimates affect speed, never
 # the solution set: every literal is still checked on every valuation.

@@ -1,6 +1,6 @@
 """Tests for the rule compiler (repro.iql.compile).
 
-Three layers:
+Five layers:
 
 * the compilable fragment — deletion bodies and set patterns of zero or
   one term compile; each shape the compiler refuses (choose, unbound
@@ -14,13 +14,19 @@ Three layers:
   use, so positions that never see a delta build neither a kernel nor
   the indexes it would probe; the head-bound kernel compiles the same
   way, and a head it cannot match leaves the delta kernels compiled;
-* plumbing — the surfaced statistics.
+* plumbing — the surfaced statistics;
+* generated source — no user text enters it, a program of the same
+  text compiles nothing, a re-costed plan gets its own code, two rules
+  whose bodies differ only in their variables' types get their own
+  plans, and bound kernels belong to the evaluator, never to the
+  program.
 
 The 220-seed production-vs-reference sweeps live in test_differential.py.
 """
 
 from repro.iql import (
     Choose,
+    Const,
     Deref,
     Evaluator,
     Membership,
@@ -210,7 +216,7 @@ class TestInvalidation:
         program, working = _tc_setup()
         instance = working.with_schema(program.schema)
         rule = program.rules[1]  # the join rule: its plan probes an index
-        compiler = RuleCompiler()
+        compiler = RuleCompiler(program)
         compiler.begin_run(EvaluationStats())
         k1 = compiler.compiled_rule(rule, instance)
         assert k1 is not None
@@ -226,7 +232,7 @@ class TestInvalidation:
         program, working = _tc_setup()
         instance = working.with_schema(program.schema)
         rule = program.rules[0]
-        compiler = RuleCompiler()
+        compiler = RuleCompiler(program)
         compiler.begin_run(EvaluationStats())
         k1 = compiler.compiled_rule(rule, instance)
         other = instance.copy()
@@ -238,7 +244,7 @@ class TestInvalidation:
         program, working = _tc_setup()
         instance = working.with_schema(program.schema)
         rule = program.rules[1]  # T(x, y), E(y, z): costed while T is empty
-        compiler = RuleCompiler()
+        compiler = RuleCompiler(program)
         compiler.begin_run(EvaluationStats())
         kernel = compiler.compiled_rule(rule, instance)
         sn = compiler.seminaive_kernels(rule, instance)
@@ -453,14 +459,14 @@ class TestLazyDeltaKernels:
             assert ("B", "A2") not in out.full.indexes.built_relation_indexes()
             assert out.stats.rules_compiled == 1
             assert len(out.output.relations["J"]) == 20
-        kernels = program.rules[0].kernel_cache["sn"]
-        assert kernels._delta == {}
+        # Round 0 only: no delta position got a factory.
+        assert set(program.rule_memo(program.rules[0]).factories) == {"full"}
 
     def test_recursive_position_compiles_on_first_delta(self):
         program, instance = _tc_setup()
         out = compiled(program, instance)
-        kernels = program.rules[1].kernel_cache["sn"]
-        assert set(kernels._delta) == {0}  # T(x, y) has deltas; E(y, z) never
+        factories = program.rule_memo(program.rules[1]).factories
+        assert set(factories) == {"full", 0}  # T(x, y) has deltas; E(y, z) never
         assert out.output == reference(program, instance).output
 
     def test_head_kernel_probes_one_fact(self):
@@ -468,7 +474,7 @@ class TestLazyDeltaKernels:
         # the body yields one solution per derivation of that fact.
         program, instance = _tc_setup()
         full = compiled(program, instance).full
-        compiler = RuleCompiler()
+        compiler = RuleCompiler(program)
         compiler.begin_run(EvaluationStats())
         sn = compiler.seminaive_kernels(program.rules[1], full)
         matcher, body, _head_eval = sn.delta(HEAD)
@@ -477,9 +483,8 @@ class TestLazyDeltaKernels:
         def derivable(fact):
             solutions = []
             slots = body.new_slots()
-            body.sink_cell[0] = lambda slots: solutions.append(list(slots))
             if matcher(fact, slots):
-                body.entry(slots)
+                body.entry(slots, lambda slots: solutions.append(list(slots)))
             return len(solutions)
 
         assert derivable(OTuple(A01="n0", A02="n3")) == 1
@@ -506,7 +511,7 @@ class TestLazyDeltaKernels:
         instance.add_class_member("C", o1)
         instance.assign(o1, "a")
         instance.add_relation_member("Sel", OTuple(A01=o1))
-        compiler = RuleCompiler()
+        compiler = RuleCompiler(program)
         compiler.begin_run(EvaluationStats())
         sn = compiler.seminaive_kernels(program.rules[0], instance)
         assert sn.delta(HEAD) is None and sn.delta(HEAD) is None
@@ -595,3 +600,267 @@ class TestLazyDeltaKernels:
         assert mp.extent("Out") == {OTuple(A01=o1), OTuple(A01=o2)}
         assert mp.stats.compile_fallback_reasons.get("unbound-dereference") == 1
         assert mp.stats.rules_interpreted == 1
+
+
+# -- generated source --------------------------------------------------------------
+
+
+HOSTILE_STRINGS = ('say "hi"', "it's", "back\\slash", """'); __import__("os").getcwd(); ('""")
+
+HOSTILE_PROGRAM = """
+schema {
+  relation R: [A1: D, A2: D];
+  relation Q: [A1: D, A2: D];
+  relation S: [A1: D];
+}
+var x, y: D
+input R
+output Q, S
+rules {
+  Q(x, "say \\"hi\\"") :- R(x, "it's").
+  S("back\\\\slash") :- R(x, "'); __import__(\\"os\\").getcwd(); ('").
+  Q(x, y) :- R(x, y), Q(y, x).
+  Q(y, x) :- Q(x, y).
+}
+"""
+
+
+def _sources(program):
+    return [
+        factory.source
+        for rule in program.rules
+        for factory in program.rule_memo(rule).factories.values()
+    ]
+
+
+def _assert_maintained(program, instance, inserts, deletes):
+    from repro.iql.ivm import MaterializedProgram
+
+    mp = MaterializedProgram(program, instance)
+    mp.apply_delta(inserts=inserts)
+    mp.apply_delta(deletes=deletes)
+    fresh = Evaluator(program, naive=True).run(mp.base.copy()).full
+    assert mp.instance.ground_facts() == fresh.ground_facts()
+
+
+class TestGeneratedSource:
+    def test_parsed_constants_never_enter_the_source(self):
+        program = program_from_source(HOSTILE_PROGRAM)
+        quote, apostrophe, backslash, code = HOSTILE_STRINGS
+        instance = Instance(program.input_schema)
+        for a, b in (("n1", apostrophe), ("n2", code), ("n3", "n4"), ("n4", "n3")):
+            instance.add_relation_member("R", OTuple(A1=a, A2=b))
+        out = compiled(program, instance)
+        assert out.output == reference(program, instance).output
+        assert OTuple(A1="n1", A2=quote) in out.output.relations["Q"]
+        assert out.output.relations["S"] == {OTuple(A1=backslash)}
+        _assert_maintained(
+            program,
+            instance,
+            inserts=[("R", OTuple(A1="n5", A2=apostrophe))],
+            deletes=[("R", OTuple(A1="n2", A2=code)), ("R", OTuple(A1="n3", A2="n4"))],
+        )
+        sources = _sources(program)
+        assert sources and out.stats.rules_compiled == len(program.rules)
+        for text in HOSTILE_STRINGS:
+            assert not any(text in source for source in sources)
+
+    def test_api_names_never_enter_the_source(self):
+        relation, output = 'R"\'\nimport os', """Out'); __import__("os").getcwd(); ('"""
+        first, second = "a\"\n'b", "c'); print(1); ('"
+        schema = Schema(
+            relations={
+                relation: tuple_of(**{first: D, second: D}),
+                output: tuple_of(**{first: D}),
+            }
+        )
+        x, y = Var('x"\n', D), Var("y'); ('", D)
+        program = Program(
+            schema,
+            rules=[
+                Rule(
+                    Membership(NameTerm(output), TupleTerm(**{first: y})),
+                    [
+                        Membership(NameTerm(relation), TupleTerm(**{first: x, second: y})),
+                        Membership(NameTerm(output), TupleTerm(**{first: x})),
+                    ],
+                ),
+                Rule(
+                    Membership(NameTerm(output), TupleTerm(**{first: x})),
+                    [
+                        Membership(
+                            NameTerm(relation), TupleTerm(**{first: x, second: Const("seed")})
+                        )
+                    ],
+                ),
+            ],
+            input_names=[relation],
+            output_names=[output],
+        )
+        instance = Instance(program.input_schema)
+        for a, b in (("s", "seed"), ("s", "t"), ("t", "u"), ("v", "w")):
+            instance.add_relation_member(relation, OTuple({first: a, second: b}))
+        out = compiled(program, instance)
+        assert out.output == reference(program, instance).output
+        assert {value[first] for value in out.output.relations[output]} == {"s", "seed", "t", "u"}
+        _assert_maintained(
+            program,
+            instance,
+            inserts=[(relation, OTuple({first: "v", second: "seed"}))],
+            deletes=[(relation, OTuple({first: "s", second: "t"}))],
+        )
+        sources = _sources(program)
+        assert sources
+        for text in (relation, output, first, second, x.name, y.name):
+            assert not any(text in source for source in sources)
+
+    def test_a_second_program_of_the_same_text_compiles_nothing(self):
+        from repro.iql.compile import CODE_CACHE
+
+        program, instance = _mixed_setup()
+        first = compiled(program, instance)
+        misses = CODE_CACHE.misses
+        again = program_from_source(MIXED_PROGRAM)
+        second = compiled(again, instance)
+        assert CODE_CACHE.misses == misses
+        assert second.output == first.output
+        assert second.stats.rules_compiled == first.stats.rules_compiled == 4
+        assert sorted(_sources(again)) == sorted(_sources(program))
+
+    def test_a_recosted_plan_gets_its_own_code(self, monkeypatch):
+        # E24 at n=40: M's body is costed while T is empty (scan T, probe
+        # S), and re-costed to scan S once T has grown tenfold.
+        import pathlib
+
+        from repro.iql import compile as compile_module
+
+        text = (pathlib.Path(__file__).parent.parent / "examples" / "replan_growth.iql")
+        program = program_from_source(text.read_text())
+        instance = Instance(program.input_schema)
+        for i in range(39):
+            instance.add_relation_member("E", OTuple(A1=f"n{i}", A2=f"n{i + 1}"))
+        for j in range(3):
+            instance.add_relation_member("S", OTuple(A1=f"n{(7 * j) % 40}", A2=f"m{j}"))
+        generated = []
+        generate = compile_module._generate
+
+        def recording(schema, rule, kind, plan, initial):
+            factory = generate(schema, rule, kind, plan, initial)
+            generated.append((rule, factory))
+            return factory
+
+        monkeypatch.setattr(compile_module, "_generate", recording)
+        out = compiled(program, instance)
+        m_rule = program.rules[2]
+        orders = [
+            [step[1].container.name for step in factory.plan]
+            for rule, factory in generated
+            if rule is m_rule
+        ]
+        assert out.stats.plan_replans >= 1
+        assert orders[0] == ["T", "S"] and orders[-1] == ["S", "T"]
+        sources = {factory.source for rule, factory in generated if rule is m_rule}
+        assert len(sources) == 2
+        assert are_o_isomorphic(out.output, reference(program, instance).output)
+
+    def test_equal_bodies_of_different_types_keep_their_own_plans(self):
+        # S: [A01: D ∨ P]. Both bodies read S(x), and literals compare
+        # equal whatever their variables' types, but x is a constant in
+        # one rule and a P object in the other: each rule's kernel must
+        # test its own x, in either rule order.
+        from repro.typesys import union
+
+        p_type = classref("P")
+        schema = Schema(
+            relations={"S": columns(union(D, p_type)), "T1": columns(D), "T2": columns(p_type)},
+            classes={"P": tuple_of()},
+        )
+        x_d, x_p = Var("x", D), Var("x", p_type)
+        rules = [
+            Rule(atom(schema, "T1", x_d), [atom(schema, "S", x_d)]),
+            Rule(atom(schema, "T2", x_p), [atom(schema, "S", x_p)]),
+        ]
+        for order in (rules, rules[::-1]):
+            program = Program(
+                schema, rules=order, input_names=["S", "P"], output_names=["S", "P", "T1", "T2"]
+            )
+            instance = Instance(program.input_schema)
+            p = Oid()
+            instance.add_class_member("P", p)
+            instance.assign(p, OTuple())
+            instance.add_relation_member("S", OTuple(A01="a"))
+            instance.add_relation_member("S", OTuple(A01=p))
+            out = compiled(program, instance)
+            assert out.stats.rules_compiled == 2
+            assert out.output.relations["T1"] == {OTuple(A01="a")}
+            assert out.output.relations["T2"] == {OTuple(A01=p)}
+            assert out.output == reference(program, instance).output
+
+    def test_a_long_join_compiles(self):
+        # Python nests at most 20 blocks per function: a 24-way chain join
+        # is generated as a loop nest continued in a second function.
+        n = 24
+        names = ", ".join(f"x{i}" for i in range(n + 1))
+        body = ", ".join(f"E(x{i}, x{i + 1})" for i in range(n))
+        program = program_from_source(
+            "schema { relation E: [A1: D, A2: D]; relation P: [A1: D, A2: D]; }\n"
+            f"var {names}: D\ninput E\noutput P\nrules {{ P(x0, x{n}) :- {body}. }}\n"
+        )
+        instance = Instance(program.input_schema)
+        for i in range(30):
+            instance.add_relation_member("E", OTuple(A1=f"n{i}", A2=f"n{i + 1}"))
+        out = compiled(program, instance)
+        assert out.stats.rules_compiled == 1 and out.stats.compile_fallbacks == 0
+        assert len(out.output.relations["P"]) == 30 - n + 1
+        assert out.output == reference(program, instance).output
+
+    def test_no_instance_outlives_its_run(self):
+        import gc
+        import types
+
+        program, instance = _mixed_setup()
+        result = compiled(program, instance)
+        full = result.full
+        del result
+        gc.collect()
+        referrers, own_indexes = gc.get_referrers(full), full._indexes
+        holders = [
+            r
+            for r in referrers
+            if not isinstance(r, types.FrameType) and r is not own_indexes
+        ]
+        assert holders == []
+        assert _sources(program)  # the factories stay with the program
+
+    def test_a_live_materialization_binds_each_kernel_once(self, monkeypatch):
+        # Kernels are bound to the live instance once and serve every later
+        # batch; only a recompute onto a new instance binds again.
+        from repro.iql.compile import KernelFactory
+        from repro.iql.ivm import MaterializedProgram
+
+        # A chain with shortcuts: deleting a shortcut and inserting it back
+        # leaves T as it was, so no plan goes stale.
+        program = program_from_source(MIXED_PROGRAM)
+        instance = Instance(program.input_schema)
+        for i in range(10):
+            instance.add_relation_member("E", OTuple(A1=f"n{i}", A2=f"n{i + 1}"))
+            instance.add_relation_member("E", OTuple(A1=f"n{i}", A2=f"n{i + 2}"))
+        binds = []
+        bind = KernelFactory.bind
+
+        def counting(factory, target, budget):
+            binds.append(factory)
+            return bind(factory, target, budget)
+
+        monkeypatch.setattr(KernelFactory, "bind", counting)
+        mp = MaterializedProgram(program, instance)
+        for i in range(4):
+            binds.clear()
+            shortcut = OTuple(A1=f"n{i}", A2=f"n{i + 2}")
+            mp.apply_delta(deletes=[("E", shortcut)])
+            mp.apply_delta(inserts=[("E", shortcut)])
+            assert (binds == []) == (i > 0)
+        assert mp.stats.overdeleted > 0
+        assert mp.stats.maintenance_fallbacks == 0
+        fresh = Evaluator(program, naive=True).run(mp.base.copy()).full
+        assert mp.instance.ground_facts() == fresh.ground_facts()

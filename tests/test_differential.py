@@ -247,8 +247,7 @@ def run_interpreted_differential(seed, monkeypatch):
     program, instance = random_case(seed)
     with monkeypatch.context() as patch, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # IQL601 fallbacks are expected
-        patch.setattr(compile_module, "compile_rule", refuse)
-        patch.setattr(compile_module, "compile_seminaive", refuse)
+        patch.setattr(compile_module, "kernel_factory", refuse)
         result = Evaluator(program).run(instance.copy())
     reference = Evaluator(program, naive=True).run(instance.copy()).output
     assert result.stats.rules_compiled == 0, f"seed {seed}"

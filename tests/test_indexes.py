@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datalog import database_to_instance, datalog_to_iql, transitive_closure_program
-from repro.iql import Evaluator, Membership, Var, atom, columns
-from repro.iql.compile import compile_body
+from repro.iql import Evaluator, Membership, Program, Rule, Var, atom, columns
+from repro.iql.compile import HEAD, kernel_factory
 from repro.iql.indexes import InstanceIndexes
 from repro.iql.valuation import solve_body
 from repro.schema import Instance, Schema
@@ -109,9 +109,9 @@ class TestEvaluatorStats:
         assert result.full.indexes.built_relation_indexes()
         # The reference interpreter neither reads nor writes the plan memo.
         join = next(rule for rule in program.rules if len(rule.body) == 2)
-        cached = dict(join.plan_cache)
+        cached = dict(program.rule_memo(join).plans)
         assert list(solve_body(join.body, result.full))
-        assert join.plan_cache == cached
+        assert program.rule_memo(join).plans == cached
 
     def test_unindexed_run_reports_no_probes(self):
         dprog = transitive_closure_program()
@@ -225,13 +225,19 @@ def test_indexes_rebuilt_lazily_are_fresh_object():
 
 
 def kernel_solutions(body, initial, instance, var):
-    """``var``'s values over the solutions of a compiled kernel."""
-    kernel = compile_body(body, tuple(initial), instance)
+    """``var``'s values over the solutions of ``body`` with ``initial``
+    bound, and the kernel's factory: the kernel is the :data:`HEAD` delta
+    kernel of the one-rule program ``H(initial's variables) :- body``,
+    which solves the whole body with the head's variables bound."""
+    seed = sorted(initial, key=lambda v: v.name)
+    schema = instance.schema.with_names(relations={"H": columns(*(v.type for v in seed))})
+    rule = Rule(atom(schema, "H", *seed), body)
+    factory = kernel_factory(Program(schema, rules=[rule]), rule, HEAD, instance)
+    _, entry, _ = factory.bind(instance, 100_000)
+    slots = [initial[v] for v in seed] + [None] * (factory.n_slots - len(seed))
     found = set()
-    kernel.execute(
-        tuple(initial.values()), lambda slots: found.add(slots[kernel.slot_index[var]])
-    )
-    return kernel, found
+    entry(slots, lambda slots: found.add(slots[factory.slot_index[var]]))
+    return factory, found
 
 
 def test_membership_literal_solved_through_probe():

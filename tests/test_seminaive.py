@@ -17,10 +17,14 @@ from repro.datalog import (
     transitive_closure_program,
 )
 from repro.iql import Choose, Evaluator, Membership, NameTerm, Program, Rule, Var, atom, columns
-from repro.iql.seminaive import stage_eligible
+from repro.iql.seminaive import rule_eligible
 from repro.schema import Instance, Schema
 from repro.typesys import D, classref, set_of, tuple_of
 from repro.workloads import parent_forest, path_graph, random_graph, transitive_closure
+
+
+def stage_eligible(rules, instance):
+    return all(rule_eligible(rule, instance.schema) for rule in rules)
 
 
 def run_both(program, instance):

@@ -200,7 +200,8 @@ def test_a_plan_costed_on_empty_input_is_recosted_on_the_first_data_run():
     result = Evaluator(program).run(tc_instance(program))
     assert result.stats.plan_replans >= 1  # E grew from 0 (floored at 1) to 11
     for rule in program.rules:
-        assert all(("E", True, 11) in plan.basis for plan in rule.plan_cache.values())
+        plans = program.rule_memo(rule).plans.values()
+        assert all(("E", True, 11) in plan.basis for plan in plans)
     assert result.output == Evaluator(program, naive=True).run(tc_instance(program)).output
 
 
@@ -209,7 +210,7 @@ def test_the_reference_costs_no_plan_and_caches_none():
     result = Evaluator(program, naive=True).run(tc_instance(program))
     assert result.stats.plans_costed == 0
     assert result.stats.plan_cache_hits == result.stats.plan_cache_misses == 0
-    assert all(not rule.plan_cache for rule in program.rules)
+    assert all(not program.rule_memo(rule).plans for rule in program.rules)
     assert result.output == Evaluator(program).run(tc_instance(program)).output
 
 
@@ -229,7 +230,7 @@ def e24_run(n, growth, monkeypatch):
         instance.add_relation_member("S", OTuple(A1=f"n{(7 * j) % n}", A2=f"m{j}"))
     monkeypatch.setattr(valuation, "REPLAN_GROWTH", growth)
     result = Evaluator(program).run(instance.copy())
-    plan = program.rules[2].plan_cache[(program.rules[2].body, frozenset())]
+    plan = program.rule_memo(program.rules[2]).plans[(program.rules[2].body, frozenset())]
     return result, [step[1].container.name for step in plan], program, instance
 
 
