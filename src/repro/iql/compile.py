@@ -9,17 +9,33 @@ code generation (Neumann, "Efficiently Compiling Efficient Query Plans
 for Modern Hardware", VLDB 2011): the memoized cost-based plan from
 :func:`~repro.iql.valuation.lookup_plan` becomes one loop nest, a ``for``
 per probe or scan and a flat test per filter and matcher, over local
-variables, and each solution is written into a **slot list** (one fixed
-index per variable) that is handed to a consumer.
+variables, and the innermost statements do the caller's whole job for
+each solution, with no call back into the caller.
 
-A kernel has one of four shapes: a γ1 rule (its body, the blocking check
-and the head applier), a semi-naive rule's round-0 body with its head
-evaluator, one delta position (a matcher that seeds the slots from one
-delta fact, the rest of the body, the head evaluator) and the
-:data:`HEAD` position (the same, with the head element as the matched
-fact). What the generator decides once per kernel and plan:
+A kernel has one of four shapes, and its factory writes one function per
+job the shape has:
 
-* **slot layout** — every variable gets a fixed slot and a local; which
+* a **γ1 rule**: ``entry(slots, consume)`` writes each solution into a
+  *slot list* (one fixed index per variable) handed to ``consume``, then
+  ``blocked(slots)`` and ``apply(slots, writes)`` run the head;
+* a semi-naive rule's **round 0** (the whole body):
+  ``drain(existing, bucket)`` adds each head fact not in ``existing`` to
+  the set ``bucket`` and returns how many solutions did so, and
+  ``tally(counts)`` counts each head fact's solutions in a dict (the
+  derivation counts of the counting maintenance strategy);
+* one **delta position** of it (the rest of the body, its literal's
+  element matched against each fact of a delta): ``drain(source,
+  existing, bucket)`` as above, over the facts of ``source``, and
+  ``fire(source, out)``, which appends ``(key, head fact)`` per solution,
+  the key being the solution's values in variable-name order;
+* the :data:`HEAD` position (the whole body, the head element matched
+  against one fact): ``derivable(fact, excluded)`` says whether ``fact``
+  has a derivation whose positive relation facts avoid ``excluded``, a
+  map from relation name to the facts that count as absent.
+
+What the generator decides once per kernel and plan:
+
+* **locals** — every variable gets a fixed slot and a local; which
   are bound at each program point is static (each generator step binds
   exactly its literal's variables), so nothing is ever undone,
 * **index probes** — a probe is one call of a projection index's
@@ -34,14 +50,18 @@ fact). What the generator decides once per kernel and plan:
   re-validation or re-sorting per fact,
 * **membership without a tuple** — a name-container membership filter
   whose element is a tuple term with no dereference probes the live
-  intern table (read on every test, never captured) for the pair tuple
-  instead of building the tuple: no live node means no extension holds
-  the value,
-* **the head** — the blocking check (the valuation-domain condition of
-  γ1, including invention variables ranging over class extents) and an
-  applier that evaluates the head and stages its write (a relation or
-  class fact, a set element, a (★) candidate) for the evaluator to apply
-  after the step's last head.
+  intern table (read on every call, never captured at binding) for the
+  pair tuple instead of building the tuple: no live node means no
+  extension holds the value,
+* **exclusions** — in ``derivable``, each positive relation membership
+  also rejects the facts ``excluded`` names for its relation,
+* **the head** — for γ1, the blocking check (the valuation-domain
+  condition of γ1, including invention variables ranging over class
+  extents) and an applier that evaluates the head and stages its write
+  (a relation or class fact, a set element, a (★) candidate) for the
+  evaluator to apply after the step's last head; in ``drain``, the head
+  fact's intern node is probed before the fact is built, so a solution
+  that derives a fact already present builds nothing.
 
 **Factories and binding.** The generated text defines a *factory*,
 ``factory(I, C, B)``. Every user value — a constant, an attribute,
@@ -58,9 +78,9 @@ it (:meth:`~repro.iql.program.Program.rule_memo`) beside the rule's
 plan memo.
 *Binding* a kernel to an instance ``I`` is one factory call: it reads
 the live extension sets and ``value_of``, builds any projection index
-the plan probes, and returns the kernel's functions. Bound kernels
-belong to an evaluator's :class:`RuleCompiler`, so a program keeps no
-instance alive.
+the plan probes, and returns the kernel's functions
+(:class:`BoundKernel`). Bound kernels belong to an evaluator's
+:class:`RuleCompiler`, so a program keeps no instance alive.
 
 The compilable fragment covers everything the planner emits, IQL*
 deletion bodies included, *except* the constructs whose matching is
@@ -94,15 +114,17 @@ cache when that text was seen before). A factory is valid for as long as
 its plan is not stale.
 
 **Contract.** A running kernel iterates live extension sets; callers must
-not mutate the instance while a kernel is executing. Both engines satisfy
-this: γ1 collects additions and applies them after all bodies are solved,
-and the semi-naive rounds stage new facts in a delta before applying.
-Appliers stage too, so no head of a γ1 step sees another's write. A
-factory function is shared by every program whose kernel has the same
-text, so it reads nothing but its arguments and this module's helpers,
-and a bound kernel keeps no state between calls: a solution lives only
-in the slot list its caller passes, and the consumer copies what it
-keeps.
+not mutate the instance while a kernel is executing, and a ``bucket``,
+``out`` or ``counts`` a kernel writes must not be a set it reads. Both
+engines satisfy this: γ1 collects additions and applies them after all
+bodies are solved, and the semi-naive rounds drain new facts into a
+bucket before applying them. Appliers stage too, so no head of a γ1 step
+sees another's write. A factory function is shared by every program
+whose kernel has the same text, so it reads nothing but its arguments
+and this module's helpers, and a bound kernel keeps no state between
+calls: a γ1 solution lives only in the slot list its caller passes, and
+the consumer copies what it keeps. Every call reads the intern table
+afresh (``_STORE.tuples``), so a sweep between calls changes no answer.
 
 Compiled execution reports ``rules_compiled`` / ``rules_interpreted`` /
 ``compile_fallbacks`` / ``compile_time`` into
@@ -129,9 +151,9 @@ from repro.values.ovalues import CONSTANT_TYPES, Oid, OSet, OTuple, OValue, inte
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.iql.program import Program
 
-#: A binding environment: one mutable list, one slot per variable.
+#: A γ1 binding environment: one mutable list, one slot per variable.
 Slots = List[Optional[OValue]]
-#: A consumer invoked once per solution, with the (live, reused) slot list.
+#: A γ1 consumer invoked once per solution, with the (live, reused) slot list.
 Consumer = Callable[[Slots], None]
 
 #: The position of the head-bound kernel (:meth:`SeminaiveKernels.delta`);
@@ -188,6 +210,18 @@ def _non_oid_head(head: Literal, element: object) -> None:
 
 #: Loops per generated function; Python allows 20 nested blocks.
 _LOOPS_PER_FUNCTION = 16
+
+#: Per function a kernel can have: its parameters (a delta kernel's
+#: ``source`` comes first), the locals a continuation of its nest takes
+#: besides the bound variables, the statement that ends it, and the
+#: statement that runs a continuation ``{call}``.
+_SHAPES: Dict[str, Tuple[str, str, str, str]] = {
+    "entry": ("slots, consume", "slots, consume, tg", "return", "{call}"),
+    "drain": ("existing, bucket", "existing, bucket, tg", "return n", "n += {call}"),
+    "fire": ("out", "out, tg", "return", "{call}"),
+    "tally": ("counts", "counts, tg", "return", "{call}"),
+    "derivable": ("fact, excluded", "tg", "return False", "if {call}: return True"),
+}
 
 #: The global names generated code may read besides builtins.
 _GLOBALS: Dict[str, Any] = {
@@ -255,16 +289,19 @@ class _Source:
     constants, ``B`` the enumeration budget — whose nested functions are
     the kernel. A variable lives in local ``v<slot>``, a constant is
     ``c<k>`` (``C[k]``), an object read from the instance at binding is
-    ``i<k>`` and a temporary ``t<k>``. ``fail`` is the statement that
-    drops the current candidate: ``continue`` inside a loop, a return
-    outside one.
+    ``i<k>``, a temporary ``t<k>`` and the facts ``derivable`` excludes
+    from a relation ``x<k>``; ``tg`` is the intern table's ``get`` and
+    ``n`` the count ``drain`` returns. ``fail`` is the statement that
+    drops the current candidate: ``continue`` inside a loop, the
+    function's ``done`` statement outside one.
     """
 
     def __init__(self, schema, initial: Sequence[Var] = ()):
         self.schema = schema
         self.slots: List[Var] = list(initial)
         self.index: Dict[Var, int] = {v: i for i, v in enumerate(self.slots)}
-        self.initial = len(self.slots)
+        #: Relation name → the local holding its excluded facts (``derivable``).
+        self.excluded: Dict[str, str] = {}
         self.consts: List[object] = []
         self._const_names: Dict[Tuple[type, object], str] = {}
         self._reads: Dict[tuple, str] = {}
@@ -322,13 +359,14 @@ class _Source:
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.depth + line)
 
-    def function(self, signature: str, bound: Sequence[Var], reads=()) -> None:
+    def function(self, signature: str, bound: Sequence[Var], reads=(), done="return") -> None:
         """Start a nested function of the factory whose locals ``reads``
-        come from the slot list, with ``bound`` the variables bound."""
+        come from the slot list, with ``bound`` the variables bound and
+        ``done`` the statement that ends it."""
         self.depth = 1
         self.emit(f"def {signature}:")
         self.depth = 2
-        self.fail = "return"
+        self.fail = done
         self._outer = []
         self.bound = set(bound)
         for var in sorted(reads, key=self.index.__getitem__):
@@ -506,13 +544,18 @@ class _Source:
                     # content, so a content with no live node is in no
                     # extension.
                     node = self.temp()
-                    self.emit(f"{node} = _STORE.tuples.get({self.pairs(element)})")
+                    self.emit(f"{node} = tg({self.pairs(element)})")
                     if lit.positive:
-                        self.emit(f"if {node} is None or {node}() not in {members}: {fail}")
+                        self.emit(f"if {node} is None: {fail}")
+                        self.emit(f"{node} = {node}()")
+                        absent = self.absent(node, container.name)
+                        self.emit(f"if {node} not in {members}{absent}: {fail}")
                     else:
                         self.emit(f"if {node} is not None and {node}() in {members}: {fail}")
                     return
-                self.emit(f"if {self.value(element)} {test} {members}: {fail}")
+                value = self.value(element)
+                absent = self.absent(value, container.name) if lit.positive else ""
+                self.emit(f"if {value} {test} {members}{absent}: {fail}")
                 return
             members = self.value(container)
             value = self.value(element)
@@ -558,31 +601,81 @@ class _Source:
             self.require_set(source, lit)
         element = self.temp()
         self.open(f"for {element} in {source}:")
+        if isinstance(container, NameTerm) and container.name in self.excluded:
+            self.emit(f"if {element} in {self.excluded[container.name]}: {self.fail}")
         self.match(lit.element, element)
 
-    def nest(self, plan: Plan) -> None:
-        """``entry(slots, consume)``: the plan as one loop nest.
+    def absent(self, value: str, name: str) -> str:
+        """The rest of a positive membership test of ``value`` in relation
+        ``name``: in ``derivable``, the excluded facts count as absent."""
+        local = self.excluded.get(name)
+        return f" or {value} in {local}" if local else ""
+
+    def nest(
+        self, plan: Plan, shape: str, matched: Optional[Term] = None, head: Optional[Term] = None
+    ) -> None:
+        """Function ``shape`` of the kernel (:data:`_SHAPES`): the plan as
+        one loop nest, finished per solution by :meth:`solution`.
+
+        With ``matched``, the element of a delta position's literal or of
+        the head, the nest first matches it against each fact of
+        ``source``, or against the one ``fact`` of ``derivable``, binding
+        the initial variables. ``head`` is the head element of a
+        semi-naive rule.
 
         Python nests at most 20 blocks in one function, so every
         :data:`_LOOPS_PER_FUNCTION` loops the rest of the nest continues
-        in a function of its own, called with the variables bound so far.
+        in a function of its own, called with the function's context
+        locals and the variables bound so far.
         """
-        initial = self.slots[: self.initial]
-        self.function("entry(slots, consume)", initial, initial)
+        params, context, done, run = _SHAPES[shape]
+        if matched is not None and shape != "derivable":
+            params = "source, " + params
+        self.excluded = {}
+        if shape == "derivable":
+            # Each positive relation membership is a fact the derivation
+            # uses: its relation's excluded facts count as absent.
+            for step in plan:
+                lit = step[1]
+                if (
+                    step[0] in ("member", "filter")
+                    and isinstance(lit, Membership)
+                    and lit.positive
+                    and isinstance(lit.container, NameTerm)
+                    and self.schema.is_relation(lit.container.name)
+                ):
+                    self.excluded.setdefault(lit.container.name, f"x{len(self.excluded)}")
+            context += "".join(f", {local}" for local in self.excluded.values())
+        self.function(f"{shape}({params})", (), done=done)
+        self.emit("tg = _STORE.tuples.get")
+        if shape == "drain":
+            self.emit("n = 0")
+        for name, local in self.excluded.items():
+            self.emit(f"{local} = excluded.get({self.const(name)}, _EMPTY)")
         finished: List[str] = []
         loops = parts = 0
+        if matched is not None:
+            fact = "fact"
+            if shape != "derivable":
+                fact = self.temp()
+                self.open(f"for {fact} in source:")
+                loops = 1
+            self.match(matched, fact)
         for step in plan:
             kind = step[0]
             if kind in ("member", "enum"):
                 if loops == _LOOPS_PER_FUNCTION:
                     parts += 1
                     bound = [v for v in self.slots if v in self.bound]
-                    args = "".join(f"{self.var(v)}, " for v in bound)
-                    call = f"nest{parts}(slots, consume, {args})"
-                    self.emit(call)
+                    args = "".join(f", {self.var(v)}" for v in bound)
+                    call = f"{shape}{parts}({context}{args})"
+                    self.emit(run.format(call=call))
+                    self.end(done)
                     finished += self.lines
                     self.lines = []
-                    self.function(call, bound)
+                    self.function(call, bound, done=done)
+                    if shape == "drain":
+                        self.emit("n = 0")
                     loops = 0
                 loops += 1
             if kind == "filter":
@@ -601,26 +694,53 @@ class _Source:
                     f"for {self.bind(var)} in _enumerate_type("
                     f"{self.const(var.type)}, {constants}(), {classes}, budget=B):"
                 )
-        for i in range(self.initial, len(self.slots)):
-            self.emit(f"slots[{i}] = v{i}")
-        self.emit("consume(slots)")
+        self.solution(shape, head)
+        self.end(done)
         self.lines = finished + self.lines
+
+    def end(self, done: str) -> None:
+        """Close the current function with its ``done`` statement (none
+        after a final return)."""
+        self.depth = 2
+        if done != "return" and not self.lines[-1].startswith("        return"):
+            self.emit(done)
 
     # -- the rest of a kernel --------------------------------------------------------
 
-    def matcher(self, element: Term) -> None:
-        """``matcher(x, slots)``: bind the initial slots from one fact."""
-        self.function("matcher(x, slots)", ())
-        self.fail = "return False"
-        self.match(element, "x")
-        for i in range(self.initial):
-            self.emit(f"slots[{i}] = v{i}")
-        self.emit("return True")
-
-    def head_eval(self, element: Term) -> None:
-        """``head_eval(slots)``: the head element, None when undefined."""
-        self.function("head_eval(slots)", self.slots, element.variables())
-        self.emit(f"return {self.value(element, 'return None')}")
+    def solution(self, shape: str, head: Optional[Term]) -> None:
+        """The innermost statements of function ``shape``: what it does
+        with one solution."""
+        if shape == "entry":
+            for i in range(len(self.slots)):
+                self.emit(f"slots[{i}] = v{i}")
+            self.emit("consume(slots)")
+            return
+        if shape == "derivable":
+            self.emit("return True")
+            return
+        assert head is not None
+        fail = self.fail
+        if shape == "drain" and isinstance(head, TupleTerm):
+            # Probe the head fact's intern node before building it: a
+            # fact already present costs one table lookup.
+            pairs, fact = self.temp(), self.temp()
+            self.emit(f"{pairs} = {self.pairs(head)}")
+            self.emit(f"{fact} = tg({pairs})")
+            self.emit(f"if {fact} is not None: {fact} = {fact}()")
+            self.emit(f"if {fact} is None: {fact} = _tuple({pairs})")
+            self.emit(f"elif {fact} in existing: {fail}")
+        else:
+            fact = self.value(head)
+            if shape == "drain":
+                self.emit(f"if {fact} in existing: {fail}")
+        if shape == "drain":
+            self.emit(f"bucket.add({fact})")
+            self.emit("n += 1")
+        elif shape == "fire":
+            key = "".join(f"{self.var(v)}, " for v in sorted(self.slots, key=lambda v: v.name))
+            self.emit(f"out.append((({key}), {fact}))")
+        else:  # shape == "tally"
+            self.emit(f"counts[{fact}] = counts.get({fact}, 0) + 1")
 
     def blocked(self, head: Literal, body_vars: Sequence[Var]) -> None:
         """``blocked(slots)``: the valuation-domain blocking condition.
@@ -716,15 +836,15 @@ class _Source:
 class KernelFactory:
     """One kernel's factory, with what depends only on its program.
 
-    :meth:`bind` returns the kernel's functions for one instance: the
-    matcher of a delta kernel, the loop nest ``entry``, then the head
-    evaluator, or the blocking check and the applier of a γ1 rule.
-    ``source`` is the generated text. ``slot_vars`` is the body's layout
-    (initial variables first, then variables in order of first binding
-    along the plan), ``n_slots`` adds the invention slots of a γ1 rule,
-    ``inv_slots`` gives ((class name, slot), ...) for its invention
-    variables in name order (the interpreter's invention order), and
-    ``name_order`` the body slots in variable-name order.
+    :meth:`bind` returns the kernel's functions for one instance, in
+    this order: ``entry``, ``blocked``, ``apply`` for a γ1 rule
+    (``entry`` alone for a deletion rule), ``drain``, ``tally`` for round
+    0, ``drain``, ``fire`` for a delta position and ``derivable`` for
+    :data:`HEAD`. ``source`` is the generated text. For a γ1 rule,
+    ``slot_vars`` is the body's slot layout (variables in order of first
+    binding along the plan), ``n_slots`` adds the invention slots, and
+    ``inv_slots`` gives ((class name, slot), ...) for the invention
+    variables in name order (the interpreter's invention order).
     """
 
     __slots__ = (
@@ -733,25 +853,26 @@ class KernelFactory:
         "consts",
         "source",
         "slot_vars",
-        "slot_index",
         "n_slots",
         "inv_slots",
-        "name_order",
         "probes",
     )
 
-    def __init__(self, plan: Plan, source: _Source, body_vars, inv_slots, functions):
+    def __init__(
+        self,
+        plan: Plan,
+        source: _Source,
+        functions: Sequence[str],
+        body_vars: Sequence[Var] = (),
+        inv_slots: Tuple[Tuple[str, int], ...] = (),
+    ):
         self.plan = plan
         self.source = source.text(functions)
         self.make = CODE_CACHE.function(self.source)
         self.consts = tuple(source.consts)
         self.slot_vars: Tuple[Var, ...] = tuple(body_vars)
-        self.slot_index: Dict[Var, int] = {v: i for i, v in enumerate(body_vars)}
         self.n_slots = len(source.slots)
-        self.inv_slots: Tuple[Tuple[str, int], ...] = inv_slots
-        self.name_order = tuple(
-            self.slot_index[v] for v in sorted(body_vars, key=lambda v: v.name)
-        )
+        self.inv_slots = inv_slots
         self.probes = source.probes
 
     def bind(self, instance: Instance, budget: int) -> tuple:
@@ -784,28 +905,28 @@ def _generate(schema, rule: Rule, kind, plan: Plan, initial) -> KernelFactory:
     """Generate kernel ``kind`` of ``rule`` for ``plan``: ``"rule"`` (γ1),
     ``"full"`` (round 0), a body position or :data:`HEAD` (delta)."""
     source = _Source(schema, initial)
-    functions = ["entry"]
-    if kind not in ("rule", "full"):
-        source.matcher(_matched(rule, kind))
-        functions.insert(0, "matcher")
-    source.nest(plan)
-    body_vars = tuple(source.slots)
-    inv_slots: Tuple[Tuple[str, int], ...] = ()
     if kind == "rule":
-        if not rule.delete:
-            inventions = sorted(rule.invention_variables(), key=lambda v: v.name)
-            for var in inventions:
-                source.bind(var)
-            inv_slots = tuple((_class_name(v), source.index[v]) for v in inventions)
-            source.blocked(rule.head, body_vars)
-            source.apply(rule)
-            functions += ["blocked", "apply"]
-    else:
-        head = rule.head
-        assert isinstance(head, Membership)  # semi-naive heads are R(t)
-        source.head_eval(head.element)
-        functions.append("head_eval")
-    return KernelFactory(plan, source, body_vars, inv_slots, functions)
+        source.nest(plan, "entry")
+        body_vars = tuple(source.slots)
+        if rule.delete:
+            return KernelFactory(plan, source, ["entry"], body_vars)
+        inventions = sorted(rule.invention_variables(), key=lambda v: v.name)
+        for var in inventions:
+            source.bind(var)
+        inv_slots = tuple((_class_name(v), source.index[v]) for v in inventions)
+        source.blocked(rule.head, body_vars)
+        source.apply(rule)
+        return KernelFactory(plan, source, ["entry", "blocked", "apply"], body_vars, inv_slots)
+    head = rule.head
+    assert isinstance(head, Membership)  # semi-naive heads are R(t)
+    functions: Tuple[str, ...] = ("drain", "tally")
+    matched: Optional[Term] = None
+    if kind != "full":
+        functions = ("derivable",) if kind == HEAD else ("drain", "fire")
+        matched = _matched(rule, kind)
+    for shape in functions:
+        source.nest(plan, shape, matched, head.element)
+    return KernelFactory(plan, source, functions)
 
 
 def kernel_factory(program: "Program", rule: Rule, kind, instance: Instance, stats=None):
@@ -834,36 +955,21 @@ def kernel_factory(program: "Program", rule: Rule, kind, instance: Instance, sta
 # -- bound kernels -----------------------------------------------------------------
 
 
-class CompiledBody:
-    """A planned body bound to one instance.
+class BoundKernel:
+    """A kernel's functions bound to one instance.
 
-    ``entry(slots, consume)`` runs the loop nest with the initial slots
-    already in ``slots`` and hands ``consume`` the live, reused slot list
-    per solution; the consumer must copy whatever it keeps.
+    ``functions`` is what :meth:`KernelFactory.bind` returned. They are
+    valid for as long as :meth:`valid_for` holds.
     """
 
-    __slots__ = ("slot_vars", "slot_index", "name_order", "entry", "instance", "indexes", "plan")
+    __slots__ = ("functions", "instance", "indexes", "plan")
 
-    def __init__(self, factory: KernelFactory, entry: Callable, instance: Instance):
-        self.slot_vars = factory.slot_vars
-        self.slot_index = factory.slot_index
-        #: The body's slots in variable-name order: the dedup key order of
-        #: the maintenance runtime's valuations.
-        self.name_order = factory.name_order
-        self.entry = entry
+    def __init__(self, factory: KernelFactory, instance: Instance, budget: int):
+        self.functions = factory.bind(instance, budget)
         self.instance = instance
+        # Read after binding, which builds the indexes the plan probes.
         self.indexes = instance._indexes if factory.probes else None
         self.plan: Plan = factory.plan
-
-    def new_slots(self) -> Slots:
-        return [None] * len(self.slot_vars)
-
-    def execute(self, init_values: Sequence[OValue], consume: Consumer) -> None:
-        """Run the loop nest with slots 0..k-1 preset to ``init_values``."""
-        slots: Slots = [None] * len(self.slot_vars)
-        if init_values:
-            slots[: len(init_values)] = init_values
-        self.entry(slots, consume)
 
     def valid_for(self, instance: Instance) -> bool:
         """Is this kernel still sound, and its join order current, for
@@ -886,26 +992,28 @@ class CompiledRule:
     """One rule bound for γ1: body kernel, blocking check, applier.
 
     ``solve`` enumerates body valuations (slot lists sized for body *and*
-    invention variables); ``blocked`` is the valuation-domain condition
-    (True iff some extension already satisfies the head); the evaluator
-    fills ``inv_slots`` with fresh oids and calls ``apply`` with the
-    step's :class:`~repro.iql.evaluator.StepWrites`. A deletion rule
-    compiles its body only (``blocked`` and ``apply`` are None): the
-    evaluator turns each solution into a θ for its deletion step.
+    invention variables, laid out as ``slot_vars`` and then the invention
+    slots); ``blocked`` is the valuation-domain condition (True iff some
+    extension already satisfies the head); the evaluator fills
+    ``inv_slots`` with fresh oids and calls ``apply`` with the step's
+    :class:`~repro.iql.evaluator.StepWrites`. A deletion rule compiles
+    its body only (``blocked`` and ``apply`` are None): the evaluator
+    turns each solution into a θ for its deletion step.
     """
 
-    __slots__ = ("rule", "body", "n_slots", "inv_slots", "blocked", "apply")
+    __slots__ = ("rule", "body", "slot_vars", "n_slots", "inv_slots", "entry", "blocked", "apply")
 
     def __init__(self, rule: Rule, factory: KernelFactory, instance: Instance, budget: int):
-        entry, *head = factory.bind(instance, budget)
         self.rule = rule
-        self.body = CompiledBody(factory, entry, instance)
+        self.body = BoundKernel(factory, instance, budget)
+        self.entry, *head = self.body.functions
+        self.slot_vars = factory.slot_vars
         self.n_slots = factory.n_slots
         self.inv_slots = factory.inv_slots
         self.blocked, self.apply = head if head else (None, None)
 
     def solve(self, consume: Consumer) -> None:
-        self.body.entry([None] * self.n_slots, consume)
+        self.entry([None] * self.n_slots, consume)
 
     def valid_for(self, instance: Instance) -> bool:
         return self.body.valid_for(instance)
@@ -915,40 +1023,39 @@ class SeminaiveKernels:
     """One eligible rule's kernels for the delta rewriting, bound to one
     instance.
 
-    ``full`` + ``head_full`` drive round 0 (a complete body solve);
-    :meth:`delta` gives ``(delta matcher, rest kernel, head eval)`` for
-    one relation position of the delta-driven rounds: the matcher seeds
-    the rest kernel's initial slots from one delta fact, the rest kernel
-    solves the remaining literals, and the head evaluator produces the
-    derived fact. Delta kernels are bound on first use, so a position
-    whose relation never has a delta (an input-only relation in a
-    recursive rule) never builds its factory, nor the projection index
-    its kernel would probe; a position whose rest kernel is no longer
-    valid (its plan went stale as the fixpoint grew) is bound again.
-    Position :data:`HEAD` gives the same triple with the head element as
-    the matched element and the whole body as the rest: it asks whether
-    one given fact has a derivation, by probing instead of scanning.
+    ``drain`` and ``tally`` run round 0 (a complete body solve);
+    :meth:`delta` gives the :class:`BoundKernel` of one relation position
+    of the delta-driven rounds, whose ``drain`` and ``fire`` match each
+    fact of a delta against the position's literal and solve the rest of
+    the body. Delta kernels are bound on first use, so a position whose
+    relation never has a delta (an input-only relation in a recursive
+    rule) never builds its factory, nor the projection index its kernel
+    would probe; a position whose kernel is no longer valid (its plan
+    went stale as the fixpoint grew) is bound again. Position
+    :data:`HEAD` gives ``derivable``, which matches the head element
+    against one fact and solves the whole body: it asks whether that fact
+    has a derivation, by probing instead of scanning.
     """
 
-    __slots__ = ("program", "rule", "instance", "budget", "full", "head_full", "_delta")
+    __slots__ = ("program", "rule", "instance", "budget", "full", "drain", "tally", "_delta")
 
     def __init__(self, program: "Program", rule: Rule, instance: Instance, budget: int, factory):
         self.program = program
         self.rule = rule
         self.instance = instance
         self.budget = budget
-        entry, self.head_full = factory.bind(instance, budget)
-        self.full = CompiledBody(factory, entry, instance)
-        self._delta: Dict[int, tuple] = {}
+        self.full = BoundKernel(factory, instance, budget)
+        self.drain, self.tally = self.full.functions
+        self._delta: Dict[int, BoundKernel] = {}
 
     @property
     def fallback(self) -> Optional[str]:
         """The fallback reason once some body position failed to compile."""
         return self.program.rule_memo(self.rule).refused.get("sn")
 
-    def delta(self, position: int, stats=None) -> Optional[tuple]:
+    def delta(self, position: int, stats=None) -> Optional[BoundKernel]:
         """The delta kernel of ``position``, bound on first use and again
-        whenever its rest kernel is no longer valid.
+        whenever it is no longer valid.
 
         None once any position of the rule has fallen outside the
         compilable fragment (``fallback`` names the construct); the
@@ -959,7 +1066,7 @@ class SeminaiveKernels:
         time of a (re)binding.
         """
         kernel = self._delta.get(position)
-        if kernel is not None and kernel[1].valid_for(self.instance):
+        if kernel is not None and kernel.valid_for(self.instance):
             return kernel
         refused = self.program.rule_memo(self.rule).refused
         if "sn" in refused or (position == HEAD and HEAD in refused):
@@ -971,9 +1078,7 @@ class SeminaiveKernels:
             refused[HEAD if position == HEAD else "sn"] = fallback.reason
             kernel = None
         else:
-            matcher, entry, head_eval = factory.bind(self.instance, self.budget)
-            kernel = (matcher, CompiledBody(factory, entry, self.instance), head_eval)
-            self._delta[position] = kernel
+            kernel = self._delta[position] = BoundKernel(factory, self.instance, self.budget)
         if stats is not None:
             stats.compile_time += time.perf_counter() - started
         return kernel

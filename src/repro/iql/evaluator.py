@@ -118,10 +118,11 @@ class EvaluationStats:
     kernel_cache_entries: int = 0
     # Incremental view maintenance (repro.iql.ivm.MaterializedProgram):
     # net base-fact deltas applied, support-count adjustments (counting
-    # strategy), facts conservatively over-deleted and then re-derived
-    # (DRed), DRed strata whose re-derivation re-ran the whole stratum
-    # instead of probing the over-deleted facts, and batches that fell
-    # back to a slice or full recompute.
+    # strategy), facts conservatively over-deleted and those of them that
+    # stay (DRed: proved before removal, or re-derived after it), DRed
+    # strata whose re-derivation re-ran the whole stratum instead of
+    # probing the over-deleted facts, and batches that fell back to a
+    # slice or full recompute.
     deltas_applied: int = 0
     supports_adjusted: int = 0
     overdeleted: int = 0
@@ -591,7 +592,7 @@ class Evaluator:
             if kernel is not None:
                 if rule.delete:
 
-                    def consume(slots, _rule=rule, _vars=kernel.body.slot_vars):
+                    def consume(slots, _rule=rule, _vars=kernel.slot_vars):
                         stats.valuations_considered += 1
                         deletions.append((_rule, dict(zip(_vars, slots))))
 
@@ -654,7 +655,8 @@ class Evaluator:
                     oid = self.oid_factory.invent(var.type.name)
                     theta[var] = oid
                     invented.append((var.type.name, oid))
-                    self._emit(stats, "invent", rule, f"{oid!r} ∈ {var.type.name}")
+                    if self._trace is not None:
+                        self._emit(stats, "invent", rule, f"{oid!r} ∈ {var.type.name}")
                     stats.oids_invented += 1
                     if stats.oids_invented > self.limits.max_invented_oids:
                         raise NonTerminationError(
@@ -718,7 +720,8 @@ class Evaluator:
             if added:
                 changed = True
                 stats.facts_added += 1
-                self._emit(stats, "fact", rule, f"{name}({value!r})")
+                if self._trace is not None:
+                    self._emit(stats, "fact", rule, f"{name}({value!r})")
         for oid, derived in writes.elements.items():
             if not instance.is_set_valued(oid):
                 raise EvaluationError(

@@ -48,27 +48,31 @@ class InstanceIndexes:
     sets; callers must not hold them across instance mutations.
     """
 
-    __slots__ = ("instance", "_relation_attr")
+    __slots__ = ("instance", "_relations")
 
     def __init__(self, instance: "Instance"):
         self.instance = instance
-        #: (relation name, attribute) → value → set of members with that
+        #: relation name → attribute → value → set of members with that
         #: attribute value. Only tuple-shaped members carrying the attribute
         #: are indexed; others are unreachable by a tuple-pattern probe.
-        self._relation_attr: Dict[Tuple[str, str], Dict[OValue, Set[OValue]]] = {}
+        #: Grouped by relation, so a mutation visits only its relation's
+        #: indexes.
+        self._relations: Dict[str, Dict[str, Dict[OValue, Set[OValue]]]] = {}
 
     # -- probes ------------------------------------------------------------------
 
     def relation_index(self, name: str, attr: str) -> Dict[OValue, Set[OValue]]:
         """The (lazily built) projection index of relation ``name`` on ``attr``."""
-        key = (name, attr)
-        index = self._relation_attr.get(key)
+        by_attr = self._relations.setdefault(name, {})
+        index = by_attr.get(attr)
         if index is None:
             index = {}
             for member in self.instance.relations[name]:
-                if isinstance(member, OTuple) and attr in member:
-                    index.setdefault(member[attr], set()).add(member)
-            self._relation_attr[key] = index
+                if isinstance(member, OTuple):
+                    key = member.get(attr)
+                    if key is not None:
+                        index.setdefault(key, set()).add(member)
+            by_attr[attr] = index
         return index
 
     def relation_probe(self, name: str, attr: str, value: OValue):
@@ -88,9 +92,10 @@ class InstanceIndexes:
     # -- incremental maintenance (called by the Instance mutators) ---------------
 
     def on_add_relation_members(self, name: str, values: Iterable[OValue]) -> None:
-        for (rname, attr), index in self._relation_attr.items():
-            if rname != name:
-                continue
+        by_attr = self._relations.get(name)
+        if not by_attr:
+            return
+        for attr, index in by_attr.items():
             for value in values:
                 if isinstance(value, OTuple):
                     key = value.get(attr)
@@ -98,14 +103,17 @@ class InstanceIndexes:
                         index.setdefault(key, set()).add(value)
 
     def on_remove_relation_member(self, name: str, value: OValue) -> None:
-        if isinstance(value, OTuple):
-            for (rname, attr), index in self._relation_attr.items():
-                if rname == name and attr in value:
-                    bucket = index.get(value[attr])
-                    if bucket is not None:
-                        bucket.discard(value)
-                        if not bucket:
-                            del index[value[attr]]
+        by_attr = self._relations.get(name)
+        if not by_attr or not isinstance(value, OTuple):
+            return
+        for attr, index in by_attr.items():
+            key = value.get(attr)
+            if key is not None:
+                bucket = index.get(key)
+                if bucket is not None:
+                    bucket.discard(value)
+                    if not bucket:
+                        del index[key]
 
     # -- verification (property tests) -------------------------------------------
 
@@ -119,8 +127,11 @@ class InstanceIndexes:
         fresh = InstanceIndexes(self.instance)
         return all(
             index == fresh.relation_index(name, attr)
-            for (name, attr), index in self._relation_attr.items()
+            for name, by_attr in self._relations.items()
+            for attr, index in by_attr.items()
         )
 
     def built_relation_indexes(self) -> FrozenSet[Tuple[str, str]]:
-        return frozenset(self._relation_attr)
+        return frozenset(
+            (name, attr) for name, by_attr in self._relations.items() for attr in by_attr
+        )

@@ -17,15 +17,21 @@ PR-6 analysis (IQL701–704) is exactly what runs here:
   with a writer that does not compile is demoted to DRed.
 * **dred** symbols (recursive, or reached through negation) get the
   classical two phases: *over-delete* a conservative superset of the
-  facts whose derivations may involve the delta, then *re-derive*:
-  probe each over-deleted fact for a derivation on the new state
-  through a compiled head-bound kernel, add the facts that came back,
-  and run the stratum semi-naively from those facts and the facts
-  inserted so far, so the cost follows the over-deleted cone. A stratum
-  outside the semi-naive fragment, one that reads a changing symbol
-  non-monotonically, or one that over-deleted at least as many facts as
-  survived re-runs whole instead (``stats.rederive_reruns``). Facts
-  that come back are counted in ``stats.rederived``.
+  facts whose derivations may involve the delta, then *re-derive*. A
+  stratum first proves, on the old state, which over-deleted facts
+  keep a derivation that avoids every deleted fact and every
+  over-deleted fact not yet proved, through a compiled head-bound
+  kernel (the backward check of Motik et al.'s Backward/Forward
+  algorithm, AAAI 2015); those *survivors* are never removed, so only
+  the net deletions reach the instance and the strata downstream, and
+  the re-derive step is a semi-naive run from the facts inserted so
+  far. A stratum whose relations another stratum of the batch also
+  writes probes the over-deleted facts after the retraction instead. A
+  stratum outside the semi-naive fragment, one that reads a changing
+  symbol non-monotonically, or one that over-deleted at least as many
+  facts as survived re-runs whole (``stats.rederive_reruns``).
+  Over-deleted facts that come back, proved or re-derived, are counted
+  in ``stats.rederived``.
 * **recompute** certificates (a maintenance hazard in the cone) fall
   back — a batch touching one re-evaluates from the maintained base
   input, and so does a batch that needs a delta kernel that does not
@@ -51,10 +57,11 @@ their stratum converges); a :class:`MaterializedProgram` built over an
 unscheduled evaluator detects the mismatch per symbol and demotes it to
 DRed instead of serving wrong counts.
 
-Deletion happens *in place*: the removal mutators of
-:class:`~repro.schema.instance.Instance` retract the affected index
-entries instead of dropping the index set, so the hash joins — and the
-compiled kernels capturing their buckets — stay warm across updates.
+Deletion happens *in place*, and only for facts that really go (exact
+counting deaths, and over-deleted facts no probe proved): the removal
+mutators of :class:`~repro.schema.instance.Instance` retract the affected
+index entries instead of dropping the index set, so the hash joins — and
+the compiled kernels capturing their buckets — stay warm across updates.
 
 Batches are atomic: a batch that raises partway (a step budget, a
 malformed value) puts the maintained base back as it was and recomputes
@@ -107,14 +114,6 @@ from repro.values.ovalues import Oid, OValue, ensure_ovalue
 Update = Tuple[str, OValue]
 #: Per-symbol delta sets.
 Delta = Dict[str, Set[OValue]]
-
-
-class _Derivable(Exception):
-    """Raised by a head probe's sink: the probed fact has a derivation."""
-
-
-def _stop_at_first(slots: object) -> None:
-    raise _Derivable
 
 
 class _NoKernel(Exception):
@@ -503,11 +502,7 @@ class MaterializedProgram:
                 break
             if not any(self.program.rule_memo(rule).effects.reads & live for rule in rules):
                 continue
-            written = {
-                s
-                for s in (head_symbol(rule) for rule in rules)
-                if self._schema.is_relation(s)
-            }
+            written = self._written(rules)
             if self._counting_stratum(rules, plan):
                 crossed = self._counting_adjust(rules, delta_plus, self._instance, +1)
                 for symbol, facts in crossed.items():
@@ -538,14 +533,16 @@ class MaterializedProgram:
 
         Phase A sweeps the *old* state in topological order: counting
         strata decrement the dying valuations exactly; DRed strata mark a
-        conservative over-delete set. Phase B retracts everything marked,
-        in place; phase C applies the base inserts; phase D sweeps the
-        *new* state: counting strata increment the born valuations, and
-        DRed strata re-derive (:meth:`_rederive`): each over-deleted fact
-        is probed for a surviving derivation with its head bound, the
-        facts that came back are added, and a semi-naive fixpoint seeded
-        with them and with everything inserted so far (``delta_plus``)
-        derives the rest.
+        conservative over-delete set (:meth:`_overdelete_stratum`), and
+        those that can keep their survivors (:meth:`_survivors`) prove
+        right away which marks keep a derivation, so only the rest enter
+        ``delta_minus`` and reach the strata downstream. Phase B
+        retracts what is left marked, in place; phase C applies the base
+        inserts; phase D sweeps the *new* state: counting strata
+        increment the born valuations, a DRed stratum that kept its
+        survivors runs a semi-naive fixpoint seeded with everything
+        inserted so far (``delta_plus``), and any other re-derives
+        (:meth:`_rederive`).
 
         Nothing mutates until phase B, so the live instance *is* the old
         state throughout phase A — no snapshot copy, and the compiled
@@ -557,6 +554,7 @@ class MaterializedProgram:
         changed = set(plus) | set(minus) | plan.derived_set
         over: Delta = {}
         overdeleted: Dict[Tuple[int, int], int] = {}
+        kept_survivors: Set[Tuple[int, int]] = set()
         exact_dead: Delta = {}
         dirty: Set[str] = set()
         counting_strata: Set[Tuple[int, int]] = set()
@@ -573,14 +571,19 @@ class MaterializedProgram:
                     delta_minus.setdefault(symbol, set()).update(facts)
                     exact_dead.setdefault(symbol, set()).update(facts)
             else:
-                marked = self._overdelete_stratum(rules, old, plan, changed, delta_minus)
-                overdeleted[key] = sum(len(facts) for facts in marked.values())
+                marked, found = self._overdelete_stratum(rules, old, plan, changed, delta_minus)
+                overdeleted[key] = len(found)
+                self.stats.overdeleted += len(found)
+                survivors = self._survivors(key, rules, plan, changed, marked, found, delta_minus)
+                if survivors is not None:
+                    kept_survivors.add(key)
+                    for symbol, facts in survivors.items():
+                        self.stats.rederived += len(facts)
+                        marked[symbol] -= facts
                 for symbol, facts in marked.items():
-                    if not facts:
-                        continue
-                    self.stats.overdeleted += len(facts)
-                    delta_minus.setdefault(symbol, set()).update(facts)
-                    over.setdefault(symbol, set()).update(facts)
+                    if facts:
+                        delta_minus.setdefault(symbol, set()).update(facts)
+                        over.setdefault(symbol, set()).update(facts)
 
         # Phase B: retract, in place (indexes and kernels stay warm).
         for doomed in (exact_dead, over):
@@ -588,7 +591,7 @@ class MaterializedProgram:
                 for fact in facts:
                     if self._instance.remove_relation_member(symbol, fact):
                         self.stats.facts_deleted += 1
-        survivors = {
+        remaining = {
             symbol: len(self._instance.relations[symbol])
             for symbol in plan.derived_set
             if self._schema.is_relation(symbol)
@@ -608,25 +611,29 @@ class MaterializedProgram:
                         if self._instance.add_relation_member(symbol, fact):
                             self.stats.facts_added += 1
                     delta_plus.setdefault(symbol, set()).update(facts)
+                continue
+            written = self._written(rules)
+            if key in kept_survivors:
+                # Every fact of the new fixpoint that the state lacks now
+                # has a derivation that uses a fact of the seed.
+                fresh: Delta = {}
+                self._evaluator.solve_stratum(
+                    self._instance, rules, self.stats, initial_delta=delta_plus, added=fresh
+                )
             else:
-                written = {
-                    s
-                    for s in (head_symbol(rule) for rule in rules)
-                    if self._schema.is_relation(s)
-                }
-                small_cone = overdeleted[key] < sum(
-                    survivors.get(s, 0) for s in written
-                )
-                fresh = self._rederive(
-                    rules, written, over, small_cone, changed, delta_plus
-                )
-                for symbol, facts in fresh.items():
-                    if facts:
-                        delta_plus.setdefault(symbol, set()).update(facts)
-                        self.stats.rederived += len(facts & over.get(symbol, set()))
-                dirty |= written & self._counting_anywhere
+                small_cone = overdeleted[key] < sum(remaining.get(s, 0) for s in written)
+                fresh = self._rederive(rules, written, over, small_cone, changed, delta_plus)
+            for symbol, facts in fresh.items():
+                if facts:
+                    delta_plus.setdefault(symbol, set()).update(facts)
+                    self.stats.rederived += len(facts & over.get(symbol, set()))
+            dirty |= written & self._counting_anywhere
         if dirty:
             self._build_supports(dirty)
+
+    def _written(self, rules: Sequence[Rule]) -> Set[str]:
+        """The relations ``rules`` write."""
+        return {s for s in (head_symbol(rule) for rule in rules) if self._schema.is_relation(s)}
 
     # -- counting machinery -----------------------------------------------------------
 
@@ -648,12 +655,15 @@ class MaterializedProgram:
                 return False  # pragma: no cover - forward closure forbids this
         return True
 
-    def _delta_valuations(self, rule: Rule, shape, delta: Delta, instance: Instance):
-        """Yield ``(dedup key, head value)`` for every valuation of
-        ``rule`` that uses at least one ``delta`` fact in a positive
-        relation position. Keys are the kernel's slot values in variable
-        name order (``name_order``, fixed per kernel), so the caller can
-        deduplicate valuations enumerated from several delta positions.
+    def _delta_valuations(
+        self, rule: Rule, shape, delta: Delta, instance: Instance
+    ) -> List[Tuple[tuple, OValue]]:
+        """``(dedup key, head value)`` for every valuation of ``rule``
+        that uses at least one ``delta`` fact in a positive relation
+        position, from the ``fire`` function of each such position's
+        kernel. Keys are the valuation's values in variable-name order,
+        so the caller can deduplicate valuations enumerated from several
+        delta positions.
 
         Runs on the rule's compiled delta kernels only, and raises
         :class:`_NoKernel` when one of them does not compile. Kernels are
@@ -666,37 +676,19 @@ class MaterializedProgram:
             p for p in shape.relation_positions if delta.get(body[p].container.name)
         ]
         if not live:
-            return
+            return []
         compiler = self._evaluator._compiler
         kernels = compiler.seminaive_kernels(rule, instance) if compiler else None
         if kernels is None:
             raise _NoKernel
-        per_position = []
+        firings: List[Tuple[tuple, OValue]] = []
         for position in live:
             kernel = kernels.delta(position, self.stats)
             if kernel is None:
                 raise _NoKernel
-            per_position.append((position, kernel))
-        for position, (matcher, rest_body, head_eval) in per_position:
-            order = rest_body.name_order
-            firings: List[Tuple[tuple, OValue]] = []
-
-            def consume(
-                slots: List[object],
-                _he: Callable = head_eval,
-                _f: List = firings,
-                _o: tuple = order,
-            ) -> None:
-                value = _he(slots)
-                if value is not None:
-                    _f.append((tuple(slots[i] for i in _o), value))
-
-            slots = rest_body.new_slots()
-            entry = rest_body.entry
-            for fact in delta[body[position].container.name]:
-                if matcher(fact, slots):
-                    entry(slots, consume)
-            yield from firings
+            _drain, fire = kernel.functions
+            fire(delta[body[position].container.name], firings)
+        return firings
 
     def _counting_adjust(
         self, rules: Sequence[Rule], delta: Delta, instance: Instance, sign: int
@@ -742,8 +734,9 @@ class MaterializedProgram:
         plan: _BatchPlan,
         changed: Set[str],
         delta_minus: Delta,
-    ) -> Delta:
-        """The over-delete set of one DRed stratum, against the old state.
+    ) -> Tuple[Delta, List[Tuple[str, OValue]]]:
+        """The over-delete set of one DRed stratum, against the old state,
+        per relation and as ``(relation, fact)`` in the order found.
 
         A head fact is marked when some old-state derivation of it uses a
         deleted (or already-marked — recursion) fact positively; a rule
@@ -753,6 +746,7 @@ class MaterializedProgram:
         *frontier* (the facts marked in the previous round), so every
         mark is processed as a delta exactly once."""
         marked: Delta = {}
+        found: List[Tuple[str, OValue]] = []
         frontier: Delta = {n: set(v) for n, v in delta_minus.items() if v}
         delta_rules = []
         for rule in rules:
@@ -770,6 +764,7 @@ class MaterializedProgram:
                 if fresh:
                     already |= fresh
                     frontier.setdefault(head_name, set()).update(fresh)
+                    found += [(head_name, fact) for fact in fresh]
             else:
                 delta_rules.append((rule, shape))
         while any(frontier.values()):
@@ -782,8 +777,73 @@ class MaterializedProgram:
                     if value in extent and value not in already:
                         already.add(value)
                         next_frontier.setdefault(head_name, set()).add(value)
+                        found.append((head_name, value))
             frontier = next_frontier
-        return marked
+        return marked, found
+
+    def _survivors(
+        self,
+        key: Tuple[int, int],
+        rules: Sequence[Rule],
+        plan: _BatchPlan,
+        changed: Set[str],
+        marked: Delta,
+        found: List[Tuple[str, OValue]],
+        delta_minus: Delta,
+    ) -> Optional[Delta]:
+        """The over-deleted facts of one DRed stratum that keep a
+        derivation, proved on the old state before anything is removed;
+        None when the stratum re-derives after the retraction instead.
+
+        The survivors are the least set of marks that have a derivation
+        whose positive relation facts avoid both ``delta_minus`` and the
+        marks not yet proved. A mark's probe is the compiled head-bound
+        kernel's ``derivable``, run with those facts excluded; the marks
+        are probed in the order the over-delete found them, again and
+        again until a pass proves nothing new. A fact of the new fixpoint
+        derivable without the batch's inserts is either unmarked or
+        proved here (by induction on its derivation's height), so the
+        seeded fixpoint of phase D needs only ``delta_plus``.
+
+        A stratum keeps its survivors when three things hold: the
+        conditions of :meth:`_head_kernels`, the small-cone rule (it
+        over-deleted fewer facts than stay unmarked), and no other
+        stratum of the batch writes its relations — a stratum that does
+        could over-delete a survivor again and leave it to this one.
+        """
+        written = self._written(rules)
+        relations = self._instance.relations
+        unmarked = sum(len(relations[s]) for s in written & plan.derived_set) - len(found)
+        if len(found) >= unmarked or any(
+            other != key and self._written(other_rules) & written
+            for other, other_rules in plan.ordered
+        ):
+            return None
+        kernels = self._head_kernels(rules, changed)
+        if kernels is None:
+            return None
+        probes: Dict[str, List[Callable]] = {}
+        for symbol, derivable in kernels:
+            probes.setdefault(symbol, []).append(derivable)
+        excluded = dict(delta_minus)
+        for symbol, facts in marked.items():
+            excluded[symbol] = delta_minus.get(symbol, set()) | facts
+        survivors: Delta = {}
+        pending = found
+        while pending:
+            unproved: List[Tuple[str, OValue]] = []
+            for symbol, fact in pending:
+                for derivable in probes[symbol]:
+                    if derivable(fact, excluded):
+                        excluded[symbol].discard(fact)
+                        survivors.setdefault(symbol, set()).add(fact)
+                        break
+                else:
+                    unproved.append((symbol, fact))
+            if len(unproved) == len(pending):
+                break
+            pending = unproved
+        return survivors
 
     def _rederive(
         self,
@@ -794,8 +854,9 @@ class MaterializedProgram:
         changed: Set[str],
         delta_plus: Delta,
     ) -> Delta:
-        """Phase D of one DRed stratum: bring its relations to the new
-        fixpoint and return the facts it added.
+        """Phase D of a DRed stratum that did not keep its survivors:
+        bring its relations to the new fixpoint and return the facts it
+        added.
 
         DRed's re-derive step (Gupta, Mumick and Subrahmanian, SIGMOD
         1993): probe every over-deleted fact that is not back yet against
@@ -819,25 +880,14 @@ class MaterializedProgram:
             before = {s: set(relations[s]) for s in written}
             self._evaluator.solve_stratum(self._instance, rules, self.stats)
             return {s: relations[s] - before[s] for s in written}
-        pending = {
-            s: [fact for fact in over.get(s, ()) if fact not in relations[s]]
-            for s in written
-        }
         # Probe everything before adding anything: kernels iterate the
         # live extensions, which must not change under them.
         back: Delta = {}
-        for symbol, (matcher, body, _head_eval) in kernels:
-            if not pending[symbol]:
-                continue
+        for symbol, derivable in kernels:
             found = back.setdefault(symbol, set())
-            slots = body.new_slots()
-            entry = body.entry
-            for fact in pending[symbol]:
-                if fact not in found and matcher(fact, slots):
-                    try:
-                        entry(slots, _stop_at_first)
-                    except _Derivable:
-                        found.add(fact)
+            for fact in over.get(symbol, ()):
+                if fact not in found and fact not in relations[symbol] and derivable(fact, {}):
+                    found.add(fact)
         seed: Delta = dict(delta_plus)
         added: Delta = {}
         for symbol, facts in back.items():
@@ -854,9 +904,10 @@ class MaterializedProgram:
 
     def _head_kernels(
         self, rules: Sequence[Rule], changed: Set[str]
-    ) -> Optional[List[Tuple[str, tuple]]]:
-        """``(head symbol, head-bound kernel)`` per rule when one DRed
-        stratum can re-derive by probes and a seeded fixpoint, else None.
+    ) -> Optional[List[Tuple[str, Callable]]]:
+        """``(head symbol, derivable)`` per rule, the rule's head-bound
+        kernel, when one DRed stratum can re-derive by probes and a
+        seeded fixpoint, else None.
 
         It can when it is semi-naive eligible, no rule reads a changing
         symbol non-monotonically (a negated fact that disappears can
@@ -868,13 +919,14 @@ class MaterializedProgram:
             return None
         if any(self.program.rule_memo(rule).effects.nonmonotone_reads & changed for rule in rules):
             return None
-        kernels: List[Tuple[str, tuple]] = []
+        kernels: List[Tuple[str, Callable]] = []
         for rule in rules:
             compiled = compiler.seminaive_kernels(rule, self._instance)
             head = compiled.delta(HEAD, self.stats) if compiled is not None else None
             if head is None:
                 return None
-            kernels.append((head_symbol(rule), head))
+            (derivable,) = head.functions
+            kernels.append((head_symbol(rule), derivable))
         return kernels
 
     # -- support (re)building ------------------------------------------------------------
@@ -882,8 +934,8 @@ class MaterializedProgram:
     def _build_supports(self, symbols: Optional[Iterable[str]]) -> None:
         """(Re)count the derivations of the given counting symbols (all of
         them when ``symbols`` is None) against the live instance, each
-        writer through its compiled round-0 kernel. A symbol with a
-        writer that has no kernel is not exact (demoted to DRed)."""
+        writer through its compiled round-0 kernel's ``tally``. A symbol
+        with a writer that has no kernel is not exact (demoted to DRed)."""
         targets = (
             set(symbols) if symbols is not None else set(self._counting_anywhere)
         )
@@ -900,13 +952,7 @@ class MaterializedProgram:
                 if kernels is None:
                     exact = False
                     break
-
-                def count(slots, _head=kernels.head_full):
-                    value = _head(slots)
-                    if value is not None:
-                        counts[value] = counts.get(value, 0) + 1
-
-                kernels.full.execute((), count)
+                kernels.tally(counts)
             self.supports.set_counts(symbol, counts)
             self._support_exact[symbol] = (
                 exact and set(counts) == self._instance.relations[symbol]

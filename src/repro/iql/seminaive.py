@@ -30,17 +30,20 @@ Derefence containers, class or deref heads, invention, set-variable
 enumeration — anything beyond this fragment — runs the γ1 loop instead.
 Every round runs on compiled kernels (:mod:`repro.iql.compile`), joined
 through the hash indexes in the cost-based order of
-:mod:`repro.iql.valuation`; a delta kernel whose plan was costed while a
-relation it reads was a tenth of its size is recompiled under a
-re-costed plan at its next round. A rule whose kernels refuse hands the
-stage to the γ1 loop.
+:mod:`repro.iql.valuation`. A round calls one generated ``drain`` per
+rule and delta position: it matches the delta facts, joins the rest of
+the body, builds the head and keeps it when the relation lacks it, with
+no call back into this module per solution. A delta kernel whose plan
+was costed while a relation it reads was a tenth of its size is
+recompiled under a re-costed plan at its next round. A rule whose
+kernels refuse hands the stage to the γ1 loop.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Set
 
-from repro.analysis.effects import delta_body, mentions_name
+from repro.analysis.effects import delta_body, head_symbol, mentions_name
 from repro.iql.literals import Membership
 from repro.iql.rules import Rule
 from repro.iql.terms import NameTerm, Var
@@ -135,22 +138,25 @@ def run_stage_seminaive(
     delta, not the instance. Sound whenever every derivation new since
     that fixpoint must use at least one delta fact in a positive relation
     position, which insert propagation into a converged stratum
-    guarantees, and so does DRed's re-derivation once the probed
-    over-deleted facts are back in the seed. ``added`` (if given)
-    collects the facts each relation actually gained, for downstream
-    propagation.
+    guarantees, and so does DRed's re-derivation once the over-deleted
+    facts that keep a derivation are back, or were never removed.
+    ``added`` (if given) collects the facts each relation actually
+    gained, for downstream propagation.
 
     Every rule runs as compiled kernels
-    (:class:`repro.iql.compile.RuleCompiler`): its round-0 body, and per
-    position a delta matcher and a rest body. A delta position's kernel
-    is bound the first time its relation has a delta, and again in
-    any round where its plan has gone stale, so a recursive relation
-    that keeps growing is joined in an order re-costed on its grown
-    extension. When a round-0 or a delta kernel refuses (a fallback
-    construct in the body), the stage returns None before the round
-    applies anything: the facts of the completed rounds are all sound
-    derivations, and the caller's γ1 loop finishes the inflationary
-    stage from there.
+    (:class:`repro.iql.compile.RuleCompiler`): a round is one ``drain``
+    call per rule (round 0) or per rule and relation position with a
+    delta, which matches the delta facts, joins the rest of the body and
+    adds each head fact not yet in the relation to the round's bucket,
+    all in one generated function; ``valuations_considered`` counts the
+    solutions that did so. A delta position's kernel is bound the first
+    time its relation has a delta, and again in any round where its plan
+    has gone stale, so a recursive relation that keeps growing is joined
+    in an order re-costed on its grown extension. When a round-0 or a
+    delta kernel refuses (a fallback construct in the body), the stage
+    returns None before the round applies anything: the facts of the
+    completed rounds are all sound derivations, and the caller's γ1 loop
+    finishes the inflationary stage from there.
     """
     kernels = []
     for rule in rules:
@@ -159,7 +165,7 @@ def run_stage_seminaive(
         compiled = compiler.seminaive_kernels(rule, instance)
         if compiled is None:
             return None
-        kernels.append((rule, shape.relation_positions, compiled))
+        kernels.append((rule, head_symbol(rule), shape.relation_positions, compiled))
     rounds = 0
     first = initial_delta is None
     delta: Dict[str, Set[OValue]] = (
@@ -177,25 +183,11 @@ def run_stage_seminaive(
                 f"no fixpoint within {max_steps} steps (semi-naive stage)"
             )
         new: Dict[str, Set[OValue]] = {}
-        for rule, positions, compiled in kernels:
-            head = rule.head
-            assert isinstance(head, Membership)  # guaranteed by rule_eligible
-            assert isinstance(head.container, NameTerm)
-            head_name = head.container.name
+        for rule, head_name, positions, compiled in kernels:
             existing = instance.relations[head_name]
             bucket = new.setdefault(head_name, set())
-
-            def sink(head_eval, _b=bucket, _ex=existing):
-                def consume(slots):
-                    value = head_eval(slots)
-                    if value is not None and value not in _ex:
-                        _b.add(value)
-                        stats.valuations_considered += 1
-
-                return consume
-
             if first:
-                compiled.full.execute((), sink(compiled.head_full))
+                stats.valuations_considered += compiled.drain(existing, bucket)
                 continue
             for position in positions:
                 literal = rule.body[position]
@@ -212,21 +204,16 @@ def run_stage_seminaive(
                     assert compiled.fallback is not None
                     compiler.note_interpreted(rule, compiled.fallback)
                     return None
-                matcher, rest_body, head_eval = kernel
-                slots = rest_body.new_slots()
-                consume = sink(head_eval)
-                entry = rest_body.entry
-                for fact in source:
-                    if matcher(fact, slots):
-                        entry(slots, consume)
+                drain, _fire = kernel.functions
+                stats.valuations_considered += drain(source, existing, bucket)
 
         first = False
         rounds += 1
         stats.steps += 1
         if not any(new.values()):
             return rounds
-        # Each relation's new facts go in with one trusted call: the sink
-        # kept only o-values (kernel-built) not in the extension, and no
+        # Each relation's new facts go in with one trusted call: a drain
+        # adds only kernel-built o-values not in the extension, and no
         # extension changes while a round runs.
         for name, values in new.items():
             if values:

@@ -57,7 +57,7 @@ again.
   sorted order, each paired with an o-value. Compiled kernels meet that
   contract by building pairs in a tuple term's ``fields`` order (sorted
   at term construction) from subterm values that are o-values:
-  matcher-bound slots, validated constants, interned tuples and sets,
+  variables bound by matching, validated constants, interned tuples and sets,
   and dereferences already checked for None. Pairs in any other order
   would give one content a second node.
 * A set's content is a frozenset of o-values.

@@ -39,7 +39,7 @@ from repro.iql import (
     atom,
     columns,
 )
-from repro.iql.compile import HEAD, RuleCompiler
+from repro.iql.compile import HEAD, RuleCompiler, kernel_factory
 from repro.iql.evaluator import EvaluationStats
 from repro.parser.grammar import program_from_source
 from repro.schema import Instance, Schema, are_o_isomorphic
@@ -252,9 +252,9 @@ class TestInvalidation:
         for i in range(10):  # under 10x growth both stay cached
             assert compiler.compiled_rule(rule, instance) is kernel and sn.delta(1) is delta
             instance.add_relation_member("T", OTuple(A01=f"t{i}", A02=f"u{i}"))
-        assert not kernel.valid_for(instance) and not delta[1].valid_for(instance)
+        assert not kernel.valid_for(instance) and not delta.valid_for(instance)
         assert ("T", True, 10) in compiler.compiled_rule(rule, instance).body.plan.basis
-        assert ("T", True, 10) in sn.delta(1)[1].plan.basis
+        assert ("T", True, 10) in sn.delta(1).plan.basis
 
     def test_compiled_run_survives_deletion_recompile_cycle(self):
         # A join rule (captures index dicts) plus a deletion rule: the
@@ -477,19 +477,16 @@ class TestLazyDeltaKernels:
         compiler = RuleCompiler(program)
         compiler.begin_run(EvaluationStats())
         sn = compiler.seminaive_kernels(program.rules[1], full)
-        matcher, body, _head_eval = sn.delta(HEAD)
-        assert sn.delta(HEAD)[1] is body  # cached like a delta kernel
+        head = sn.delta(HEAD)
+        assert sn.delta(HEAD) is head  # cached like a delta kernel
+        (derivable,) = head.functions
 
-        def derivable(fact):
-            solutions = []
-            slots = body.new_slots()
-            if matcher(fact, slots):
-                body.entry(slots, lambda slots: solutions.append(list(slots)))
-            return len(solutions)
-
-        assert derivable(OTuple(A01="n0", A02="n3")) == 1
-        assert derivable(OTuple(A01="n0", A02="n1")) == 0  # only E(n0, n1)
-        assert derivable(OTuple(A01="n3", A02="n0")) == 0
+        assert derivable(OTuple(A01="n0", A02="n3"), {})
+        assert not derivable(OTuple(A01="n0", A02="n1"), {})  # only E(n0, n1)
+        assert not derivable(OTuple(A01="n3", A02="n0"), {})
+        # Its one derivation uses T(n0, n2): excluding that fact leaves none.
+        assert not derivable(OTuple(A01="n0", A02="n3"), {"T": {OTuple(A01="n0", A02="n2")}})
+        assert derivable(OTuple(A01="n0", A02="n3"), {"E": {OTuple(A01="n0", A02="n1")}})
 
     def test_a_head_outside_the_fragment_keeps_the_delta_kernels(self):
         # Out(p̂) :- Sel(p): matching the head binds p̂ with p unbound, which
@@ -813,6 +810,19 @@ class TestGeneratedSource:
         assert out.stats.rules_compiled == 1 and out.stats.compile_fallbacks == 0
         assert len(out.output.relations["P"]) == 30 - n + 1
         assert out.output == reference(program, instance).output
+        # The delta kernels (maintenance) and the head-bound kernel are
+        # continued in a second function too.
+        _assert_maintained(
+            program,
+            instance,
+            inserts=[("E", OTuple(A1="n30", A2="n31"))],
+            deletes=[("E", OTuple(A1="n3", A2="n4"))],
+        )
+        rule = program.rules[0]
+        (derivable,) = kernel_factory(program, rule, HEAD, out.full).bind(out.full, 100)
+        fact = OTuple(A1="n0", A2=f"n{n}")
+        assert derivable(fact, {}) and not derivable(OTuple(A1="n1", A2="n0"), {})
+        assert not derivable(fact, {"E": {OTuple(A1="n23", A2="n24")}})
 
     def test_no_instance_outlives_its_run(self):
         import gc

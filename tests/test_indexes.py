@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.datalog import database_to_instance, datalog_to_iql, transitive_closure_program
 from repro.iql import Evaluator, Membership, Program, Rule, Var, atom, columns
-from repro.iql.compile import HEAD, kernel_factory
+from repro.iql.compile import kernel_factory
 from repro.iql.indexes import InstanceIndexes
 from repro.iql.valuation import solve_body
 from repro.schema import Instance, Schema
@@ -226,18 +226,22 @@ def test_indexes_rebuilt_lazily_are_fresh_object():
 
 def kernel_solutions(body, initial, instance, var):
     """``var``'s values over the solutions of ``body`` with ``initial``
-    bound, and the kernel's factory: the kernel is the :data:`HEAD` delta
-    kernel of the one-rule program ``H(initial's variables) :- body``,
-    which solves the whole body with the head's variables bound."""
+    bound, and the kernel's factory: the kernel is the delta kernel of
+    ``Seed`` in the one-rule program ``H(var) :- Seed(initial's
+    variables), body``, which solves the rest of the body with the seed's
+    variables bound, here from the one seed fact."""
     seed = sorted(initial, key=lambda v: v.name)
-    schema = instance.schema.with_names(relations={"H": columns(*(v.type for v in seed))})
-    rule = Rule(atom(schema, "H", *seed), body)
-    factory = kernel_factory(Program(schema, rules=[rule]), rule, HEAD, instance)
-    _, entry, _ = factory.bind(instance, 100_000)
-    slots = [initial[v] for v in seed] + [None] * (factory.n_slots - len(seed))
+    schema = instance.schema.with_names(
+        relations={"Seed": columns(*(v.type for v in seed)), "H": columns(var.type)}
+    )
+    seed_atom = atom(schema, "Seed", *seed)
+    rule = Rule(atom(schema, "H", var), [seed_atom, *body])
+    factory = kernel_factory(Program(schema, rules=[rule]), rule, 0, instance)
+    drain, _fire = factory.bind(instance, 100_000)
+    fact = OTuple({attr: initial[sub] for attr, sub in seed_atom.element.fields})
     found = set()
-    entry(slots, lambda slots: found.add(slots[factory.slot_index[var]]))
-    return factory, found
+    drain([fact], set(), found)
+    return factory, {h["A01"] for h in found}
 
 
 def test_membership_literal_solved_through_probe():

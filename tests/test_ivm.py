@@ -57,13 +57,18 @@ def edge(a, b):
     return OTuple(A1=a, A2=b)
 
 
-def e19_setup(n=5):
-    """The E19 program over an acyclic n-edge chain."""
+def e19_over(edges):
+    """The E19 program over the given edges."""
     program = program_from_source(E19_PROGRAM)
     instance = Instance(program.input_schema)
-    for i in range(n):
-        instance.add_relation_member("E", edge(f"n{i}", f"n{i + 1}"))
+    for a, b in edges:
+        instance.add_relation_member("E", edge(a, b))
     return program, materialize(program, instance)
+
+
+def e19_setup(n=5):
+    """The E19 program over an acyclic n-edge chain."""
+    return e19_over([(f"n{i}", f"n{i + 1}") for i in range(n)])
 
 
 def assert_matches_fresh(mp):
@@ -264,8 +269,10 @@ def cycle_behind_tail(tail=12):
     return program, materialize(program, instance)
 
 
-MIXED_INSERTS = [("E", edge("t3", "m")), ("E", edge("m", "b"))]
-#: With ``cycle_behind_tail``: T re-derives by probes and a seeded
+#: The 2-cycle m⇄b gives F new supported facts, so phase D counts born
+#: valuations (``SupportTable.add``) in both batches.
+MIXED_INSERTS = [("E", edge("t3", "m")), ("E", edge("m", "b")), ("E", edge("b", "m"))]
+#: With ``cycle_behind_tail``: T keeps its survivors and runs a seeded
 #: fixpoint for the first batch, and re-runs whole for the second.
 MIXED_DELETES = {
     "seeded": [("E", edge("a", "c")), ("E", edge("t11", "a"))],
@@ -274,6 +281,7 @@ MIXED_DELETES = {
 
 FAULT_POINTS = [
     (Evaluator, "solve_stratum"),
+    (MaterializedProgram, "_survivors"),
     (SupportTable, "add"),
     (SupportTable, "sub"),
     (Instance, "remove_relation_member"),
@@ -493,6 +501,64 @@ class TestSeededRederive:
         mp.apply_delta(deletes=[("E", edge("n0", "n1"))])
         assert mp.stats.overdeleted == 2
         assert mp.stats.rederive_reruns == 1
+        assert_matches_fresh(mp)
+
+
+class TestSurvivors:
+    """DRed strata prove their over-deleted facts on the old state and
+    remove only those with no derivation left."""
+
+    def test_facts_that_only_support_each_other_go(self):
+        # Without t→a, T(t, a) and T(t, b) derive each other through the
+        # 2-cycle a⇄b, and from nothing else: neither survives.
+        program, mp = e19_over([("t", "a"), ("a", "b"), ("b", "a")])
+        mp.apply_delta(deletes=[("E", edge("t", "a"))])
+        assert mp.stats.overdeleted == 2
+        assert mp.stats.rederived == 0 and mp.stats.rederive_reruns == 0
+        assert mp.extent("T") == {edge(x, y) for x in "ab" for y in "ab"}
+        assert_matches_fresh(mp)
+
+    def test_a_survivor_is_never_removed(self, monkeypatch):
+        # The diamond s→a→t, s→b→t with a tail t→u: deleting a→t
+        # over-deletes T(a, t), T(a, u), T(s, t) and T(s, u); the last two
+        # keep a derivation through b.
+        program, mp = e19_over([("s", "a"), ("s", "b"), ("a", "t"), ("b", "t"), ("t", "u")])
+        live = mp.instance
+        before = live.ground_facts()
+        deleted_before = mp.stats.facts_deleted
+        removed = []
+        remove = Instance.remove_relation_member
+
+        def spy(instance, name, value):
+            if instance is live:
+                removed.append((name, value))
+            return remove(instance, name, value)
+
+        monkeypatch.setattr(Instance, "remove_relation_member", spy)
+        mp.apply_delta(deletes=[("E", edge("a", "t"))])
+        assert mp.stats.overdeleted == 4 and mp.stats.rederived == 2
+        assert sorted(removed, key=repr) == sorted(
+            [("E", edge("a", "t")), ("T", edge("a", "t")), ("T", edge("a", "u"))], key=repr
+        )
+        net = before - mp.instance.ground_facts()
+        assert mp.stats.facts_deleted - deleted_before == len(net) == 3
+        assert mp.instance.indexes.equals_rebuild()
+        assert_matches_fresh(mp)
+
+    def test_a_mark_derivable_only_through_an_insert_comes_back_in_phase_d(self):
+        # Deleting a→t over-deletes T(a, t) and T(s, t); on the old state
+        # neither has another derivation, and the same batch's a→x→t gives
+        # both a new one, which the seeded fixpoint of phase D derives. The
+        # path p0→…→p5 keeps the cone small.
+        edges = [("s", "a"), ("a", "t")] + [(f"p{i}", f"p{i + 1}") for i in range(5)]
+        program, mp = e19_over(edges)
+        mp.apply_delta(
+            inserts=[("E", edge("a", "x")), ("E", edge("x", "t"))],
+            deletes=[("E", edge("a", "t"))],
+        )
+        assert mp.stats.overdeleted == 2 and mp.stats.rederived == 2
+        assert mp.stats.rederive_reruns == 0
+        assert {edge("a", "t"), edge("s", "t"), edge("s", "x")} <= mp.extent("T")
         assert_matches_fresh(mp)
 
 
@@ -745,8 +811,9 @@ class TestMaintainCLI:
         assert out.out.splitlines()[0].startswith("ok: 1 net update(s)")
 
     def test_shipped_session_ends_where_repro_run_does(self, capsys):
-        # examples/path_graph_session.txt: deletes, re-inserts and one
-        # batch over --max-steps; CI runs the same session.
+        # examples/path_graph_session.txt: deletes, re-inserts, a diamond
+        # delete that keeps 6 of its 7 over-deleted facts, and one batch
+        # over --max-steps; CI runs the same session.
         args = ["examples/transitive_closure.iql", "--input", "examples/path_graph.json"]
         assert main(["run", *args]) == 0
         expected = json.loads(capsys.readouterr().out)
@@ -754,6 +821,8 @@ class TestMaintainCLI:
         assert main(["maintain", *args, *session]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert sum(1 for line in lines if line.startswith("error:")) == 1
+        diamond = [line for line in lines if line.startswith("ok:")][7]
+        assert "overdeleted 7, rederived 6," in diamond
         assert json.loads("\n".join(lines[lines.index("{"):])) == expected
 
     def test_ill_typed_insert_is_rejected(self, tmp_path, capsys):
