@@ -15,9 +15,14 @@ each solution, with no call back into the caller.
 A kernel has one of four shapes, and its factory writes one function per
 job the shape has:
 
-* a **γ1 rule**: ``entry(slots, consume)`` writes each solution into a
-  *slot list* (one fixed index per variable) handed to ``consume``, then
-  ``blocked(slots)`` and ``apply(slots, writes)`` run the head;
+* a **γ1 rule**: ``collect(out)`` counts every solution, drops each
+  one the head blocks and appends one *row* per firing valuation to
+  ``out`` (the head's variables bound by the body, in the order the plan
+  binds them), and returns the count; ``apply(rows, writes)`` stages
+  the head of every row, each extended by the rule's invented oids in
+  variable-name order. A deletion rule has ``collect`` alone, whose rows
+  are ``(oid, value)``: the oid of the head's ``x̂`` (None for a name
+  container) and the deleted term's value;
 * a semi-naive rule's **round 0** (the whole body):
   ``drain(existing, bucket)`` adds each head fact not in ``existing`` to
   the set ``bucket`` and returns how many solutions did so, and
@@ -38,6 +43,14 @@ What the generator decides once per kernel and plan:
 * **locals** — every variable gets a fixed slot and a local; which
   are bound at each program point is static (each generator step binds
   exactly its literal's variables), so nothing is ever undone,
+* **dereferences** — ``x̂`` of a variable declared of one class reads
+  ν with one ``dict.get`` of the live ``I.nu`` (a set-valued class's
+  default ``{ }`` is the ``get``'s default, so it is never undefined),
+  and a membership test in such a set tests its frozenset. This is sound
+  because such a variable's oid is always in its class where it is
+  dereferenced: a matcher binds it only after the extent test, an
+  ``enum`` step ranges over the extent, and invented oids are placed
+  before ``apply`` runs. Any other declared type reads ``value_of``,
 * **index probes** — a probe is one call of a projection index's
   ``dict.get`` (:class:`~repro.iql.indexes.InstanceIndexes`),
 * **scan sources** — relation/class extension *sets* are read directly
@@ -57,8 +70,14 @@ What the generator decides once per kernel and plan:
   also rejects the facts ``excluded`` names for its relation,
 * **the head** — for γ1, the blocking check (the valuation-domain
   condition of γ1, including invention variables ranging over class
-  extents) and an applier that evaluates the head and stages its write
-  (a relation or class fact, a set element, a (★) candidate) for the
+  extents) runs inside ``collect``: inline when it is one membership
+  test (a name-container head whose element is bound, or ``x̂(t)`` with
+  ``x`` and ``t`` bound and ``x`` of a set-valued class), else as a
+  call of a generated ``blocked`` that takes the row's locals and, for a
+  name-container head with an invention variable, probes the projection
+  index of a bound field instead of scanning the head relation.
+  ``apply`` evaluates the head of each row and stages its write (a
+  relation or class fact, a set element, a (★) candidate) for the
   evaluator to apply after the step's last head; in ``drain``, the head
   fact's intern node is probed before the fact is built, so a solution
   that derives a fact already present builds nothing.
@@ -77,8 +96,8 @@ depends only on its :class:`~repro.iql.program.Program`, which memoizes
 it (:meth:`~repro.iql.program.Program.rule_memo`) beside the rule's
 plan memo.
 *Binding* a kernel to an instance ``I`` is one factory call: it reads
-the live extension sets and ``value_of``, builds any projection index
-the plan probes, and returns the kernel's functions
+the live extension sets, ``nu.get`` and ``value_of``, builds any
+projection index the kernel probes, and returns the kernel's functions
 (:class:`BoundKernel`). Bound kernels belong to an evaluator's
 :class:`RuleCompiler`, so a program keeps no instance alive.
 
@@ -116,15 +135,16 @@ its plan is not stale.
 **Contract.** A running kernel iterates live extension sets; callers must
 not mutate the instance while a kernel is executing, and a ``bucket``,
 ``out`` or ``counts`` a kernel writes must not be a set it reads. Both
-engines satisfy this: γ1 collects additions and applies them after all
-bodies are solved, and the semi-naive rounds drain new facts into a
-bucket before applying them. Appliers stage too, so no head of a γ1 step
-sees another's write. A factory function is shared by every program
-whose kernel has the same text, so it reads nothing but its arguments
-and this module's helpers, and a bound kernel keeps no state between
-calls: a γ1 solution lives only in the slot list its caller passes, and
-the consumer copies what it keeps. Every call reads the intern table
-afresh (``_STORE.tuples``), so a sweep between calls changes no answer.
+engines satisfy this: γ1 collects every rule's rows before it invents
+or writes anything, and the semi-naive rounds drain new facts into a
+bucket before applying them. ``apply`` stages too, so no head of a γ1
+step sees another's write. A factory function is shared by every
+program whose kernel has the same text, so it reads nothing but its
+arguments and this module's helpers, and a bound kernel keeps no state
+between calls: what a call finds goes into the list or set its caller
+passes. ``I.nu`` is never rebound, so a bound ``nu.get`` stays current.
+Every call reads the intern table afresh (``_STORE.tuples``), so a sweep
+between calls changes no answer.
 
 Compiled execution reports ``rules_compiled`` / ``rules_interpreted`` /
 ``compile_fallbacks`` / ``compile_time`` into
@@ -134,7 +154,7 @@ Compiled execution reports ``rules_compiled`` / ``rules_interpreted`` /
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.effects import mentions_name
 from repro.errors import EvaluationError
@@ -146,15 +166,10 @@ from repro.schema.instance import Instance
 from repro.typesys.enumeration import enumerate_type
 from repro.typesys.expressions import Base, ClassRef
 from repro.values.intern import STORE
-from repro.values.ovalues import CONSTANT_TYPES, Oid, OSet, OTuple, OValue, interned_tuple
+from repro.values.ovalues import CONSTANT_TYPES, EMPTY_SET, Oid, OSet, OTuple, interned_tuple
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.iql.program import Program
-
-#: A γ1 binding environment: one mutable list, one slot per variable.
-Slots = List[Optional[OValue]]
-#: A γ1 consumer invoked once per solution, with the (live, reused) slot list.
-Consumer = Callable[[Slots], None]
 
 #: The position of the head-bound kernel (:meth:`SeminaiveKernels.delta`);
 #: body positions are 0, 1, ...
@@ -216,7 +231,7 @@ _LOOPS_PER_FUNCTION = 16
 #: besides the bound variables, the statement that ends it, and the
 #: statement that runs a continuation ``{call}``.
 _SHAPES: Dict[str, Tuple[str, str, str, str]] = {
-    "entry": ("slots, consume", "slots, consume, tg", "return", "{call}"),
+    "collect": ("out", "out, tg", "return n", "n += {call}"),
     "drain": ("existing, bucket", "existing, bucket, tg", "return n", "n += {call}"),
     "fire": ("out", "out, tg", "return", "{call}"),
     "tally": ("counts", "counts, tg", "return", "{call}"),
@@ -233,6 +248,7 @@ _GLOBALS: Dict[str, Any] = {
     "_STORE": STORE,
     "_enumerate_type": enumerate_type,
     "_EMPTY": frozenset(),
+    "_EMPTY_SET": EMPTY_SET,
     "_non_oid": _non_oid,
     "_non_set": _non_set,
     "_undefined_head": _undefined_head,
@@ -291,9 +307,9 @@ class _Source:
     ``c<k>`` (``C[k]``), an object read from the instance at binding is
     ``i<k>``, a temporary ``t<k>`` and the facts ``derivable`` excludes
     from a relation ``x<k>``; ``tg`` is the intern table's ``get`` and
-    ``n`` the count ``drain`` returns. ``fail`` is the statement that
-    drops the current candidate: ``continue`` inside a loop, the
-    function's ``done`` statement outside one.
+    ``n`` the count ``drain`` and ``collect`` return. ``fail`` is the
+    statement that drops the current candidate: ``continue`` inside a
+    loop, the function's ``done`` statement outside one.
     """
 
     def __init__(self, schema, initial: Sequence[Var] = ()):
@@ -313,6 +329,8 @@ class _Source:
         self._outer: List[str] = []
         self._temps = 0
         self.probes = False
+        #: Whether ``collect`` calls a generated ``blocked``.
+        self.calls_blocked = False
 
     # -- names -------------------------------------------------------------------
 
@@ -339,6 +357,44 @@ class _Source:
     def value_of(self) -> str:
         return self.read(("value_of",), "I.value_of")
 
+    def declared_class(self, var: Var) -> Optional[str]:
+        """The class ``var`` is declared of, when its type is one class."""
+        var_type = var.type
+        if isinstance(var_type, ClassRef) and self.schema.is_class(var_type.name):
+            return var_type.name
+        return None
+
+    def set_valued(self, var: Var) -> bool:
+        """Is ``var`` declared of one set-valued class?"""
+        name = self.declared_class(var)
+        return name is not None and self.schema.is_set_valued_class(name)
+
+    def deref(self, var: Var) -> Tuple[str, bool]:
+        """An expression for ν of ``var``'s oid, and whether it can be
+        None (undefined).
+
+        A variable declared of one class reads ``I.nu`` directly (see the
+        module docstring): a set-valued class's oid defaults to ``{ }``,
+        any other class's may be undefined. Any other type goes through
+        ``value_of``."""
+        local = self.var(var)
+        name = self.declared_class(var)
+        if name is None:
+            return f"{self.value_of()}({local})", True
+        nu_get = self.read(("nu",), "I.nu.get")
+        if self.schema.is_set_valued_class(name):
+            return f"{nu_get}({local}, _EMPTY_SET)", False
+        return f"{nu_get}({local})", True
+
+    def elements(self, container: Term, members: str, lit: Literal) -> str:
+        """What a membership in ``container``, whose value is in
+        ``members``, tests or iterates: the frozenset of a set-valued
+        dereference, else the value, checked to be a set."""
+        if isinstance(container, Deref) and self.set_valued(container.var):
+            return f"{members}._elements"
+        self.require_set(members, lit)
+        return members
+
     def temp(self) -> str:
         self._temps += 1
         return f"t{self._temps}"
@@ -359,18 +415,15 @@ class _Source:
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.depth + line)
 
-    def function(self, signature: str, bound: Sequence[Var], reads=(), done="return") -> None:
-        """Start a nested function of the factory whose locals ``reads``
-        come from the slot list, with ``bound`` the variables bound and
-        ``done`` the statement that ends it."""
+    def function(self, signature: str, bound: Sequence[Var], done="return") -> None:
+        """Start a nested function of the factory, with ``bound`` the
+        variables bound and ``done`` the statement that ends it."""
         self.depth = 1
         self.emit(f"def {signature}:")
         self.depth = 2
         self.fail = done
         self._outer = []
         self.bound = set(bound)
-        for var in sorted(reads, key=self.index.__getitem__):
-            self.emit(f"{self.var(var)} = slots[{self.index[var]}]")
 
     def open(self, header: str) -> None:
         """Open a loop; inside it, a failed test moves to the next element."""
@@ -416,10 +469,16 @@ class _Source:
             expr = f"_OSet({self.extension(term.name)})"
         elif isinstance(term, Deref):
             t = self.temp()
-            self.emit(f"{t} = {self.var(term.var)}")
-            self.emit(f"if not isinstance({t}, _Oid): _non_oid({self.const(term.var.name)}, {t})")
-            self.emit(f"{t} = {self.value_of()}({t})")
-            self.emit(f"if {t} is None: {undefined}")
+            if self.declared_class(term.var) is None:
+                local = self.var(term.var)
+                self.emit(
+                    f"if not isinstance({local}, _Oid): "
+                    f"_non_oid({self.const(term.var.name)}, {local})"
+                )
+            expr, maybe_none = self.deref(term.var)
+            self.emit(f"{t} = {expr}")
+            if maybe_none:
+                self.emit(f"if {t} is None: {undefined}")
             return t
         elif isinstance(term, SetTerm):
             elements = [self.value(sub, undefined) for sub in term.terms]
@@ -463,7 +522,7 @@ class _Source:
                 # Unbound dereference: match() scans the class, possibly
                 # many extensions per value.
                 raise CompileFallback("unbound-dereference")
-            self.emit(f"if {self.value_of()}({self.var(term.var)}) != {x}: {fail}")
+            self.emit(f"if {self.deref(term.var)[0]} != {x}: {fail}")
         elif isinstance(term, TupleTerm):
             self.match_tuple(term, x)
         elif isinstance(term, SetTerm) and not term.variables() <= self.bound:
@@ -559,7 +618,7 @@ class _Source:
                 return
             members = self.value(container)
             value = self.value(element)
-            self.require_set(members, lit)
+            members = self.elements(container, members, lit)
             self.emit(f"if {value} {test} {members}: {fail}")
             return
         if isinstance(lit, Equality):
@@ -597,8 +656,7 @@ class _Source:
         elif isinstance(container, NameTerm):
             source = self.extension(container.name)
         else:
-            source = self.value(container)
-            self.require_set(source, lit)
+            source = self.elements(container, self.value(container), lit)
         element = self.temp()
         self.open(f"for {element} in {source}:")
         if isinstance(container, NameTerm) and container.name in self.excluded:
@@ -612,7 +670,11 @@ class _Source:
         return f" or {value} in {local}" if local else ""
 
     def nest(
-        self, plan: Plan, shape: str, matched: Optional[Term] = None, head: Optional[Term] = None
+        self,
+        plan: Plan,
+        shape: str,
+        matched: Optional[Term] = None,
+        head: Union[Term, Rule, None] = None,
     ) -> None:
         """Function ``shape`` of the kernel (:data:`_SHAPES`): the plan as
         one loop nest, finished per solution by :meth:`solution`.
@@ -621,7 +683,7 @@ class _Source:
         the head, the nest first matches it against each fact of
         ``source``, or against the one ``fact`` of ``derivable``, binding
         the initial variables. ``head`` is the head element of a
-        semi-naive rule.
+        semi-naive rule, or the rule itself for ``collect``.
 
         Python nests at most 20 blocks in one function, so every
         :data:`_LOOPS_PER_FUNCTION` loops the rest of the nest continues
@@ -648,7 +710,7 @@ class _Source:
             context += "".join(f", {local}" for local in self.excluded.values())
         self.function(f"{shape}({params})", (), done=done)
         self.emit("tg = _STORE.tuples.get")
-        if shape == "drain":
+        if done == "return n":
             self.emit("n = 0")
         for name, local in self.excluded.items():
             self.emit(f"{local} = excluded.get({self.const(name)}, _EMPTY)")
@@ -674,7 +736,7 @@ class _Source:
                     finished += self.lines
                     self.lines = []
                     self.function(call, bound, done=done)
-                    if shape == "drain":
+                    if done == "return n":
                         self.emit("n = 0")
                     loops = 0
                 loops += 1
@@ -707,18 +769,21 @@ class _Source:
 
     # -- the rest of a kernel --------------------------------------------------------
 
-    def solution(self, shape: str, head: Optional[Term]) -> None:
+    def solution(self, shape: str, head: Union[Term, Rule, None]) -> None:
         """The innermost statements of function ``shape``: what it does
         with one solution."""
-        if shape == "entry":
-            for i in range(len(self.slots)):
-                self.emit(f"slots[{i}] = v{i}")
-            self.emit("consume(slots)")
-            return
         if shape == "derivable":
             self.emit("return True")
             return
-        assert head is not None
+        if shape == "collect":
+            assert isinstance(head, Rule)
+            self.emit("n += 1")
+            if head.delete:
+                self.deleted(head.head)
+            else:
+                self.row(head.head)
+            return
+        assert isinstance(head, Term)
         fail = self.fail
         if shape == "drain" and isinstance(head, TupleTerm):
             # Probe the head fact's intern node before building it: a
@@ -742,41 +807,103 @@ class _Source:
         else:  # shape == "tally"
             self.emit(f"counts[{fact}] = counts.get({fact}, 0) + 1")
 
-    def blocked(self, head: Literal, body_vars: Sequence[Var]) -> None:
-        """``blocked(slots)``: the valuation-domain blocking condition.
+    def row_vars(self, head: Literal) -> List[Var]:
+        """The head's variables the body binds, in slot order: a row's
+        locals (before the invention variables get slots)."""
+        variables = head.variables()
+        return [v for v in self.slots if v in variables]
+
+    def row(self, head: Literal) -> None:
+        """In ``collect``: drop the solution if the head blocks it, else
+        append its row.
+
+        A bound head whose blocking check is one membership test (a name
+        container, or the set of a set-valued ``x̂``) is tested inline as
+        the negated head, the filter that drops a solution whose fact
+        is present; any other head calls ``blocked`` with the row."""
+        row = self.row_vars(head)
+        args = "".join(f"{self.var(v)}, " for v in row)
+        container = head.container if isinstance(head, Membership) else None
+        if (
+            isinstance(head, Membership)
+            and head.variables() <= self.bound
+            and not _can_be_undefined(head.element)
+            and (
+                isinstance(container, NameTerm)
+                or (isinstance(container, Deref) and self.set_valued(container.var))
+            )
+        ):
+            self.filter(head.negate())
+        else:
+            self.calls_blocked = True
+            self.emit(f"if blocked({args.rstrip(', ')}): {self.fail}")
+        self.emit(f"out.append(({args}))")
+
+    def deleted(self, head: Literal) -> None:
+        """In a deletion rule's ``collect``: append ``(oid, value)``, the
+        oid of the head's ``x̂`` (None for a name container) and the
+        deleted term's value; an undefined term appends nothing."""
+        if isinstance(head, Membership):
+            term, container = head.element, head.container
+            oid = self.var(container.var) if isinstance(container, Deref) else "None"
+        else:
+            assert isinstance(head, Equality) and isinstance(head.left, Deref)
+            term, oid = head.right, self.var(head.left.var)
+        self.emit(f"out.append(({oid}, {self.value(term)}))")
+
+    def blocked(self, head: Literal, row: Sequence[Var]) -> None:
+        """``blocked(v…)``, of a row's locals: the valuation-domain
+        blocking condition.
 
         Head-only (invention) variables are unbound here, so their
         matchers range over existing class members — exactly
-        ``Evaluator._head_satisfiable``."""
-        self.function("blocked(slots)", body_vars, head.variables() & set(body_vars))
+        ``Evaluator._head_satisfiable``, except that a relation head
+        probes the projection index of a field the row binds instead of
+        scanning the relation."""
+        self.function(f"blocked({', '.join(self.var(v) for v in row)})", row)
         self.fail = "return False"
         if isinstance(head, Membership):
-            container = head.container
+            container, element = head.container, head.element
             if isinstance(container, NameTerm):
-                members = self.extension(container.name)
+                if element.variables() <= self.bound:
+                    members = self.extension(container.name)
+                    self.emit(f"return {self.value(element)} in {members}")
+                    return
+                probes: Tuple[Tuple[str, Term], ...] = ()
+                if self.schema.is_relation(container.name) and isinstance(element, TupleTerm):
+                    probes = tuple(
+                        (attr, sub)
+                        for attr, sub in element.fields
+                        if sub.variables() <= self.bound and not _can_be_undefined(sub)
+                    )
+                self.member(head, probes)
             elif isinstance(container, Deref):
                 if container.var not in self.bound:
                     # x is an invention variable: a fresh oid has no ν
                     # entry yet, so no extension can satisfy the head.
                     self.emit("return False")
                     return
+                expr, maybe_none = self.deref(container.var)
                 members = self.temp()
-                self.emit(f"{members} = {self.value_of()}({self.var(container.var)})")
-                self.emit(f"if {members} is None: return False")
+                self.emit(f"{members} = {expr}")
+                if maybe_none:
+                    self.emit(f"if {members} is None: return False")
+                if element.variables() <= self.bound:
+                    self.emit(f"return {self.value(element)} in {members}")
+                    return
+                item = self.temp()
+                self.open(f"for {item} in {members}:")
+                self.match(element, item)
             else:  # pragma: no cover - rejected by the type checker
                 raise EvaluationError(f"illegal head container {container!r}")
-            if head.element.variables() <= self.bound:
-                self.emit(f"return {self.value(head.element)} in {members}")
-                return
-            element = self.temp()
-            self.open(f"for {element} in {members}:")
-            self.match(head.element, element)
         elif isinstance(head, Equality) and isinstance(head.left, Deref):
             var = head.left.var
             value = self.temp()
             if var in self.bound:
-                self.emit(f"{value} = {self.value_of()}({self.var(var)})")
-                self.emit(f"if {value} is None: return False")
+                expr, maybe_none = self.deref(var)
+                self.emit(f"{value} = {expr}")
+                if maybe_none:
+                    self.emit(f"if {value} is None: return False")
                 self.match(head.right, value)
                 self.emit("return True")
                 return
@@ -787,8 +914,10 @@ class _Source:
                 ("extent", class_name), f"I.classes.get({self.const(class_name)}, _EMPTY)"
             )
             self.open(f"for {self.bind(var)} in {extent}:")
-            self.emit(f"{value} = {self.value_of()}({self.var(var)})")
-            self.emit(f"if {value} is None: continue")
+            expr, maybe_none = self.deref(var)
+            self.emit(f"{value} = {expr}")
+            if maybe_none:
+                self.emit(f"if {value} is None: continue")
             self.match(head.right, value)
         else:  # pragma: no cover - rejected by the type checker
             raise EvaluationError(f"illegal head {head!r}")
@@ -796,16 +925,27 @@ class _Source:
         self.close()
         self.emit("return False")
 
-    def apply(self, rule: Rule) -> None:
-        """``apply(slots, writes)``: evaluate the head and stage its write
-        in ``writes`` (a :class:`~repro.iql.evaluator.StepWrites`).
+    def apply(self, rule: Rule, row: Sequence[Var]) -> None:
+        """``apply(rows, writes)``: evaluate the head of each row (the
+        row's locals ``row``: its body-bound head variables, then its
+        invented oids) and stage its write in ``writes`` (a
+        :class:`~repro.iql.evaluator.StepWrites`).
 
         Nothing is written to the instance here: the evaluator applies the
         staged writes after the step's last head, so every head reads the
         instance the step started from."""
         head = rule.head
-        self.function("apply(slots, writes)", self.slots, head.variables())
+        self.function("apply(rows, writes)", ())
         undefined = f"_undefined_head({self.const(head)})"
+        if isinstance(head, Membership):
+            container = head.container
+            stage = "writes.facts.append" if isinstance(container, NameTerm) else "writes.elements"
+        else:
+            stage = "writes.assign"
+        self.emit(f"stage = {stage}")
+        target = "".join(f"{self.var(v)}, " for v in row).rstrip() or "_"
+        self.open(f"for {target} in rows:")
+        self.bound = set(row)
         if isinstance(head, Membership):
             element = self.value(head.element, undefined)
             container = head.container
@@ -815,19 +955,18 @@ class _Source:
                         f"if not isinstance({element}, _Oid): "
                         f"_non_oid_head({self.const(head)}, {element})"
                     )
-                fact = f"({self.const(rule)}, {self.const(container.name)}, {element})"
-                self.emit(f"writes.facts.append({fact})")
+                self.emit(f"stage(({self.const(rule)}, {self.const(container.name)}, {element}))")
             else:
                 assert isinstance(container, Deref)  # checked by blocked()
-                oid = self.var(container.var)
                 self.emit(
-                    f"writes.elements.setdefault({oid}, {{}}).setdefault("
+                    f"stage.setdefault({self.var(container.var)}, {{}}).setdefault("
                     f"{element}, {self.const(rule)})"
                 )
         else:
             assert isinstance(head, Equality) and isinstance(head.left, Deref)
             value = self.value(head.right, undefined)
-            self.emit(f"writes.assign({self.var(head.left.var)}, {value})")
+            self.emit(f"stage({self.var(head.left.var)}, {value})")
+        self.close()
 
 
 # -- factories ---------------------------------------------------------------------
@@ -837,42 +976,29 @@ class KernelFactory:
     """One kernel's factory, with what depends only on its program.
 
     :meth:`bind` returns the kernel's functions for one instance, in
-    this order: ``entry``, ``blocked``, ``apply`` for a γ1 rule
-    (``entry`` alone for a deletion rule), ``drain``, ``tally`` for round
-    0, ``drain``, ``fire`` for a delta position and ``derivable`` for
-    :data:`HEAD`. ``source`` is the generated text. For a γ1 rule,
-    ``slot_vars`` is the body's slot layout (variables in order of first
-    binding along the plan), ``n_slots`` adds the invention slots, and
-    ``inv_slots`` gives ((class name, slot), ...) for the invention
-    variables in name order (the interpreter's invention order).
+    this order: ``collect``, ``apply`` for a γ1 rule (``collect`` alone
+    for a deletion rule), ``drain``, ``tally`` for round 0, ``drain``,
+    ``fire`` for a delta position and ``derivable`` for :data:`HEAD`.
+    ``source`` is the generated text. For a γ1 rule, ``inventions``
+    names the class of each invention variable in name order (the
+    interpreter's invention order): the oids ``apply`` expects at the
+    end of each row. ``probes`` says whether the kernel probes an index.
     """
 
-    __slots__ = (
-        "plan",
-        "make",
-        "consts",
-        "source",
-        "slot_vars",
-        "n_slots",
-        "inv_slots",
-        "probes",
-    )
+    __slots__ = ("plan", "make", "consts", "source", "inventions", "probes")
 
     def __init__(
         self,
         plan: Plan,
         source: _Source,
         functions: Sequence[str],
-        body_vars: Sequence[Var] = (),
-        inv_slots: Tuple[Tuple[str, int], ...] = (),
+        inventions: Tuple[str, ...] = (),
     ):
         self.plan = plan
         self.source = source.text(functions)
         self.make = CODE_CACHE.function(self.source)
         self.consts = tuple(source.consts)
-        self.slot_vars: Tuple[Var, ...] = tuple(body_vars)
-        self.n_slots = len(source.slots)
-        self.inv_slots = inv_slots
+        self.inventions = inventions
         self.probes = source.probes
 
     def bind(self, instance: Instance, budget: int) -> tuple:
@@ -906,17 +1032,18 @@ def _generate(schema, rule: Rule, kind, plan: Plan, initial) -> KernelFactory:
     ``"full"`` (round 0), a body position or :data:`HEAD` (delta)."""
     source = _Source(schema, initial)
     if kind == "rule":
-        source.nest(plan, "entry")
-        body_vars = tuple(source.slots)
+        source.nest(plan, "collect", head=rule)
         if rule.delete:
-            return KernelFactory(plan, source, ["entry"], body_vars)
+            return KernelFactory(plan, source, ["collect"])
+        row = source.row_vars(rule.head)
         inventions = sorted(rule.invention_variables(), key=lambda v: v.name)
         for var in inventions:
             source.bind(var)
-        inv_slots = tuple((_class_name(v), source.index[v]) for v in inventions)
-        source.blocked(rule.head, body_vars)
-        source.apply(rule)
-        return KernelFactory(plan, source, ["entry", "blocked", "apply"], body_vars, inv_slots)
+        if source.calls_blocked:
+            source.blocked(rule.head, row)
+        source.apply(rule, row + inventions)
+        classes = tuple(_class_name(v) for v in inventions)
+        return KernelFactory(plan, source, ["collect", "apply"], classes)
     head = rule.head
     assert isinstance(head, Membership)  # semi-naive heads are R(t)
     functions: Tuple[str, ...] = ("drain", "tally")
@@ -989,31 +1116,25 @@ class BoundKernel:
 
 
 class CompiledRule:
-    """One rule bound for γ1: body kernel, blocking check, applier.
+    """One rule bound for γ1.
 
-    ``solve`` enumerates body valuations (slot lists sized for body *and*
-    invention variables, laid out as ``slot_vars`` and then the invention
-    slots); ``blocked`` is the valuation-domain condition (True iff some
-    extension already satisfies the head); the evaluator fills
-    ``inv_slots`` with fresh oids and calls ``apply`` with the step's
-    :class:`~repro.iql.evaluator.StepWrites`. A deletion rule compiles
-    its body only (``blocked`` and ``apply`` are None): the evaluator
-    turns each solution into a θ for its deletion step.
+    ``collect(rows)`` appends a row per valuation the head does not block
+    (the valuation-domain condition) and returns how many valuations the
+    body had; the evaluator extends each row by fresh oids of the classes
+    ``inventions`` names and calls ``apply(rows, writes)`` with the step's
+    :class:`~repro.iql.evaluator.StepWrites`. A deletion rule has no
+    ``apply`` (None): its ``collect`` appends ``(oid, value)`` pairs for
+    its deletion step (see :meth:`_Source.deleted`).
     """
 
-    __slots__ = ("rule", "body", "slot_vars", "n_slots", "inv_slots", "entry", "blocked", "apply")
+    __slots__ = ("rule", "body", "collect", "apply", "inventions")
 
     def __init__(self, rule: Rule, factory: KernelFactory, instance: Instance, budget: int):
         self.rule = rule
         self.body = BoundKernel(factory, instance, budget)
-        self.entry, *head = self.body.functions
-        self.slot_vars = factory.slot_vars
-        self.n_slots = factory.n_slots
-        self.inv_slots = factory.inv_slots
-        self.blocked, self.apply = head if head else (None, None)
-
-    def solve(self, consume: Consumer) -> None:
-        self.entry([None] * self.n_slots, consume)
+        self.collect, *rest = self.body.functions
+        self.apply = rest[0] if rest else None
+        self.inventions = factory.inventions
 
     def valid_for(self, instance: Instance) -> bool:
         return self.body.valid_for(instance)

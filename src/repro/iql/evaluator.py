@@ -39,7 +39,7 @@ Extensions handled here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import EvaluationError, GenericityError, NonTerminationError
 from repro.iql.invention import CountingOidFactory, OidFactory
@@ -51,6 +51,9 @@ from repro.iql.valuation import Bindings, eval_term, match, solve_body
 from repro.schema.instance import Instance
 from repro.schema.isomorphism import orbit_partition
 from repro.values.ovalues import Oid, OSet, OValue, sort_key
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.iql.compile import CompiledRule
 
 
 @dataclass
@@ -577,12 +580,15 @@ class Evaluator:
     # -- the one-step operator γ1 ----------------------------------------------------
 
     def _one_step(self, instance: Instance, rules: List[Rule], stats: EvaluationStats) -> bool:
-        # Each addition is (rule, bindings, kernel): bindings is a θ dict
-        # on the reference path, a slot list on the compiled one (with
-        # kernel the rule's CompiledRule). Deletions always carry a θ.
-        additions: List[Tuple[Rule, object, object]] = []
-        deletions: List[Tuple[Rule, Bindings]] = []
-
+        # Solve every body before anything is invented or written. Each
+        # rule that fires contributes (rule, kernel, rows): a compiled
+        # rule's rows are the tuples its kernel's collect appended, an
+        # interpreted rule's are θ dicts. Deletions are (rule, oid, value):
+        # the oid of the head's x̂ (None for a name container) and the
+        # deleted term's value over the instance the step started from;
+        # an undefined term deletes nothing.
+        fired: List[Tuple[Rule, Optional["CompiledRule"], list]] = []
+        deletions: List[Tuple[Rule, Optional[Oid], OValue]] = []
         for rule in rules:
             kernel = (
                 self._compiler.compiled_rule(rule, instance)
@@ -590,21 +596,14 @@ class Evaluator:
                 else None
             )
             if kernel is not None:
+                rows: list = []
+                stats.valuations_considered += kernel.collect(rows)
                 if rule.delete:
-
-                    def consume(slots, _rule=rule, _vars=kernel.slot_vars):
-                        stats.valuations_considered += 1
-                        deletions.append((_rule, dict(zip(_vars, slots))))
-
-                else:
-
-                    def consume(slots, _rule=rule, _kernel=kernel, _blocked=kernel.blocked):
-                        stats.valuations_considered += 1
-                        if not _blocked(slots):
-                            additions.append((_rule, slots[:], _kernel))
-
-                kernel.solve(consume)
+                    deletions.extend((rule, oid, value) for oid, value in rows)
+                elif rows:
+                    fired.append((rule, kernel, rows))
                 continue
+            thetas = []
             for theta in solve_body(
                 rule.body, instance, enumeration_budget=self.limits.enumeration_budget
             ):
@@ -614,55 +613,41 @@ class Evaluator:
                     # absent fact is a no-op); applying them after the
                     # step's insertions makes "delete wins" hold within a
                     # step, as in the *-languages of Abiteboul–Vianu.
-                    deletions.append((rule, theta))
-                else:
-                    if not self._head_satisfiable(rule, theta, instance):
-                        additions.append((rule, theta, None))
+                    value = eval_term(_deleted_term(rule.head), theta, instance)
+                    if value is not None:
+                        deletions.append((rule, _deleted_oid(rule.head, theta), value))
+                elif not self._head_satisfiable(rule, theta, instance):
+                    thetas.append(theta)
+            if thetas:
+                fired.append((rule, None, thetas))
 
-        if not additions and not deletions:
+        if not fired and not deletions:
             return False
 
         changed = False
-        # Deletion heads read the instance the step started from as well.
-        doomed = [
-            (rule, theta, eval_term(_deleted_term(rule.head), theta, instance))
-            for rule, theta in deletions
-        ]
-
-        # Invention / choose: extend each valuation on head-only variables.
-        extended: List[Tuple[Rule, object, object]] = []
+        # Invention / choose: extend each valuation on head-only variables,
+        # rule by rule, valuation by valuation, variable by variable in
+        # name order (a compiled rule's inventions are in that order).
         invented: List[Tuple[str, Oid]] = []
-        for rule, theta, kernel in additions:
+        for rule, kernel, rows in fired:
             if kernel is not None:
-                for class_name, slot in kernel.inv_slots:
-                    oid = self.oid_factory.invent(class_name)
-                    theta[slot] = oid
-                    invented.append((class_name, oid))
-                    stats.oids_invented += 1
-                    if stats.oids_invented > self.limits.max_invented_oids:
-                        raise NonTerminationError(
-                            f"invented more than {self.limits.max_invented_oids} oids"
+                classes = kernel.inventions
+                if classes:
+                    for i, row in enumerate(rows):
+                        rows[i] = row + tuple(
+                            self._invent(name, rule, stats, invented) for name in classes
                         )
-                extended.append((rule, theta, kernel))
                 continue
-            theta = dict(theta)
             inv_vars = sorted(rule.invention_variables(), key=lambda v: v.name)
-            if rule.has_choose():
+            choose = rule.has_choose()
+            for i, theta in enumerate(rows):
+                theta = rows[i] = dict(theta)
                 for var in inv_vars:
-                    theta[var] = self._choose(var, instance)
-            else:
-                for var in inv_vars:
-                    oid = self.oid_factory.invent(var.type.name)
-                    theta[var] = oid
-                    invented.append((var.type.name, oid))
-                    if self._trace is not None:
-                        self._emit(stats, "invent", rule, f"{oid!r} ∈ {var.type.name}")
-                    stats.oids_invented += 1
-                    if stats.oids_invented > self.limits.max_invented_oids:
-                        raise NonTerminationError(
-                            f"invented more than {self.limits.max_invented_oids} oids"
-                        )
-            extended.append((rule, theta, None))
+                    theta[var] = (
+                        self._choose(var, instance)
+                        if choose
+                        else self._invent(var.type.name, rule, stats, invented)
+                    )
 
         # Place invented oids in their classes before any head is
         # evaluated: a head may dereference or write a new oid.
@@ -674,41 +659,12 @@ class Evaluator:
         # Evaluate every head over the instance the step started from,
         # staging its write; nothing is applied until the last head.
         writes = StepWrites(instance)
-        for rule, theta, kernel in extended:
+        for rule, kernel, rows in fired:
             if kernel is not None:
-                kernel.apply(theta, writes)
-                continue
-            head = rule.head
-            if isinstance(head, Membership):
-                container = head.container
-                element = eval_term(head.element, theta, instance)
-                if element is None:
-                    raise EvaluationError(
-                        f"head {head!r} not evaluable under {theta!r} "
-                        f"(undefined dereference in a head term)"
-                    )
-                if isinstance(container, NameTerm):
-                    name = container.name
-                    if not instance.schema.is_relation(name) and not isinstance(element, Oid):
-                        raise EvaluationError(
-                            f"class head {head!r} derived non-oid {element!r}"
-                        )
-                    writes.facts.append((rule, name, element))
-                elif isinstance(container, Deref):
-                    oid = theta[container.var]
-                    writes.elements.setdefault(oid, {}).setdefault(element, rule)
-                else:  # pragma: no cover - rejected by the type checker
-                    raise EvaluationError(f"illegal head container {container!r}")
-            elif isinstance(head, Equality):
-                deref = head.left
-                if not isinstance(deref, Deref):  # pragma: no cover
-                    raise EvaluationError(f"illegal equality head {head!r}")
-                value = eval_term(head.right, theta, instance)
-                if value is None:
-                    raise EvaluationError(
-                        f"head {head!r} not evaluable (undefined dereference)"
-                    )
-                writes.assign(theta[deref.var], value)
+                kernel.apply(rows, writes)
+            else:
+                for theta in rows:
+                    self._stage_head(rule, theta, instance, writes)
 
         # Apply: relation and class facts one at a time, then each
         # set-valued oid's new elements as one set, then (★).
@@ -776,10 +732,56 @@ class Evaluator:
 
         # IQL* deletions, applied after additions: a fact both derived and
         # deleted in the same step ends up deleted.
-        if doomed:
-            changed = self._apply_deletions(instance, doomed, stats) or changed
+        if deletions:
+            changed = self._apply_deletions(instance, deletions, stats) or changed
 
         return changed
+
+    def _invent(
+        self, class_name: str, rule: Rule, stats: EvaluationStats, invented: List[Tuple[str, Oid]]
+    ) -> Oid:
+        """A fresh oid of ``class_name`` for ``rule``, recorded in
+        ``invented``; :attr:`EvaluatorLimits.max_invented_oids` binds per oid."""
+        oid = self.oid_factory.invent(class_name)
+        invented.append((class_name, oid))
+        if self._trace is not None:
+            self._emit(stats, "invent", rule, f"{oid!r} ∈ {class_name}")
+        stats.oids_invented += 1
+        if stats.oids_invented > self.limits.max_invented_oids:
+            raise NonTerminationError(f"invented more than {self.limits.max_invented_oids} oids")
+        return oid
+
+    @staticmethod
+    def _stage_head(rule: Rule, theta: Bindings, instance: Instance, writes: StepWrites) -> None:
+        """Evaluate ``rule``'s head under ``theta`` (the reference
+        interpreter's applier) and stage its write in ``writes``."""
+        head = rule.head
+        if isinstance(head, Membership):
+            container = head.container
+            element = eval_term(head.element, theta, instance)
+            if element is None:
+                raise EvaluationError(
+                    f"head {head!r} not evaluable under {theta!r} "
+                    f"(undefined dereference in a head term)"
+                )
+            if isinstance(container, NameTerm):
+                name = container.name
+                if not instance.schema.is_relation(name) and not isinstance(element, Oid):
+                    raise EvaluationError(f"class head {head!r} derived non-oid {element!r}")
+                writes.facts.append((rule, name, element))
+            elif isinstance(container, Deref):
+                oid = theta[container.var]
+                writes.elements.setdefault(oid, {}).setdefault(element, rule)
+            else:  # pragma: no cover - rejected by the type checker
+                raise EvaluationError(f"illegal head container {container!r}")
+        elif isinstance(head, Equality):
+            deref = head.left
+            if not isinstance(deref, Deref):  # pragma: no cover
+                raise EvaluationError(f"illegal equality head {head!r}")
+            value = eval_term(head.right, theta, instance)
+            if value is None:
+                raise EvaluationError(f"head {head!r} not evaluable (undefined dereference)")
+            writes.assign(theta[deref.var], value)
 
     # -- head satisfiability (the valuation-domain blocking condition) ---------------
 
@@ -862,22 +864,21 @@ class Evaluator:
     def _apply_deletions(
         self,
         instance: Instance,
-        deletions: List[Tuple[Rule, Bindings, Optional[OValue]]],
+        deletions: List[Tuple[Rule, Optional[Oid], OValue]],
         stats: EvaluationStats,
     ) -> bool:
-        """Apply a step's deletions; each comes with its head term's value
-        over the instance the step started from (None: undefined)."""
+        """Apply a step's deletions ``(rule, oid, value)``: the oid of the
+        head's ``x̂`` (None for a name container) and the deleted term's
+        value over the instance the step started from."""
         changed = False
         # Deletions go through the removal mutators, which retract the
         # affected index entries in place — indexes (and the compiled
         # kernels capturing their buckets) stay warm across IQL* steps.
         doomed_oids: Set[Oid] = set()
-        for rule, theta, element in deletions:
+        for rule, oid, element in deletions:
             head = rule.head
             if isinstance(head, Membership):
                 container = head.container
-                if element is None:
-                    continue
                 if isinstance(container, NameTerm):
                     name = container.name
                     if instance.schema.is_relation(name):
@@ -888,7 +889,6 @@ class Evaluator:
                         if isinstance(element, Oid) and element in instance.classes[name]:
                             doomed_oids.add(element)
                 elif isinstance(container, Deref):
-                    oid = theta[container.var]
                     if instance.is_set_valued(oid):
                         if instance.remove_set_element(oid, element):
                             changed = True
@@ -903,9 +903,7 @@ class Evaluator:
                             changed = True
                             stats.facts_deleted += 1
             elif isinstance(head, Equality):
-                oid = theta[head.left.var]
-                value = element
-                if value is not None and instance.nu.get(oid) == value:
+                if instance.nu.get(oid) == element:
                     instance.unassign(oid)
                     changed = True
                     stats.facts_deleted += 1
@@ -955,6 +953,12 @@ class Evaluator:
 def _deleted_term(head):
     """The term a deletion head removes: ``t`` of ``C(t)``, ``u`` of ``x̂ = u``."""
     return head.element if isinstance(head, Membership) else head.right
+
+
+def _deleted_oid(head, theta: Bindings) -> Optional[Oid]:
+    """The oid of a deletion head's ``x̂`` under ``theta`` (None: ``C(t)``)."""
+    deref = head.container if isinstance(head, Membership) else head.left
+    return theta[deref.var] if isinstance(deref, Deref) else None
 
 
 # -- convenience entry points ----------------------------------------------------------

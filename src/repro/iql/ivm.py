@@ -162,6 +162,9 @@ class MaterializedProgram:
     ``supports_adjusted``, ``overdeleted``, ``rederived``,
     ``maintenance_fallbacks``) only ever grow here. The evaluator's
     ``limits.max_steps`` binds per batch, not over this total.
+    ``per_stage_steps`` is the exception: it holds the stratum runs of
+    the last batch only, one entry per stratum fixpoint, so it stays
+    bounded over a long session.
     """
 
     def __init__(
@@ -215,11 +218,13 @@ class MaterializedProgram:
             if not rule.delete:
                 self._writers.setdefault(head_symbol(rule), []).append(rule)
         #: *Dual* symbols — base inputs that rules also write. Their
-        #: extent is base facts ∪ derivations, so a delete touching one
+        #: extent is base facts ∪ derivations, so a batch touching one
         #: (directly, or through its cone) cannot be maintained by the
-        #: readers-forward certificate alone: the base contribution has
-        #: no dying valuation, and a deleted base fact may be
-        #: re-derivable by writers outside the cone.
+        #: readers-forward certificate alone: the base contribution of a
+        #: delete has no dying valuation, a deleted base fact may be
+        #: re-derivable by writers outside the cone, and a stratum of an
+        #: earlier stage re-run on the live instance would read the
+        #: later stage's derivations. Such a batch recomputes.
         self._dual: Set[str] = {
             name for name in program.input_names if name in self._writers
         }
@@ -295,9 +300,11 @@ class MaterializedProgram:
         """
         self._refresh()
         # The step budget binds per batch: count this batch's steps from
-        # zero, then fold them into the cumulative total.
+        # zero, then fold them into the cumulative total. per_stage_steps
+        # keeps this batch's stratum runs only.
         steps_before = self.stats.steps
         self.stats.steps = 0
+        self.stats.per_stage_steps.clear()
         try:
             self._apply(self._group(inserts), self._group(deletes))
         finally:
@@ -328,10 +335,12 @@ class MaterializedProgram:
         plus: Delta = {}
         minus: Delta = {}
         for name in set(inserts) | set(deletes):
+            # Against the base, not the live instance: a dual symbol's live
+            # extent also holds what the rules derive into it.
             extent = (
-                self._instance.relations[name]
+                self.base.relations[name]
                 if self._schema.is_relation(name)
-                else self._instance.classes[name]
+                else self.base.classes[name]
             )
             ins = inserts.get(name, set())
             p = {v for v in ins if v not in extent}
@@ -382,7 +391,7 @@ class MaterializedProgram:
         if any(self._schema.is_class(name) for name in list(plus) + list(minus)):
             self._slice_recompute(plan, plus, minus)
             return
-        if minus and self._dual & (set(minus) | plan.derived_set):
+        if self._dual & (set(plus) | set(minus) | plan.derived_set):
             self._full_recompute()
             return
         try:

@@ -72,6 +72,7 @@ table miss on every call.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, NoReturn, Optional, Tuple, Union
 
@@ -121,6 +122,12 @@ def _refuse_reduce(value: object) -> NoReturn:
     )
 
 
+#: Oid serial numbers, drawn under :data:`_SERIAL_LOCK` so that host
+#: threads creating oids get distinct serials, increasing in creation order.
+_SERIALS = itertools.count(1)
+_SERIAL_LOCK = threading.Lock()
+
+
 class Oid:
     """An object identity: an atomic, globally distinct element of ``O``.
 
@@ -134,13 +141,9 @@ class Oid:
 
     __slots__ = ("serial", "name", "_hash", "__weakref__")
 
-    _next_serial = 0
-    _lock = threading.Lock()
-
     def __init__(self, name: str = ""):
-        with Oid._lock:
-            Oid._next_serial += 1
-            self.serial = Oid._next_serial
+        with _SERIAL_LOCK:
+            self.serial = next(_SERIALS)
         self.name = name
         # Precomputed: oids are hashed on every table probe of every value
         # containing them, so ``__hash__`` must be an attribute load.

@@ -24,6 +24,12 @@ Five layers:
 The 220-seed production-vs-reference sweeps live in test_differential.py.
 """
 
+import pathlib
+import re
+
+import pytest
+
+from repro.errors import EvaluationError, NonTerminationError
 from repro.iql import (
     Choose,
     Const,
@@ -40,11 +46,14 @@ from repro.iql import (
     columns,
 )
 from repro.iql.compile import HEAD, RuleCompiler, kernel_factory
-from repro.iql.evaluator import EvaluationStats
+from repro.iql.evaluator import EvaluationStats, EvaluatorLimits
 from repro.parser.grammar import program_from_source
 from repro.schema import Instance, Schema, are_o_isomorphic
 from repro.typesys import D, classref, set_of, tuple_of
 from repro.values import Oid, OTuple, OSet, intern
+
+
+EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
 
 
 def reference(program, instance):
@@ -399,6 +408,86 @@ class TestSemantics:
         assert result.output == reference(program, instance).output
 
 
+#: Two inventing rules of one γ1 loop (a stage that invents into P from
+#: two rules runs monolithic), one valuation each; the first rule invents
+#: two oids, and writes them against their names' order.
+TWO_INVENTIONS = """
+schema {
+  relation S1: [A1: D];
+  relation S2: [A1: D];
+  relation Pair: [A1: P, A2: P];
+  class P: [];
+}
+var x: D
+var p, q, r: P
+input S1, S2
+output Pair, P
+rules {
+  Pair(q, p) :- S1(x).
+  Pair(r, r) :- S2(x).
+}
+"""
+
+
+def _invented_dereference(value_type):
+    """w^(q^) reads the value of q, invented in the same step. The body
+    fires once: Seen(x) holds from the second step on."""
+    return program_from_source(
+        f"""
+schema {{
+  relation S: [A1: D];
+  relation Seen: [A1: D];
+  class Q: {value_type};
+  class W: {{{value_type}}};
+}}
+var x: D
+var q: Q
+var w: W
+input S
+output W, Q, Seen
+rules {{
+  Seen(x) :- S(x).
+  w^(q^) :- S(x), not Seen(x).
+}}
+"""
+    )
+
+
+class TestRows:
+    """A compiled γ1 rule collects one row per firing valuation; the step
+    invents their oids and applies every row's head."""
+
+    def test_oids_are_invented_by_rule_then_row_then_variable_name(self):
+        program = program_from_source(TWO_INVENTIONS)
+        assert program.schedule.stages[0].strata is None
+        instance = Instance(program.input_schema)
+        instance.add_relation_member("S1", OTuple(A1="a"))
+        instance.add_relation_member("S2", OTuple(A1="b"))
+        out = compiled(program, instance)
+        assert out.stats.rules_compiled == 2 and out.stats.oids_invented == 3
+        for result in (out, reference(program, instance)):
+            pairs = {(t["A1"].name, t["A2"].name) for t in result.output.relations["Pair"]}
+            assert pairs == {("P!2", "P!1"), ("P!3", "P!3")}
+
+    def test_a_head_reads_an_invented_set_valued_oid_as_empty(self):
+        program = _invented_dereference("{D}")
+        instance = Instance(program.input_schema)
+        instance.add_relation_member("S", OTuple(A1="a"))
+        out = compiled(program, instance)
+        assert out.stats.rules_compiled == 2 and out.stats.compile_fallbacks == 0
+        for result in (out, reference(program, instance)):
+            (w,) = result.output.classes["W"]
+            assert result.output.value_of(w) == OSet([OSet()])
+
+    def test_a_head_that_reads_an_undefined_invented_oid_raises(self):
+        program = _invented_dereference("[A: D]")
+        instance = Instance(program.input_schema)
+        instance.add_relation_member("S", OTuple(A1="a"))
+        for run in (compiled, reference):
+            with pytest.raises(EvaluationError, match="not evaluable"):
+                run(program, instance)
+
+
 # -- cache plumbing and statistics -------------------------------------------------
 
 
@@ -630,6 +719,22 @@ def _sources(program):
     ]
 
 
+def _gamma_factories(program):
+    """Rule → the factory of its γ1 kernel, for the rules that have one."""
+    memos = {rule: program.rule_memo(rule).factories for rule in program.rules}
+    return {rule: memo["rule"] for rule, memo in memos.items() if "rule" in memo}
+
+
+def _objects_setup():
+    """examples/graph_objects.iql over a graph with a cycle, a fork and a
+    self-loop."""
+    program = program_from_source((EXAMPLES / "graph_objects.iql").read_text())
+    instance = Instance(program.input_schema)
+    for a, b in (("a", "b"), ("b", "c"), ("c", "a"), ("a", "d"), ("d", "d")):
+        instance.add_relation_member("R", OTuple(A1=a, A2=b))
+    return program, instance
+
+
 def _assert_maintained(program, instance, inserts, deletes):
     from repro.iql.ivm import MaterializedProgram
 
@@ -710,6 +815,51 @@ class TestGeneratedSource:
         assert sources
         for text in (relation, output, first, second, x.name, y.name):
             assert not any(text in source for source in sources)
+
+    def test_gamma_kernels_collect_rows_and_apply_them_in_one_call(self):
+        for program, instance in (_mixed_setup(), _objects_setup()):
+            out = compiled(program, instance)
+            assert out.stats.compile_fallbacks == 0
+            assert are_o_isomorphic(out.output, reference(program, instance).output)
+            factories = _gamma_factories(program)
+            assert factories
+            for factory in factories.values():
+                assert "def collect(out):" in factory.source
+                assert "def apply(rows, writes):" in factory.source
+                assert "consume" not in factory.source and "slots" not in factory.source
+
+    def test_a_class_typed_dereference_reads_nu(self):
+        program, instance = _objects_setup()
+        compiled(program, instance)
+        factories = _gamma_factories(program)
+        (grow,) = [
+            rule
+            for rule in factories
+            if isinstance(rule.head, Membership) and isinstance(rule.head.container, Deref)
+        ]
+        assert repr(grow.head) == "pp^(q)"
+        assert "I.nu.get" in factories[grow].source
+        for factory in factories.values():
+            assert "value_of" not in factory.source
+
+    def test_the_invention_blocking_check_probes_an_index(self):
+        # R3(y, z) :- R3(x, y) invents z: its blocking check looks for an
+        # R3 fact with A1 = y, through R3's A1 projection index.
+        program = program_from_source((EXAMPLES / "divergent_invention.iql").read_text())
+        instance = Instance(program.input_schema)
+        seed = Oid("seed")
+        instance.add_class_member("P", seed)
+        instance.add_relation_member("Seed", OTuple(A1=seed))
+        with pytest.raises(NonTerminationError):
+            compiled(program, instance, limits=EvaluatorLimits(max_steps=20))
+        factory = _gamma_factories(program)[program.rules[1]]
+        source = factory.source
+        getter, name, attr = re.search(
+            r"(i\d+) = I\.indexes\.relation_index\(c(\d+), c(\d+)\)\.get", source
+        ).groups()
+        assert (factory.consts[int(name)], factory.consts[int(attr)]) == ("R3", "A1")
+        blocked = source[source.index("def blocked(") : source.index("def apply(")]
+        assert f"{getter}(" in blocked
 
     def test_a_second_program_of_the_same_text_compiles_nothing(self):
         from repro.iql.compile import CODE_CACHE
@@ -823,6 +973,30 @@ class TestGeneratedSource:
         fact = OTuple(A1="n0", A2=f"n{n}")
         assert derivable(fact, {}) and not derivable(OTuple(A1="n1", A2="n0"), {})
         assert not derivable(fact, {"E": {OTuple(A1="n23", A2="n24")}})
+
+    def test_a_long_inventing_join_compiles(self):
+        # The γ1 kernel continues its nest the same way: its blocking
+        # check and its row run in the continuation.
+        n = 24
+        names = ", ".join(f"x{i}" for i in range(n + 1))
+        body = ", ".join(f"E(x{i}, x{i + 1})" for i in range(n))
+        program = program_from_source(
+            "schema { relation E: [A1: D, A2: D]; relation P: [A1: D, A2: D, A3: Q]; "
+            "class Q: []; }\n"
+            f"var {names}: D\nvar q: Q\ninput E\noutput P, Q\n"
+            f"rules {{ P(x0, x{n}, q) :- {body}. }}\n"
+        )
+        instance = Instance(program.input_schema)
+        for i in range(30):
+            instance.add_relation_member("E", OTuple(A1=f"n{i}", A2=f"n{i + 1}"))
+        out = compiled(program, instance)
+        assert out.stats.rules_compiled == 1 and out.stats.compile_fallbacks == 0
+        # One step (the rule reads only E), one valuation per chain.
+        assert out.stats.valuations_considered == out.stats.oids_invented == 30 - n + 1
+        assert len(out.output.relations["P"]) == 30 - n + 1
+        assert are_o_isomorphic(out.output, reference(program, instance).output)
+        source = _gamma_factories(program)[program.rules[0]].source
+        assert "def collect1(out, tg, " in source
 
     def test_no_instance_outlives_its_run(self):
         import gc

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import NonTerminationError
+from repro.parser import program_from_source
 from repro.iql import (
     Equality,
     Evaluator,
@@ -219,3 +220,66 @@ class TestCompiledDeletions:
         for i, oid in enumerate(oids):
             instance.assign(oid, OTuple(tag=f"t{i}", prev=OSet(oids[i - 1 : i])))
         assert self.agree(program, instance).classes["P"] == set()
+
+    def test_an_undefined_deleted_term_deletes_nothing_and_counts(self):
+        program = program_from_source(
+            """
+schema {
+  relation R: [A1: D, A2: [A: D]];
+  relation Link: [A1: D, A2: P];
+  class P: [A: D];
+}
+var x: D
+var p: P
+input R, Link, P
+output R
+rules { delete R(x, p^) :- Link(x, p). }
+"""
+        )
+        defined, undefined = Oid("defined"), Oid("undefined")
+        instance = Instance(program.input_schema, classes={"P": [defined, undefined]})
+        instance.assign(defined, OTuple(A="a"))
+        for key, oid, value in (("k", defined, "a"), ("m", undefined, "b")):
+            instance.add_relation_member("R", OTuple(A1=key, A2=OTuple(A=value)))
+            instance.add_relation_member("Link", OTuple(A1=key, A2=oid))
+        assert self.agree(program, instance).relations["R"] == {
+            OTuple(A1="m", A2=OTuple(A="b"))
+        }
+        # Two steps (the second changes nothing), each over both links.
+        for naive in (False, True):
+            stats = Evaluator(program, naive=naive).run(instance.copy()).stats
+            assert (stats.steps, stats.valuations_considered, stats.facts_deleted) == (2, 4, 1)
+
+    def test_dereference_heads_agree(self):
+        program = program_from_source(
+            """
+schema {
+  relation Drop: [A1: S, A2: D];
+  relation Reset: [A1: P, A2: D];
+  class S: {D};
+  class P: [A: D];
+}
+var x: D
+var s: S
+var p: P
+input Drop, Reset, S, P
+output S, P
+rules {
+  delete s^(x) :- Drop(s, x).
+  delete p^ = [A: x] :- Reset(p, x).
+}
+"""
+        )
+        s1, s2, p1, p2 = Oid("s1"), Oid("s2"), Oid("p1"), Oid("p2")
+        instance = Instance(program.input_schema, classes={"S": [s1, s2], "P": [p1, p2]})
+        instance.assign(s1, OSet(["a", "b", "c"]))
+        instance.assign(s2, OSet(["a"]))
+        instance.assign(p1, OTuple(A="a"))
+        instance.assign(p2, OTuple(A="b"))
+        for oid, x in ((s1, "a"), (s1, "c"), (s2, "z")):
+            instance.add_relation_member("Drop", OTuple(A1=oid, A2=x))
+        for oid, x in ((p1, "a"), (p2, "z")):
+            instance.add_relation_member("Reset", OTuple(A1=oid, A2=x))
+        out = self.agree(program, instance)
+        assert (out.value_of(s1), out.value_of(s2)) == (OSet(["b"]), OSet(["a"]))
+        assert (out.value_of(p1), out.value_of(p2)) == (None, OTuple(A="b"))

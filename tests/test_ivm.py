@@ -210,6 +210,67 @@ class TestE19Paths:
         assert_matches_fresh(mp)
         assert mp.supports.negative_symbols() == []
 
+    def test_per_stage_steps_holds_the_last_batch(self):
+        program, mp = e19_setup()
+        tail = edge("n4", "n5")
+        mp.apply_delta(deletes=[("E", tail)])
+        one_delete = len(mp.stats.per_stage_steps)
+        mp.apply_delta(inserts=[("E", tail)])
+        assert one_delete > 0 and mp.stats.per_stage_steps
+        for _ in range(200):
+            mp.apply_delta(deletes=[("E", tail)])
+            mp.apply_delta(inserts=[("E", tail)])
+        mp.apply_delta(deletes=[("E", tail)])
+        assert len(mp.stats.per_stage_steps) == one_delete
+        assert_matches_fresh(mp)
+
+
+#: U is a *dual* symbol: an input of the program that the second stage
+#: also derives, and that the first stage reads negatively.
+DUAL_PROGRAM = """
+schema {
+  relation E: [A1: D, A2: D];
+  relation T: [A1: D, A2: D];
+  relation U: [A1: D];
+}
+var x: D
+input E, U
+output T, U
+rules {
+  T(x, x) :- E(x, x), not U(x).
+  ;
+  U(x) :- E(x, x).
+}
+"""
+
+
+class TestDualSymbols:
+    def setup_method(self):
+        self.program = program_from_source(DUAL_PROGRAM)
+        instance = Instance(self.program.input_schema)
+        instance.add_relation_member("E", edge("c", "c"))
+        self.mp = materialize(self.program, instance)
+        assert self.mp.extent("T") == {edge("c", "c")}
+        assert self.mp.extent("U") == {OTuple(A1="c")}
+
+    def test_an_insert_into_a_dual_symbol_keeps_what_the_first_stage_derived(self):
+        # A re-run of the first stage on the live instance would read the
+        # derived U(c) and lose T(c, c).
+        self.mp.apply_delta(inserts=[("U", OTuple(A1="a"))])
+        assert_matches_fresh(self.mp)
+        assert self.mp.extent("T") == {edge("c", "c")}
+
+    def test_a_base_fact_that_is_also_derived_reaches_the_base(self):
+        # U(c) is derived when it is inserted, so normalizing against the
+        # live extent would drop it, and the base would lose it.
+        self.mp.apply_delta(inserts=[("U", OTuple(A1="c"))])
+        self.mp.apply_delta(deletes=[("E", edge("c", "c"))])
+        base = Instance(self.program.input_schema)
+        base.add_relation_member("U", OTuple(A1="c"))
+        fresh = Evaluator(self.program, naive=True).run(base).full
+        assert self.mp.instance.ground_facts() == fresh.ground_facts()
+        assert self.mp.extent("U") == {OTuple(A1="c")}
+
 
 class TestStepBudget:
     def test_max_steps_binds_per_batch(self):

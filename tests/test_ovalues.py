@@ -39,6 +39,32 @@ class TestOid:
         assert a.serial < b.serial
         assert a < b
 
+    def test_threads_get_distinct_increasing_serials(self):
+        import sys
+        import threading
+
+        made = [[] for _ in range(4)]
+        start = threading.Barrier(len(made))
+
+        def build(worker):
+            start.wait()
+            made[worker].extend(Oid().serial for _ in range(10_000))
+
+        threads = [threading.Thread(target=build, args=(w,)) for w in range(len(made))]
+        # Switch threads as often as the interpreter allows, so that an
+        # unsynchronized serial counter would lose updates.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len({serial for serials in made for serial in serials}) == 40_000
+        assert all(serials == sorted(serials) for serials in made)
+
     def test_repr_uses_name(self):
         assert repr(Oid("eve")) == "&eve"
 
