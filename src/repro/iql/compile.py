@@ -43,6 +43,20 @@ What the generator decides once per kernel and plan:
 * **locals** — every variable gets a fixed slot and a local; which
   are bound at each program point is static (each generator step binds
   exactly its literal's variables), so nothing is ever undone,
+* **shapes** — every fact of a *flat* relation (a tuple type whose
+  every component is D or one class) conforms to its type, an invariant
+  :class:`~repro.schema.instance.Instance` checks where a fact enters
+  (:func:`~repro.schema.instance.flat_shape`). So when a kernel matches
+  such a fact — from a scan or an index probe, a delta ``source`` or
+  ``derivable``'s ``fact`` — against a tuple term with the type's
+  attributes, it unpacks the fact's pairs without testing its class,
+  length or attribute names; a variable declared D bound from a D
+  component is not tested, and one declared of class P bound from a P
+  component is tested only for ``not in`` π(P) (membership is not part
+  of the invariant). Comparisons with bound variables and constants
+  stay, the re-test of a probed field among them (a NaN constant must
+  not match itself), and so does every test of a nested term, of a
+  relation that is not flat and of a ν value,
 * **dereferences** — ``x̂`` of a variable declared of one class reads
   ν with one ``dict.get`` of the live ``I.nu`` (a set-valued class's
   default ``{ }`` is the ``get``'s default, so it is never undefined),
@@ -144,7 +158,16 @@ arguments and this module's helpers, and a bound kernel keeps no state
 between calls: what a call finds goes into the list or set its caller
 passes. ``I.nu`` is never rebound, so a bound ``nu.get`` stays current.
 Every call reads the intern table afresh (``_STORE.tuples``), so a sweep
-between calls changes no answer.
+between calls changes no answer. Every fact a kernel matches against a
+flat shape conforms to it: a delta ``source`` holds facts of its
+relation (or facts that entered its maintained base), and ``derivable``
+is asked about facts of its head relation. The facts ``drain`` adds are
+the one place relation facts enter without ``add_relation_member``: a
+head term that conforms statically
+(:meth:`_Source.conforms_statically`) needs no test, and the fact of
+any other head (a dereference in a component, or a head of a program
+that was never type-checked) is tested before it goes into the bucket,
+raising the error ``add_relation_member`` raises.
 
 Compiled execution reports ``rules_compiled`` / ``rules_interpreted`` /
 ``compile_fallbacks`` / ``compile_time`` into
@@ -162,7 +185,7 @@ from repro.iql.literals import Choose, Equality, Literal, Membership
 from repro.iql.rules import Rule
 from repro.iql.terms import Const, Deref, NameTerm, SetTerm, Term, TupleTerm, Var
 from repro.iql.valuation import Plan, eval_term, lookup_plan
-from repro.schema.instance import Instance
+from repro.schema.instance import Instance, Shape, conforms, flat_shape, nonconforming
 from repro.typesys.enumeration import enumerate_type
 from repro.typesys.expressions import Base, ClassRef
 from repro.values.intern import STORE
@@ -223,6 +246,10 @@ def _non_oid_head(head: Literal, element: object) -> None:
     raise EvaluationError(f"class head {head!r} derived non-oid {element!r}")
 
 
+def _nonconforming_head(name: str, fact: object, t) -> None:
+    raise nonconforming(name, fact, t)
+
+
 #: Loops per generated function; Python allows 20 nested blocks.
 _LOOPS_PER_FUNCTION = 16
 
@@ -253,6 +280,8 @@ _GLOBALS: Dict[str, Any] = {
     "_non_set": _non_set,
     "_undefined_head": _undefined_head,
     "_non_oid_head": _non_oid_head,
+    "_conforms": conforms,
+    "_nonconforming_head": _nonconforming_head,
 }
 
 
@@ -368,6 +397,34 @@ class _Source:
         """Is ``var`` declared of one set-valued class?"""
         name = self.declared_class(var)
         return name is not None and self.schema.is_set_valued_class(name)
+
+    def fact_shape(self, container: Term) -> Optional[Shape]:
+        """The flat shape of the relation ``container`` names, or None:
+        every fact read from it conforms to that shape."""
+        if isinstance(container, NameTerm) and self.schema.is_relation(container.name):
+            return flat_shape(self.schema.relations[container.name])
+        return None
+
+    def conforms_statically(self, term: Term, shape: Shape) -> bool:
+        """Does every fact a kernel builds from head term ``term`` conform
+        to ``shape``? It does when the term is a tuple term with the
+        shape's attributes whose every component is a variable declared
+        D, in a D component, or declared of the component's class, or a
+        constant, in a D component: matching binds a variable only to a
+        value of its declared type."""
+        if not isinstance(term, TupleTerm) or len(term.fields) != len(shape):
+            return False
+        for (attr, sub), (expected, component) in zip(term.fields, shape):
+            if attr != expected:
+                return False
+            if isinstance(component, Base):
+                if not isinstance(sub, Const) and not (
+                    isinstance(sub, Var) and isinstance(sub.type, Base)
+                ):
+                    return False
+            elif not (isinstance(sub, Var) and self.declared_class(sub) == component):
+                return False
+        return True
 
     def deref(self, var: Var) -> Tuple[str, bool]:
         """An expression for ν of ``var``'s oid, and whether it can be
@@ -504,9 +561,10 @@ class _Source:
         ]
         return f"({''.join(items)})"
 
-    def match(self, term: Term, x: str) -> None:
+    def match(self, term: Term, x: str, shape: Optional[Shape] = None) -> None:
         """Test the value in ``x`` against ``term``, binding its unbound
-        variables."""
+        variables. ``shape`` is the flat shape of the relation ``x`` is a
+        fact of, if any (:meth:`match_tuple`)."""
         fail = self.fail
         if isinstance(term, Const):
             self.emit(f"if {x} != {self.const(term.value)}: {fail}")
@@ -524,7 +582,7 @@ class _Source:
                 raise CompileFallback("unbound-dereference")
             self.emit(f"if {self.deref(term.var)[0]} != {x}: {fail}")
         elif isinstance(term, TupleTerm):
-            self.match_tuple(term, x)
+            self.match_tuple(term, x, shape)
         elif isinstance(term, SetTerm) and not term.variables() <= self.bound:
             if len(term.terms) > 1:
                 # Set patterns branch over element assignments (k-fold product).
@@ -543,13 +601,26 @@ class _Source:
         else:  # pragma: no cover - every term class is handled above
             raise EvaluationError(f"not a term: {term!r}")
 
-    def match_tuple(self, term: TupleTerm, x: str) -> None:
+    def match_tuple(self, term: TupleTerm, x: str, shape: Optional[Shape] = None) -> None:
+        """Test the value in ``x`` against tuple term ``term``.
+
+        When ``x`` is a fact of a flat relation of shape ``shape`` and the
+        term has the shape's attributes, the fact conforms (see
+        :mod:`repro.schema.instance`): neither its class, its length nor
+        its attribute names are tested, and each variable met first here
+        is tested against its component (:meth:`check_type`)."""
         fail = self.fail
         fields = term.fields
-        self.emit(f"if not isinstance({x}, _OTuple): {fail}")
-        items = self.temp()
-        self.emit(f"{items} = {x}._fields")
-        self.emit(f"if len({items}) != {len(fields)}: {fail}")
+        if shape is not None and [a for a, _ in fields] != [a for a, _ in shape]:
+            shape = None
+        components: List[Union[Base, str, None]] = [None] * len(fields)
+        if shape is None:
+            self.emit(f"if not isinstance({x}, _OTuple): {fail}")
+            items = self.temp()
+            self.emit(f"{items} = {x}._fields")
+            self.emit(f"if len({items}) != {len(fields)}: {fail}")
+        else:
+            components = [c for _, c in shape]
         if not fields:
             return
         # The value's pairs are in sorted attribute order, as the term's
@@ -559,24 +630,42 @@ class _Source:
         for _, sub in fields:
             for var in sub.variables():
                 occurrences[var] = occurrences.get(var, 0) + 1
-        names, locals_, direct = [], [], []
+        locals_, direct = [], []
         for _, sub in fields:
             first = isinstance(sub, Var) and sub not in self.bound and occurrences[sub] == 1
-            names.append(self.temp())
             locals_.append(self.bind(sub) if first else self.temp())
             direct.append(first)
-        self.emit("".join(f"({a}, {v}), " for a, v in zip(names, locals_)) + f"= {items}")
-        tests = " or ".join(f"{a} != {self.const(attr)}" for a, (attr, _) in zip(names, fields))
-        self.emit(f"if {tests}: {fail}")
-        for (_, sub), local, first in zip(fields, locals_, direct):
+        if shape is not None:
+            self.emit("".join(f"(_, {v}), " for v in locals_) + f"= {x}._fields")
+        else:
+            names = [self.temp() for _ in fields]
+            self.emit("".join(f"({a}, {v}), " for a, v in zip(names, locals_)) + f"= {items}")
+            tests = " or ".join(f"{a} != {self.const(attr)}" for a, (attr, _) in zip(names, fields))
+            self.emit(f"if {tests}: {fail}")
+        for (_, sub), local, first, component in zip(fields, locals_, direct, components):
             if first:
-                self.check_type(sub, local)
+                self.check_type(sub, local, component)
+            elif isinstance(sub, Var) and sub not in self.bound:
+                self.emit(f"{self.bind(sub)} = {local}")
+                self.check_type(sub, self.var(sub), component)
             else:
                 self.match(sub, local)
 
-    def check_type(self, var: Var, local: str) -> None:
-        """The type test of a variable bound by matching."""
+    def check_type(self, var: Var, local: str, component: Union[Base, str, None] = None) -> None:
+        """The type test of a variable bound by matching.
+
+        ``component`` is the flat shape's component (D or a class name)
+        of a conforming fact the value was read from: a variable declared
+        D bound from a D component needs no test, and one declared of the
+        component's class only the test of the class extent."""
         var_type = var.type
+        if component is not None:
+            declared = self.declared_class(var)
+            if isinstance(component, Base) and isinstance(var_type, Base):
+                return
+            if declared is not None and declared == component:
+                self.emit(f"if {local} not in {self.extension(declared)}: {self.fail}")
+                return
         if isinstance(var_type, Base):
             self.emit(f"if not isinstance({local}, _CONSTANT_TYPES): {self.fail}")
         elif isinstance(var_type, ClassRef) and self.schema.is_class(var_type.name):
@@ -661,7 +750,7 @@ class _Source:
         self.open(f"for {element} in {source}:")
         if isinstance(container, NameTerm) and container.name in self.excluded:
             self.emit(f"if {element} in {self.excluded[container.name]}: {self.fail}")
-        self.match(lit.element, element)
+        self.match(lit.element, element, self.fact_shape(container))
 
     def absent(self, value: str, name: str) -> str:
         """The rest of a positive membership test of ``value`` in relation
@@ -673,17 +762,18 @@ class _Source:
         self,
         plan: Plan,
         shape: str,
-        matched: Optional[Term] = None,
-        head: Union[Term, Rule, None] = None,
+        matched: Optional[Membership] = None,
+        head: Union[Membership, Rule, None] = None,
     ) -> None:
         """Function ``shape`` of the kernel (:data:`_SHAPES`): the plan as
         one loop nest, finished per solution by :meth:`solution`.
 
-        With ``matched``, the element of a delta position's literal or of
-        the head, the nest first matches it against each fact of
-        ``source``, or against the one ``fact`` of ``derivable``, binding
-        the initial variables. ``head`` is the head element of a
-        semi-naive rule, or the rule itself for ``collect``.
+        With ``matched``, a delta position's literal or the head, the nest
+        first matches its element against each fact of ``source``, or
+        against the one ``fact`` of ``derivable``, binding the initial
+        variables; each such fact is a fact of the literal's relation.
+        ``head`` is the head of a semi-naive rule, or the rule itself for
+        ``collect``.
 
         Python nests at most 20 blocks in one function, so every
         :data:`_LOOPS_PER_FUNCTION` loops the rest of the nest continues
@@ -722,7 +812,7 @@ class _Source:
                 fact = self.temp()
                 self.open(f"for {fact} in source:")
                 loops = 1
-            self.match(matched, fact)
+            self.match(matched.element, fact, self.fact_shape(matched.container))
         for step in plan:
             kind = step[0]
             if kind in ("member", "enum"):
@@ -769,7 +859,7 @@ class _Source:
 
     # -- the rest of a kernel --------------------------------------------------------
 
-    def solution(self, shape: str, head: Union[Term, Rule, None]) -> None:
+    def solution(self, shape: str, head: Union[Membership, Rule, None]) -> None:
         """The innermost statements of function ``shape``: what it does
         with one solution."""
         if shape == "derivable":
@@ -783,22 +873,24 @@ class _Source:
             else:
                 self.row(head.head)
             return
-        assert isinstance(head, Term)
+        assert isinstance(head, Membership)
+        element = head.element
         fail = self.fail
-        if shape == "drain" and isinstance(head, TupleTerm):
+        if shape == "drain" and isinstance(element, TupleTerm):
             # Probe the head fact's intern node before building it: a
             # fact already present costs one table lookup.
             pairs, fact = self.temp(), self.temp()
-            self.emit(f"{pairs} = {self.pairs(head)}")
+            self.emit(f"{pairs} = {self.pairs(element)}")
             self.emit(f"{fact} = tg({pairs})")
             self.emit(f"if {fact} is not None: {fact} = {fact}()")
             self.emit(f"if {fact} is None: {fact} = _tuple({pairs})")
             self.emit(f"elif {fact} in existing: {fail}")
         else:
-            fact = self.value(head)
+            fact = self.value(element)
             if shape == "drain":
                 self.emit(f"if {fact} in existing: {fail}")
         if shape == "drain":
+            self.conform(head, fact)
             self.emit(f"bucket.add({fact})")
             self.emit("n += 1")
         elif shape == "fire":
@@ -806,6 +898,27 @@ class _Source:
             self.emit(f"out.append((({key}), {fact}))")
         else:  # shape == "tally"
             self.emit(f"counts[{fact}] = counts.get({fact}, 0) + 1")
+
+    def conform(self, head: Membership, fact: str) -> None:
+        """In ``drain``: test that the new ``fact`` conforms to its flat
+        relation, unless the head's term conforms statically.
+
+        The round adds ``drain``'s facts through the trusted
+        ``add_relation_members``, so this is where they enter. The test
+        runs on a fact whose intern node existed too: that node may be a
+        member of another relation. It raises the error
+        ``add_relation_member`` raises, as the γ1 step does for the same
+        head."""
+        container = head.container
+        shape = self.fact_shape(container)
+        if shape is None or self.conforms_statically(head.element, shape):
+            return
+        assert isinstance(container, NameTerm)  # fact_shape names a relation
+        name = container.name
+        self.emit(
+            f"if not _conforms({fact}, {self.const(shape)}): _nonconforming_head("
+            f"{self.const(name)}, {fact}, {self.const(self.schema.relations[name])})"
+        )
 
     def row_vars(self, head: Literal) -> List[Var]:
         """The head's variables the body binds, in slot order: a row's
@@ -1012,11 +1125,12 @@ def _class_name(var: Var) -> str:
     return var_type.name
 
 
-def _matched(rule: Rule, kind: int) -> Term:
-    """The element a delta kernel matches: the head's, or a body literal's."""
+def _matched(rule: Rule, kind: int) -> Membership:
+    """The literal whose element a delta kernel matches: the head, or a
+    body literal."""
     literal = rule.head if kind == HEAD else rule.body[kind]
     assert isinstance(literal, Membership)  # the delta fragment's generators
-    return literal.element
+    return literal
 
 
 def _kernel_body(rule: Rule, kind) -> Tuple[Tuple[Literal, ...], Tuple[Var, ...]]:
@@ -1024,7 +1138,7 @@ def _kernel_body(rule: Rule, kind) -> Tuple[Tuple[Literal, ...], Tuple[Var, ...]
     if kind in ("rule", "full"):
         return tuple(lit for lit in rule.body if not isinstance(lit, Choose)), ()
     rest = rule.body if kind == HEAD else rule.body[:kind] + rule.body[kind + 1 :]
-    return rest, tuple(sorted(_matched(rule, kind).variables(), key=lambda v: v.name))
+    return rest, tuple(sorted(_matched(rule, kind).element.variables(), key=lambda v: v.name))
 
 
 def _generate(schema, rule: Rule, kind, plan: Plan, initial) -> KernelFactory:
@@ -1047,12 +1161,12 @@ def _generate(schema, rule: Rule, kind, plan: Plan, initial) -> KernelFactory:
     head = rule.head
     assert isinstance(head, Membership)  # semi-naive heads are R(t)
     functions: Tuple[str, ...] = ("drain", "tally")
-    matched: Optional[Term] = None
+    matched: Optional[Membership] = None
     if kind != "full":
         functions = ("derivable",) if kind == HEAD else ("drain", "fire")
         matched = _matched(rule, kind)
     for shape in functions:
-        source.nest(plan, shape, matched, head.element)
+        source.nest(plan, shape, matched, head)
     return KernelFactory(plan, source, functions)
 
 

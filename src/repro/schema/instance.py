@@ -16,20 +16,52 @@ intermediate state IQL builds objects through.
 Instances are mutable (the evaluator grows them inflationarily) and expose
 the ``ground-facts(I)`` view the paper uses to define the semantics:
 ``R(v)``, ``P(o)``, ``ô(v)`` for set-valued o, and ``ô = v`` otherwise.
+
+Conformance of flat relations
+-----------------------------
+
+A relation type is *flat* when it is a tuple type each of whose
+components is D or one class, such as ``[A1: D, A2: P]``
+(:func:`flat_shape`). Every member of a flat relation *conforms* to its
+type: it is a tuple with exactly the type's attributes, a constant in
+each D component and an oid in each class component (:func:`conforms`).
+That is an invariant of every instance, checked once, where a fact
+enters. :meth:`Instance.add_relation_member` rejects a member that does
+not conform; the constructor, the maintained base of
+``MaterializedProgram.apply_delta``, the facts maintenance re-derives or
+counts and the γ1 step of both engines all add through it. The trusted
+:meth:`Instance.add_relation_members` has two callers that check their
+facts themselves: the semi-naive rounds, whose kernels build conforming
+facts (:mod:`repro.iql.compile`), and the loader of :mod:`repro.io`,
+which tests each member of a flat relation with :func:`conforms`.
+``copy``, ``project``, ``with_schema`` and the oid renamings of
+:mod:`repro.schema.isomorphism` keep the invariant, since they keep each
+relation's type and map oids to oids. The generated kernels of
+:mod:`repro.iql.compile` rely on it: a fact they read from a flat
+relation is never tested for its shape again.
+
+Class membership of the oids is not part of the invariant: it depends on
+π, which IQL* deletions shrink, so a class component's oid may belong to
+no class (a *dangling* oid), and :meth:`Instance.validate` still reports
+that. Relations of any other type (unions, sets, nested tuples) hold any
+o-values until :meth:`Instance.validate` checks them.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from functools import lru_cache
+from typing import Collection, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.errors import InstanceError
 from repro.schema.schema import Schema
-from repro.typesys.expressions import TypeExpr
+from repro.typesys.expressions import Base, ClassRef, TupleOf, TypeExpr
 from repro.typesys.interpretation import member
 from repro.values.ovalues import (
+    CONSTANT_TYPES,
     EMPTY_SET,
     Oid,
     OSet,
+    OTuple,
     OValue,
     constants_of,
     ensure_ovalue,
@@ -45,6 +77,58 @@ from repro.values.ovalues import (
 #:   ("elem", o, v)  for  ô(v)      (o set valued)
 #:   ("val",  o, v)  for  ô = v     (o non-set valued)
 GroundFact = Tuple[str, object, object]
+
+#: A flat relation type's shape: its attributes in canonical order, each
+#: with D (the :class:`~repro.typesys.expressions.Base` singleton) or the
+#: name of its class.
+Shape = Tuple[Tuple[str, Union[Base, str]], ...]
+
+
+@lru_cache(maxsize=1024)
+def flat_shape(t: TypeExpr) -> Optional[Shape]:
+    """The shape of relation type ``t`` when it is flat, else None.
+
+    ``t`` is flat when it is a tuple type each of whose components is D
+    or one class. This is the one definition of flatness: the
+    conformance check of :meth:`Instance.add_relation_member`, the
+    loader of :mod:`repro.io` and the kernel generator of
+    :mod:`repro.iql.compile` all read it. Memoized, since the mutator
+    asks once per fact; a shape is an immutable tuple.
+    """
+    if not isinstance(t, TupleOf):
+        return None
+    shape = []
+    for attr, component in t.fields:
+        if isinstance(component, Base):
+            shape.append((attr, component))
+        elif isinstance(component, ClassRef):
+            shape.append((attr, component.name))
+        else:
+            return None
+    return tuple(shape)
+
+
+def conforms(value: object, shape: Shape) -> bool:
+    """Does ``value`` conform to a flat ``shape``: is it a tuple with
+    exactly the shape's attributes, a constant in each D component and an
+    oid in each class component? Class membership is not tested."""
+    if not isinstance(value, OTuple):
+        return False
+    fields = value._fields
+    if len(fields) != len(shape):
+        return False
+    for (attr, v), (expected, component) in zip(fields, shape):
+        if attr != expected or not isinstance(
+            v, CONSTANT_TYPES if component.__class__ is Base else Oid
+        ):
+            return False
+    return True
+
+
+def nonconforming(name: str, value: object, t: TypeExpr) -> InstanceError:
+    """The error for ``value``, which is not of type ``t`` = T(name), as a
+    member of ρ(name)."""
+    return InstanceError(f"ρ({name}) member {value!r} is not of type {t!r}")
 
 
 class Instance:
@@ -96,12 +180,27 @@ class Instance:
     # directly with facts it has already checked.
 
     def add_relation_member(self, name: str, value: OValue) -> bool:
-        """Add ``value`` to ρ(name); returns True if it was new."""
-        if name not in self.relations:
+        """Add ``value`` to ρ(name); returns True if it was new.
+
+        This is where a fact enters: a member of a flat relation must
+        conform to its type (see the module docstring), else
+        :class:`InstanceError` says it is not of type T(name); a member
+        of any other relation must be an o-value. Every writer adds
+        relation facts through here, but for the semi-naive rounds and
+        the loader, which check their facts themselves
+        (:meth:`add_relation_members`).
+        """
+        members = self.relations.get(name)
+        if members is None:
             raise InstanceError(f"unknown relation {name!r}")
-        if not is_ovalue(value):
-            raise InstanceError(f"{value!r} is not an o-value")
-        if value in self.relations[name]:
+        t = self.schema.relations[name]
+        shape = flat_shape(t)
+        if shape is None:
+            if not is_ovalue(value):
+                raise InstanceError(f"{value!r} is not an o-value")
+        elif not conforms(value, shape):
+            raise nonconforming(name, value, t)
+        if value in members:
             return False
         self.add_relation_members(name, (value,))
         return True
@@ -111,11 +210,14 @@ class Instance:
 
         The caller guarantees that ``name`` is a relation of the schema
         and that ``values`` are distinct o-values none of which is in
-        ρ(name) yet; a semi-naive round's new facts meet that by
-        construction. The extension set and every built projection index
-        of ``name`` grow in place, never rebound, because compiled
-        kernels capture both by identity; the constants cache folds the
-        new constants.
+        ρ(name) yet, each conforming to T(name) when it is flat. A
+        semi-naive round's new facts meet that by construction: its
+        kernels build a head fact whose term conforms statically, and
+        test every other (see :mod:`repro.iql.compile`); the loader of
+        :mod:`repro.io` tests each member with :func:`conforms`. The
+        extension set and every built projection index of ``name`` grow
+        in place, never rebound, because compiled kernels capture both
+        by identity; the constants cache folds the new constants.
         """
         self.relations[name].update(values)
         if self._indexes is not None:
@@ -426,9 +528,7 @@ class Instance:
             t = self.schema.relations[name]
             for v in members:
                 if not member(v, t, pi):
-                    raise InstanceError(
-                        f"ρ({name}) member {v!r} is not of type {t!r}"
-                    )
+                    raise nonconforming(name, v, t)
         for name, oids in self.classes.items():
             t = self.schema.classes[name]
             for o in oids:

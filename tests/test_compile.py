@@ -19,7 +19,11 @@ Five layers:
   text compiles nothing, a re-costed plan gets its own code, two rules
   whose bodies differ only in their variables' types get their own
   plans, and bound kernels belong to the evaluator, never to the
-  program.
+  program;
+* flat relations — a kernel trusts the shape of each fact it reads from
+  a flat relation but keeps the class-extent test, and a head that
+  writes a fact not of its relation's type raises the error of
+  ``Instance.add_relation_member`` on both engines.
 
 The 220-seed production-vs-reference sweeps live in test_differential.py.
 """
@@ -29,7 +33,7 @@ import re
 
 import pytest
 
-from repro.errors import EvaluationError, NonTerminationError
+from repro.errors import EvaluationError, InstanceError, NonTerminationError
 from repro.iql import (
     Choose,
     Const,
@@ -51,6 +55,8 @@ from repro.parser.grammar import program_from_source
 from repro.schema import Instance, Schema, are_o_isomorphic
 from repro.typesys import D, classref, set_of, tuple_of
 from repro.values import Oid, OTuple, OSet, intern
+
+from tests.test_impact import E19_PROGRAM
 
 
 EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
@@ -1048,3 +1054,156 @@ class TestGeneratedSource:
         assert mp.stats.maintenance_fallbacks == 0
         fresh = Evaluator(program, naive=True).run(mp.base.copy()).full
         assert mp.instance.ground_facts() == fresh.ground_facts()
+
+
+# -- flat relations ------------------------------------------------------------------
+
+
+def _class_locals(source, consts, names):
+    """The locals a kernel's factory binds to the extents of ``names``."""
+    found = {}
+    for local, k in re.findall(r"(i\d+) = I\.classes\[c(\d+)\]", source):
+        if consts[int(k)] in names:
+            found[consts[int(k)]] = local
+    return found
+
+
+class TestFlatRelations:
+    def test_a_closure_delta_kernel_tests_no_fact_it_reads(self):
+        # T and E are flat D relations: T's delta kernel matches each delta
+        # fact and each probed E fact without a class, length, attribute
+        # or type test.
+        program = program_from_source(E19_PROGRAM)
+        instance = Instance(program.input_schema)
+        for i in range(6):
+            instance.add_relation_member("E", OTuple(A1=f"n{i}", A2=f"n{i + 1}"))
+        out = compiled(program, instance)
+        assert out.output == reference(program, instance).output
+        recursive = program.rules[1]
+        assert repr(recursive.head) == "T([A1: x, A2: z])"
+        source = program.rule_memo(recursive).factories[0].source
+        assert "def drain(source, existing, bucket):" in source
+        assert "isinstance(" not in source and "len(" not in source
+
+    def test_the_objects_kernel_keeps_only_its_class_extent_tests(self):
+        program, instance = _objects_setup()
+        out = compiled(program, instance)
+        assert are_o_isomorphic(out.output, reference(program, instance).output)
+        factories = _gamma_factories(program)
+        (grow,) = [rule for rule in factories if repr(rule.head) == "pp^(q)"]
+        factory = factories[grow]
+        source = factory.source
+        collect = source[source.index("def collect(out):") : source.index("def apply(")]
+        assert "isinstance(" not in collect and "len(" not in collect
+        # R_prime's A2 and A3 are P and P_aux components: each variable
+        # bound from them is still tested against its class extent.
+        extents = _class_locals(source, factory.consts, {"P", "P_aux"})
+        assert set(extents) == {"P", "P_aux"}
+        for local in extents.values():
+            assert len(re.findall(rf"if v\d+ not in {local}: continue", collect)) == 2
+
+    def test_a_dangling_oid_in_a_class_component_never_binds(self):
+        # S's member [A1: ghost] conforms to [A1: P], but ghost belongs to
+        # no class (the instance is not validated): the reference never
+        # binds p to it, and neither may a kernel, semi-naive or γ1.
+        p_type = classref("P")
+        schema = Schema(
+            relations={
+                "S": tuple_of(A1=p_type),
+                "T": tuple_of(A1=p_type),
+                "U": tuple_of(A1=p_type, A2=classref("Q")),
+            },
+            classes={"P": tuple_of(), "Q": tuple_of()},
+        )
+        p, q = Var("p", p_type), Var("q", classref("Q"))
+        copy_rule = Rule(atom(schema, "T", p), [atom(schema, "S", p)])
+        invent_rule = Rule(atom(schema, "U", p, q), [atom(schema, "S", p)])
+        program = Program(
+            schema,
+            rules=[copy_rule, invent_rule],
+            input_names=["S", "P"],
+            output_names=["T", "U", "P", "Q"],
+        )
+        assert program.rule_memo(copy_rule).seminaive
+        assert not program.rule_memo(invent_rule).seminaive
+        instance = Instance(program.input_schema)
+        member, ghost = Oid("member"), Oid("ghost")
+        instance.add_class_member("P", member)
+        instance.add_relation_member("S", OTuple(A1=member))
+        instance.add_relation_member("S", OTuple(A1=ghost))
+        out = compiled(program, instance)
+        assert out.stats.rules_compiled == 2
+        assert out.output.relations["T"] == {OTuple(A1=member)}
+        assert [value["A1"] for value in out.output.relations["U"]] == [member]
+        assert are_o_isomorphic(out.output, reference(program, instance).output)
+
+
+def _ill_typed(body):
+    """Two programs built through the API, never type-checked, whose head
+    writes a P oid into a D component: a semi-naive rule writing T and
+    an inventing (γ1) rule writing W. ``body`` names the relation the oid
+    is read from: S2's member has T's attribute, so the intern node of
+    the fact T's head builds exists before the run; S's has not."""
+    attr = {"S": "B1", "S2": "A1"}[body]
+    p_type = classref("P")
+    schema = Schema(
+        relations={
+            "S": tuple_of(B1=p_type),
+            "S2": tuple_of(A1=p_type),
+            "T": tuple_of(A1=D),
+            "W": tuple_of(A1=D, A2=classref("Q")),
+        },
+        classes={"P": tuple_of(), "Q": tuple_of()},
+    )
+    p, q = Var("p", p_type), Var("q", classref("Q"))
+    read = Membership(NameTerm(body), TupleTerm(**{attr: p}))
+    rules = [
+        Rule(Membership(NameTerm("T"), TupleTerm(A1=p)), [read]),
+        Rule(Membership(NameTerm("W"), TupleTerm(A1=p, A2=q)), [read]),
+    ]
+    programs = [
+        Program(schema, rules=[rule], input_names=["S", "S2", "P"], output_names=["T", "W", "Q"])
+        for rule in rules
+    ]
+    instance = Instance(programs[0].input_schema)
+    o = Oid("o")
+    instance.add_class_member("P", o)
+    instance.add_relation_member(body, OTuple(**{attr: o}))
+    return programs, instance, o
+
+
+class TestIllTypedHeads:
+    @pytest.mark.parametrize("body", ["S", "S2"], ids=["node-missing", "node-present"])
+    def test_a_seminaive_head_raises_the_mutators_error(self, body):
+        (program, _), instance, o = _ill_typed(body)
+        rule = program.rules[0]
+        assert program.rule_memo(rule).seminaive
+        assert (intern.STORE.tuples.get((("A1", o),)) is not None) == (body == "S2")
+        for naive in (False, True):
+            with pytest.raises(InstanceError) as error:
+                Evaluator(program, naive=naive).run(instance.copy())
+            assert str(error.value) == "ρ(T) member [A1: &o] is not of type [A1: D]"
+        source = program.rule_memo(rule).factories["full"].source
+        assert "_nonconforming_head(" in source
+
+    def test_a_gamma_head_raises_the_mutators_error(self):
+        (_, program), instance, _ = _ill_typed("S2")
+        rule = program.rules[0]
+        assert not program.rule_memo(rule).seminaive
+        for naive in (False, True):
+            with pytest.raises(InstanceError) as error:
+                Evaluator(program, naive=naive).run(instance.copy())
+            # The A2 oid is invented, so its name differs between runs.
+            message = str(error.value)
+            assert message.startswith("ρ(W) member [A1: &o, A2: &")
+            assert message.endswith("] is not of type [A1: D, A2: Q]")
+        assert "rule" in program.rule_memo(rule).factories
+
+    def test_a_head_that_conforms_statically_is_not_tested(self):
+        program = program_from_source(E19_PROGRAM)
+        instance = Instance(program.input_schema)
+        instance.add_relation_member("E", OTuple(A1="a", A2="b"))
+        compiled(program, instance)
+        for rule in program.rules[:3]:
+            for factory in program.rule_memo(rule).factories.values():
+                assert "_nonconforming_head" not in factory.source

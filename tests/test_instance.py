@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import InstanceError
 from repro.schema import Instance, Schema
-from repro.typesys import D, classref, set_of, tuple_of
+from repro.schema.instance import flat_shape
+from repro.typesys import D, classref, set_of, tuple_of, union
 from repro.values import Oid, OSet, OTuple
 from repro.workloads import ANCESTOR, FIRST, FOUNDED, SECOND, genesis_instance
 
@@ -133,6 +134,74 @@ class TestValidation:
     def test_is_valid_boolean(self):
         s = Schema(relations={"R": D})
         assert Instance(s, relations={"R": ["a"]}).is_valid()
+
+
+#: E and S are flat; U (a union component) and N (a nested tuple) are not.
+FLAT = Schema(
+    relations={
+        "E": tuple_of(A1=D, A2=D),
+        "S": tuple_of(A1=classref("P"), A2=D),
+        "U": tuple_of(A1=union(D, classref("P"))),
+        "N": tuple_of(A1=tuple_of(B=D)),
+    },
+    classes={"P": tuple_of()},
+)
+_O = Oid("o")
+#: Members that do not conform to E = [A1: D, A2: D] or S = [A1: P, A2: D].
+ILL_SHAPED = [
+    ("E", OTuple(A1="a")),
+    ("E", OTuple(A1="a", A2="b", A3="c")),
+    ("E", OTuple(A1="a", B2="b")),
+    ("E", OTuple(A1=_O, A2="b")),
+    ("E", OTuple(A1=OTuple(), A2="b")),
+    ("E", "a"),
+    ("E", OSet(["a"])),
+    ("S", OTuple(A1="a", A2="b")),
+    ("S", OTuple(A1=_O, A2=_O)),
+]
+ILL_SHAPED_IDS = [f"{name}-{value!r}" for name, value in ILL_SHAPED]
+
+
+class TestConformance:
+    """A member of a flat relation conforms to its type where it enters."""
+
+    def test_flat_shape(self):
+        p = classref("P")
+        assert flat_shape(tuple_of(A2=D, A1=p)) == (("A1", "P"), ("A2", D))
+        assert flat_shape(tuple_of()) == ()
+        for t in (D, p, set_of(D), tuple_of(A1=union(D, p)), tuple_of(A1=tuple_of())):
+            assert flat_shape(t) is None
+
+    @pytest.mark.parametrize("name, value", ILL_SHAPED, ids=ILL_SHAPED_IDS)
+    def test_add_relation_member_rejects_an_ill_shaped_member(self, name, value):
+        instance = Instance(FLAT, classes={"P": [_O]})
+        with pytest.raises(InstanceError) as info:
+            instance.add_relation_member(name, value)
+        t = FLAT.relations[name]
+        assert str(info.value) == f"ρ({name}) member {value!r} is not of type {t!r}"
+        assert instance.relations[name] == set()
+
+    @pytest.mark.parametrize("name, value", ILL_SHAPED, ids=ILL_SHAPED_IDS)
+    def test_the_constructor_rejects_an_ill_shaped_member(self, name, value):
+        with pytest.raises(InstanceError, match=rf"ρ\({name}\) member"):
+            Instance(FLAT, relations={name: [value]}, classes={"P": [_O]})
+
+    def test_a_dangling_oid_conforms(self):
+        # Class membership is not part of the invariant: an oid of no
+        # class enters a class component, and validate() reports it.
+        instance = Instance(FLAT)
+        assert instance.add_relation_member("S", OTuple(A1=Oid("ghost"), A2="b"))
+        with pytest.raises(InstanceError, match=r"ρ\(S\) member \[A1: &ghost, A2: 'b'\]"):
+            instance.validate()
+
+    def test_other_relations_take_any_o_value_until_validated(self):
+        instance = Instance(FLAT, classes={"P": [_O]})
+        assert instance.add_relation_member("U", OTuple(A1=OSet()))
+        assert instance.add_relation_member("N", OTuple(A1="a"))
+        with pytest.raises(InstanceError, match="is not an o-value"):
+            instance.add_relation_member("U", {"A1": "a"})
+        with pytest.raises(InstanceError, match=r"ρ\((U|N)\) member"):
+            instance.validate()
 
 
 class TestStructuralOps:

@@ -1,15 +1,22 @@
 """Tests for JSON serialization (repro.io) and the CLI (python -m repro)."""
 
 import json
+import pathlib
+import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import io
-from repro.errors import InstanceError, OValueError, SchemaError
+from repro.errors import InstanceError, OValueError, ReproError, SchemaError
 from repro.schema import Instance, Schema, are_o_isomorphic
+from repro.schema.instance import conforms, flat_shape
 from repro.typesys import D, classref, tuple_of, union
 from repro.values import Oid, OSet, OTuple
 from repro.workloads import genesis_instance
+
+EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
 
 
 class TestValueCodec:
@@ -93,6 +100,259 @@ class TestInstanceRoundTrip:
         with pytest.raises(SchemaError):
             io.instance_from_dict(doc)
 
+
+#: A flat relation with a D and a class component.
+FLAT_SCHEMA = {"relations": {"E": "[A1: D, A2: P]"}, "classes": {"P": "[]"}}
+
+
+def flat_document(*members):
+    return json.dumps(
+        {"schema": FLAT_SCHEMA, "relations": {"E": list(members)}, "classes": {"P": ["o"]}}
+    )
+
+
+class TestFlatMembers:
+    GOOD = {"tuple": {"A1": "a", "A2": {"oid": "o"}}}
+    NOT_OF_TYPE = (InstanceError, "is not of type [A1: D, A2: P]")
+    MEMBERS = {
+        "extra attribute": {"tuple": {"A1": "a", "A2": {"oid": "o"}, "A3": 1}},
+        "missing attribute": {"tuple": {"A1": "a"}},
+        "oid in a D component": {"tuple": {"A1": {"oid": "o"}, "A2": {"oid": "o"}}},
+        "constant in a class component": {"tuple": {"A1": "a", "A2": "o"}},
+        "undeclared oid": {"tuple": {"A1": "a", "A2": {"oid": "ghost"}}},
+    }
+    #: The error each ill-shaped member raises, and how its message ends.
+    EXPECTED = {
+        "extra attribute": NOT_OF_TYPE,
+        "missing attribute": NOT_OF_TYPE,
+        "oid in a D component": NOT_OF_TYPE,
+        "constant in a class component": NOT_OF_TYPE,
+        "undeclared oid": (OValueError, "value references undeclared oid 'ghost'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MEMBERS))
+    def test_an_ill_shaped_member_fails_where_it_enters(self, case):
+        error, ending = self.EXPECTED[case]
+        with pytest.raises(error) as info:
+            io.loads(flat_document(self.GOOD, self.MEMBERS[case]))
+        assert str(info.value).endswith(ending)
+        if error is InstanceError:
+            assert str(info.value).startswith("ρ(E) member [")
+
+    def test_a_duplicate_member_is_stored_once(self):
+        instance = io.loads(flat_document(self.GOOD, {"tuple": {"A2": {"oid": "o"}, "A1": "a"}}))
+        (o,) = instance.classes["P"]
+        assert instance.relations["E"] == {OTuple(A1="a", A2=o)}
+
+
+def document(**parts):
+    """An instance document over E: [A1: D, A2: D] and U: {D}, with
+    ``parts`` replacing its top-level keys."""
+    doc = {
+        "schema": {"relations": {"E": "[A1: D, A2: D]", "U": "{D}"}, "classes": {"P": "[]"}},
+        "relations": {"E": [{"tuple": {"A1": "a", "A2": "b"}}]},
+        "classes": {"P": ["o"]},
+        "nu": {},
+    }
+    doc.update(parts)
+    return json.dumps(doc)
+
+
+DEEP_MEMBER = '{"tuple": {"A1": ' * 600 + '"n0"' + "}}" * 600
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            (
+                document(relations={"E": [{"tuple": [1]}]}),
+                InstanceError,
+                "the fields of a tuple in ρ(E) must be an object, not a list",
+            ),
+            (
+                document(relations={"U": [{"set": 5}]}),
+                InstanceError,
+                "the elements of a set in ρ(U) must be a list, not a number",
+            ),
+            (document(classes={"P": 5}), InstanceError, "π(P) must be a list, not a number"),
+            (
+                document(schema={"relations": {"E": 5}}),
+                SchemaError,
+                "the type of relation 'E' must be a string, not a number",
+            ),
+            (document(schema=[]), SchemaError, "the schema must be an object, not a list"),
+            (document(relations=[]), InstanceError, "relations must be an object, not a list"),
+            (document(nu=[]), InstanceError, "ν must be an object, not a list"),
+            (
+                '{"schema": {"relations": {"E": "[A1: D, A2: D]"}}, '
+                f'"relations": {{"E": [{DEEP_MEMBER}]}}}}',
+                InstanceError,
+                "the document nests values too deeply to decode",
+            ),
+            (
+                document(relations={"E": {"tuple": {"A1": "a", "A2": "b"}}}),
+                InstanceError,
+                "ρ(E) must be a list, not an object",
+            ),
+            (
+                document(schema={"relations": {"E": "[A1: " * 2000 + "D" + "]" * 2000}}),
+                SchemaError,
+                "the type of relation 'E' nests too deeply to parse",
+            ),
+        ],
+        ids=[
+            "tuple-of-a-list",
+            "set-of-a-number",
+            "class-extent-a-number",
+            "relation-type-a-number",
+            "schema-a-list",
+            "relations-a-list",
+            "nu-a-list",
+            "member-600-deep",
+            "members-an-object",
+            "relation-type-2000-deep",
+        ],
+    )
+    def test_a_malformed_document_raises_a_typed_error(self, text, error, message):
+        with pytest.raises(error) as info:
+            io.loads(text)
+        assert str(info.value) == message
+
+    def test_the_depth_error_does_not_depend_on_the_recursion_limit(self):
+        # Under a higher limit the JSON decoder reads the 600-deep member,
+        # as it does under any limit from Python 3.12 on, and the loader's
+        # own bound stops it with the same message.
+        text = (
+            '{"schema": {"relations": {"E": "[A1: D, A2: D]"}}, '
+            f'"relations": {{"E": [{DEEP_MEMBER}]}}}}'
+        )
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10_000)
+        try:
+            with pytest.raises(InstanceError) as info:
+                io.loads(text)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert str(info.value) == "the document nests values too deeply to decode"
+
+    @pytest.mark.parametrize("levels", [io.MAX_DEPTH, io.MAX_DEPTH + 1])
+    def test_a_value_may_nest_max_depth_tuples_and_sets(self, levels):
+        # Every supported Python decodes this JSON, so the loader's own
+        # bound decides, with the message the 600-deep member gets from
+        # whichever of the JSON decoder and the loader stops first.
+        member = '{"set": [{"tuple": {"A1": ' * (levels // 2) + '"n0"' + "}}]}" * (levels // 2)
+        if levels % 2:
+            member = '{"set": [' + member + "]}"
+        text = document(relations={"U": ["__member__"]}).replace('"__member__"', member)
+        if levels > io.MAX_DEPTH:
+            with pytest.raises(InstanceError) as info:
+                io.loads(text)
+            assert str(info.value) == "the document nests values too deeply to decode"
+        else:
+            assert io.dumps(io.loads(text)).count('"set"') == levels // 2
+
+    def test_an_unrecognized_value_is_shown_shortened(self):
+        deep = "n0"
+        for _ in range(5000):
+            deep = [deep]
+        doc = json.loads(document())
+        doc["relations"]["E"] = [deep]
+        with pytest.raises(OValueError) as info:
+            io.instance_from_dict(doc)
+        message = str(info.value)
+        assert message.startswith("unrecognized value document: [[[") and "..." in message
+        assert len(message) < 100
+
+    def test_run_prints_one_error_line_for_a_malformed_member(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        program = tmp_path / "tc.iql"
+        program.write_text(TestCli.PROGRAM)
+        bad = tmp_path / "bad.json"
+        bad.write_text(document(relations={"E": [{"tuple": [1]}]}))
+        assert main(["run", str(program), "--input", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: the fields of a tuple in ρ(E) must be an object, not a list\n"
+
+
+# -- fuzzing the loader ---------------------------------------------------------------
+
+FUZZED = [
+    json.loads((EXAMPLES / name).read_text(encoding="utf-8"))
+    for name in ("path_graph.json", "graph_objects.json")
+]
+#: What a mutated node becomes: a list, a number, null, a string or an
+#: object (a few of each, some of them well-formed values).
+REPLACEMENTS = [
+    [], [1], [{"tuple": {}}],
+    0, -1.5, True,
+    None,
+    "", "x", "[A1: D]", "P",
+    {}, {"oid": "o"}, {"oid": []}, {"set": [1]}, {"tuple": {"A1": 1}}, {"tuple": []},
+]
+DEEP = "\"__deep__\""
+
+
+def _paths(node, path=()):
+    """The path of every node of a JSON document, the root's first."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A copy of an example document with one to three mutations: a key
+    deleted, a node replaced, or a node wrapped 600 levels deep."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(FUZZED))))
+    deep = None
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        kind = draw(st.sampled_from(["delete", "replace", "deep"]))
+        # A fresh copy: a later mutation may edit the node in place.
+        replacement = json.loads(json.dumps(draw(st.sampled_from(REPLACEMENTS))))
+        if not path:
+            if kind == "replace":
+                doc = replacement
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if kind == "delete" and isinstance(key, str):
+            del parent[key]
+        elif kind == "deep" and deep is None:
+            # Wrapped as text: the encoder would recurse as deep as the decoder.
+            opening, closing = draw(
+                st.sampled_from([("[", "]"), ('{"tuple": {"A1": ', "}}"), ('{"set": [', "]}")])
+            )
+            deep = opening * 600 + json.dumps(parent[key]) + closing * 600
+            parent[key] = "__deep__"
+        else:
+            parent[key] = replacement
+    text = json.dumps(doc)
+    return text.replace(DEEP, deep, 1) if deep is not None else text
+
+
+class TestFuzzedDocuments:
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(mutated_documents())
+    def test_loads_conforms_or_raises_a_typed_error(self, text):
+        try:
+            instance = io.loads(text)
+        except ReproError:
+            return
+        for name, members in instance.relations.items():
+            shape = flat_shape(instance.schema.relations[name])
+            if shape is not None:
+                assert all(conforms(value, shape) for value in members)
 
 class TestCli:
     PROGRAM = """

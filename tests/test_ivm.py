@@ -30,7 +30,7 @@ import warnings
 import pytest
 
 from repro.analysis import build_certificates, replay_insert, validate_certificate
-from repro.errors import EvaluationError, NonTerminationError
+from repro.errors import EvaluationError, InstanceError, NonTerminationError
 from repro.iql import Evaluator, EvaluatorLimits, MaterializedProgram
 from repro.iql.supports import SupportTable
 from repro.parser import program_from_source
@@ -396,6 +396,25 @@ class TestAtomicBatches:
             assert edge("a", "c") not in mp.base.relations["E"]
             assert_matches_fresh(mp)
             assert mp.instance.indexes.equals_rebuild()
+
+    @pytest.mark.parametrize(
+        "ill_shaped",
+        [OTuple(A1="x"), OTuple(A1="x", A2="y", A3="z"), OTuple(A1=Oid("o"), A2="y")],
+        ids=["missing", "extra", "oid-in-D"],
+    )
+    def test_an_ill_shaped_insert_raises_and_leaves_the_pre_batch_state(self, ill_shaped):
+        # E is flat, so an insert that does not conform to its type fails
+        # where it enters the maintained base, with the whole batch.
+        program, mp = cycle_behind_tail()
+        base, facts = mp.base.copy(), mp.instance.ground_facts()
+        inserts = MIXED_INSERTS + [("E", ill_shaped)]
+        with pytest.raises(InstanceError, match=r"ρ\(E\) member .* is not of type \[A1: D"):
+            mp.apply_delta(inserts=inserts, deletes=MIXED_DELETES["seeded"])
+        assert mp.base == base
+        assert mp.instance.ground_facts() == facts
+        assert_matches_fresh(mp)
+        mp.apply_delta(inserts=MIXED_INSERTS, deletes=MIXED_DELETES["seeded"])
+        assert_matches_fresh(mp)
 
     def test_a_failed_class_delete_restores_the_oid_and_its_value(self, monkeypatch):
         program = program_from_source(E19_PROGRAM)
